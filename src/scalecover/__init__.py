@@ -1,9 +1,10 @@
 """Scale-filtered finite spaces and the verifiers built on them.
 
 Submodules:
-  spaces     filtered spaces, chains, chain components
+  spaces     filtered spaces, chains, chain components, partition quotients
   intlinalg  exact integer Smith/Hermite forms and solves
-  rips       Rips 2-skeletons, edge-path presentations, H1, homotopy decisions
+  rips       Rips 2-skeletons, spanning-forest edge-path presentations, H1 as
+             their abelianization, homotopy decisions
   covers     basepointed covers at a scale with their entourage bases
   quotients  maps between filtered spaces, covering axioms, fiber quotients
   towers     truncated inverse systems of spaces and abelian groups

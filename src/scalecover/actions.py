@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quotients import FilteredMap, verify_gucm
-from .spaces import FilteredSpace, Partition, SpaceError
+from .spaces import FilteredSpace, Partition, SpaceError, quotient_by_partition
 from .towers import SpaceTower, assemble_limit_space, telescoping_backward_group
 
 DEFAULT_GROUP_BOUND = 10_000
@@ -379,15 +379,7 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     blocks = Partition(tuple(orbits))
     qpoints = blocks.blocks
     qindex = {b: i for i, b in enumerate(qpoints)}
-    scales = []
-    for j in range(1, space.depth + 1):
-        qpairs = set()
-        for a, b in space.full_relation(j):
-            ba, bb = blocks.block_of(a), blocks.block_of(b)
-            if ba != bb:
-                qpairs.add((ba, bb) if qindex[ba] < qindex[bb] else (bb, ba))
-        scales.append(frozenset(qpairs))
-    qspace = FilteredSpace(qpoints, tuple(scales), hausdorff=not scales[-1])
+    qspace = quotient_by_partition(space, blocks)
     projection = FilteredMap.build(space, qspace, blocks.block_of)
 
     cosets = []
@@ -765,21 +757,9 @@ def limit_action_verify(tower: ActionTower) -> LimitActionReport:
         orb = _orbit(limit.space, limit_action.elements, t)
         seen.update(orb)
         orbits.append(orb)
-    oindex = {o: i for i, o in enumerate(orbits)}
-    block_of = {}
-    for orb in orbits:
-        for t in orb:
-            block_of[t] = orb
-    qscales = []
-    for j in range(1, limit.space.depth + 1):
-        pairs = set()
-        for a, b in limit.space.full_relation(j):
-            ba, bb = block_of[a], block_of[b]
-            if ba != bb:
-                pairs.add((ba, bb) if oindex[ba] < oindex[bb] else (bb, ba))
-        qscales.append(frozenset(pairs))
-    qspace = FilteredSpace(tuple(orbits), tuple(qscales), hausdorff=not qscales[-1])
-    projection = FilteredMap.build(limit.space, qspace, block_of.__getitem__)
+    blocks = Partition(tuple(orbits))
+    qspace = quotient_by_partition(limit.space, blocks)
+    projection = FilteredMap.build(limit.space, qspace, blocks.block_of)
 
     conclusions = {
         "limit_neutral": limit_diag.all_neutral(),

@@ -42,17 +42,28 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-def _env_int(name, default):
+def _budget(name, text):
+    """A budget given on the command line or in the environment."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise formats.ParseError(f"{name} must be a nonnegative integer, got {text!r}")
+
+
+def _env_budget(name, default):
     value = os.environ.get(name)
-    return int(value) if value else default
+    return _budget(name, value) if value else default
 
 
 def default_budgets():
     return {
-        "radius": _env_int("SCALECOVER_RADIUS", 8),
-        "ident_budget": _env_int("SCALECOVER_IDENT_BUDGET", 100_000),
-        "coset_rows": _env_int("SCALECOVER_COSET_ROWS", 100_000),
-        "product_bound": _env_int("SCALECOVER_PRODUCT_BOUND", 200_000),
+        "radius": _env_budget("SCALECOVER_RADIUS", 8),
+        "ident_budget": _env_budget("SCALECOVER_IDENT_BUDGET", 100_000),
+        "coset_rows": _env_budget("SCALECOVER_COSET_ROWS", 100_000),
+        "product_bound": _env_budget("SCALECOVER_PRODUCT_BOUND", 200_000),
     }
 
 
@@ -339,9 +350,9 @@ def main(argv=None) -> int:
     p.add_argument("--radii")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--basepoint", required=True)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--ident-budget", type=int, dest="ident_budget")
-    p.add_argument("--coset-rows", type=int, dest="coset_rows",
+    p.add_argument("--radius")
+    p.add_argument("--ident-budget", dest="ident_budget")
+    p.add_argument("--coset-rows", dest="coset_rows",
                    help="row budget for the identification enumerations")
     p.add_argument("--dot", help="write the cover graph here")
     p.add_argument("--out")
@@ -360,7 +371,7 @@ def main(argv=None) -> int:
     p.add_argument("--lim1", action="store_true",
                    help="included for compatibility; lim1 always reported")
     p.add_argument("--telescope", choices=["forward", "backward"])
-    p.add_argument("--product-bound", type=int, dest="product_bound")
+    p.add_argument("--product-bound", dest="product_bound")
     p.add_argument("--out")
 
     p = sub.add_parser("action", help="diagnosis, quotients, tower verification")
@@ -374,9 +385,10 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     args = parser.parse_args(argv)
-    budgets = default_budgets()
+    budgets = {}
 
     try:
+        budgets = default_budgets()
         if args.cmd == "analyze":
             radii = [float(r) if "." in r else int(r) for r in args.radii.split(",")] \
                 if args.radii else None
@@ -395,12 +407,12 @@ def main(argv=None) -> int:
                 if args.radii else None
             space = _load_space(args.space, radii)
             if args.radius is not None:
-                budgets["radius"] = args.radius
+                budgets["radius"] = _budget("--radius", args.radius)
             if args.coset_rows is not None:
-                budgets["coset_rows"] = args.coset_rows
-                budgets["ident_budget"] = args.coset_rows
+                budgets["coset_rows"] = _budget("--coset-rows", args.coset_rows)
+                budgets["ident_budget"] = budgets["coset_rows"]
             if args.ident_budget is not None:
-                budgets["ident_budget"] = args.ident_budget
+                budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
             options = {"scale": args.scale, "basepoint": _parse_point(args.basepoint)}
             inputs = {"space": formats.space_to_spec(space)}
             results, code, cover = run_cover(space, options, budgets)
@@ -427,7 +439,7 @@ def main(argv=None) -> int:
         elif args.cmd == "tower":
             spec = formats.load_json(args.towerfile)
             if args.product_bound is not None:
-                budgets["product_bound"] = args.product_bound
+                budgets["product_bound"] = _budget("--product-bound", args.product_bound)
             if spec.get("kind") == "abelian_tower":
                 tab = formats.abelian_tower_from_spec(spec)
                 options = {"telescope": args.telescope, "g": spec.get("g")}

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
-    _homology,
+    _pres_abelian,
+    _vector_coords,
     _word_trivial,
     chain_word,
     free_reduce,
     invert_word,
     presentation_at_scale,
+    presentation_h1,
     reduce_chain,
     DEFAULT_COSET_ROWS,
 )
@@ -316,25 +318,41 @@ class BondingH1:
 
 
 def bonding_h1_map(space: FilteredSpace, j: int, k: int) -> BondingH1:
-    """Inclusion-induced homomorphism between whole-space H1 groups, j finer."""
+    """Inclusion-induced homomorphism between whole-space H1 groups, j finer.
+
+    Each H1(j) basis element is a column of the inverse Smith transform of
+    the scale-j relators, an exponent vector over the scale-j generators;
+    each generator's fundamental loop is a scale-k loop as well, and the
+    summed scale-k exponent vector reduces to H1(k) coordinates.
+    """
     space.check_scale(j)
     space.check_scale(k)
     if j < k:
         raise BadScalePair(f"expected finer {j} >= coarser {k}")
-    hj = _homology(space, j, None)
-    hk = _homology(space, k, None)
+    pj = presentation_at_scale(space, j, None)
+    pk = presentation_at_scale(space, k, None)
+    source, target = presentation_h1(pj), presentation_h1(pk)
+    u, diag = _pres_abelian(pj)
+    ngens = len(pj.generators)
+    positions = [i for i in range(ngens) if i >= len(diag) or diag[i] != 1]
+    if positions:
+        uinv = ila.unimodular_inverse(u)
+        loops = [chain_word(pk, pj.fundamental_loop(g)).letters
+                 for g in range(1, ngens + 1)]
     cols = []
-    for rep in hj.representative_cycles():
-        vec = [0] * len(hk.edges)
-        for idx, val in enumerate(rep):
-            if val:
-                vec[hk._eindex[hj.edges[idx]]] = val
-        cols.append(hk.coords(vec))
-    dim_t = len(hk.group.torsion) + hk.group.rank
+    for pos in positions:
+        vec = [0] * len(pk.generators)
+        for g, loop in enumerate(loops):
+            coeff = uinv[g][pos]
+            if coeff:
+                for letter in loop:
+                    vec[abs(letter) - 1] += coeff if letter > 0 else -coeff
+        cols.append(_vector_coords(pk, vec))
+    dim_t = len(target.torsion) + target.rank
     matrix = tuple(
         tuple(cols[c][r] for c in range(len(cols))) for r in range(dim_t)
     )
-    return BondingH1(j, k, hj.group, hk.group, matrix)
+    return BondingH1(j, k, source, target, matrix)
 
 
 def is_isomorphism(b: BondingH1) -> bool:

@@ -1,4 +1,4 @@
-"""Exact integer matrix algebra: Smith and Hermite forms, solves, kernels.
+"""Exact integer matrix algebra: Smith and Hermite forms and solves.
 
 Matrices are lists of lists of Python ints, so every computation is exact at
 arbitrary precision.  Pivots are chosen by minimal absolute value to limit
@@ -60,17 +60,10 @@ def smith_normal_form(a):
     U and V are unimodular; the diagonal of S is nonnegative and each entry
     divides the next.
     """
-    u, s, v, _ = smith_normal_form_vinv(a)
-    return u, s, v
-
-
-def smith_normal_form_vinv(a):
-    """Smith form together with the exact inverse of V, tracked in place."""
     m, n = shape(a)
     s = copy_matrix(a)
     u = eye(m)
     v = eye(n)
-    vinv = eye(n)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -81,7 +74,6 @@ def smith_normal_form_vinv(a):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
@@ -93,14 +85,11 @@ def smith_normal_form_vinv(a):
             ui[c] += q * uj[c]
 
     def add_col(i, j, q):
-        # col_i += q * col_j of S and V; row_j -= q * row_i of V's inverse
+        # col_i += q * col_j
         for row in s:
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-        vi, vj = vinv[i], vinv[j]
-        for c in range(n):
-            vj[c] -= q * vi[c]
 
     t = 0
     limit = min(m, n)
@@ -154,7 +143,7 @@ def smith_normal_form_vinv(a):
                 s[i][c] = -s[i][c]
             for c in range(m):
                 u[i][c] = -u[i][c]
-    return u, s, v, vinv
+    return u, s, v
 
 
 class SmithSolver:
@@ -194,35 +183,9 @@ def invariant_factors(a):
     return [d for d in diagonal_of(s) if d]
 
 
-def smith_rank(a):
-    return len(invariant_factors(a))
-
-
 def solve_integer(a, b):
     """One integer solution x of a @ x = b, or None when none exists."""
     return SmithSolver(a).solve(b)
-
-
-def kernel_basis(a):
-    """Columns forming a lattice basis of the integer kernel of a."""
-    m, n = shape(a)
-    _, s, v = smith_normal_form(a)
-    rank = sum(1 for d in diagonal_of(s) if d)
-    return [[v[i][j] for j in range(rank, n)] for i in range(n)]
-
-
-def kernel_with_coords(a):
-    """Kernel basis B plus the functional F with F @ z = coords for cycles z.
-
-    For any z in the kernel lattice, B @ (F @ z) = z; the functional rows are
-    the trailing rows of the tracked inverse of V.
-    """
-    m, n = shape(a)
-    _, s, v, vinv = smith_normal_form_vinv(a)
-    rank = sum(1 for d in diagonal_of(s) if d)
-    basis = [[v[i][j] for j in range(rank, n)] for i in range(n)]
-    functional = [list(vinv[i]) for i in range(rank, n)]
-    return basis, functional
 
 
 def unimodular_inverse(u):
@@ -287,11 +250,6 @@ def hermite_row_form(a):
 def column_lattice_form(a):
     """Canonical form of the lattice spanned by the columns of a."""
     return hermite_row_form(transpose(a))
-
-
-def lattices_equal(a, b):
-    """Whether the columns of a and of b span the same integer lattice."""
-    return column_lattice_form(a) == column_lattice_form(b)
 
 
 def is_surjective_onto(a, relation_diag):

@@ -16,6 +16,7 @@ from .spaces import (
     SpaceError,
     UnknownPoint,
     chain_components,
+    quotient_by_partition,
     subspace,
 )
 
@@ -327,22 +328,11 @@ class QuotientSpace:
 def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     f.source.check_scale(k)
     blocks = fiber_e_components(f, k)
-    block_of = blocks.block_of
-    points = blocks.blocks
-    scales = []
-    for j in range(1, f.source.depth + 1):
-        pairs = set()
-        for a, b in f.source.full_relation(j):
-            ba, bb = block_of(a), block_of(b)
-            if ba != bb:
-                ia = points.index(ba)
-                ib = points.index(bb)
-                pairs.add((ba, bb) if ia < ib else (bb, ba))
-        scales.append(frozenset(pairs))
-    qspace = FilteredSpace(points, tuple(scales), hausdorff=not scales[-1])
-    q = FilteredMap.build(f.source, qspace, block_of)
+    qspace = quotient_by_partition(f.source, blocks)
+    q = FilteredMap.build(f.source, qspace, blocks.block_of)
     g = FilteredMap.build(qspace, f.target, lambda blk: f(blk[0]))
-    assert compose(g, q).assignment == f.assignment
+    if compose(g, q).assignment != f.assignment:
+        raise RuntimeError("the induced map does not factor f through its fiber quotient")
     hypothesis = strong_condition_at(f, k)
     singleton = None
     lifting = None

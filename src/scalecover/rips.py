@@ -2,16 +2,19 @@
 
 Only the 2-skeleton is ever built: homotopy of edge paths in a simplicial
 complex is decided by its 2-skeleton.  Chains map to words over the non-tree
-edges of a breadth-first spanning tree; two chains with common endpoints are
+edges of a breadth-first spanning forest; two chains with common endpoints are
 homotopic at the scale exactly when the combined word dies in the edge-path
-group.  Word triviality is attacked in a fixed order (free reduction, integral
+group.  H1 is the abelianization of the same presentation: the fundamental
+cycles of the forest are a lattice basis of the cycle group, so a cycle's
+coordinates are its signed non-tree-edge counts and no boundary matrix is ever
+built.  Word triviality is attacked in a fixed order (free reduction, integral
 abelianization, bounded rewriting, coset enumeration) and the answer is a
 certified Yes/No or an honest Unknown; nothing is ever guessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import intlinalg as ila
@@ -22,7 +25,6 @@ from .spaces import (
     FilteredSpace,
     ScaleMismatch,
     SpaceError,
-    chain_components,
     is_chain,
 )
 
@@ -94,12 +96,15 @@ def _cyclic_reduce(word):
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Edge-path presentation of the scale-k loop classes at a basepoint.
+    """Edge-path presentation of the scale-k loop classes over a spanning forest.
 
-    Generators are the non-tree edges of the basepoint's component, oriented
-    from the smaller point; relators read each triangle boundary through the
-    tree collapse.  Words are relative to this specific tree and are not
-    canonical across different trees.
+    With a basepoint the forest is a breadth-first tree of the basepoint's
+    component; without one (``basepoint`` None) it has one breadth-first tree
+    per component, rooted at the component's first point.  Generators are the
+    non-tree edges, oriented from the smaller point; relators read each
+    triangle boundary through the tree collapse.  ``parent`` maps each point
+    to its tree parent (None at a root).  Words are relative to this specific
+    forest and are not canonical across different forests.
     """
 
     space: FilteredSpace
@@ -109,6 +114,7 @@ class GroupPresentation:
     tree_edges: tuple
     generators: tuple
     relators: tuple
+    parent: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -129,35 +135,58 @@ class GroupPresentation:
             raise SpaceError(f"{(a, b)!r} is not an edge at scale {self.scale}")
         return g if pair == (a, b) else -g
 
+    def fundamental_loop(self, g: int) -> tuple:
+        """The loop root -> a -> b -> root of generator g = (a, b) in its tree."""
+        def to_root(p):
+            path = [p]
+            while self.parent[path[-1]] is not None:
+                path.append(self.parent[path[-1]])
+            return path
+
+        a, b = self.generators[g - 1]
+        return tuple(reversed(to_root(a))) + tuple(to_root(b))
+
 
 @lru_cache(maxsize=None)
 def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPresentation:
+    """Presentation of the basepoint's component at scale k.
+
+    With basepoint None it presents the whole space over a spanning forest
+    with one breadth-first tree per component.
+    """
     space.check_scale(k)
-    space.index(basepoint)
-    component = chain_components(space, k).block_of(basepoint)
-    members = set(component)
+    if basepoint is None:
+        roots = space.points
+    else:
+        space.index(basepoint)
+        roots = (basepoint,)
     tree = set()
-    seen = {basepoint}
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in space.neighbors(k, p):
-                if q not in seen:
-                    seen.add(q)
-                    tree.add(space.pair(p, q))
-                    nxt.append(q)
-        frontier = nxt
+    parent = {}
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in space.neighbors(k, p):
+                    if q not in parent:
+                        parent[q] = p
+                        tree.add(space.pair(p, q))
+                        nxt.append(q)
+            frontier = nxt
     generators = tuple(
-        e for e in space.sorted_pairs(k) if e[0] in members and e not in tree
+        e for e in space.sorted_pairs(k) if e[0] in parent and e not in tree
     )
     pres = GroupPresentation(
-        space, k, basepoint, component, tuple(sorted(tree, key=lambda e: (space.index(e[0]), space.index(e[1])))),
-        generators, (),
+        space, k, basepoint, space.sort_points(parent),
+        tuple(sorted(tree, key=lambda e: (space.index(e[0]), space.index(e[1])))),
+        generators, (), parent,
     )
     relators = []
     for a, b, c in rips_2_skeleton(space, k).triangles:
-        if a not in members:
+        if a not in parent:
             continue
         word = []
         for u, v in ((a, b), (b, c), (c, a)):
@@ -165,9 +194,7 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
             if letter is not None:
                 word.append(letter)
         relators.append(free_reduce(word))
-    return GroupPresentation(
-        space, k, basepoint, component, pres.tree_edges, generators, tuple(relators)
-    )
+    return replace(pres, relators=tuple(relators))
 
 
 @dataclass(frozen=True)
@@ -228,130 +255,32 @@ class AbelianGroupInv:
         return self.rank == 0 and not self.torsion
 
 
-class ScaleHomology:
-    """H1 of the scale-k Rips 2-skeleton with explicit integer coordinates.
-
-    Built from a lattice basis B of the cycle space and the Smith form of the
-    triangle boundaries expressed in that basis.  Coordinates list torsion
-    positions first (reduced into [0, d)), then free positions.
-    """
-
-    def __init__(self, space, k, restrict=None):
-        space.check_scale(k)
-        skel = rips_2_skeleton(space, k)
-        if restrict is None:
-            keep = set(space.points)
-        else:
-            keep = set(restrict)
-        self.space = space
-        self.scale = k
-        self.vertices = tuple(p for p in space.points if p in keep)
-        self.edges = tuple(e for e in skel.edges if e[0] in keep and e[1] in keep)
-        self.triangles = tuple(
-            t for t in skel.triangles if all(p in keep for p in t)
-        )
-        vindex = {p: i for i, p in enumerate(self.vertices)}
-        self._eindex = {e: i for i, e in enumerate(self.edges)}
-        nv, ne, nt = len(self.vertices), len(self.edges), len(self.triangles)
-        d1 = ila.zeros(nv, ne)
-        for e, (a, b) in enumerate(self.edges):
-            d1[vindex[a]][e] = -1
-            d1[vindex[b]][e] = 1
-        d2 = ila.zeros(ne, nt)
-        for t, (a, b, c) in enumerate(self.triangles):
-            d2[self._eindex[(a, b)]][t] += 1
-            d2[self._eindex[(b, c)]][t] += 1
-            d2[self._eindex[(a, c)]][t] -= 1
-        self._d1 = d1
-        self.basis, self._functional = ila.kernel_with_coords(d1)
-        nullity = len(self.basis[0]) if self.basis else 0
-        w = ila.zeros(nullity, nt)
-        for t in range(nt):
-            col = [d2[i][t] for i in range(ne)]
-            sol = ila.matvec(self._functional, col) if ne else []
-            for i in range(nullity):
-                w[i][t] = sol[i]
-        u, s, _ = ila.smith_normal_form(w)
-        self._u = u
-        self._diag = ila.diagonal_of(s)
-        self._nullity = nullity
-        nonzero = [d for d in self._diag if d]
-        self._torsion_pos = [i for i, d in enumerate(self._diag) if d > 1]
-        self._free_pos = list(range(len(nonzero), nullity))
-        self.group = AbelianGroupInv(
-            len(self._free_pos), tuple(self._diag[i] for i in self._torsion_pos)
-        )
-
-    def chain_vector(self, seq) -> list:
-        """Signed edge-incidence vector of a closed chain."""
-        vec = [0] * len(self.edges)
-        for a, b in zip(seq, seq[1:]):
-            if a == b:
-                continue
-            pair = self.space.pair(a, b)
-            idx = self._eindex.get(pair)
-            if idx is None:
-                raise SpaceError(f"{(a, b)!r} is not an edge at scale {self.scale}")
-            vec[idx] += 1 if pair == (a, b) else -1
-        return vec
-
-    def coords(self, cycle_vec) -> tuple:
-        """Class of an integer cycle in the Smith basis."""
-        if not self.edges:
-            return ()
-        vec = list(cycle_vec)
-        if any(ila.matvec(self._d1, vec)):
-            raise SpaceError("vector is not a cycle")
-        if self._nullity == 0:
-            return ()
-        a = ila.matvec(self._functional, vec)
-        y = ila.matvec(self._u, a)
-        out = [y[i] % self._diag[i] for i in self._torsion_pos]
-        out.extend(y[i] for i in self._free_pos)
-        return tuple(out)
-
-    def representative_cycles(self) -> list:
-        """One cycle per coordinate of the group, as edge vectors."""
-        if self._nullity == 0:
-            return []
-        uinv = ila.unimodular_inverse(self._u)
-        reps = []
-        for pos in self._torsion_pos + self._free_pos:
-            a = [uinv[i][pos] for i in range(self._nullity)]
-            reps.append(ila.matvec(self.basis, a))
-        return reps
-
-
-@lru_cache(maxsize=None)
-def _homology(space: FilteredSpace, k: int, basepoint) -> ScaleHomology:
-    restrict = None
-    if basepoint is not None:
-        restrict = chain_components(space, k).block_of(basepoint)
-    return ScaleHomology(space, k, restrict)
-
-
 def h1_at_scale(space: FilteredSpace, k: int, basepoint=None) -> AbelianGroupInv:
     """H1 of the scale-k 2-skeleton; restricted to a component if given."""
-    return _homology(space, k, basepoint).group
+    return presentation_h1(presentation_at_scale(space, k, basepoint))
 
 
 def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
-    """Image of a loop in H1 coordinates; zero is necessary for nulhomotopy."""
-    if isinstance(seq, Chain):
-        if seq.scale != k:
-            raise ScaleMismatch(f"chain at scale {seq.scale}, asked at {k}")
-        seq = seq.seq
-    seq = tuple(seq)
-    if not is_chain(space, k, seq):
-        raise SpaceError(f"not a chain at scale {k}: {seq!r}")
-    if seq[0] != seq[-1]:
-        raise NotALoop(f"chain from {seq[0]!r} to {seq[-1]!r} is not a loop")
-    hom = _homology(space, k, None)
-    return hom.coords(hom.chain_vector(seq))
+    """Image of a loop in H1 coordinates; zero is necessary for nulhomotopy.
+
+    Coordinates list torsion positions first (reduced into [0, d)), then
+    free positions.
+    """
+    pres = presentation_at_scale(space, k, None)
+    loop = seq if isinstance(seq, Chain) else Chain(k, seq)
+    word = chain_word(pres, loop).letters
+    if loop.start != loop.end:
+        raise NotALoop(f"chain from {loop.start!r} to {loop.end!r} is not a loop")
+    return _abelian_coords(pres, word)
 
 
 def presentation_h1(pres: GroupPresentation) -> AbelianGroupInv:
-    """Abelianization of the presented group, for cross-checking h1_at_scale."""
+    """Abelianization of the presented group: H1 of the presented components.
+
+    The fundamental cycles of the spanning forest form a lattice basis of the
+    cycle group, so the abelianized relators are the triangle boundaries in
+    that basis.
+    """
     _, diag = _pres_abelian(pres)
     ngens = len(pres.generators)
     nonzero = [d for d in diag if d]
@@ -377,8 +306,13 @@ def _pres_abelian(pres: GroupPresentation):
 
 
 def _abelian_coords(pres, word):
+    return _vector_coords(pres, _exponent_vector(pres, word))
+
+
+def _vector_coords(pres, vec):
+    """H1 coordinates of an exponent vector over the generators."""
     u, diag = _pres_abelian(pres)
-    y = ila.matvec([list(row) for row in u], _exponent_vector(pres, word))
+    y = ila.matvec([list(row) for row in u], vec)
     out = []
     for i, val in enumerate(y):
         d = diag[i] if i < len(diag) else 0

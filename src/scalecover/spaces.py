@@ -321,6 +321,25 @@ def subspace(space: FilteredSpace, keep: Iterable) -> FilteredSpace:
     return FilteredSpace(points, scales, hausdorff=not scales[-1])
 
 
+def quotient_by_partition(space: FilteredSpace, blocks: Partition) -> FilteredSpace:
+    """Collapse each block of a partition of the points to one point.
+
+    The blocks, in partition order, are the points of the quotient; two
+    blocks are related at scale j when some members are.
+    """
+    index = {b: i for i, b in enumerate(blocks.blocks)}
+    scales = []
+    for j in range(1, space.depth + 1):
+        pairs = set()
+        for a, b in space.full_relation(j):
+            ba, bb = blocks.block_of(a), blocks.block_of(b)
+            ia, ib = index[ba], index[bb]
+            if ia != ib:
+                pairs.add((ba, bb) if ia < ib else (bb, ba))
+        scales.append(frozenset(pairs))
+    return FilteredSpace(blocks.blocks, tuple(scales), hausdorff=not scales[-1])
+
+
 def is_chain(space: FilteredSpace, k: int, seq: Sequence) -> bool:
     """True when every consecutive pair of seq lies in scale k."""
     space.check_scale(k)

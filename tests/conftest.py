@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from scalecover.spaces import from_metric, validate_space
 from scalecover.quotients import FilteredMap
@@ -33,6 +35,31 @@ def rp2_subdivision_space():
     pairs = [(a, b) for a, b in rel] + [(b, a) for a, b in rel]
     pairs += [(p, p) for p in points]
     return validate_space(points, [pairs])
+
+
+def oracle_h1(edges, triangles, nv):
+    """Brute-force H1 from explicitly listed boundary matrices via sympy."""
+    d1 = sympy.zeros(nv, len(edges))
+    for e, (a, b) in enumerate(edges):
+        d1[a, e] = -1
+        d1[b, e] = 1
+    d2 = sympy.zeros(len(edges), max(len(triangles), 1))
+    eindex = {e: i for i, e in enumerate(edges)}
+    for t, (a, b, c) in enumerate(triangles):
+        d2[eindex[(a, b)], t] += 1
+        d2[eindex[(b, c)], t] += 1
+        d2[eindex[(a, c)], t] -= 1
+    rank1 = d1.rank()
+    rank2 = d2.rank() if triangles else 0
+    rank = len(edges) - rank1 - rank2
+    torsion = []
+    if triangles:
+        s = sympy_snf(d2, domain=sympy.ZZ)
+        for i in range(min(s.shape)):
+            v = abs(s[i, i])
+            if v > 1:
+                torsion.append(int(v))
+    return rank, tuple(sorted(torsion))
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,7 @@ from scalecover.rips import AbelianGroupInv, h1_at_scale
 from scalecover.spaces import FilteredSpace, from_metric
 from scalecover.towers import TowerAb, lim1_verdict, quotient_tower_reconstruct, telescoping_solve
 from scalecover import intlinalg as ila
+from conftest import oracle_h1
 
 Z = AbelianGroupInv(1, ())
 
@@ -58,31 +59,6 @@ def c6_matrix():
 
 # ---------------------------------------------------------------------------
 # oracle helpers
-
-
-def oracle_h1(edges, triangles, nv):
-    """Brute-force H1 from explicitly listed boundary matrices via sympy."""
-    d1 = sympy.zeros(nv, len(edges))
-    for e, (a, b) in enumerate(edges):
-        d1[a, e] = -1
-        d1[b, e] = 1
-    d2 = sympy.zeros(len(edges), max(len(triangles), 1))
-    eindex = {e: i for i, e in enumerate(edges)}
-    for t, (a, b, c) in enumerate(triangles):
-        d2[eindex[(a, b)], t] += 1
-        d2[eindex[(b, c)], t] += 1
-        d2[eindex[(a, c)], t] -= 1
-    rank1 = d1.rank()
-    rank2 = d2.rank() if triangles else 0
-    rank = len(edges) - rank1 - rank2
-    torsion = []
-    if triangles:
-        s = sympy_snf(d2, domain=sympy.ZZ)
-        for i in range(min(s.shape)):
-            v = abs(s[i, i])
-            if v > 1:
-                torsion.append(int(v))
-    return rank, tuple(sorted(torsion))
 
 
 def move_identification_classes(space, k, basepoint, max_len=8):

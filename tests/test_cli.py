@@ -313,3 +313,39 @@ class TestDeterminismAndReplay:
         code, replay = run(capsys, "verify", "--replay", str(out))
         assert code == 1
         assert not replay["results"]["results_identical"]
+
+
+class TestBudgetInput:
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    @pytest.mark.parametrize("name", ["SCALECOVER_RADIUS", "SCALECOVER_IDENT_BUDGET",
+                                      "SCALECOVER_COSET_ROWS", "SCALECOVER_PRODUCT_BOUND"])
+    def test_bad_env_budget_is_input_error(self, capsys, c6_csv_file, monkeypatch,
+                                           name, value):
+        monkeypatch.setenv(name, value)
+        code, report = run(capsys, "analyze", c6_csv_file, "--radii", "2,1")
+        assert code == 3
+        assert name in report["results"]["error"]
+
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    @pytest.mark.parametrize("flag", ["--radius", "--ident-budget", "--coset-rows"])
+    def test_bad_cover_budget_flag_is_input_error(self, capsys, c6_csv_file, flag, value):
+        code, report = run(
+            capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",
+            "--basepoint", "0", flag, value,
+        )
+        assert code == 3
+        assert flag in report["results"]["error"]
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_product_bound_is_input_error(self, capsys, doubling_tower_file, value):
+        code, report = run(capsys, "tower", doubling_tower_file, "--product-bound", value)
+        assert code == 3
+        assert "--product-bound" in report["results"]["error"]
+
+    def test_zero_budget_is_accepted(self, capsys, c6_csv_file):
+        code, report = run(
+            capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",
+            "--basepoint", "0", "--radius", "0",
+        )
+        assert code == 2
+        assert report["budgets"]["radius"] == 0

@@ -1,12 +1,29 @@
 """Cross-cutting invariants exercised on randomized and structured instances."""
 
+import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+import networkx as nx
+import sympy
+from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from scalecover.covers import build_cover, endpoint_map, verify_endpoint_ucm
+from conftest import oracle_h1
+from scalecover.covers import (
+    bonding_h1_map,
+    build_cover,
+    critical_scales,
+    endpoint_map,
+    verify_endpoint_ucm,
+)
 from scalecover.quotients import FilteredMap, check_approx_uniqueness
-from scalecover.rips import decide_e_homotopic, h1_class, reduce_chain
+from scalecover.rips import (
+    AbelianGroupInv,
+    decide_e_homotopic,
+    h1_at_scale,
+    h1_class,
+    reduce_chain,
+)
 from scalecover.spaces import FilteredSpace, chain_components, is_chain
 
 
@@ -20,6 +37,124 @@ def connected_space(draw):
     coarse = frozenset(spanning | extra)
     fine = frozenset(p for p in coarse if draw(st.booleans()) or p in spanning)
     return FilteredSpace(points, (coarse, fine), hausdorff=False)
+
+
+@st.composite
+def filtered_space(draw):
+    """Up to nine points and three nested scales, often disconnected.
+
+    The finest scale strings the points, in a random order, into up to three
+    runs, each closed into a cycle or left open; every coarser scale adds a
+    few random pairs, which fill, split, join or create loops.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    depth = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=2))) \
+        if n > 1 else []
+    pairs = set()
+    for i, j in zip([0] + cuts, cuts + [n]):
+        run = order[i:j]
+        steps = list(zip(run, run[1:]))
+        if len(run) > 2 and draw(st.booleans()):
+            steps.append((run[-1], run[0]))
+        pairs.update((min(a, b), max(a, b)) for a, b in steps)
+    point = st.integers(min_value=0, max_value=n - 1)
+    scales = [frozenset(pairs)]
+    for _ in range(depth - 1):
+        extra = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
+        pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+        scales.insert(0, frozenset(pairs))
+    return FilteredSpace(tuple(range(n)), tuple(scales), hausdorff=not scales[-1])
+
+
+def _graph(sp, k):
+    g = nx.Graph()
+    g.add_nodes_from(sp.points)
+    g.add_edges_from(sp.scales[k - 1])
+    return g
+
+
+def _triangles(sp, k, keep):
+    pairs = sp.scales[k - 1]
+    return [t for t in itertools.combinations(sorted(keep), 3)
+            if all(e in pairs for e in itertools.combinations(t, 2))]
+
+
+def _oracle_group(sp, k, keep):
+    """Boundary-matrix H1 of the scale-k skeleton on the points kept."""
+    index = {p: i for i, p in enumerate(sorted(keep))}
+    edges = [(index[a], index[b]) for a, b in sorted(sp.scales[k - 1]) if a in index]
+    tris = [tuple(index[p] for p in t) for t in _triangles(sp, k, keep)]
+    return AbelianGroupInv(*oracle_h1(edges, tris, len(index)))
+
+
+def _oracle_critical(sp):
+    """Scale pairs (k, k+1) whose bonding map is not an isomorphism.
+
+    The map is onto exactly when the fundamental cycles of a spanning forest
+    of the finer scale, with the coarser triangle boundaries, generate the
+    coarser cycle lattice: full rank and every invariant factor 1.
+    """
+    out = []
+    for k in range(1, sp.depth):
+        if _oracle_group(sp, k, sp.points) != _oracle_group(sp, k + 1, sp.points):
+            out.append((k, k + 1))
+            continue
+        coarse = _graph(sp, k)
+        eindex = {e: i for i, e in enumerate(sorted(sp.scales[k - 1]))}
+        cycles_dim = len(eindex) - len(sp.points) + nx.number_connected_components(coarse)
+        if not cycles_dim:
+            continue
+        cols = []
+        for a, b, c in _triangles(sp, k, sp.points):
+            col = [0] * len(eindex)
+            col[eindex[(a, b)]] += 1
+            col[eindex[(b, c)]] += 1
+            col[eindex[(a, c)]] -= 1
+            cols.append(col)
+        forest = nx.minimum_spanning_tree(_graph(sp, k + 1))
+        for a, b in sp.scales[k]:
+            if forest.has_edge(a, b):
+                continue
+            col = [0] * len(eindex)
+            loop = [a] + nx.shortest_path(forest, b, a)
+            for u, v in zip(loop, loop[1:]):
+                col[eindex[(min(u, v), max(u, v))]] += 1 if u < v else -1
+            cols.append(col)
+        factors = []
+        if cols:
+            s = sympy_snf(sympy.Matrix(cols).T, domain=sympy.ZZ)
+            factors = [abs(s[i, i]) for i in range(min(s.shape)) if s[i, i] != 0]
+        if len(factors) != cycles_dim or any(d != 1 for d in factors):
+            out.append((k, k + 1))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtered_space())
+def test_h1_matches_boundary_oracle(sp):
+    for k in range(1, sp.depth + 1):
+        assert h1_at_scale(sp, k) == _oracle_group(sp, k, sp.points)
+        for component in nx.connected_components(_graph(sp, k)):
+            expected = _oracle_group(sp, k, component)
+            for x in component:
+                assert h1_at_scale(sp, k, x) == expected
+
+
+# a 4-cycle filled at scale 1 while a second 4-cycle closes: Z -> Z, zero map
+SWAPPED_LOOPS = FilteredSpace(
+    tuple(range(8)),
+    (frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5), (5, 6), (6, 7), (4, 7)}),
+     frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7)})),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtered_space())
+@example(SWAPPED_LOOPS)
+def test_critical_scales_match_lattice_oracle(sp):
+    assert critical_scales(sp) == _oracle_critical(sp)
 
 
 def _path_back(sp, k, source, target):
@@ -53,6 +188,59 @@ def space_with_loops(draw):
             seq.append(draw(st.sampled_from(sorted(options))))
         loops.append(tuple(seq) + _path_back(sp, k, start, seq[-1])[1:])
     return sp, k, loops[0], loops[1]
+
+
+@st.composite
+def loop_across_scales(draw):
+    """A space, scales j >= k, and a scale-j loop that winds where it can."""
+    sp = draw(filtered_space())
+    k = draw(st.integers(min_value=1, max_value=sp.depth))
+    j = draw(st.integers(min_value=k, max_value=sp.depth))
+    start = draw(st.sampled_from(sp.points))
+    seq = [start]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        # no immediate backtracking, so the walk winds around the loops it meets
+        options = [q for q in sp.neighbors(j, seq[-1]) if seq[-2:-1] != [q]]
+        if not options:
+            break
+        seq.append(draw(st.sampled_from(options)))
+    return sp, j, k, tuple(seq) + _path_back(sp, j, start, seq[-1])[1:]
+
+
+# a 4-cycle that a coarser vertex splits into two: Z -> Z^2
+SPLIT_LOOP = FilteredSpace(
+    tuple(range(6)),
+    (frozenset({(1, 4), (1, 5), (3, 4), (3, 5), (0, 1), (0, 3)}),
+     frozenset({(1, 4), (1, 5), (3, 4), (3, 5)})),
+)
+
+
+# a 4-cycle with a triangle on one edge: the Smith transform is not a permutation
+TRIANGLE_ON_LOOP = FilteredSpace(
+    tuple(range(5)), (frozenset({(0, 1), (0, 2), (1, 4), (2, 3), (2, 4), (3, 4)}),)
+)
+
+# a 4-cycle sharing an edge with a tetrahedron boundary: dependent relators
+# leave a zero on the Smith diagonal
+TETRAHEDRON_ON_LOOP = FilteredSpace(
+    tuple(range(6)),
+    (frozenset({(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5), (1, 2), (2, 3), (0, 3)}),),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loop_across_scales())
+@example((SPLIT_LOOP, 2, 1, (1, 4, 3, 5, 1)))
+@example((TRIANGLE_ON_LOOP, 1, 1, (0, 1, 4, 2, 0)))
+@example((TETRAHEDRON_ON_LOOP, 1, 1, (0, 1, 2, 3, 0)))
+def test_bonding_map_carries_loop_classes(data):
+    sp, j, k, loop = data
+    b = bonding_h1_map(sp, j, k)
+    source = h1_class(sp, j, loop)
+    image = [sum(m * x for m, x in zip(row, source)) for row in b.matrix]
+    for r, d in enumerate(b.target.torsion):
+        image[r] %= d
+    assert tuple(image) == h1_class(sp, k, loop)
 
 
 @settings(max_examples=80, deadline=None)
