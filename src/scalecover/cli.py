@@ -26,9 +26,10 @@ from .quotients import (
     fiber_e_components,
     verify_gucm,
 )
-from .rips import h1_at_scale
+from .rips import DEFAULT_COSET_ROWS, h1_at_scale
 from .spaces import SpaceError, chain_components, from_metric, is_chain
 from .towers import (
+    DEFAULT_PRODUCT_BOUND,
     ProductTooLarge,
     assemble_limit_space,
     lim1_verdict,
@@ -42,15 +43,15 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-def _budget(name, text):
-    """A budget given on the command line or in the environment."""
+def _budget(name, raw):
+    """A budget given on the command line, in the environment or in a report."""
     try:
-        value = int(text)
-        if value >= 0:
+        value = int(raw)
+        if value >= 0 and not isinstance(raw, (bool, float)):
             return value
-    except ValueError:
+    except (TypeError, ValueError):
         pass
-    raise formats.ParseError(f"{name} must be a nonnegative integer, got {text!r}")
+    raise formats.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
 
 
 def _env_budget(name, default):
@@ -61,9 +62,9 @@ def _env_budget(name, default):
 def default_budgets():
     return {
         "radius": _env_budget("SCALECOVER_RADIUS", 8),
-        "ident_budget": _env_budget("SCALECOVER_IDENT_BUDGET", 100_000),
-        "coset_rows": _env_budget("SCALECOVER_COSET_ROWS", 100_000),
-        "product_bound": _env_budget("SCALECOVER_PRODUCT_BOUND", 200_000),
+        "ident_budget": _env_budget("SCALECOVER_IDENT_BUDGET", DEFAULT_COSET_ROWS),
+        "coset_rows": _env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS),
+        "product_bound": _env_budget("SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND),
     }
 
 
@@ -468,7 +469,12 @@ def main(argv=None) -> int:
                              inputs, budgets, results, code)
         else:  # verify --replay
             stored = formats.load_json(args.replay)
-            budgets = stored.get("budgets", budgets)
+            stored_budgets = stored.get("budgets", budgets)
+            if not isinstance(stored_budgets, dict):
+                raise formats.ParseError(
+                    f"report field budgets must be an object, got {stored_budgets!r}")
+            budgets = {key: _budget(f"report field budgets.{key}", value)
+                       for key, value in stored_budgets.items()}
             results, code = _replay_dispatch(
                 stored["replay"], stored["inputs"], budgets
             )

@@ -3,9 +3,10 @@
 A vertex of the cover is a homotopy class of scale-k chains from the
 basepoint, held as its breadth-first-minimal reduced representative.  New
 chains are identified against known vertices by reduced-word equality, then
-integral abelianization, then coset enumeration; an Unknown outcome marks the
-cover identification-incomplete and downstream verifiers refuse to conclude
-rather than guess.
+by the word problem of the Tietze-reduced presentation (H1 of its residual,
+rewriting, coset enumeration); an Unknown outcome marks the cover
+identification-incomplete and downstream verifiers refuse to conclude rather
+than guess.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
-    _pres_abelian,
-    _vector_coords,
     _word_trivial,
     chain_word,
     free_reduce,
+    h1_pushforward,
     invert_word,
     presentation_at_scale,
     presentation_h1,
@@ -35,8 +35,6 @@ from .spaces import (
     is_chain,
     subspace,
 )
-
-DEFAULT_IDENT_BUDGET = DEFAULT_COSET_ROWS
 
 
 class BadScalePair(SpaceError):
@@ -146,7 +144,7 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
 
 
 def build_cover(space: FilteredSpace, k: int, basepoint, radius_budget: int,
-                ident_budget: int = DEFAULT_IDENT_BUDGET) -> PartialCover:
+                ident_budget: int = DEFAULT_COSET_ROWS) -> PartialCover:
     """Breadth-first cover construction, stopping at the radius budget.
 
     Each round resolves every currently unexplored vertex-successor slot; the
@@ -320,10 +318,9 @@ class BondingH1:
 def bonding_h1_map(space: FilteredSpace, j: int, k: int) -> BondingH1:
     """Inclusion-induced homomorphism between whole-space H1 groups, j finer.
 
-    Each H1(j) basis element is a column of the inverse Smith transform of
-    the scale-j relators, an exponent vector over the scale-j generators;
-    each generator's fundamental loop is a scale-k loop as well, and the
-    summed scale-k exponent vector reduces to H1(k) coordinates.
+    Each H1(j) basis element is an integer combination of fundamental loops
+    of the scale-j presentation; each loop is a scale-k loop as well, and
+    its class in H1(k) is read off the scale-k presentation.
     """
     space.check_scale(j)
     space.check_scale(k)
@@ -331,28 +328,8 @@ def bonding_h1_map(space: FilteredSpace, j: int, k: int) -> BondingH1:
         raise BadScalePair(f"expected finer {j} >= coarser {k}")
     pj = presentation_at_scale(space, j, None)
     pk = presentation_at_scale(space, k, None)
-    source, target = presentation_h1(pj), presentation_h1(pk)
-    u, diag = _pres_abelian(pj)
-    ngens = len(pj.generators)
-    positions = [i for i in range(ngens) if i >= len(diag) or diag[i] != 1]
-    if positions:
-        uinv = ila.unimodular_inverse(u)
-        loops = [chain_word(pk, pj.fundamental_loop(g)).letters
-                 for g in range(1, ngens + 1)]
-    cols = []
-    for pos in positions:
-        vec = [0] * len(pk.generators)
-        for g, loop in enumerate(loops):
-            coeff = uinv[g][pos]
-            if coeff:
-                for letter in loop:
-                    vec[abs(letter) - 1] += coeff if letter > 0 else -coeff
-        cols.append(_vector_coords(pk, vec))
-    dim_t = len(target.torsion) + target.rank
-    matrix = tuple(
-        tuple(cols[c][r] for c in range(len(cols))) for r in range(dim_t)
-    )
-    return BondingH1(j, k, source, target, matrix)
+    return BondingH1(j, k, presentation_h1(pj), presentation_h1(pk),
+                     h1_pushforward(pj, pk))
 
 
 def is_isomorphism(b: BondingH1) -> bool:

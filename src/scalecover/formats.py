@@ -78,23 +78,53 @@ def space_to_spec(space: FilteredSpace) -> dict:
     }
 
 
+# JSON scalars, and the tuple points of specs built in Python by *_to_spec
+_POINT_TYPES = frozenset({str, int, float, bool, type(None), tuple})
+
+
 def _as_point(value):
+    if type(value) in _POINT_TYPES:
+        return value
     if isinstance(value, list):
         return tuple(_as_point(v) for v in value)
+    raise ParseError(f"a point must be a JSON scalar or array, got {value!r}")
+
+
+def _expect(value, kind, what):
+    """The value if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ParseError(f"{what} must be {name}, got {type(value).__name__}")
     return value
 
 
+def _numbers(values, what, kinds=frozenset({int, float})):
+    """The array, if it holds only JSON numbers of the given types (no bools)."""
+    if not set(map(type, _expect(values, list, what))) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise ParseError(f"{what} must hold {'/'.join(sorted(t.__name__ for t in kinds))}"
+                         f" values, got {bad!r}")
+    return values
+
+
+def _pair(value):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"a pair must be an array of two points, got {value!r}")
+    return _as_point(value[0]), _as_point(value[1])
+
+
 def space_from_spec(spec: dict) -> FilteredSpace:
-    if spec.get("kind") not in (None, "space"):
+    if _expect(spec, dict, "a space spec").get("kind") not in (None, "space"):
         raise ParseError(f"expected a space spec, got kind {spec.get('kind')!r}")
     if "points" in spec:
-        points = [_as_point(p) for p in spec["points"]]
-        scales = [
-            [(_as_point(a), _as_point(b)) for a, b in scale] for scale in spec["scales"]
-        ]
+        points = [_as_point(p) for p in _expect(spec["points"], list, "points")]
+        scales = [[_pair(pair) for pair in _expect(scale, list, "a scale")]
+                  for scale in _expect(spec["scales"], list, "scales")]
         return validate_space(points, scales, bool(spec.get("hausdorff", False)))
     if "matrix" in spec:
-        return from_metric(spec["matrix"], spec["radii"], spec.get("names"))
+        matrix = [_numbers(row, "a matrix row")
+                  for row in _expect(spec["matrix"], list, "matrix")]
+        return from_metric(matrix, _numbers(spec["radii"], "radii"), spec.get("names"))
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
 
@@ -133,11 +163,12 @@ def map_to_spec(f: FilteredMap) -> dict:
 
 
 def map_from_spec(spec: dict) -> FilteredMap:
-    if spec.get("kind") not in (None, "map"):
+    if _expect(spec, dict, "a map spec").get("kind") not in (None, "map"):
         raise ParseError(f"expected a map spec, got kind {spec.get('kind')!r}")
     source = space_from_spec(spec["source"])
     target = space_from_spec(spec["target"])
-    return FilteredMap(source, target, tuple(_as_point(p) for p in spec["assignment"]))
+    assignment = _expect(spec["assignment"], list, "assignment")
+    return FilteredMap(source, target, tuple(_as_point(p) for p in assignment))
 
 
 def action_to_spec(action: ActionSpec) -> dict:
@@ -149,13 +180,13 @@ def action_to_spec(action: ActionSpec) -> dict:
 
 
 def action_from_spec(spec: dict, bound: int = None) -> ActionSpec:
-    if spec.get("kind") not in (None, "action"):
+    if _expect(spec, dict, "an action spec").get("kind") not in (None, "action"):
         raise ParseError(f"expected an action spec, got kind {spec.get('kind')!r}")
     space = space_from_spec(spec["space"])
     kwargs = {} if bound is None else {"bound": bound}
-    return close_group(
-        space, [[_as_point(p) for p in g] for g in spec["generators"]], **kwargs
-    )
+    generators = [[_as_point(p) for p in _expect(g, list, "a generator")]
+                  for g in _expect(spec["generators"], list, "generators")]
+    return close_group(space, generators, **kwargs)
 
 
 def space_tower_to_spec(tower: SpaceTower) -> dict:
@@ -172,15 +203,15 @@ def space_tower_from_spec(spec: dict, base_dir: str = ".") -> SpaceTower:
     import os
 
     def resolve(entry):
-        if "ref" in entry:
+        if "ref" in _expect(entry, dict, "a tower space"):
             return space_from_spec(load_json(os.path.join(base_dir, entry["ref"])))
         return space_from_spec(entry)
 
-    spaces = tuple(resolve(s) for s in spec["spaces"])
+    spaces = tuple(resolve(s) for s in _expect(spec["spaces"], list, "spaces"))
     bondings = tuple(
         FilteredMap(spaces[i + 1], spaces[i],
-                    tuple(_as_point(p) for p in assignment))
-        for i, assignment in enumerate(spec["bondings"])
+                    tuple(_as_point(p) for p in _expect(assignment, list, "a bonding")))
+        for i, assignment in enumerate(_expect(spec["bondings"], list, "bondings"))
     )
     return SpaceTower(spaces, bondings, spec.get("stabilization", "none"))
 
@@ -197,20 +228,25 @@ def abelian_tower_to_spec(tab: TowerAb) -> dict:
 
 
 def abelian_tower_from_spec(spec: dict) -> TowerAb:
-    groups = tuple(
-        AbelianGroupInv(g["rank"], tuple(g["torsion"])) for g in spec["groups"]
-    )
+    groups = []
+    for g in _expect(_expect(spec, dict, "a tower spec")["groups"], list, "groups"):
+        rank = _expect(g, dict, "a group")["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+            raise ParseError(f"a group rank must be a nonnegative integer, got {rank!r}")
+        groups.append(AbelianGroupInv(rank, tuple(_numbers(g["torsion"], "torsion", {int}))))
     matrices = tuple(
-        tuple(tuple(row) for row in m) for m in spec["matrices"]
+        tuple(tuple(_numbers(row, "a matrix row", {int})) for row in _expect(m, list, "a matrix"))
+        for m in _expect(spec["matrices"], list, "matrices")
     )
-    return TowerAb(groups, matrices, spec.get("stabilization", "none"))
+    return TowerAb(tuple(groups), matrices, spec.get("stabilization", "none"))
 
 
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}") from None
     except OSError as exc:
         raise ParseError(str(exc)) from None
+    return _expect(doc, dict, f"the top level of {path}")

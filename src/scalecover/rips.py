@@ -4,16 +4,18 @@ Only the 2-skeleton is ever built: homotopy of edge paths in a simplicial
 complex is decided by its 2-skeleton.  Chains map to words over the non-tree
 edges of a breadth-first spanning forest; two chains with common endpoints are
 homotopic at the scale exactly when the combined word dies in the edge-path
-group.  H1 is the abelianization of the same presentation: the fundamental
-cycles of the forest are a lattice basis of the cycle group, so a cycle's
-coordinates are its signed non-tree-edge counts and no boundary matrix is ever
-built.  Word triviality is attacked in a fixed order (free reduction, integral
+group.  One Tietze reduction of the presentation serves both H1 and the word
+problem: generators that occur once in a relator are eliminated, H1 is the
+Smith form of the residual relators over the surviving generators, and a
+word's H1 coordinates come from its exponents over the survivors.  Word
+triviality is attacked in a fixed order (free reduction, integral
 abelianization, bounded rewriting, coset enumeration) and the answer is a
 certified Yes/No or an honest Unknown; nothing is ever guessed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -29,6 +31,8 @@ from .spaces import (
 )
 
 DEFAULT_COSET_ROWS = 100_000
+# _simplified stops eliminating once the relators hold this many letters
+TIETZE_LETTER_CAP = 10_000
 
 
 class OutsideComponent(SpaceError):
@@ -271,55 +275,77 @@ def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
     word = chain_word(pres, loop).letters
     if loop.start != loop.end:
         raise NotALoop(f"chain from {loop.start!r} to {loop.end!r} is not a loop")
-    return _abelian_coords(pres, word)
+    return _h1_coords(pres, _expand(pres, word))
 
 
 def presentation_h1(pres: GroupPresentation) -> AbelianGroupInv:
     """Abelianization of the presented group: H1 of the presented components.
 
-    The fundamental cycles of the spanning forest form a lattice basis of the
-    cycle group, so the abelianized relators are the triangle boundaries in
-    that basis.
+    Tietze moves keep the group, so this is the Smith form of the residual
+    relators left by ``_simplified`` over its surviving generators.
     """
-    _, diag = _pres_abelian(pres)
-    ngens = len(pres.generators)
-    nonzero = [d for d in diag if d]
-    return AbelianGroupInv(ngens - len(nonzero), tuple(d for d in nonzero if d > 1))
-
-
-def _exponent_vector(pres, word):
-    vec = [0] * len(pres.generators)
-    for letter in word:
-        vec[abs(letter) - 1] += 1 if letter > 0 else -1
-    return vec
+    _, _, _, moduli = _pres_abelian(pres)
+    return AbelianGroupInv(moduli.count(0), tuple(d for d in moduli if d))
 
 
 @lru_cache(maxsize=None)
 def _pres_abelian(pres: GroupPresentation):
-    ngens = len(pres.generators)
-    r = ila.zeros(ngens, len(pres.relators))
-    for j, rel in enumerate(pres.relators):
+    """Smith form of the residual relators over the surviving generators.
+
+    Returns (column, u, kept, moduli): each survivor's column, the row
+    transform, the diagonal positions that are not 1 (torsion first, then
+    free) and their diagonal entries, 0 when free.
+    """
+    subst, rels = _simplified(pres)
+    column = {g: i for i, g in enumerate(g for g, w in subst.items() if w == (g,))}
+    r = ila.zeros(len(column), len(rels))
+    for j, rel in enumerate(rels):
         for letter in rel:
-            r[abs(letter) - 1][j] += 1 if letter > 0 else -1
+            r[column[abs(letter)]][j] += 1 if letter > 0 else -1
     u, s, _ = ila.smith_normal_form(r)
-    return (tuple(map(tuple, u)), tuple(ila.diagonal_of(s)))
+    diag = ila.diagonal_of(s)
+    diag += [0] * (len(column) - len(diag))
+    kept = tuple(i for i, d in enumerate(diag) if d != 1)
+    return column, tuple(map(tuple, u)), kept, tuple(diag[i] for i in kept)
 
 
-def _abelian_coords(pres, word):
-    return _vector_coords(pres, _exponent_vector(pres, word))
-
-
-def _vector_coords(pres, vec):
-    """H1 coordinates of an exponent vector over the generators."""
-    u, diag = _pres_abelian(pres)
-    y = ila.matvec([list(row) for row in u], vec)
+def _expand(pres, word) -> tuple:
+    """The word over the surviving generators, through the substitution."""
+    subst = _simplified(pres)[0]
     out = []
-    for i, val in enumerate(y):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        out.append(val % d if d else val)
-    return tuple(out)
+    for letter in word:
+        out.extend(subst[letter] if letter > 0 else invert_word(subst[-letter]))
+    return free_reduce(out)
+
+
+def _h1_coords(pres, expanded) -> tuple:
+    """H1 coordinates of a word over the surviving generators."""
+    column, u, kept, moduli = _pres_abelian(pres)
+    counts = Counter()
+    for letter in expanded:
+        counts[column[abs(letter)]] += 1 if letter > 0 else -1
+    return tuple(_reduce(sum(u[i][c] * n for c, n in counts.items()), d)
+                 for i, d in zip(kept, moduli))
+
+
+def _reduce(value, modulus):
+    return value % modulus if modulus else value
+
+
+def h1_pushforward(source: GroupPresentation, target: GroupPresentation) -> tuple:
+    """Matrix of H1(source) -> H1(target) for one space, target scale coarser.
+
+    Source basis element i is column i of the inverse Smith transform, a sum
+    of surviving generators' fundamental loops; each loop is read in the target.
+    """
+    column, u, kept, _ = _pres_abelian(source)
+    uinv = ila.unimodular_inverse(u) if kept else []
+    images = [_h1_coords(target, _expand(target, chain_word(
+        target, source.fundamental_loop(g)).letters)) for g in column]
+    return tuple(
+        tuple(_reduce(sum(uinv[c][i] * im[r] for c, im in enumerate(images)), d)
+              for i in kept)
+        for r, d in enumerate(_pres_abelian(target)[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +395,11 @@ def _rotations(word):
 
 @lru_cache(maxsize=None)
 def _simplified(pres: GroupPresentation):
-    """Tietze-style simplification: returns (substitution, relators, rules).
+    """Tietze elimination: returns (substitution, residual relators).
 
     The substitution rewrites original letters into words over the surviving
-    generators; rules are length-decreasing replacements harvested from the
-    simplified relators.  Both preserve the group element of any word.
+    generators, those g with ``subst[g] == (g,)``; the residual relators are
+    words over the survivors and present the same group.
     """
     subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
     rels = sorted(
@@ -390,23 +416,16 @@ def _simplified(pres: GroupPresentation):
                 out.append(lt)
         return free_reduce(out)
 
-    while sum(len(r) for r in rels) < 10_000:
-        candidate = None
+    while sum(len(r) for r in rels) < TIETZE_LETTER_CAP:
         for rel in rels:
-            counts = {}
-            for letter in rel:
-                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-            for pos, letter in enumerate(rel):
-                if counts[abs(letter)] == 1:
-                    candidate = (rel, pos, letter)
-                    break
-            if candidate:
+            counts = Counter(map(abs, rel))
+            pos = next((i for i, x in enumerate(rel) if counts[abs(x)] == 1), None)
+            if pos is not None:
                 break
-        if not candidate:
+        else:
             break
-        rel, pos, letter = candidate
         rotated = rel[pos:] + rel[:pos]
-        rest = rotated[1:]
+        letter, rest = rotated[0], rotated[1:]
         g = abs(letter)
         replacement = invert_word(rest) if letter > 0 else rest
         subst = {key: substitute(word, g, replacement) for key, word in subst.items()}
@@ -416,9 +435,14 @@ def _simplified(pres: GroupPresentation):
             if reduced:
                 new_rels.add(reduced)
         rels = sorted(new_rels, key=lambda r: (len(r), r))
+    return subst, tuple(rels)
 
+
+@lru_cache(maxsize=None)
+def _rewriting_rules(pres: GroupPresentation) -> tuple:
+    """Length-decreasing replacements harvested from the residual relators."""
     rules = {}
-    for rel in rels:
+    for rel in _simplified(pres)[1]:
         for base in (rel, invert_word(rel)):
             for rot in _rotations(base):
                 half = len(rot) // 2 + 1
@@ -430,8 +454,7 @@ def _simplified(pres: GroupPresentation):
                     old = rules.get(head)
                     if old is None or (len(rep), rep) < (len(old), old):
                         rules[head] = rep
-    ordered = sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0]))
-    return (subst, tuple(rels), tuple(ordered))
+    return tuple(sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0])))
 
 
 def _rewrite(word, rules, max_steps=10_000):
@@ -457,7 +480,7 @@ def _rewrite(word, rules, max_steps=10_000):
 
 @lru_cache(maxsize=None)
 def _coset_table(pres: GroupPresentation, budget: int):
-    _, rels, _ = _simplified(pres)
+    _, rels = _simplified(pres)
     live = sorted({abs(l) for r in rels for l in r})
     renumber = {g: i + 1 for i, g in enumerate(live)}
     packed = tuple(
@@ -494,19 +517,16 @@ def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
         return HomotopyDecision(
             "no", "free_group", {"reduced_word": list(word)}
         )
-    coords = _abelian_coords(pres, word)
+    expanded = _expand(pres, word)
+    coords = _h1_coords(pres, expanded)
     if any(coords):
         return HomotopyDecision(
             "no", "h1_separation", {"h1_class_difference": list(coords)}
         )
-    subst, rels, rules = _simplified(pres)
-    expanded = []
-    for letter in word:
-        target = subst[abs(letter)]
-        expanded.extend(target if letter > 0 else invert_word(target))
-    rewritten = _rewrite(tuple(expanded), rules)
+    rewritten = _rewrite(expanded, _rewriting_rules(pres))
     if not rewritten:
         return HomotopyDecision("yes", "relator_rewriting")
+    _, rels = _simplified(pres)
     if not rels:
         return HomotopyDecision(
             "no", "free_group", {"reduced_word": list(rewritten)}

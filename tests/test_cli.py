@@ -107,6 +107,37 @@ class TestFormats:
         assert sp.related(1, 0, 1) and not sp.related(1, 0, 2)
 
 
+SPACE_SPEC = {"points": [0, 1], "scales": [[[0, 0], [0, 1], [1, 0], [1, 1]]]}
+
+MALFORMED_INPUTS = {
+    "top_level_array": ("analyze", [1, 2]),
+    "scales_not_array": ("analyze", {"points": [0, 1], "scales": 5}),
+    "pair_not_array": ("analyze", {"points": [0, 1], "scales": [[0, 1]]}),
+    "points_not_array": ("analyze", {"points": 3, "scales": [[]]}),
+    "unhashable_point": ("analyze", {"points": [0, {"a": 1}], "scales": [[]]}),
+    "matrix_not_numbers": ("analyze", {"matrix": [[0, "x"], ["x", 0]], "radii": [1]}),
+    "map_source_not_object": ("map", {"kind": "map", "source": 3, "target": SPACE_SPEC,
+                                      "assignment": [0, 0]}),
+    "generators_not_array": ("action", {"kind": "action", "space": SPACE_SPEC,
+                                        "generators": 7}),
+    "tower_spaces_not_array": ("tower", {"kind": "space_tower", "spaces": 4,
+                                         "bondings": []}),
+    "rank_not_integer": ("tower", {"kind": "abelian_tower",
+                                   "groups": [{"rank": "a", "torsion": []}],
+                                   "matrices": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_json_is_input_error(capsys, tmp_path, case):
+    cmd, doc = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, cmd, str(path))
+    assert code == 3
+    assert report["results"]["error"].startswith("ParseError: ")
+
+
 class TestAnalyze:
     def test_c6_barcode(self, capsys, c6_csv_file, tmp_path):
         barcode = tmp_path / "barcode.csv"
@@ -349,3 +380,31 @@ class TestBudgetInput:
         )
         assert code == 2
         assert report["budgets"]["radius"] == 0
+
+    @pytest.mark.parametrize("field,value", [("radius", "abc"), ("radius", -3),
+                                             ("ident_budget", 2.5), ("coset_rows", None)])
+    def test_bad_replayed_budget_is_input_error(self, capsys, c6_csv_file, tmp_path,
+                                                field, value):
+        out = tmp_path / "report.json"
+        main(["cover", c6_csv_file, "--radii", "2,1", "--scale", "2", "--basepoint", "0",
+              "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        doc["budgets"][field] = value
+        out.write_text(json.dumps(doc))
+        code, report = run(capsys, "verify", "--replay", str(out))
+        assert code == 3
+        assert f"budgets.{field}" in report["results"]["error"]
+
+    def test_replayed_budgets_must_be_an_object(self, capsys, tmp_path, constant_map):
+        path = tmp_path / "const.json"
+        path.write_text(formats.canonical_dumps(formats.map_to_spec(constant_map)))
+        out = tmp_path / "report.json"
+        main(["map", str(path), "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        doc["budgets"] = "oops"
+        out.write_text(json.dumps(doc))
+        code, report = run(capsys, "verify", "--replay", str(out))
+        assert code == 3
+        assert "budgets" in report["results"]["error"]

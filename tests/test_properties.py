@@ -1,14 +1,17 @@
 """Cross-cutting invariants exercised on randomized and structured instances."""
 
+import contextlib
 import itertools
 import random
+from unittest import mock
 
 import networkx as nx
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import oracle_h1
+from conftest import oracle_h1, rp2_subdivision_space
+from scalecover import rips
 from scalecover.covers import (
     bonding_h1_map,
     build_cover,
@@ -241,6 +244,105 @@ def test_bonding_map_carries_loop_classes(data):
     for r, d in enumerate(b.target.torsion):
         image[r] %= d
     assert tuple(image) == h1_class(sp, k, loop)
+
+
+def _skeleton(sp, k):
+    """Point indices, and the scale-k edges and triangles as index tuples."""
+    pairs = sp.scales[k - 1]
+    index = {p: i for i, p in enumerate(sp.points)}
+    edges = sorted((index[a], index[b]) for a, b in pairs)
+    triangles = [tuple(index[p] for p in t) for t in itertools.combinations(sp.points, 3)
+                 if all(e in pairs for e in itertools.combinations(t, 2))]
+    return index, edges, triangles
+
+
+def _factors(columns):
+    if not any(any(col) for col in columns):
+        return []
+    s = sympy_snf(sympy.Matrix(columns).T, domain=sympy.ZZ)
+    return sorted(abs(s[i, i]) for i in range(min(s.shape)) if s[i, i] != 0)
+
+
+def _is_boundary_sum(sp, k, loop):
+    """Whether the loop's signed edge vector z is an integer sum of triangle
+    boundaries: L and L + Zz have the same invariant factors exactly then."""
+    index, edges, triangles = _skeleton(sp, k)
+    eindex = {e: i for i, e in enumerate(edges)}
+
+    def chain(steps):
+        col = [0] * len(edges)
+        for u, v in steps:
+            if u != v:
+                col[eindex[(min(u, v), max(u, v))]] += 1 if u < v else -1
+        return col
+
+    boundaries = [chain([(a, b), (b, c), (c, a)]) for a, b, c in triangles]
+    z = chain([(index[u], index[v]) for u, v in zip(loop, loop[1:])])
+    return _factors(boundaries) == _factors(boundaries + [z])
+
+
+@contextlib.contextmanager
+def _tietze_cap(cap):
+    """Run with the elimination cap patched, on fresh reduction caches."""
+    caches = (rips._simplified, rips._rewriting_rules, rips._pres_abelian,
+              rips._coset_table)
+    with mock.patch.object(rips, "TIETZE_LETTER_CAP", cap):
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            yield
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+
+RP2 = rp2_subdivision_space()
+RP2_LOOP = (("v", 1), ("e", 1, 2), ("v", 2), ("e", 2, 3), ("v", 3), ("e", 1, 3), ("v", 1))
+
+
+# the 4x4 king-move torus: two generators survive, with commutator relators
+KING_TORUS = FilteredSpace(tuple(range(16)), (frozenset(
+    tuple(sorted((4 * i + j, (i + di) % 4 * 4 + (j + dj) % 4)))
+    for i in range(4) for j in range(4) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+    if (di, dj) != (0, 0)),))
+
+
+# RP2 beside a 4-cycle: the 4-cycle's generator survives in no relator
+RP2_AND_SQUARE = FilteredSpace(
+    RP2.points + ("a", "b", "c", "d"),
+    (RP2.scales[0] | {("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")},),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loop_across_scales())
+@example((RP2, 1, 1, RP2_LOOP))
+@example((RP2, 1, 1, RP2_LOOP + RP2_LOOP[1:]))
+@example((KING_TORUS, 1, 1, (0, 1, 2, 3, 0, 4, 8, 12, 0)))
+@example((KING_TORUS, 1, 1, (0, 1, 2, 3, 0, 4, 8, 12, 0, 3, 2, 1, 0, 12, 8, 4, 0)))
+@example((RP2_AND_SQUARE, 1, 1, ("a", "b", "c", "d", "a")))
+@example((RP2_AND_SQUARE, 1, 1, RP2_LOOP))
+def test_h1_class_zero_exactly_on_boundaries(data):
+    """h1_class vanishes exactly on sums of triangle boundaries, and groups and
+    bonding maps agree with the oracles, with elimination on and capped at 0."""
+    sp, j, k, loop = data
+    expected = {}
+    for scale in {j, k}:
+        index, edges, triangles = _skeleton(sp, scale)
+        group = AbelianGroupInv(*oracle_h1(edges, triangles, len(index)))
+        expected[scale] = group, _is_boundary_sum(sp, scale, loop)
+    # the default cap reduces to a small residual; cap 0 factors the full one
+    for cap in (rips.TIETZE_LETTER_CAP, 0):
+        with _tietze_cap(cap):
+            for scale, (group, bounds) in expected.items():
+                assert h1_at_scale(sp, scale) == group
+                assert (not any(h1_class(sp, scale, loop))) == bounds
+            b = bonding_h1_map(sp, j, k)
+            image = [sum(m * x for m, x in zip(row, h1_class(sp, j, loop)))
+                     for row in b.matrix]
+            for r, d in enumerate(b.target.torsion):
+                image[r] %= d
+            assert tuple(image) == h1_class(sp, k, loop)
 
 
 @settings(max_examples=80, deadline=None)
