@@ -188,38 +188,50 @@ class ActionDiagnosis:
 
 
 def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
-    """Decide the smallness properties of the action by full enumeration.
+    """Decide the smallness properties of the action.
 
-    Neutrality is tabulated over all scale pairs; uniform proper
-    discontinuity reports the finest qualifying scale plus per-scale
-    offenders; the small-scale properties report the coarsest witness scale.
+    Neutrality is tabulated over all scale pairs by a per-point orbit test;
+    uniform proper discontinuity reports the finest qualifying scale plus
+    per-scale offenders; the small-scale properties report the coarsest
+    witness scale.
     """
     space = action.space
     m = space.depth
     pts = space.points
 
+    # (e, f) is neutral when every g.y within scale f of x has y within
+    # scale e of the orbit of x, i.e. G.N_f[x] lies in N_e[G.x] for every x.
+    # The action need not be an isometry, so G.N_f[x] is not N_f[G.x].
+    indices = range(len(pts))
+    closed = {
+        k: [{i}.union(map(space.index, space.neighbors(k, pts[i]))) for i in indices]
+        for k in range(1, m + 1)
+    }
+    orbits = [{g[i] for g in action.elements} for i in indices]
+    moved_nbhd = {
+        k: [set().union(*(orbits[z] for z in closed[k][i])) for i in indices]
+        for k in range(1, m + 1)
+    }
+    orbit_nbhd = {
+        k: [set().union(*(closed[k][o] for o in orbits[i])) for i in indices]
+        for k in range(1, m + 1)
+    }
     neutral_table = {}
     for e in range(1, m + 1):
         for f in range(1, m + 1):
-            holds = True
+            bad = [i for i in indices if not moved_nbhd[f][i] <= orbit_nbhd[e][i]]
             witness = None
-            for g in action.elements:
-                for x in pts:
-                    for y in pts:
-                        if not space.related(f, x, action.apply(g, y)):
-                            continue
-                        if not any(
-                            space.related(e, action.apply(h, x), y)
-                            for h in action.elements
-                        ):
-                            holds = False
-                            witness = {"x": x, "g": action.perm_of_points(g), "y": y}
-                            break
-                    if not holds:
+            for g in action.elements if bad else ():
+                inverse = _inverse(g)
+                for i in bad:
+                    ys = {inverse[z] for z in closed[f][i]} - orbit_nbhd[e][i]
+                    if ys:
+                        witness = {"x": pts[i], "g": action.perm_of_points(g),
+                                   "y": pts[min(ys)]}
                         break
-                if not holds:
+                if witness:
                     break
-            neutral_table[(e, f)] = {"holds": holds, "counterexample": witness}
+            neutral_table[(e, f)] = {"holds": not bad, "counterexample": witness}
     neutral_witness = {
         e: next((f for f in range(1, m + 1) if neutral_table[(e, f)]["holds"]), None)
         for e in range(1, m + 1)
@@ -333,11 +345,16 @@ class QuotientAction:
     upd_holds: bool
     stabilizer_is_subgroup: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "_coset_of", {
+            g: i for i, coset in enumerate(self.cosets) for g in coset
+        })
+
     def coset_index(self, perm) -> int:
-        for i, coset in enumerate(self.cosets):
-            if perm in coset:
-                return i
-        raise SpaceError("element not covered by the cosets")
+        try:
+            return self._coset_of[perm]
+        except KeyError:
+            raise SpaceError("element not covered by the cosets") from None
 
     @property
     def identity_coset(self) -> int:
@@ -570,7 +587,7 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
         """Orbit of a stage-i block under the induced full-group action."""
         q = quotients[i]
         members = {q.projection(action.apply(g, block[0])) for g in action.elements}
-        return tuple(sorted(members, key=q.space.points.index))
+        return q.space.sort_points(members)
 
     def containing_block(i, finer_block):
         return quotients[i].projection(finer_block[0])

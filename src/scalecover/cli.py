@@ -203,7 +203,7 @@ def run_abelian_tower(tab, options, budgets):
         gs = options.get("g")
         if gs is None:
             raise formats.ParseError("--telescope needs a 'g' entry in the tower file")
-        solved = telescoping_solve(tab, [tuple(v) for v in gs], mode)
+        solved = telescoping_solve(tab, formats.telescope_elements(gs), mode)
         results["telescoping"] = formats.to_jsonable(solved)
     return results, EXIT_OK
 
@@ -475,9 +475,11 @@ def main(argv=None) -> int:
                     f"report field budgets must be an object, got {stored_budgets!r}")
             budgets = {key: _budget(f"report field budgets.{key}", value)
                        for key, value in stored_budgets.items()}
-            results, code = _replay_dispatch(
-                stored["replay"], stored["inputs"], budgets
-            )
+            replay = formats._expect(stored.get("replay"), dict, "report field replay")
+            formats._expect(replay.get("options"), dict, "report field replay.options")
+            inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
+            formats._expect(stored.get("results"), dict, "report field results")
+            results, code = _replay_dispatch(replay, inputs, budgets)
             drift = formats.canonical_dumps(results) != formats.canonical_dumps(
                 stored["results"]
             )

@@ -238,7 +238,14 @@ def abelian_tower_from_spec(spec: dict) -> TowerAb:
         tuple(tuple(_numbers(row, "a matrix row", {int})) for row in _expect(m, list, "a matrix"))
         for m in _expect(spec["matrices"], list, "matrices")
     )
+    if spec.get("g") is not None:
+        telescope_elements(spec["g"])
     return TowerAb(tuple(groups), matrices, spec.get("stabilization", "none"))
+
+
+def telescope_elements(value) -> list:
+    """An abelian tower's 'g' entry: an array of integer coordinate vectors."""
+    return [tuple(_numbers(v, "an element of g", {int})) for v in _expect(value, list, "g")]
 
 
 def load_json(path: str) -> dict:

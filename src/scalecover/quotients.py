@@ -154,17 +154,17 @@ class ChainLiftingResult:
 
 
 def _one_step_lifts(f: FilteredMap, e: int, k: int):
-    """First downstairs step at target scale k with no scale-e lift, if any."""
+    """First downstairs step at target scale k with no scale-e lift, if any.
+
+    A step from f(x) lifts exactly when it lands in the image of the closed
+    scale-e neighbourhood of x.
+    """
     for x in f.source.points:
         fx = f(x)
-        candidates = (fx,) + f.target.neighbors(k, fx)
-        for y in candidates:
-            ok = False
-            for x2 in f.source.points:
-                if f(x2) == y and f.source.related(e, x, x2):
-                    ok = True
-                    break
-            if not ok:
+        reach = {fx}
+        reach.update(map(f, f.source.neighbors(e, x)))
+        for y in (fx,) + f.target.neighbors(k, fx):
+            if y not in reach:
                 return (x, y)
     return None
 
@@ -338,9 +338,10 @@ def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     lifting = None
     if hypothesis:
         singleton = all(
-            (q(x) == q(y)) == (f(x) == f(y) and f.source.related(k, x, y))
+            set(q(x)) == {x}.union(
+                y for y in f.source.neighbors(k, x) if f(y) == f(x)
+            )
             for x in f.source.points
-            for y in f.source.points
         )
         lifting = check_chain_lifting(q)
     return QuotientSpace(f, k, blocks, qspace, q, g, hypothesis, singleton, lifting)

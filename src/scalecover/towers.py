@@ -88,6 +88,12 @@ def assemble_limit_space(tower: SpaceTower,
     Thread scales are cumulative intersections of projection preimages taken
     in the order (space + scale) ascending, then space; equal consecutive
     relations are merged.  An empty limit is a legal outcome.
+
+    Only pairs related at the first agenda entry (stage 1, scale 1) are ever
+    built: each thread is paired with the later threads lying over the closed
+    neighbourhood of its stage point, and the later entries filter that set.
+    ``product_bound`` caps both threads times length and the number of those
+    seeded pairs, which is counted before any pair is built.
     """
     n = tower.length
     top = tower.spaces[n - 1]
@@ -103,24 +109,38 @@ def assemble_limit_space(tower: SpaceTower,
     threads.sort(key=order.__getitem__)
     tindex = {t: pos for pos, t in enumerate(threads)}
 
-    pairs_all = [
-        (t, s) for ti, t in enumerate(threads) for s in threads[ti + 1 :]
-    ]
     agenda = sorted(
         ((i, j) for i in range(1, n + 1) for j in range(1, tower.spaces[i - 1].depth + 1)),
         key=lambda ij: (ij[0] + ij[1], ij[0]),
     )
+    current = set()
+    if agenda:
+        i, j = agenda[0]
+        sp = tower.spaces[i - 1]
+        over = {p: [] for p in sp.points}
+        for t in threads:
+            over[t[i - 1]].append(t)
+        seeded = sum(len(ts) * (len(ts) - 1) // 2 for ts in over.values()) + sum(
+            len(over[a]) * len(over[b]) for a, b in sp.scale_pairs(j)
+        )
+        if seeded > product_bound:
+            raise ProductTooLarge(
+                f"{seeded} thread pairs related at stage {i} scale {j} "
+                f"exceed bound {product_bound}"
+            )
+        current = {
+            (t, s)
+            for t in threads
+            for p in (t[i - 1],) + sp.neighbors(j, t[i - 1])
+            for s in over[p]
+            if tindex[s] > tindex[t]
+        }
     scales = []
     schedule = []
-    current = set(pairs_all)
     for i, j in agenda:
-        sp = tower.spaces[i - 1]
-        current = {
-            (t, s) for t, s in current if sp.related(j, t[i - 1], s[i - 1])
-        }
-        normalized = frozenset(
-            (t, s) if tindex[t] < tindex[s] else (s, t) for t, s in current
-        )
+        related = tower.spaces[i - 1].full_relation(j)
+        current = {(t, s) for t, s in current if (t[i - 1], s[i - 1]) in related}
+        normalized = frozenset(current)
         if scales and scales[-1] == normalized:
             schedule[-1].append((i, j))
         else:
@@ -342,9 +362,9 @@ def telescoping_solve(tab: TowerAb, gs, mode: str) -> TelescopeResult:
     one.  Solutions are re-verified against the defining identity exactly.
     """
     n = tab.length
-    gs = [reduce_element(tab.groups[i], g) for i, g in enumerate(gs)]
     if len(gs) != n - 1:
         raise SpaceError(f"need {n - 1} group elements, got {len(gs)}")
+    gs = [reduce_element(tab.groups[i], g) for i, g in enumerate(gs)]
     if mode == "backward":
         h = [None] * n
         h[n - 1] = reduce_element(tab.groups[n - 1], [0] * group_dim(tab.groups[n - 1]))

@@ -138,6 +138,45 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     assert report["results"]["error"].startswith("ParseError: ")
 
 
+@pytest.mark.parametrize("field,value", [("replay", 5), ("inputs", [1])])
+def test_malformed_replayed_report_is_input_error(capsys, c6_csv_file, tmp_path,
+                                                 field, value):
+    out = tmp_path / "report.json"
+    main(["cover", c6_csv_file, "--radii", "2,1", "--scale", "2", "--basepoint", "0",
+          "--out", str(out)])
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc[field] = value
+    out.write_text(json.dumps(doc))
+    code, report = run(capsys, "verify", "--replay", str(out))
+    assert code == 3
+    assert f"report field {field} must be an object" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("g", [5, [["x"], [1]], [[1], [0], [1], [0]]])
+def test_malformed_telescope_elements_are_input_errors(capsys, tmp_path, g):
+    spec = {"kind": "abelian_tower", "groups": [{"rank": 1, "torsion": []}] * 3,
+            "matrices": [[[2]], [[2]]], "g": g}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, "tower", str(path), "--telescope", "forward")
+    assert code == 3
+    assert "error" in report["results"]
+
+
+def test_product_bound_covers_thread_pairs(capsys, tmp_path):
+    # threads x length is 60 <= 100, but the 30 threads over one point make 435 pairs
+    point = {"points": ["p"], "scales": [[["p", "p"]]]}
+    top = {"points": list(range(30)), "scales": [[[i, i] for i in range(30)]]}
+    spec = {"kind": "space_tower", "spaces": [point, top], "bondings": [["p"] * 30]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, "tower", str(path), "--product-bound", "100")
+    assert code == 2
+    assert report["results"]["exhausted"] == "product_bound"
+    assert "435" in report["results"]["error"]
+
+
 class TestAnalyze:
     def test_c6_barcode(self, capsys, c6_csv_file, tmp_path):
         barcode = tmp_path / "barcode.csv"

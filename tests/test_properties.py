@@ -6,6 +6,7 @@ import random
 from unittest import mock
 
 import networkx as nx
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -19,7 +20,13 @@ from scalecover.covers import (
     endpoint_map,
     verify_endpoint_ucm,
 )
-from scalecover.quotients import FilteredMap, check_approx_uniqueness
+from scalecover.actions import close_group, diagnose_action
+from scalecover.quotients import (
+    FilteredMap,
+    build_fiber_quotient,
+    check_approx_uniqueness,
+    check_chain_lifting,
+)
 from scalecover.rips import (
     AbelianGroupInv,
     decide_e_homotopic,
@@ -28,6 +35,7 @@ from scalecover.rips import (
     reduce_chain,
 )
 from scalecover.spaces import FilteredSpace, chain_components, is_chain
+from scalecover.towers import ProductTooLarge, SpaceTower, assemble_limit_space
 
 
 @st.composite
@@ -473,3 +481,156 @@ def test_uniqueness_monotone_in_mode_random():
         for ws, wp in zip(strong.witnesses, plain.witnesses):
             if ws is not None and wp is not None:
                 assert wp <= ws
+
+
+# ---------------------------------------------------------------------------
+# neighbourhood-indexed verifiers against their all-pairs definitions
+
+
+@st.composite
+def random_map(draw):
+    """An arbitrary (not necessarily continuous) map between random spaces."""
+    source = draw(filtered_space())
+    target = draw(filtered_space())
+    points = st.sampled_from(target.points)
+    n = len(source.points)
+    assignment = draw(st.lists(points, min_size=n, max_size=n))
+    return FilteredMap(source, target, tuple(assignment))
+
+
+@st.composite
+def random_action(draw):
+    """Random permutations of a random space; they are rarely isometries."""
+    space = draw(filtered_space())
+    n = len(space.points)
+    perms = st.permutations(space.points)
+    generators = draw(st.lists(perms, min_size=1, max_size=2 if n <= 5 else 1))
+    return close_group(space, generators)
+
+
+@st.composite
+def random_space_tower(draw):
+    """Two or three stages of random spaces under random bondings.
+
+    Each deeper space keeps only the pairs its bonding sends into the matching
+    (and at its finest scale, the finest) target scale, so every bonding is
+    uniformly continuous while the scales stay far from discrete.
+    """
+    spaces = [draw(filtered_space())]
+    bondings = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        target = spaces[-1]
+        raw = draw(filtered_space())
+        n = len(raw.points)
+        assignment = tuple(draw(st.lists(st.sampled_from(target.points),
+                                         min_size=n, max_size=n)))
+        image = dict(zip(raw.points, assignment))
+        scales = []
+        for j, pairs in enumerate(raw.scales, start=1):
+            into = target.full_relation(
+                target.depth if j == raw.depth else min(j, target.depth))
+            scales.append(frozenset(
+                (a, b) for a, b in pairs if (image[a], image[b]) in into))
+        source = FilteredSpace(raw.points, tuple(scales), hausdorff=not scales[-1])
+        spaces.append(source)
+        bondings.append(FilteredMap(source, target, assignment))
+    return SpaceTower(tuple(spaces), tuple(bondings))
+
+
+# Swapping 1 and 2 on the edge {0, 1} plus the lone point 2 fixes 0, so
+# N_1[G.0] = {0, 1} while G.N_1[0] = {0, 1, 2}: an isometry shortcut would
+# call this non-isometric action neutral.
+SWAPPED_END = (FilteredSpace((0, 1, 2), (frozenset({(0, 1)}),)), ((0, 2, 1),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END))
+def test_neutrality_matches_all_pairs_definition(action):
+    space, pts = action.space, action.space.points
+    table = diagnose_action(action).neutral["pair_table"]
+    for e in range(1, space.depth + 1):
+        for f in range(1, space.depth + 1):
+            witness = next(
+                ({"x": x, "g": action.perm_of_points(g), "y": y}
+                 for g in action.elements for x in pts for y in pts
+                 if space.related(f, x, action.apply(g, y))
+                 and not any(space.related(e, action.apply(h, x), y)
+                             for h in action.elements)),
+                None,
+            )
+            assert table[(e, f)] == {"holds": witness is None, "counterexample": witness}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_map())
+def test_chain_lifting_matches_all_pairs_definition(f):
+    def first_unliftable(e, k):
+        return next(
+            ((x, y) for x in f.source.points for y in f.target.points
+             if f.target.related(k, f(x), y)
+             and not any(f(x2) == y and f.source.related(e, x, x2)
+                         for x2 in f.source.points)),
+            None,
+        )
+
+    result = check_chain_lifting(f)
+    counterexample = None
+    for e in range(1, f.source.depth + 1):
+        failures = [first_unliftable(e, k) for k in range(1, f.target.depth + 1)]
+        lifted = [k for k, failure in enumerate(failures, start=1) if failure is None]
+        assert result.witnesses[e - 1] == (lifted[0] if lifted else None)
+        if not lifted and counterexample is None:
+            x, y = failures[-1]
+            counterexample = {"kind": "unliftable_step", "source_scale": e,
+                              "target_scale": f.target.depth,
+                              "from_point": x, "step_to": y}
+    assert result.counterexample == counterexample
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_map(), st.integers(min_value=1, max_value=3))
+def test_singleton_property_matches_all_pairs_definition(f, k):
+    k = min(k, f.source.depth)
+    quotient = build_fiber_quotient(f, k)
+    if not quotient.hypothesis_met:
+        assert quotient.singleton_property is None
+        return
+    q, pts = quotient.q, f.source.points
+    assert quotient.singleton_property == all(
+        (q(x) == q(y)) == (f(x) == f(y) and f.source.related(k, x, y))
+        for x in pts for y in pts
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_space_tower())
+def test_limit_space_matches_all_pairs_definition(tower):
+    limit = assemble_limit_space(tower)
+    threads = limit.space.points
+    top = tower.spaces[-1].points
+    stages = [tower.composite(tower.length, i) for i in range(1, tower.length + 1)]
+    assert set(threads) == {tuple(stage[x] for stage in stages) for x in top}
+    agenda = sorted(
+        ((i, j) for i in range(1, tower.length + 1)
+         for j in range(1, tower.spaces[i - 1].depth + 1)),
+        key=lambda ij: (ij[0] + ij[1], ij[0]),
+    )
+    current = set(itertools.combinations(threads, 2))
+    scales, schedule = [], []
+    for i, j in agenda:
+        current = {(t, s) for t, s in current
+                   if tower.spaces[i - 1].related(j, t[i - 1], s[i - 1])}
+        if scales and scales[-1] == current:
+            schedule[-1].append((i, j))
+        else:
+            scales.append(frozenset(current))
+            schedule.append([(i, j)])
+    assert limit.space.scales == tuple(scales)
+    assert limit.schedule == tuple(map(tuple, schedule))
+    # the product bound counts exactly the pairs related at the first entry
+    seeded = len(scales[0])
+    if len(top) * tower.length < seeded:
+        assemble_limit_space(tower, product_bound=seeded)
+        with pytest.raises(ProductTooLarge, match=f"^{seeded} thread pairs"):
+            assemble_limit_space(tower, product_bound=seeded - 1)
