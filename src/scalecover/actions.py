@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quotients import FilteredMap, verify_gucm
-from .spaces import FilteredSpace, Partition, SpaceError, quotient_by_partition
+from .spaces import (
+    FilteredSpace,
+    Partition,
+    SpaceError,
+    full_relation_of,
+    quotient_by_partition,
+)
 from .towers import SpaceTower, assemble_limit_space, telescoping_backward_group
 
 DEFAULT_GROUP_BOUND = 10_000
@@ -70,6 +76,25 @@ class ActionSpec:
         return tuple(self.space.points[perm[i]] for i in range(len(perm)))
 
 
+def _closure(gens, n: int, bound: int) -> tuple:
+    """Sorted elements of the group the permutations gens generate on n points."""
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in gens:
+            for h in frontier:
+                prod = _compose(g, h)
+                if prod not in elements:
+                    elements.add(prod)
+                    nxt.append(prod)
+                    if len(elements) > bound:
+                        raise GroupTooLarge(f"closure exceeded {bound} elements")
+        frontier = nxt
+    return tuple(sorted(elements))
+
+
 def close_group(space: FilteredSpace, generators,
                 bound: int = DEFAULT_GROUP_BOUND) -> ActionSpec:
     """Close a generator list into the full element list.
@@ -86,21 +111,7 @@ def close_group(space: FilteredSpace, generators,
         if sorted(perm) != list(range(n)):
             raise NotAPermutation(f"generator {raw!r} is not a bijection")
         gens.append(perm)
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in gens:
-            for h in frontier:
-                prod = _compose(g, h)
-                if prod not in elements:
-                    elements.add(prod)
-                    nxt.append(prod)
-                    if len(elements) > bound:
-                        raise GroupTooLarge(f"closure exceeded {bound} elements")
-        frontier = nxt
-    ordered = tuple(sorted(elements))
+    ordered = _closure(gens, n, bound)
     faithful = len(set(ordered)) == len(ordered)
     return ActionSpec(space, tuple(gens), ordered, faithful)
 
@@ -111,26 +122,11 @@ class SubgroupAtScale:
     elements: tuple
 
 
-def _moves_within(action: ActionSpec, g, relation) -> bool:
-    pts = action.space.points
-    return any((pts[i], pts[g[i]]) in relation for i in range(len(pts)))
-
-
 def _subgroup_from_relation(action: ActionSpec, relation) -> tuple:
-    seed = [g for g in action.elements if _moves_within(action, g, relation)]
-    members = set(seed)
-    members.add(action.identity)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for g in seed:
-            for h in frontier:
-                prod = _compose(g, h)
-                if prod not in members:
-                    members.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(sorted(members))
+    pts = action.space.points
+    seed = [g for g in action.elements
+            if any((pts[i], pts[g[i]]) in relation for i in range(len(pts)))]
+    return _closure(seed, len(pts), len(action.elements))
 
 
 def subgroup_at_scale(action: ActionSpec, k: int) -> SubgroupAtScale:
@@ -140,33 +136,37 @@ def subgroup_at_scale(action: ActionSpec, k: int) -> SubgroupAtScale:
     return SubgroupAtScale(k, _subgroup_from_relation(action, relation))
 
 
+def _saturate(space: FilteredSpace, elements, k: int) -> frozenset:
+    """The images of the scale-k pairs under the elements, as normalized pairs."""
+    pts, index = space.points, space.index
+    return frozenset(
+        space.pair(pts[g[index(a)]], pts[g[index(b)]])
+        for g in elements
+        for a, b in space.scale_pairs(k)
+    )
+
+
 def saturate_invariant(action: ActionSpec, k: int) -> frozenset:
     """Smallest invariant entourage containing scale k, as normalized pairs."""
-    action.space.check_scale(k)
-    space = action.space
-    out = set()
-    for g in action.elements:
-        for a, b in space.scale_pairs(k):
-            out.add(space.pair(space.points[g[space.index(a)]],
-                               space.points[g[space.index(b)]]))
-    return frozenset(out)
-
-
-def is_invariant(action: ActionSpec, k: int) -> bool:
-    return saturate_invariant(action, k) == action.space.scale_pairs(k)
-
-
-def _full_from_pairs(space, pairs) -> frozenset:
-    full = {(p, p) for p in space.points}
-    for a, b in pairs:
-        full.add((a, b))
-        full.add((b, a))
-    return frozenset(full)
+    return _saturate(action.space, action.elements, k)
 
 
 def _orbit(space, elements, point):
     idx = space.index(point)
     return space.sort_points({space.points[g[idx]] for g in elements})
+
+
+def _orbit_quotient(space: FilteredSpace, elements):
+    """The orbits of a group of permutations, the orbit space and its projection."""
+    seen = set()
+    orbits = []
+    for p in space.points:
+        if p not in seen:
+            orbits.append(_orbit(space, elements, p))
+            seen.update(orbits[-1])
+    blocks = Partition(tuple(orbits))
+    qspace = quotient_by_partition(space, blocks)
+    return blocks, qspace, FilteredMap.build(space, qspace, blocks.block_of)
 
 
 @dataclass(frozen=True)
@@ -258,15 +258,17 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         "counterexamples": {k: v for k, v in upd_per_scale.items() if v is not None},
     }
 
+    subgroups = {
+        f: _subgroup_from_relation(action, space.full_relation(f)) for f in range(1, m + 1)
+    }
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
         found = None
         last = None
         for f in range(1, m + 1):
-            sub = _subgroup_from_relation(action, space.full_relation(f))
             bad = None
             for p in pts:
-                orb = _orbit(space, sub, p)
+                orb = _orbit(space, subgroups[f], p)
                 for a in orb:
                     for b in orb:
                         if not space.related(e, a, b):
@@ -284,7 +286,10 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         if found is None:
             ssbo["counterexamples"][e] = last
 
+    # saturations and scales are compared as normalized pairs: adding the
+    # diagonal and the mirrored pairs to both sides changes no inclusion
     saturated = {k: saturate_invariant(action, k) for k in range(1, m + 1)}
+    ss_saturated = {k: _saturate(space, subgroups[k], k) for k in range(1, m + 1)}
     equi = {
         "witnesses": {},
         "failures": {},
@@ -293,11 +298,8 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         ),
     }
     for e in range(1, m + 1):
-        fine = space.full_relation(e)
         found = next(
-            (f for f in range(1, m + 1)
-             if _full_from_pairs(space, saturated[f]) <= fine),
-            None,
+            (f for f in range(1, m + 1) if saturated[f] <= space.scale_pairs(e)), None
         )
         equi["witnesses"][e] = found
         if found is None:
@@ -307,21 +309,11 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
                 )
             }
 
-    ss_equi = {"witnesses": {}}
-    for e in range(1, m + 1):
-        fine = space.full_relation(e)
-        found = None
-        for f in range(1, m + 1):
-            sub = _subgroup_from_relation(action, space.full_relation(f))
-            sat = set()
-            for g in sub:
-                for a, b in space.scale_pairs(f):
-                    sat.add(space.pair(space.points[g[space.index(a)]],
-                                       space.points[g[space.index(b)]]))
-            if _full_from_pairs(space, sat) <= fine:
-                found = f
-                break
-        ss_equi["witnesses"][e] = found
+    ss_equi = {"witnesses": {
+        e: next((f for f in range(1, m + 1) if ss_saturated[f] <= space.scale_pairs(e)),
+                None)
+        for e in range(1, m + 1)
+    }}
 
     return ActionDiagnosis(
         {"pair_table": neutral_table, "witnesses": neutral_witness},
@@ -356,11 +348,6 @@ class QuotientAction:
         except KeyError:
             raise SpaceError("element not covered by the cosets") from None
 
-    @property
-    def identity_coset(self) -> int:
-        n = len(self.cosets[0][0])
-        return self.coset_index(tuple(range(n)))
-
 
 def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     """Quotient by the scale-k subgroup, with the discontinuity verification.
@@ -376,7 +363,7 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     space.check_scale(k)
     pairs = saturate_invariant(action, k)
     was_saturated = pairs != space.scale_pairs(k)
-    relation = _full_from_pairs(space, pairs)
+    relation = full_relation_of(space.points, pairs)
     sub = _subgroup_from_relation(action, relation)
     sub_set = set(sub)
     normal = all(
@@ -385,19 +372,9 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
         for s in sub
     )
 
-    seen = set()
-    orbits = []
-    for p in space.points:
-        if p in seen:
-            continue
-        orb = _orbit(space, sub, p)
-        seen.update(orb)
-        orbits.append(orb)
-    blocks = Partition(tuple(orbits))
+    blocks, qspace, projection = _orbit_quotient(space, sub)
     qpoints = blocks.blocks
     qindex = {b: i for i, b in enumerate(qpoints)}
-    qspace = quotient_by_partition(space, blocks)
-    projection = FilteredMap.build(space, qspace, blocks.block_of)
 
     cosets = []
     assigned = set()
@@ -476,6 +453,10 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     thread space, (c) the quotient of the limit matches the limit of the
     quotients, the comparison being witnessed by explicit thread solutions of
     the telescoping recursion, and (d) every group bonding is surjective.
+
+    Bi-uniformity in (b) is read off the witness tables of the stage
+    projections: each projection has every continuity witness, and each
+    scale of the space has a pullback witness in some projection.
     """
     space = action.space
     diag = diagnose_action(action)
@@ -540,46 +521,19 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     }
 
     # (b) x -> (orbit of x per stage) is bijective and bi-uniform
-    space_thread = {
-        x: tuple(q.projection(x) for q in quotients) for x in space.points
-    }
+    projections = [q.projection for q in quotients]
+    space_thread = {x: tuple(p(x) for p in projections) for x in space.points}
     space_threads = {
-        tuple(quotients[i].projection(top[0]) for i in range(n))
-        for top in quotients[-1].space.points
+        tuple(p(top[0]) for p in projections) for top in quotients[-1].space.points
     }
-    forward = all(
-        any(
-            all(
-                quotients[s].space.related(j, space_thread[x][s], space_thread[y][s])
-                for x, y in space.full_relation(e)
-            )
-            for e in range(1, space.depth + 1)
-        )
-        for s in range(n)
-        for j in range(1, quotients[s].space.depth + 1)
-    )
-    backward = True
-    for e in range(1, space.depth + 1):
-        witness = None
-        for s in range(n):
-            for j in range(1, quotients[s].space.depth + 1):
-                if all(
-                    space.related(e, x, y)
-                    for x in space.points
-                    for y in space.points
-                    if quotients[s].space.related(j, space_thread[x][s], space_thread[y][s])
-                ):
-                    witness = (s + 1, j)
-                    break
-            if witness:
-                break
-        if witness is None:
-            backward = False
+    pullbacks = [p.pullback_witnesses for p in projections]
     part_b = {
         "injective": len(set(space_thread.values())) == len(space.points),
         "surjective_onto_threads": set(space_thread.values()) == space_threads,
-        "entourage_forward": forward,
-        "entourage_backward": backward,
+        "entourage_forward": all(p.is_uniformly_continuous() for p in projections),
+        "entourage_backward": all(
+            any(w[e] is not None for w in pullbacks) for e in range(space.depth)
+        ),
     }
 
     # (c) quotient of the limit vs limit of the quotients
@@ -766,17 +720,7 @@ def limit_action_verify(tower: ActionTower) -> LimitActionReport:
     }
 
     limit_diag = diagnose_action(limit_action)
-    seen = set()
-    orbits = []
-    for t in limit.space.points:
-        if t in seen:
-            continue
-        orb = _orbit(limit.space, limit_action.elements, t)
-        seen.update(orb)
-        orbits.append(orb)
-    blocks = Partition(tuple(orbits))
-    qspace = quotient_by_partition(limit.space, blocks)
-    projection = FilteredMap.build(limit.space, qspace, blocks.block_of)
+    _, _, projection = _orbit_quotient(limit.space, limit_action.elements)
 
     conclusions = {
         "limit_neutral": limit_diag.all_neutral(),

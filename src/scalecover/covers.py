@@ -84,9 +84,6 @@ class PartialCover:
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
         return vid
 
-    def vertex_chain(self, vid: int) -> Chain:
-        return Chain(self.scale, self.reps[vid])
-
 
 def _identify(cover: PartialCover, seq, word):
     """Vertex id of an existing class equal to the given chain, or None.

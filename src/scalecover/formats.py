@@ -124,7 +124,10 @@ def space_from_spec(spec: dict) -> FilteredSpace:
     if "matrix" in spec:
         matrix = [_numbers(row, "a matrix row")
                   for row in _expect(spec["matrix"], list, "matrix")]
-        return from_metric(matrix, _numbers(spec["radii"], "radii"), spec.get("names"))
+        names = spec.get("names")
+        if names is not None:
+            names = [_as_point(p) for p in _expect(names, list, "names")]
+        return from_metric(matrix, _numbers(spec["radii"], "radii"), names)
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
 
@@ -204,6 +207,8 @@ def space_tower_from_spec(spec: dict, base_dir: str = ".") -> SpaceTower:
 
     def resolve(entry):
         if "ref" in _expect(entry, dict, "a tower space"):
+            if not isinstance(entry["ref"], str):
+                raise ParseError(f"a tower space ref must be a path, got {entry['ref']!r}")
             return space_from_spec(load_json(os.path.join(base_dir, entry["ref"])))
         return space_from_spec(entry)
 
@@ -238,6 +243,10 @@ def abelian_tower_from_spec(spec: dict) -> TowerAb:
         tuple(tuple(_numbers(row, "a matrix row", {int})) for row in _expect(m, list, "a matrix"))
         for m in _expect(spec["matrices"], list, "matrices")
     )
+    for m in matrices:
+        if len(set(map(len, m))) > 1:
+            raise ParseError(f"a tower matrix must be rectangular, got rows of lengths "
+                             f"{[len(row) for row in m]}")
     if spec.get("g") is not None:
         telescope_elements(spec["g"])
     return TowerAb(tuple(groups), matrices, spec.get("stabilization", "none"))

@@ -27,7 +27,9 @@ class FilteredMap:
 
     ``assignment`` lists the image of each source point in source point
     order.  Uniform continuity is not required at construction; the
-    witnesses, when they exist, are available via continuity_witnesses.
+    witnesses, when they exist, are available via continuity_witnesses, and
+    those of the inverse direction (source scales containing the preimage of
+    a target scale) via pullback_witnesses.
     """
 
     source: FilteredSpace
@@ -84,6 +86,30 @@ class FilteredMap:
 
     def is_uniformly_continuous(self) -> bool:
         return all(w is not None for w in self.continuity_witnesses)
+
+    @property
+    def pullback_witnesses(self) -> tuple:
+        """Per source scale e, the coarsest target scale k with f^-1(F_k) in E_e.
+
+        None marks a source scale that no target scale pulls back into.  The
+        preimage is read as the fibers over each pair of F_k, so the work is
+        the size of the pullback, not the number of source pairs.
+        """
+        fibers = {}
+        for x, y in zip(self.source.points, self.assignment):
+            fibers.setdefault(y, []).append(x)
+        out = []
+        for e in range(1, self.source.depth + 1):
+            fine = self.source.full_relation(e)
+            out.append(next(
+                (k for k in range(1, self.target.depth + 1)
+                 if all((x, y) in fine
+                        for a, b in self.target.full_relation(k)
+                        for x in fibers.get(a, ())
+                        for y in fibers.get(b, ()))),
+                None,
+            ))
+        return tuple(out)
 
 
 def identity_map(space: FilteredSpace) -> FilteredMap:

@@ -74,6 +74,15 @@ class EndpointMismatch(SpaceError):
     pass
 
 
+def full_relation_of(points, pairs) -> frozenset:
+    """Normalized pairs as ordered pairs both ways, with the diagonal of points."""
+    full = {(p, p) for p in points}
+    for a, b in pairs:
+        full.add((a, b))
+        full.add((b, a))
+    return frozenset(full)
+
+
 @dataclass(frozen=True)
 class FilteredSpace:
     """Finite point set with a descending chain of entourages.
@@ -144,12 +153,7 @@ class FilteredSpace:
         self.check_scale(k)
         cached = self._full.get(k)
         if cached is None:
-            pairs = {(p, p) for p in self.points}
-            for a, b in self.scales[k - 1]:
-                pairs.add((a, b))
-                pairs.add((b, a))
-            cached = frozenset(pairs)
-            self._full[k] = cached
+            cached = self._full[k] = full_relation_of(self.points, self.scales[k - 1])
         return cached
 
     def sorted_pairs(self, k: int) -> list:
@@ -294,6 +298,8 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
         points = tuple(points)
         if len(points) != n:
             raise SpaceError("point list does not match matrix size")
+        if len(set(points)) != n:
+            raise SpaceError("duplicate point identifiers")
     scales = []
     for r in radii:
         pairs = set()

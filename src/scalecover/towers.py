@@ -216,7 +216,10 @@ def quotient_tower_reconstruct(f: FilteredMap,
 
     Hard hypotheses: the covering checks and strong approximate uniqueness.
     The source hausdorff flag is recorded; when it is absent the injectivity
-    outcome is still checked rather than presumed.
+    outcome is still checked rather than presumed.  The comparison map q is
+    uniformly continuous when it has every continuity witness, and an
+    embedding when it has every pullback witness: each source scale contains
+    the preimage of some limit scale.
     """
     gucm = verify_gucm(f)
     strong = check_approx_uniqueness(f, strong=True)
@@ -253,21 +256,7 @@ def quotient_tower_reconstruct(f: FilteredMap,
     )
     injective = len(set(q.assignment)) == len(q.assignment)
     uc = q.is_uniformly_continuous()
-    embedding = True
-    for e in range(1, f.source.depth + 1):
-        witness = None
-        for s in range(1, limit.space.depth + 1):
-            pulled_ok = all(
-                f.source.related(e, x, y)
-                for x in f.source.points
-                for y in f.source.points
-                if limit.space.related(s, q(x), q(y))
-            )
-            if pulled_ok:
-                witness = s
-                break
-        if witness is None:
-            embedding = False
+    embedding = all(w is not None for w in q.pullback_witnesses)
     surjective = set(q.assignment) == set(limit.space.points)
     ok = injective and uc and embedding and surjective
     return ReconstructionReport(
@@ -403,24 +392,6 @@ def telescoping_solve(tab: TowerAb, gs, mode: str) -> TelescopeResult:
     return TelescopeResult(mode, True, tuple(h), None, verified)
 
 
-def telescoping_form_transform(tab: TowerAb, gs, hs) -> tuple:
-    """Turn a solution of the product-shift form into the lifted form.
-
-    In abelian notation both defining identities coincide, so the transform
-    is the identity; both are re-verified exactly before returning.
-    """
-    n = tab.length
-    gs = [reduce_element(tab.groups[i], g) for i, g in enumerate(gs)]
-    hs = [reduce_element(tab.groups[i], h) for i, h in enumerate(hs)]
-    for i in range(n - 1):
-        expect = reduce_element(
-            tab.groups[i], [a - b for a, b in zip(hs[i], tab.apply(i + 1, hs[i + 1]))]
-        )
-        if expect != gs[i]:
-            raise SpaceError(f"input does not satisfy the telescoping identity at {i + 1}")
-    return tuple(hs)
-
-
 def telescoping_backward_group(psis, gs, identities, mul) -> list:
     """Set-level backward solve of g_i = psi(h_{i+1})^{-1} h_i in any groups.
 
@@ -540,75 +511,58 @@ def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = N
         raise InvalidTower("need one map per tower stage")
     limit = assemble_limit_space(space_tower, product_bound)
     if target_tower is None:
+        mode = "fixed_target"
         compatible = all(
             maps[i](space_tower.bondings[i](x)) == maps[i + 1](x)
             for i in range(space_tower.length - 1)
             for x in space_tower.spaces[i + 1].points
         )
-        ml = strong_ml_check(space_tower, limit)
-        hypotheses = {
-            "strong_ml": ml.passed,
-            "each_generates": all(check_generates(f).passed for f in maps),
-            "each_chain_lifting": all(check_chain_lifting(f).passed for f in maps),
-        }
-        target = maps[0].target
+        ml = strong_ml_check(space_tower, limit).passed
+        hypotheses = {"strong_ml": ml}
+        guard = compatible and ml
         limit_map = FilteredMap(
-            limit.space, target, tuple(maps[0](t[0]) for t in limit.space.points)
+            limit.space, maps[0].target, tuple(maps[0](t[0]) for t in limit.space.points)
         )
-        conclusions = {
-            "limit_generates": check_generates(limit_map).passed,
-            "limit_chain_lifting": check_chain_lifting(limit_map).passed,
-        }
-        discrepancies = []
-        if compatible and hypotheses["strong_ml"]:
-            if hypotheses["each_generates"] and not conclusions["limit_generates"]:
-                discrepancies.append("generation_not_preserved")
-            if hypotheses["each_chain_lifting"] and not conclusions["limit_chain_lifting"]:
-                discrepancies.append("chain_lifting_not_preserved")
-        hyp_ok = compatible and all(hypotheses.values())
-        verdict = (
-            "verified" if hyp_ok and not discrepancies and all(conclusions.values())
-            else ("discrepancy" if discrepancies else "HypothesisUnmet")
+        checks = (
+            ("generates", "generation", lambda f: check_generates(f).passed),
+            ("chain_lifting", "chain_lifting", lambda f: check_chain_lifting(f).passed),
         )
-        return TowerMapReport("fixed_target", compatible, ml.passed, hypotheses,
-                              conclusions, tuple(discrepancies), verdict)
-
-    if target_tower.length != space_tower.length:
-        raise InvalidTower("towers must have equal length")
-    compatible = all(
-        target_tower.bondings[i](maps[i + 1](x)) == maps[i](space_tower.bondings[i](x))
-        for i in range(space_tower.length - 1)
-        for x in space_tower.spaces[i + 1].points
-    )
-    target_limit = assemble_limit_space(target_tower, product_bound)
-    hypotheses = {
-        "each_plain_uniqueness": all(
-            check_approx_uniqueness(f, strong=False).passed for f in maps
-        ),
-        "each_strong_uniqueness": all(
-            check_approx_uniqueness(f, strong=True).passed for f in maps
-        ),
-    }
-    limit_map = FilteredMap(
-        limit.space,
-        target_limit.space,
-        tuple(tuple(maps[i](t[i]) for i in range(space_tower.length))
-              for t in limit.space.points),
-    )
-    conclusions = {
-        "limit_plain_uniqueness": check_approx_uniqueness(limit_map, strong=False).passed,
-        "limit_strong_uniqueness": check_approx_uniqueness(limit_map, strong=True).passed,
-    }
+    else:
+        if target_tower.length != space_tower.length:
+            raise InvalidTower("towers must have equal length")
+        mode = "paired_towers"
+        compatible = all(
+            target_tower.bondings[i](maps[i + 1](x)) == maps[i](space_tower.bondings[i](x))
+            for i in range(space_tower.length - 1)
+            for x in space_tower.spaces[i + 1].points
+        )
+        ml = None
+        hypotheses = {}
+        guard = compatible
+        target_limit = assemble_limit_space(target_tower, product_bound)
+        limit_map = FilteredMap(
+            limit.space,
+            target_limit.space,
+            tuple(tuple(maps[i](t[i]) for i in range(space_tower.length))
+                  for t in limit.space.points),
+        )
+        checks = (
+            ("plain_uniqueness", "plain_uniqueness",
+             lambda f: check_approx_uniqueness(f, strong=False).passed),
+            ("strong_uniqueness", "strong_uniqueness",
+             lambda f: check_approx_uniqueness(f, strong=True).passed),
+        )
+    conclusions = {}
     discrepancies = []
-    if compatible:
-        if hypotheses["each_plain_uniqueness"] and not conclusions["limit_plain_uniqueness"]:
-            discrepancies.append("plain_uniqueness_not_preserved")
-        if hypotheses["each_strong_uniqueness"] and not conclusions["limit_strong_uniqueness"]:
-            discrepancies.append("strong_uniqueness_not_preserved")
+    for name, label, check in checks:
+        hypotheses[f"each_{name}"] = all(check(f) for f in maps)
+        conclusions[f"limit_{name}"] = check(limit_map)
+        if guard and hypotheses[f"each_{name}"] and not conclusions[f"limit_{name}"]:
+            discrepancies.append(f"{label}_not_preserved")
     hyp_ok = compatible and all(hypotheses.values())
     verdict = (
         "verified" if hyp_ok and not discrepancies and all(conclusions.values())
         else ("discrepancy" if discrepancies else "HypothesisUnmet")
     )
-    return TowerMapReport("paired_towers", compatible, None, hypotheses,
+    return TowerMapReport(mode, compatible, ml, hypotheses,
                           conclusions, tuple(discrepancies), verdict)

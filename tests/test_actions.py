@@ -7,7 +7,6 @@ from scalecover.actions import (
     action_tower_verify,
     close_group,
     diagnose_action,
-    is_invariant,
     limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
@@ -122,7 +121,6 @@ class TestSaturate:
     def test_isometric_action_invariant(self, fix_ant):
         for k in (1, 2):
             assert saturate_invariant(fix_ant, k) == fix_ant.space.scale_pairs(k)
-            assert is_invariant(fix_ant, k)
 
     def test_swap_on_line_adds_pairs(self, fix_l4):
         action = close_group(fix_l4, [[1, 0, 2, 3]])

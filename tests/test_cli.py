@@ -125,6 +125,14 @@ MALFORMED_INPUTS = {
     "rank_not_integer": ("tower", {"kind": "abelian_tower",
                                    "groups": [{"rank": "a", "torsion": []}],
                                    "matrices": []}),
+    "matrix_names_not_points": ("analyze", {"matrix": [[0, 5], [5, 0]], "radii": [5],
+                                            "names": [[1], {"a": 1}]}),
+    "tower_ref_not_path": ("tower", {"kind": "space_tower", "spaces": [{"ref": 5}],
+                                     "bondings": []}),
+    "ragged_tower_matrix": ("tower", {"kind": "abelian_tower",
+                                      "groups": [{"rank": 2, "torsion": []},
+                                                 {"rank": 1, "torsion": []}],
+                                      "matrices": [[[1], []]]}),
 }
 
 
@@ -136,6 +144,14 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     code, report = run(capsys, cmd, str(path))
     assert code == 3
     assert report["results"]["error"].startswith("ParseError: ")
+
+
+def test_duplicate_matrix_names_are_input_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"matrix": [[0, 5], [5, 0]], "radii": [5], "names": [7, 7]}))
+    code, report = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert report["results"]["error"] == "SpaceError: duplicate point identifiers"
 
 
 @pytest.mark.parametrize("field,value", [("replay", 5), ("inputs", [1])])

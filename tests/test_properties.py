@@ -1,6 +1,7 @@
 """Cross-cutting invariants exercised on randomized and structured instances."""
 
 import contextlib
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -20,7 +21,13 @@ from scalecover.covers import (
     endpoint_map,
     verify_endpoint_ucm,
 )
-from scalecover.actions import close_group, diagnose_action
+from scalecover import actions
+from scalecover.actions import (
+    action_tower_verify,
+    close_group,
+    diagnose_action,
+    quotient_at_scale,
+)
 from scalecover.quotients import (
     FilteredMap,
     build_fiber_quotient,
@@ -634,3 +641,91 @@ def test_limit_space_matches_all_pairs_definition(tower):
         assemble_limit_space(tower, product_bound=seeded)
         with pytest.raises(ProductTooLarge, match=f"^{seeded} thread pairs"):
             assemble_limit_space(tower, product_bound=seeded - 1)
+
+
+# A constant map from a Hausdorff path: every pair of the path lies over the
+# one target point, so no target scale pulls back into the diagonal.
+CONSTANT_ON_PATH = FilteredMap(
+    FilteredSpace((0, 1, 2), (frozenset({(0, 1), (1, 2)}), frozenset()), hausdorff=True),
+    FilteredSpace(("p",), (frozenset(),), hausdorff=True),
+    ("p", "p", "p"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_map())
+@example(CONSTANT_ON_PATH)
+def test_pullback_witnesses_match_all_pairs_definition(f):
+    src, tgt = f.source, f.target
+    expected = tuple(
+        next((k for k in range(1, tgt.depth + 1)
+              if all(src.related(e, x, y) for x in src.points for y in src.points
+                     if tgt.related(k, f(x), f(y)))),
+             None)
+        for e in range(1, src.depth + 1)
+    )
+    assert f.pullback_witnesses == expected
+
+
+def part_b_by_all_pairs(space, quotients):
+    """The entourage checks of action_tower_verify's part (b) as all-pair loops."""
+    n = len(quotients)
+    space_thread = {
+        x: tuple(q.projection(x) for q in quotients) for x in space.points
+    }
+    forward = all(
+        any(
+            all(
+                quotients[s].space.related(j, space_thread[x][s], space_thread[y][s])
+                for x, y in space.full_relation(e)
+            )
+            for e in range(1, space.depth + 1)
+        )
+        for s in range(n)
+        for j in range(1, quotients[s].space.depth + 1)
+    )
+    backward = True
+    for e in range(1, space.depth + 1):
+        witness = None
+        for s in range(n):
+            for j in range(1, quotients[s].space.depth + 1):
+                if all(
+                    space.related(e, x, y)
+                    for x in space.points
+                    for y in space.points
+                    if quotients[s].space.related(j, space_thread[x][s], space_thread[y][s])
+                ):
+                    witness = (s + 1, j)
+                    break
+            if witness:
+                break
+        if witness is None:
+            backward = False
+    return {"entourage_forward": forward, "entourage_backward": backward}
+
+
+# SWAPPED_END made Hausdorff: the swap fixes 0, so even the finest stage
+# quotient glues 1 to 2 and no stage pulls back into the finest scale.
+SWAPPED_END_HAUSDORFF = (
+    FilteredSpace((0, 1, 2), (frozenset({(0, 1)}), frozenset()), hausdorff=True),
+    ((0, 2, 1),),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END_HAUSDORFF))
+def test_action_tower_part_b_matches_all_pairs_loops(action):
+    """Part (b) reads only the stage quotients.  To reach it on every draw,
+    also where the orbit tower does not embed the space, the hypothesis gate
+    is opened: the space is flagged Hausdorff and the diagnosis is stubbed."""
+    opened = dataclasses.replace(
+        action, space=dataclasses.replace(action.space, hausdorff=True))
+    diagnosis = mock.Mock()
+    diagnosis.is_equicontinuous.return_value = True
+    diagnosis.has_ss_bounded_orbits.return_value = True
+    with mock.patch.object(actions, "diagnose_action", return_value=diagnosis):
+        report = action_tower_verify(opened)
+    quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
+    expected = part_b_by_all_pairs(opened.space, quotients)
+    assert {k: report.part_b[k] for k in expected} == expected

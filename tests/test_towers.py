@@ -9,7 +9,6 @@ from scalecover.towers import (
     SpaceTower,
     TowerAb,
     assemble_limit_space,
-    telescoping_form_transform,
     lim1_verdict,
     quotient_tower_reconstruct,
     strong_ml_check,
@@ -137,11 +136,6 @@ class TestTelescoping:
         gs = ((1,), (1, 2), )
         res = telescoping_solve(tab, gs, "backward")
         assert res.solved and res.verified
-
-    def test_form_transform_is_identity(self):
-        tab = TowerAb((Z,) * 3, ([[2]], [[2]]))
-        res = telescoping_solve(tab, ((1,), (0,)), "backward")
-        assert telescoping_form_transform(tab, ((1,), (0,)), res.h) == res.h
 
     def test_group_level_backward(self):
         # permutation stages: two copies of S_2 as tuples, identity bonding
