@@ -6,6 +6,11 @@ byte-identical bytes) and exits with 0 when all verdicts are as claimed, 1
 when a verifier found a counterexample, 2 when a budget left a verdict
 inconclusive, and 3 on input errors.  Budget defaults can be overridden by
 SCALECOVER_* environment variables.
+
+A live command turns its flags into (report kind, input object, options).
+The table COMMANDS gives each kind its inputs field, spec reader and writer
+and runner, so live runs and ``verify --replay`` share one path.  Runners
+return library objects; the report is converted to JSON once, on output.
 """
 
 from __future__ import annotations
@@ -20,14 +25,12 @@ from .covers import build_cover, cover_to_dot, critical_scales, verify_endpoint_
 from .quotients import (
     build_fiber_quotient,
     check_approx_uniqueness,
-    check_chain_lifting,
-    check_generates,
+    counterexample_holds,
     factor_and_verify,
-    fiber_e_components,
     verify_gucm,
 )
 from .rips import DEFAULT_COSET_ROWS, h1_at_scale
-from .spaces import SpaceError, chain_components, from_metric, is_chain
+from .spaces import SpaceError, chain_components, from_metric
 from .towers import (
     DEFAULT_PRODUCT_BOUND,
     ProductTooLarge,
@@ -76,13 +79,15 @@ def _parse_point(text):
 
 
 def _load_space(path, radii):
+    """The space of a CSV matrix or a JSON spec, and the --radii as numbers."""
+    radii = [float(r) if "." in r else int(r) for r in radii.split(",")] if radii else None
     if path.endswith(".csv"):
         if radii is None:
             raise formats.ParseError("a CSV distance matrix needs --radii")
         with open(path) as fh:
             matrix = formats.parse_distance_csv(fh.read())
-        return from_metric(matrix, radii)
-    return formats.space_from_spec(formats.load_json(path))
+        return from_metric(matrix, radii), radii
+    return formats.space_from_spec(formats.load_json(path)), radii
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +143,7 @@ def run_cover(space, options, budgets):
         "frontier_radius": cover.frontier_radius,
         "identification_incomplete": cover.identification_incomplete,
         "unknown_pairs": cover.unknown_pairs,
-        "ucm": formats.to_jsonable(report),
+        "ucm": report,
     }
     if report.verdict == "Inconclusive":
         code = EXIT_INCONCLUSIVE
@@ -150,16 +155,12 @@ def run_cover(space, options, budgets):
 
 
 def run_map(f, options, budgets):
-    gen = check_generates(f)
-    lift = check_chain_lifting(f)
-    plain = check_approx_uniqueness(f, strong=False)
-    strong = check_approx_uniqueness(f, strong=True)
     gucm = verify_gucm(f)
     results = {
-        "generates": formats.to_jsonable(gen),
-        "chain_lifting": formats.to_jsonable(lift),
-        "approx_uniqueness_plain": formats.to_jsonable(plain),
-        "approx_uniqueness_strong": formats.to_jsonable(strong),
+        "generates": gucm.generates,
+        "chain_lifting": gucm.chain_lifting,
+        "approx_uniqueness_plain": gucm.approx_uniqueness,
+        "approx_uniqueness_strong": check_approx_uniqueness(f, strong=True),
         "gucm_passed": gucm.passed,
     }
     return results, EXIT_OK if gucm.passed else EXIT_COUNTEREXAMPLE
@@ -167,18 +168,17 @@ def run_map(f, options, budgets):
 
 def run_quotient(f, options, budgets):
     k = options["scale"]
-    components = fiber_e_components(f, k)
     quotient = build_fiber_quotient(f, k)
     factorization = factor_and_verify(f, k)
     results = {
-        "fiber_components": [list(b) for b in components.blocks],
+        "fiber_components": quotient.blocks.blocks,
         "quotient": {
-            "blocks": [list(b) for b in quotient.blocks.blocks],
+            "blocks": quotient.blocks.blocks,
             "hypothesis_met": quotient.hypothesis_met,
             "singleton_property": quotient.singleton_property,
             "num_blocks": len(quotient.space.points),
         },
-        "factorization": formats.to_jsonable(factorization),
+        "factorization": factorization,
     }
     code = EXIT_OK if factorization.verdict == "UCM" else EXIT_COUNTEREXAMPLE
     return results, code
@@ -186,31 +186,28 @@ def run_quotient(f, options, budgets):
 
 def run_space_tower(tower, options, budgets):
     limit = assemble_limit_space(tower, budgets["product_bound"])
-    ml = strong_ml_check(tower, limit)
     results = {
         "threads": [list(t) for t in limit.space.points],
         "limit_depth": limit.space.depth,
         "limit_hausdorff": limit.space.hausdorff,
-        "strong_ml": formats.to_jsonable(ml),
+        "strong_ml": strong_ml_check(tower, limit),
     }
     return results, EXIT_OK
 
 
 def run_abelian_tower(tab, options, budgets):
-    results = {"lim1": formats.to_jsonable(lim1_verdict(tab))}
+    results = {"lim1": lim1_verdict(tab)}
     mode = options.get("telescope")
     if mode:
         gs = options.get("g")
         if gs is None:
             raise formats.ParseError("--telescope needs a 'g' entry in the tower file")
-        solved = telescoping_solve(tab, formats.telescope_elements(gs), mode)
-        results["telescoping"] = formats.to_jsonable(solved)
+        results["telescoping"] = telescoping_solve(tab, formats.telescope_elements(gs), mode)
     return results, EXIT_OK
 
 
 def run_action(action, options, budgets):
-    diagnosis = diagnose_action(action)
-    results = {"diagnosis": formats.to_jsonable(diagnosis)}
+    results = {"diagnosis": diagnose_action(action)}
     code = EXIT_OK
     if options.get("quotient_scale") is not None:
         q = quotient_at_scale(action, options["quotient_scale"])
@@ -231,14 +228,111 @@ def run_action(action, options, budgets):
             code = EXIT_COUNTEREXAMPLE
     if options.get("tower"):
         report = action_tower_verify(action)
-        results["tower"] = formats.to_jsonable(report)
+        results["tower"] = report
         if report.verdict == "discrepancy":
             code = EXIT_COUNTEREXAMPLE
     return results, code
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# the command table and report assembly
+
+
+# report kind -> (inputs field, formats reader, formats writer, runner).  The
+# functions are held by name and looked up at each call, so that wrappers
+# installed on the modules after import (as bench/spans.py does) see them.
+COMMANDS = {
+    "analyze": ("space", "space_from_spec", "space_to_spec", "run_analyze"),
+    "cover": ("space", "space_from_spec", "space_to_spec", "run_cover"),
+    "map": ("map", "map_from_spec", "map_to_spec", "run_map"),
+    "quotient": ("map", "map_from_spec", "map_to_spec", "run_quotient"),
+    "space_tower": ("tower", "space_tower_from_spec", "space_tower_to_spec",
+                    "run_space_tower"),
+    "abelian_tower": ("tower", "abelian_tower_from_spec", "abelian_tower_to_spec",
+                      "run_abelian_tower"),
+    "action": ("action", "action_from_spec", "action_to_spec", "run_action"),
+}
+
+
+# A live command's (report kind, input object, options), from its flags; its
+# budget flags are applied to budgets in place.
+def _live_space(args, budgets):
+    space, radii = _load_space(args.space, args.radii)
+    if args.cmd == "analyze":
+        return "analyze", space, {"radii": radii}
+    if args.radius is not None:
+        budgets["radius"] = _budget("--radius", args.radius)
+    if args.coset_rows is not None:
+        budgets["coset_rows"] = _budget("--coset-rows", args.coset_rows)
+        budgets["ident_budget"] = budgets["coset_rows"]
+    if args.ident_budget is not None:
+        budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
+    return "cover", space, {"scale": args.scale, "basepoint": _parse_point(args.basepoint)}
+
+
+def _live_map(args, budgets):
+    f = formats.map_from_spec(formats.load_json(args.mapfile))
+    return args.cmd, f, {} if args.cmd == "map" else {"scale": args.scale}
+
+
+def _live_tower(args, budgets):
+    spec = formats.load_json(args.towerfile)
+    if args.product_bound is not None:
+        budgets["product_bound"] = _budget("--product-bound", args.product_bound)
+    if spec.get("kind") == "abelian_tower":
+        options = {"telescope": args.telescope, "g": spec.get("g")}
+        return "abelian_tower", formats.abelian_tower_from_spec(spec), options
+    base_dir = os.path.dirname(os.path.abspath(args.towerfile))
+    return "space_tower", formats.space_tower_from_spec(spec, base_dir), {}
+
+
+def _live_action(args, budgets):
+    action = formats.action_from_spec(formats.load_json(args.actionfile))
+    return "action", action, {"quotient_scale": args.quotient_scale, "tower": args.tower}
+
+
+def _run_live(args, kind, obj, options, budgets):
+    """Write the inputs spec, run, and write the --barcode/--dot side files."""
+    key, _, writer, runner = COMMANDS[kind]
+    spec = getattr(formats, writer)(obj)
+    if options.get("g") is not None:  # an abelian tower's telescope elements
+        spec["g"] = options["g"]
+    results, code, *cover = globals()[runner](obj, options, budgets)
+    if getattr(args, "barcode", None):
+        with open(args.barcode, "w") as fh:
+            fh.write(barcode_csv(results))
+    if getattr(args, "dot", None):
+        with open(args.dot, "w") as fh:
+            fh.write(cover_to_dot(*cover))
+    return {key: spec}, results, code
+
+
+def _replay(stored, budgets):
+    """Re-run a stored report from its recorded inputs and re-check the
+    counterexamples that have a checker; (results, exit code)."""
+    replay = formats._expect(stored.get("replay"), dict, "report field replay")
+    options = formats._expect(replay.get("options"), dict, "report field replay.options")
+    inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
+    formats._expect(stored.get("results"), dict, "report field results")
+    kind = replay["kind"]
+    if not isinstance(kind, str) or kind not in COMMANDS:
+        raise formats.ParseError(f"cannot replay report kind {kind!r}")
+    key, reader, _, runner = COMMANDS[kind]
+    obj = getattr(formats, reader)(inputs[key])
+    results, *_ = globals()[runner](obj, options, budgets)
+    drift = formats.canonical_dumps(results) != formats.canonical_dumps(stored["results"])
+    failures = []
+    map_checks = ("approx_uniqueness_plain", "approx_uniqueness_strong", "chain_lifting")
+    for check in map_checks if kind == "map" else ():
+        ce = (stored["results"].get(check) or {}).get("counterexample")
+        if ce and not counterexample_holds(obj, {k: formats._as_point(v) for k, v in ce.items()}):
+            failures.append({"check": check, "reason": "counterexample no longer verifies"})
+    results = {
+        "replayed": replay,
+        "results_identical": not drift,
+        "counterexample_failures": failures,
+    }
+    return results, EXIT_OK if not drift and not failures else EXIT_COUNTEREXAMPLE
 
 
 def _emit(report: dict, out_path):
@@ -263,74 +357,6 @@ def _report(argv, replay, inputs, budgets, results, code):
     }
 
 
-def _replay_dispatch(replay, inputs, budgets):
-    kind = replay["kind"]
-    options = replay["options"]
-    if kind == "analyze":
-        space = formats.space_from_spec(inputs["space"])
-        return run_analyze(space, options, budgets)[:2]
-    if kind == "cover":
-        space = formats.space_from_spec(inputs["space"])
-        results, code, _ = run_cover(space, options, budgets)
-        return results, code
-    if kind == "map":
-        return run_map(formats.map_from_spec(inputs["map"]), options, budgets)
-    if kind == "quotient":
-        return run_quotient(formats.map_from_spec(inputs["map"]), options, budgets)
-    if kind == "space_tower":
-        return run_space_tower(
-            formats.space_tower_from_spec(inputs["tower"]), options, budgets
-        )
-    if kind == "abelian_tower":
-        return run_abelian_tower(
-            formats.abelian_tower_from_spec(inputs["tower"]), options, budgets
-        )
-    if kind == "action":
-        return run_action(formats.action_from_spec(inputs["action"]), options, budgets)
-    raise formats.ParseError(f"cannot replay report kind {kind!r}")
-
-
-def _reverify_counterexamples(report) -> list:
-    """Re-run the replayable counterexamples recorded in a report."""
-    failures = []
-    results = report.get("results", {})
-    inputs = report.get("inputs", {})
-    for key in ("approx_uniqueness_plain", "approx_uniqueness_strong"):
-        entry = results.get(key)
-        if not entry or not entry.get("counterexample"):
-            continue
-        ce = entry["counterexample"]
-        f = formats.map_from_spec(inputs["map"])
-        left, right = ce["chains"]
-        left = [formats._as_point(p) for p in left]
-        right = [formats._as_point(p) for p in right]
-        j = ce["finer_scale"]
-        close_scale = j if entry["mode"] == "strong" else ce["source_scale"]
-        ok = (
-            is_chain(f.source, j, left)
-            and is_chain(f.source, j, right)
-            and left[0] == right[0]
-            and all(f(a) == f(b) for a, b in zip(left, right))
-            and not f.source.related(close_scale, left[-1], right[-1])
-        )
-        if not ok:
-            failures.append({"check": key, "reason": "counterexample no longer verifies"})
-    lifting = results.get("chain_lifting")
-    if lifting and lifting.get("counterexample"):
-        ce = lifting["counterexample"]
-        f = formats.map_from_spec(inputs["map"])
-        x = formats._as_point(ce["from_point"])
-        y = formats._as_point(ce["step_to"])
-        e = ce["source_scale"]
-        liftable = any(
-            f(x2) == y and f.source.related(e, x, x2) for x2 in f.source.points
-        )
-        if not f.target.related(ce["target_scale"], f(x), y) or liftable:
-            failures.append({"check": "chain_lifting",
-                             "reason": "counterexample no longer verifies"})
-    return failures
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
@@ -341,12 +367,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="chain components, H1 per scale, critical scales")
+    p.set_defaults(live=_live_space)
     p.add_argument("space")
     p.add_argument("--radii", help="comma-separated radii for a CSV matrix")
     p.add_argument("--barcode", help="write a barcode CSV here")
     p.add_argument("--out")
 
     p = sub.add_parser("cover", help="build a cover and verify the covering axioms")
+    p.set_defaults(live=_live_space)
     p.add_argument("space")
     p.add_argument("--radii")
     p.add_argument("--scale", type=int, required=True)
@@ -359,15 +387,18 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("map", help="generation, lifting, uniqueness, gucm verdict")
+    p.set_defaults(live=_live_map)
     p.add_argument("mapfile")
     p.add_argument("--out")
 
     p = sub.add_parser("quotient", help="fiber quotient and factorization at a scale")
+    p.set_defaults(live=_live_map)
     p.add_argument("mapfile")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("tower", help="limits, strong-ML, lim1, telescoping")
+    p.set_defaults(live=_live_tower)
     p.add_argument("towerfile")
     p.add_argument("--lim1", action="store_true",
                    help="included for compatibility; lim1 always reported")
@@ -376,6 +407,7 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("action", help="diagnosis, quotients, tower verification")
+    p.set_defaults(live=_live_action)
     p.add_argument("actionfile")
     p.add_argument("--quotient-scale", type=int, dest="quotient_scale")
     p.add_argument("--tower", action="store_true")
@@ -390,84 +422,7 @@ def main(argv=None) -> int:
 
     try:
         budgets = default_budgets()
-        if args.cmd == "analyze":
-            radii = [float(r) if "." in r else int(r) for r in args.radii.split(",")] \
-                if args.radii else None
-            space = _load_space(args.space, radii)
-            inputs = {"space": formats.space_to_spec(space)}
-            options = {"radii": radii}
-            results, code = run_analyze(space, options, budgets)
-            if args.barcode:
-                with open(args.barcode, "w") as fh:
-                    fh.write(barcode_csv(results))
-            report = _report(["analyze"] + argv[1:],
-                             {"kind": "analyze", "options": options},
-                             inputs, budgets, results, code)
-        elif args.cmd == "cover":
-            radii = [float(r) if "." in r else int(r) for r in args.radii.split(",")] \
-                if args.radii else None
-            space = _load_space(args.space, radii)
-            if args.radius is not None:
-                budgets["radius"] = _budget("--radius", args.radius)
-            if args.coset_rows is not None:
-                budgets["coset_rows"] = _budget("--coset-rows", args.coset_rows)
-                budgets["ident_budget"] = budgets["coset_rows"]
-            if args.ident_budget is not None:
-                budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
-            options = {"scale": args.scale, "basepoint": _parse_point(args.basepoint)}
-            inputs = {"space": formats.space_to_spec(space)}
-            results, code, cover = run_cover(space, options, budgets)
-            if args.dot:
-                with open(args.dot, "w") as fh:
-                    fh.write(cover_to_dot(cover))
-            report = _report(["cover"] + argv[1:],
-                             {"kind": "cover", "options": options},
-                             inputs, budgets, results, code)
-        elif args.cmd == "map":
-            f = formats.map_from_spec(formats.load_json(args.mapfile))
-            inputs = {"map": formats.map_to_spec(f)}
-            results, code = run_map(f, {}, budgets)
-            report = _report(["map"] + argv[1:], {"kind": "map", "options": {}},
-                             inputs, budgets, results, code)
-        elif args.cmd == "quotient":
-            f = formats.map_from_spec(formats.load_json(args.mapfile))
-            inputs = {"map": formats.map_to_spec(f)}
-            options = {"scale": args.scale}
-            results, code = run_quotient(f, options, budgets)
-            report = _report(["quotient"] + argv[1:],
-                             {"kind": "quotient", "options": options},
-                             inputs, budgets, results, code)
-        elif args.cmd == "tower":
-            spec = formats.load_json(args.towerfile)
-            if args.product_bound is not None:
-                budgets["product_bound"] = _budget("--product-bound", args.product_bound)
-            if spec.get("kind") == "abelian_tower":
-                tab = formats.abelian_tower_from_spec(spec)
-                options = {"telescope": args.telescope, "g": spec.get("g")}
-                inputs = {"tower": formats.abelian_tower_to_spec(tab)}
-                if spec.get("g") is not None:
-                    inputs["tower"]["g"] = spec["g"]
-                results, code = run_abelian_tower(tab, options, budgets)
-                replay = {"kind": "abelian_tower", "options": options}
-            else:
-                tower = formats.space_tower_from_spec(
-                    spec, os.path.dirname(os.path.abspath(args.towerfile))
-                )
-                options = {}
-                inputs = {"tower": formats.space_tower_to_spec(tower)}
-                results, code = run_space_tower(tower, options, budgets)
-                replay = {"kind": "space_tower", "options": options}
-            report = _report(["tower"] + argv[1:], replay, inputs, budgets,
-                             results, code)
-        elif args.cmd == "action":
-            action = formats.action_from_spec(formats.load_json(args.actionfile))
-            inputs = {"action": formats.action_to_spec(action)}
-            options = {"quotient_scale": args.quotient_scale, "tower": args.tower}
-            results, code = run_action(action, options, budgets)
-            report = _report(["action"] + argv[1:],
-                             {"kind": "action", "options": options},
-                             inputs, budgets, results, code)
-        else:  # verify --replay
+        if args.cmd == "verify":
             stored = formats.load_json(args.replay)
             stored_budgets = stored.get("budgets", budgets)
             if not isinstance(stored_budgets, dict):
@@ -475,26 +430,14 @@ def main(argv=None) -> int:
                     f"report field budgets must be an object, got {stored_budgets!r}")
             budgets = {key: _budget(f"report field budgets.{key}", value)
                        for key, value in stored_budgets.items()}
-            replay = formats._expect(stored.get("replay"), dict, "report field replay")
-            formats._expect(replay.get("options"), dict, "report field replay.options")
-            inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
-            formats._expect(stored.get("results"), dict, "report field results")
-            results, code = _replay_dispatch(replay, inputs, budgets)
-            drift = formats.canonical_dumps(results) != formats.canonical_dumps(
-                stored["results"]
-            )
-            witness_failures = _reverify_counterexamples(stored)
-            ok = not drift and not witness_failures
-            results = {
-                "replayed": stored["replay"],
-                "results_identical": not drift,
-                "counterexample_failures": witness_failures,
-            }
-            code = EXIT_OK if ok else EXIT_COUNTEREXAMPLE
-            report = _report(["verify"] + argv[1:],
-                             {"kind": "verify", "options": {}},
-                             {"report_digest": stored.get("input_digest")},
-                             budgets, results, code)
+            kind, options = "verify", {}
+            inputs = {"report_digest": stored.get("input_digest")}
+            results, code = _replay(stored, budgets)
+        else:
+            kind, obj, options = args.live(args, budgets)
+            inputs, results, code = _run_live(args, kind, obj, options, budgets)
+        report = _report([args.cmd] + argv[1:], {"kind": kind, "options": options},
+                         inputs, budgets, results, code)
     except ProductTooLarge as exc:
         report = _report(argv, {"kind": "error", "options": {}}, {}, budgets,
                          {"error": str(exc), "exhausted": "product_bound"},

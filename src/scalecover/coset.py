@@ -37,9 +37,6 @@ class CosetTable:
             c = self.table[c][col]
         return c
 
-    def is_identity(self, word) -> bool:
-        return self.trace(word, 0) == 0
-
 
 def _col(letter: int) -> int:
     g = abs(letter) - 1

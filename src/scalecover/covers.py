@@ -79,7 +79,7 @@ class PartialCover:
     def _add_vertex(self, seq) -> int:
         vid = len(self.reps)
         self.reps.append(tuple(seq))
-        self.words.append(chain_word(self.presentation, Chain(self.scale, seq)).letters)
+        self.words.append(chain_word(self.presentation, Chain(self.scale, seq)))
         self.endpoints.append(seq[-1])
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
         return vid
@@ -121,7 +121,7 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
     candidate = reduce_chain(
         cover.space, cover.scale, cover.reps[vid] + (y,)
     ).seq
-    word = chain_word(cover.presentation, Chain(cover.scale, candidate)).letters
+    word = chain_word(cover.presentation, Chain(cover.scale, candidate))
     target = _identify(cover, candidate, word)
     created = target is None
     if created:
@@ -182,11 +182,6 @@ def build_cover(space: FilteredSpace, k: int, basepoint, radius_budget: int,
             _resolve_slot(cover, vid, y, allow_create=False)
         cover.complete = not unresolved_slots()
     return cover
-
-
-def endpoint_map(cover: PartialCover) -> dict:
-    """Vertex id to underlying endpoint; the discrete form of the projection."""
-    return {vid: cover.endpoints[vid] for vid in range(cover.num_vertices)}
 
 
 def fhat(cover: PartialCover, j: int) -> frozenset:

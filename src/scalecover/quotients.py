@@ -16,6 +16,7 @@ from .spaces import (
     SpaceError,
     UnknownPoint,
     chain_components,
+    is_chain,
     quotient_by_partition,
     subspace,
 )
@@ -179,16 +180,16 @@ class ChainLiftingResult:
     counterexample: dict | None = None
 
 
-def _one_step_lifts(f: FilteredMap, e: int, k: int):
-    """First downstairs step at target scale k with no scale-e lift, if any.
+def _lift_reach(f: FilteredMap, e: int, x) -> set:
+    """Where a step from f(x) lifts to a scale-e step: f of x's closed neighbourhood."""
+    return {f(x), *map(f, f.source.neighbors(e, x))}
 
-    A step from f(x) lifts exactly when it lands in the image of the closed
-    scale-e neighbourhood of x.
-    """
+
+def _one_step_lifts(f: FilteredMap, e: int, k: int):
+    """First downstairs step at target scale k with no scale-e lift, if any."""
     for x in f.source.points:
         fx = f(x)
-        reach = {fx}
-        reach.update(map(f, f.source.neighbors(e, x)))
+        reach = _lift_reach(f, e, x)
         for y in (fx,) + f.target.neighbors(k, fx):
             if y not in reach:
                 return (x, y)
@@ -307,6 +308,30 @@ def check_approx_uniqueness(f: FilteredMap, strong: bool = False) -> ApproxUniqu
             }
     passed = counterexample is None
     return ApproxUniquenessResult(passed, mode, tuple(witnesses), counterexample)
+
+
+def counterexample_holds(f: FilteredMap, ce: dict) -> bool:
+    """Whether a recorded counterexample ce still refutes f, by its own "kind".
+
+    "unliftable_step": f(from_point) steps to step_to at target_scale, and no
+    source_scale step from from_point maps there.  "non_close_lifts": two
+    finer_scale chains from one point with equal images end apart (at
+    finer_scale if strong, else at source_scale).  Points must be f's points.
+    """
+    if ce["kind"] == "unliftable_step":
+        x, y = ce["from_point"], ce["step_to"]
+        return (f.target.related(ce["target_scale"], f(x), y)
+                and y not in _lift_reach(f, ce["source_scale"], x))
+    if ce["kind"] == "non_close_lifts":
+        left, right = ce["chains"]
+        j = ce["finer_scale"]
+        close_scale = j if ce["mode"] == "strong" else ce["source_scale"]
+        return (is_chain(f.source, j, left)
+                and is_chain(f.source, j, right)
+                and left[0] == right[0]
+                and all(f(a) == f(b) for a, b in zip(left, right))
+                and not f.source.related(close_scale, left[-1], right[-1]))
+    raise ValueError(f"no checker for counterexample kind {ce['kind']!r}")
 
 
 def strong_condition_at(f: FilteredMap, j: int) -> bool:

@@ -201,18 +201,9 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     return replace(pres, relators=tuple(relators))
 
 
-@dataclass(frozen=True)
-class EdgeWord:
-    """A reduced word of signed generator letters for a fixed presentation."""
-
-    letters: tuple
-
-    def __len__(self):
-        return len(self.letters)
-
-
-def chain_word(pres: GroupPresentation, chain) -> EdgeWord:
-    """Word of a chain read against the presentation's spanning tree.
+def chain_word(pres: GroupPresentation, chain) -> tuple:
+    """Reduced word of signed generator letters of a chain, read against the
+    presentation's spanning tree.
 
     For loops at the basepoint, equal words imply homotopic chains at the
     presentation's scale.
@@ -233,7 +224,7 @@ def chain_word(pres: GroupPresentation, chain) -> EdgeWord:
         letter = pres.edge_letter(a, b)
         if letter is not None:
             word.append(letter)
-    return EdgeWord(free_reduce(word))
+    return free_reduce(word)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +263,7 @@ def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
     """
     pres = presentation_at_scale(space, k, None)
     loop = seq if isinstance(seq, Chain) else Chain(k, seq)
-    word = chain_word(pres, loop).letters
+    word = chain_word(pres, loop)
     if loop.start != loop.end:
         raise NotALoop(f"chain from {loop.start!r} to {loop.end!r} is not a loop")
     return _h1_coords(pres, _expand(pres, word))
@@ -341,7 +332,7 @@ def h1_pushforward(source: GroupPresentation, target: GroupPresentation) -> tupl
     column, u, kept, _ = _pres_abelian(source)
     uinv = ila.unimodular_inverse(u) if kept else []
     images = [_h1_coords(target, _expand(target, chain_word(
-        target, source.fundamental_loop(g)).letters)) for g in column]
+        target, source.fundamental_loop(g)))) for g in column]
     return tuple(
         tuple(_reduce(sum(uinv[c][i] * im[r] for c, im in enumerate(images)), d)
               for i in kept)
@@ -583,7 +574,6 @@ def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
         )
     pres = presentation_at_scale(space, k, cseq[0])
     word = free_reduce(
-        chain_word(pres, Chain(k, cseq)).letters
-        + invert_word(chain_word(pres, Chain(k, dseq)).letters)
+        chain_word(pres, Chain(k, cseq)) + invert_word(chain_word(pres, Chain(k, dseq)))
     )
     return _word_trivial(pres, word, coset_budget)

@@ -310,6 +310,9 @@ class TowerAb:
         for i, mat in enumerate(self.matrices):
             tgt, src = self.groups[i], self.groups[i + 1]
             rows, cols = ila.shape(mat)
+            if any(len(row) != cols for row in mat):
+                raise InvalidTower(f"matrix {i} is ragged: rows of lengths "
+                                   f"{[len(row) for row in mat]}")
             if rows != group_dim(tgt) or cols != group_dim(src):
                 raise InvalidTower(
                     f"matrix {i} is {rows}x{cols}, expected {group_dim(tgt)}x{group_dim(src)}"

@@ -400,6 +400,21 @@ class TestDeterminismAndReplay:
         assert code == 1
         assert not replay["results"]["results_identical"]
 
+    def test_replay_rechecks_stored_counterexample(self, capsys, tmp_path, constant_map):
+        path = tmp_path / "const.json"
+        path.write_text(formats.canonical_dumps(formats.map_to_spec(constant_map)))
+        out = tmp_path / "report.json"
+        main(["map", str(path), "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        ce = doc["results"]["approx_uniqueness_plain"]["counterexample"]
+        ce["chains"][1] = ce["chains"][0]  # two equal lifts are close
+        out.write_text(formats.canonical_dumps(doc))
+        code, replay = run(capsys, "verify", "--replay", str(out))
+        assert code == 1
+        assert replay["results"]["counterexample_failures"] == [
+            {"check": "approx_uniqueness_plain", "reason": "counterexample no longer verifies"}]
+
 
 class TestBudgetInput:
     @pytest.mark.parametrize("value", ["abc", "-3"])

@@ -7,23 +7,23 @@ from scalecover.coset import coset_enumeration
 def test_trivial_group():
     table = coset_enumeration(1, [(1,)])
     assert table.order == 1
-    assert table.is_identity((1, 1, -1))
+    assert table.trace((1, 1, -1)) == 0
 
 
 def test_cyclic_groups():
     for n in (2, 3, 5, 12):
         table = coset_enumeration(1, [(1,) * n])
         assert table.order == n
-        assert table.is_identity((1,) * n)
-        assert not table.is_identity((1,))
+        assert table.trace((1,) * n) == 0
+        assert table.trace((1,)) != 0
 
 
 def test_symmetric_group_s3():
     # <a, b | a^2, b^2, (ab)^3>
     table = coset_enumeration(2, [(1, 1), (2, 2), (1, 2) * 3])
     assert table.order == 6
-    assert table.is_identity((1, 2, 1, 2, 1, 2))
-    assert not table.is_identity((1, 2))
+    assert table.trace((1, 2, 1, 2, 1, 2)) == 0
+    assert table.trace((1, 2)) != 0
 
 
 def test_quaternion_group():

@@ -9,7 +9,6 @@ from scalecover.covers import (
     cover_to_dot,
     critical_scales,
     endpoint_filtered_map,
-    endpoint_map,
     fhat,
     is_isomorphism,
     lift_chain,
@@ -48,7 +47,7 @@ class TestBuildCover:
 class TestEndpointMap:
     def test_examples(self, fix_c6):
         cover = build_cover(fix_c6, 2, 0, 3)
-        pmap = endpoint_map(cover)
+        pmap = dict(enumerate(cover.endpoints))
         assert pmap[0] == 0  # basepoint vertex is the constant chain
         reps = {cover.reps[v]: v for v in range(cover.num_vertices)}
         assert (0, 1, 2) in reps
@@ -56,7 +55,7 @@ class TestEndpointMap:
 
     def test_wraparound_vertices_share_point(self, fix_c6):
         cover = build_cover(fix_c6, 2, 0, 6)
-        pmap = endpoint_map(cover)
+        pmap = dict(enumerate(cover.endpoints))
         # 13 vertices over 6 points: two distinct classes land on the basepoint
         over_zero = [v for v in pmap if pmap[v] == 0]
         assert len(over_zero) == 3  # classes 0, +6, -6
@@ -68,7 +67,7 @@ class TestEndpointMap:
     def test_complete_cover_has_constant_fibers(self, fix_c6):
         cover = build_cover(fix_c6, 1, 0, 6)
         fibers = {}
-        for v, p in endpoint_map(cover).items():
+        for v, p in enumerate(cover.endpoints):
             fibers.setdefault(p, []).append(v)
         assert {len(f) for f in fibers.values()} == {1}
 
@@ -226,7 +225,7 @@ class TestDoubleCoverOfProjectivePlane:
 
     def test_constant_fiber_cardinality(self, rp2_cover):
         fibers = {}
-        for v, p in endpoint_map(rp2_cover).items():
+        for v, p in enumerate(rp2_cover.endpoints):
             fibers.setdefault(p, []).append(v)
         assert {len(f) for f in fibers.values()} == {2}
 

@@ -18,7 +18,6 @@ from scalecover.covers import (
     bonding_h1_map,
     build_cover,
     critical_scales,
-    endpoint_map,
     verify_endpoint_ucm,
 )
 from scalecover import actions
@@ -33,6 +32,7 @@ from scalecover.quotients import (
     build_fiber_quotient,
     check_approx_uniqueness,
     check_chain_lifting,
+    counterexample_holds,
 )
 from scalecover.rips import (
     AbelianGroupInv,
@@ -467,7 +467,7 @@ def test_random_fine_scale_covers_are_spaces(fix_l4):
         coarse = build_cover(sp, 1, base, n + 2)
         if coarse.complete and not coarse.identification_incomplete:
             fibers = {}
-            for v, p in endpoint_map(coarse).items():
+            for v, p in enumerate(coarse.endpoints):
                 fibers.setdefault(p, []).append(v)
             assert set(fibers) == set(component)
             assert len({len(f) for f in fibers.values()}) == 1
@@ -593,6 +593,43 @@ def test_chain_lifting_matches_all_pairs_definition(f):
                               "target_scale": f.target.depth,
                               "from_point": x, "step_to": y}
     assert result.counterexample == counterexample
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_map())
+def test_emitted_counterexamples_hold(f):
+    """Every lifting and uniqueness counterexample the verifiers emit holds, and
+    the checker agrees with the definition, over all points, on every variant
+    with one point replaced."""
+    def holds_by_definition(ce):
+        if ce["kind"] == "unliftable_step":
+            x, y, e = ce["from_point"], ce["step_to"], ce["source_scale"]
+            return (f.target.related(ce["target_scale"], f(x), y)
+                    and not any(f(x2) == y and f.source.related(e, x, x2)
+                                for x2 in f.source.points))
+        left, right = ce["chains"]
+        j = ce["finer_scale"]
+        close_scale = j if ce["mode"] == "strong" else ce["source_scale"]
+        return (is_chain(f.source, j, left) and is_chain(f.source, j, right)
+                and left[0] == right[0]
+                and all(f(a) == f(b) for a, b in zip(left, right))
+                and not f.source.related(close_scale, left[-1], right[-1]))
+
+    emitted = [check_chain_lifting(f).counterexample,
+               check_approx_uniqueness(f, strong=False).counterexample,
+               check_approx_uniqueness(f, strong=True).counterexample]
+    for ce in filter(None, emitted):
+        assert counterexample_holds(f, ce)
+        if ce["kind"] == "unliftable_step":
+            variants = [{**ce, "step_to": y} for y in f.target.points]
+        else:
+            left, right = ce["chains"]
+            variants = [{**ce, "chains": [left, right[:i] + [p] + right[i + 1:]]}
+                        for i in range(len(right)) for p in f.source.points]
+        for variant in variants:
+            assert counterexample_holds(f, variant) == holds_by_definition(variant)
+    with pytest.raises(ValueError, match="no checker"):
+        counterexample_holds(f, {"kind": "no_continuity_witness", "target_scale": 1})
 
 
 @settings(max_examples=150, deadline=None)

@@ -186,6 +186,11 @@ class TestLim1:
         with pytest.raises(InvalidTower):
             TowerAb((Z, Z2), ([[1]],))  # torsion lands in a free row
 
+    def test_ragged_matrix_is_invalid(self):
+        # the first row has the right length, the second has none
+        with pytest.raises(InvalidTower, match="ragged"):
+            TowerAb((AbelianGroupInv(2, ()), Z), ([[1], []],))
+
 
 class TestTowerMapLimits:
     def test_constant_tower_with_fix_map(self, fix_map):
