@@ -324,8 +324,12 @@ def _replay(stored, budgets):
     failures = []
     map_checks = ("approx_uniqueness_plain", "approx_uniqueness_strong", "chain_lifting")
     for check in map_checks if kind == "map" else ():
-        ce = (stored["results"].get(check) or {}).get("counterexample")
-        if ce and not counterexample_holds(obj, {k: formats._as_point(v) for k, v in ce.items()}):
+        field = f"report field results.{check}"
+        ce = formats._expect(stored["results"].get(check), dict, field).get("counterexample")
+        if ce is None:
+            continue
+        ce = formats.counterexample_from_spec(ce, f"{field}.counterexample")
+        if not counterexample_holds(obj, ce):
             failures.append({"check": check, "reason": "counterexample no longer verifies"})
     results = {
         "replayed": replay,

@@ -174,6 +174,23 @@ def map_from_spec(spec: dict) -> FilteredMap:
     return FilteredMap(source, target, tuple(_as_point(p) for p in assignment))
 
 
+def counterexample_from_spec(spec, what: str) -> dict:
+    """A stored map counterexample with its points read back as points.
+
+    Its ``*_scale`` fields must be integers and its ``chains`` an array of
+    arrays; ``quotients.counterexample_holds`` rejects the rest.
+    """
+    out = {}
+    for key, value in _expect(spec, dict, what).items():
+        if key.endswith("_scale") and type(value) is not int:
+            raise ParseError(f"{what}.{key} must be an integer, got {value!r}")
+        if key == "chains":
+            for chain in _expect(value, list, f"{what}.chains"):
+                _expect(chain, list, f"a chain of {what}")
+        out[key] = _as_point(value)
+    return out
+
+
 def action_to_spec(action: ActionSpec) -> dict:
     return {
         "kind": "action",

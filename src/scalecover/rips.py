@@ -15,6 +15,7 @@ certified Yes/No or an honest Unknown; nothing is ever guessed.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -56,16 +57,24 @@ class Rips2Skeleton:
 
 
 def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
-    """Edges are scale-k pairs, triangles the pairwise scale-k triples."""
+    """Edges are scale-k pairs, triangles the pairwise scale-k triples.
+
+    A triangle (a, b, c) of an edge (a, b) takes c from b's later neighbours
+    that are also a's; edges and neighbours come in point order, so the
+    triangles do too.
+    """
     space.check_scale(k)
     edges = tuple(space.sorted_pairs(k))
+    near = {}
     triangles = []
     for a, b in edges:
+        near_a = near.get(a)
+        if near_a is None:
+            near_a = near[a] = set(space.neighbors(k, a))
         ib = space.index(b)
-        for c in space.points:
-            if space.index(c) > ib and space.related(k, a, c) and space.related(k, b, c):
+        for c in space.neighbors(k, b):
+            if c in near_a and space.index(c) > ib:
                 triangles.append((a, b, c))
-    triangles.sort(key=lambda t: tuple(space.index(p) for p in t))
     return Rips2Skeleton(k, space.points, edges, tuple(triangles))
 
 
@@ -88,10 +97,12 @@ def invert_word(word) -> tuple:
 
 
 def _cyclic_reduce(word):
-    word = list(free_reduce(word))
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    return tuple(word)
+    word = free_reduce(word)
+    i, j = 0, len(word)
+    while j - i >= 2 and word[i] == -word[j - 1]:
+        i += 1
+        j -= 1
+    return word[i:j]
 
 
 # ---------------------------------------------------------------------------
@@ -391,42 +402,82 @@ def _simplified(pres: GroupPresentation):
     The substitution rewrites original letters into words over the surviving
     generators, those g with ``subst[g] == (g,)``; the residual relators are
     words over the survivors and present the same group.
+
+    The relators form a set of non-empty cyclically reduced words.  Each step
+    takes the smallest relator by ``(len, r)`` that has a letter occurring
+    once, solves it for the first such letter's generator g, and substitutes
+    the solution for g.  The step is incremental: an occurrence index maps
+    each generator to the live relators, and to the substitution keys, whose
+    words hold it, so only those are rewritten; a heap of ``(len, r)`` holds
+    the relators with a once-occurring letter, and entries no longer live are
+    skipped when popped.  Elimination stops when no relator has such a letter,
+    or when a running count of the relators' letters reaches
+    ``TIETZE_LETTER_CAP``.
     """
     subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
-    rels = sorted(
-        {r for r in (_cyclic_reduce(rel) for rel in pres.relators) if r},
-        key=lambda r: (len(r), r),
-    )
+    words_with = {g: {g} for g in subst}
+    rels_with = {g: set() for g in subst}
+    live = set()
+    heap = []
+    total = 0
 
-    def substitute(word, g, replacement):
-        out = []
-        for lt in word:
-            if abs(lt) == g:
-                out.extend(replacement if lt > 0 else invert_word(replacement))
-            else:
-                out.append(lt)
-        return free_reduce(out)
+    def add(rel):
+        nonlocal total
+        if not rel or rel in live:
+            return
+        live.add(rel)
+        total += len(rel)
+        counts = Counter(map(abs, rel))
+        for h in counts:
+            rels_with[h].add(rel)
+        if 1 in counts.values():
+            heapq.heappush(heap, (len(rel), rel))
 
-    while sum(len(r) for r in rels) < TIETZE_LETTER_CAP:
-        for rel in rels:
-            counts = Counter(map(abs, rel))
-            pos = next((i for i, x in enumerate(rel) if counts[abs(x)] == 1), None)
-            if pos is not None:
-                break
-        else:
+    for rel in pres.relators:
+        add(_cyclic_reduce(rel))
+
+    while total < TIETZE_LETTER_CAP:
+        while heap and heap[0][1] not in live:
+            heapq.heappop(heap)
+        if not heap:
             break
+        _, rel = heapq.heappop(heap)
+        counts = Counter(map(abs, rel))
+        pos = next(i for i, x in enumerate(rel) if counts[abs(x)] == 1)
         rotated = rel[pos:] + rel[:pos]
         letter, rest = rotated[0], rotated[1:]
         g = abs(letter)
         replacement = invert_word(rest) if letter > 0 else rest
-        subst = {key: substitute(word, g, replacement) for key, word in subst.items()}
-        new_rels = set()
-        for r in rels:
-            reduced = _cyclic_reduce(substitute(r, g, replacement))
-            if reduced:
-                new_rels.add(reduced)
-        rels = sorted(new_rels, key=lambda r: (len(r), r))
-    return subst, tuple(rels)
+        inverse = invert_word(replacement)
+
+        def substitute(word):
+            out = []
+            for lt in word:
+                if lt == g:
+                    out.extend(replacement)
+                elif lt == -g:
+                    out.extend(inverse)
+                else:
+                    out.append(lt)
+            return out
+
+        for key in words_with.pop(g):
+            old = set(map(abs, subst[key]))
+            subst[key] = free_reduce(substitute(subst[key]))
+            new = set(map(abs, subst[key]))
+            for h in old - new - {g}:
+                words_with[h].discard(key)
+            for h in new - old:
+                words_with[h].add(key)
+        stale = rels_with.pop(g)
+        for r in stale:
+            live.remove(r)
+            total -= len(r)
+            for h in set(map(abs, r)) - {g}:
+                rels_with[h].discard(r)
+        for r in stale:
+            add(_cyclic_reduce(substitute(r)))
+    return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
 
 
 @lru_cache(maxsize=None)

@@ -415,6 +415,35 @@ class TestDeterminismAndReplay:
         assert replay["results"]["counterexample_failures"] == [
             {"check": "approx_uniqueness_plain", "reason": "counterexample no longer verifies"}]
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("chain_lifting",), [1], "results.chain_lifting must be an object"),
+        (("approx_uniqueness_strong",), [1],
+         "results.approx_uniqueness_strong must be an object"),
+        (("approx_uniqueness_plain", "counterexample"), [1],
+         "results.approx_uniqueness_plain.counterexample must be an object"),
+        (("approx_uniqueness_plain", "counterexample", "finer_scale"), "x",
+         "counterexample.finer_scale must be an integer"),
+        (("approx_uniqueness_plain", "counterexample", "chains"), 5,
+         "counterexample.chains must be an array"),
+    ], ids=["chain_lifting", "uniqueness_strong", "counterexample", "finer_scale", "chains"])
+    def test_malformed_stored_counterexample_is_input_error(self, capsys, tmp_path,
+                                                            constant_map, path, value,
+                                                            message):
+        spec = tmp_path / "const.json"
+        spec.write_text(formats.canonical_dumps(formats.map_to_spec(constant_map)))
+        out = tmp_path / "report.json"
+        main(["map", str(spec), "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        node = doc["results"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out.write_text(formats.canonical_dumps(doc))
+        code, replay = run(capsys, "verify", "--replay", str(out))
+        assert code == 3
+        assert message in replay["results"]["error"]
+
 
 class TestBudgetInput:
     @pytest.mark.parametrize("value", ["abc", "-3"])

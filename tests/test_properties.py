@@ -1,8 +1,10 @@
 """Cross-cutting invariants exercised on randomized and structured instances."""
 
+import collections
 import contextlib
 import dataclasses
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -41,7 +43,7 @@ from scalecover.rips import (
     h1_class,
     reduce_chain,
 )
-from scalecover.spaces import FilteredSpace, chain_components, is_chain
+from scalecover.spaces import FilteredSpace, chain_components, from_metric, is_chain
 from scalecover.towers import ProductTooLarge, SpaceTower, assemble_limit_space
 
 
@@ -358,6 +360,139 @@ def test_h1_class_zero_exactly_on_boundaries(data):
             for r, d in enumerate(b.target.torsion):
                 image[r] %= d
             assert tuple(image) == h1_class(sp, k, loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtered_space())
+@example(RP2)
+@example(KING_TORUS)
+def test_rips_triangles_match_all_triples_definition(sp):
+    """Triangles are the pairwise-related triples, each and all in point order."""
+    for k in range(1, sp.depth + 1):
+        expected = tuple(t for t in itertools.combinations(sp.points, 3)
+                         if all(sp.related(k, x, y) for x, y in itertools.combinations(t, 2)))
+        assert rips.rips_2_skeleton(sp, k).triangles == expected
+
+
+def _reference_cyclic_reduce(word):
+    word = list(rips.free_reduce(word))
+    while len(word) >= 2 and word[0] == -word[-1]:
+        word = word[1:-1]
+    return tuple(word)
+
+
+def _reference_simplified(pres):
+    """Tietze elimination by rescanning: every step rewrites every relator and
+    substitution word, re-sorts the relators and scans them for a pivot."""
+    _cyclic_reduce, invert_word, free_reduce = (
+        _reference_cyclic_reduce, rips.invert_word, rips.free_reduce)
+    subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
+    rels = sorted(
+        {r for r in (_cyclic_reduce(rel) for rel in pres.relators) if r},
+        key=lambda r: (len(r), r),
+    )
+
+    def substitute(word, g, replacement):
+        out = []
+        for lt in word:
+            if abs(lt) == g:
+                out.extend(replacement if lt > 0 else invert_word(replacement))
+            else:
+                out.append(lt)
+        return free_reduce(out)
+
+    while sum(len(r) for r in rels) < rips.TIETZE_LETTER_CAP:
+        for rel in rels:
+            counts = collections.Counter(map(abs, rel))
+            pos = next((i for i, x in enumerate(rel) if counts[abs(x)] == 1), None)
+            if pos is not None:
+                break
+        else:
+            break
+        rotated = rel[pos:] + rel[:pos]
+        letter, rest = rotated[0], rotated[1:]
+        g = abs(letter)
+        replacement = invert_word(rest) if letter > 0 else rest
+        subst = {key: substitute(word, g, replacement) for key, word in subst.items()}
+        new_rels = set()
+        for r in rels:
+            reduced = _cyclic_reduce(substitute(r, g, replacement))
+            if reduced:
+                new_rels.add(reduced)
+        rels = sorted(new_rels, key=lambda r: (len(r), r))
+    return subst, tuple(rels)
+
+
+def _bare_presentation(ngens, relators):
+    """A presentation that carries only what elimination reads."""
+    return rips.GroupPresentation(None, 1, None, (), (), tuple(range(ngens)),
+                                  tuple(map(tuple, relators)))
+
+
+@st.composite
+def random_presentation(draw):
+    """Random relators, with repeats, with relators that free-reduce to empty,
+    and with u g v and u A^-1 v, which become equal once g A solves for g."""
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def words(avoid=0):
+        letters = [x for g in range(1, n + 1) if g != avoid for x in (g, -g)]
+        return st.lists(st.sampled_from(letters), max_size=7) if letters else st.just([])
+
+    rels = draw(st.lists(words(), max_size=6))
+    if rels:
+        rels += draw(st.lists(st.sampled_from(rels), max_size=2))
+    w = draw(words())
+    rels.append(w + list(rips.invert_word(w)))
+    g = draw(st.integers(min_value=1, max_value=n))
+    a, u, v = draw(words(g)), draw(words(g)), draw(words(g))
+    rels += [[g] + a, u + [g] + v, u + list(rips.invert_word(a)) + v]
+    return _bare_presentation(n, draw(st.permutations(rels)))
+
+
+def noisy_circle(n, seed):
+    """n integer points on a circle of radius 1000 with +-3 jitter, at
+    squared-distance radii (4s)^2 and (2s)^2 for the spacing s."""
+    rng = random.Random(seed)
+    pts = [(round(1000 * math.cos(2 * math.pi * i / n)) + rng.randint(-3, 3),
+            round(1000 * math.sin(2 * math.pi * i / n)) + rng.randint(-3, 3))
+           for i in range(n)]
+    matrix = [[(ax - bx) ** 2 + (ay - by) ** 2 for bx, by in pts] for ax, ay in pts]
+    s2 = (2 * math.pi * 1000 / n) ** 2
+    return from_metric(matrix, [math.floor(16 * s2), math.floor(4 * s2)])
+
+
+# solving (1, 2, 2) for 1 lengthens the second relator, so a cap one above
+# the initial letter count (20) stops elimination after that first step
+GROWING = _bare_presentation(5, [(1, 2, 2), (1, 1, 1, 1, 3, 3, 3, 3), (4,) + (5,) * 8])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_presentation())
+@example(rips.presentation_at_scale(RP2, 1, None))
+@example(rips.presentation_at_scale(KING_TORUS, 1, None))
+@example(rips.presentation_at_scale(noisy_circle(24, 0), 1, None))
+@example(GROWING)
+def test_elimination_matches_rescanning_loop(pres):
+    """Same pivots, same substitution and same residual as the rescanning
+    loop, at the default cap, at caps 0 and 1 and one above the initial
+    letter count."""
+    initial = sum(len(r) for r in {_reference_cyclic_reduce(r) for r in pres.relators})
+    for cap in (rips.TIETZE_LETTER_CAP, 0, 1, initial + 1):
+        with _tietze_cap(cap):
+            subst, residual = rips._simplified(pres)
+            expected_subst, expected_residual = _reference_simplified(pres)
+        assert list(subst.items()) == list(expected_subst.items())
+        assert residual == expected_residual
+
+
+def test_letter_cap_stops_elimination_partway():
+    full, partway = [], []
+    for cap, out in ((rips.TIETZE_LETTER_CAP, full), (21, partway)):
+        with _tietze_cap(cap):
+            out.extend(g for g, w in rips._simplified(GROWING)[0].items() if w != (g,))
+    assert partway == [1]
+    assert full == [1, 4]
 
 
 @settings(max_examples=80, deadline=None)
