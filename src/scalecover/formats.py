@@ -2,15 +2,21 @@
 
 All structured input and output is JSON with sorted keys, two-space indent
 and a trailing newline, so serialize(parse(file)) is byte-identical for
-canonical files.  Distance matrices come in as headerless CSV.  Parse errors
-carry the position that failed.
+canonical files.  Reports are written by a small recursive writer whose bytes
+equal ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``;
+floats are written as ``json.dumps`` writes them.  JSON input may not hold
+the non-finite constants NaN, Infinity or -Infinity, which are not JSON.
+Distance matrices come in as headerless CSV.  Parse errors carry the
+position that failed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 from .actions import ActionSpec, close_group
 from .quotients import FilteredMap
@@ -27,31 +33,119 @@ class ParseError(ValueError):
         super().__init__(message if position is None else f"{position}: {message}")
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# orders a set's converted elements by their compact sorted-key JSON text
+_set_sort_key = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+@functools.cache
+def _public_fields(cls):
+    """The public field names of a dataclass type, None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+
+
+def _key(k) -> str:
+    if type(k) is str:
+        return k
+    return ",".join(map(str, k)) if isinstance(k, tuple) else str(k)
+
+
 def to_jsonable(obj):
-    """Deterministic conversion of result objects into JSON-ready values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if not f.name.startswith("_")
-        }
+    """Deterministic conversion of result objects into JSON-ready values.
+
+    Dataclass instances become dicts of their public (not ``_``-prefixed)
+    fields, dict keys become strings (tuples joined by commas), lists and
+    tuples become lists, sets and frozensets become lists sorted by each
+    element's compact JSON text, JSON scalars stay as they are and any other
+    object becomes ``str(obj)``.
+    """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    if cls is list or cls is tuple:
+        return [v if type(v) in _SCALARS else to_jsonable(v) for v in obj]
+    if cls is dict:
+        return {_key(k): v if type(v) in _SCALARS else to_jsonable(v) for k, v in obj.items()}
+    if cls is frozenset or cls is set:
+        return sorted(map(to_jsonable, obj), key=_set_sort_key)
+    names = _public_fields(cls)
+    if names is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
+    # subclasses of the types above
     if isinstance(obj, dict):
-        return {
-            (",".join(map(str, k)) if isinstance(k, tuple) else str(k)): to_jsonable(v)
-            for k, v in obj.items()
-        }
+        return {_key(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):
-        converted = [to_jsonable(v) for v in obj]
-        return sorted(converted, key=lambda v: json.dumps(v, sort_keys=True, default=str))
+        return sorted(map(to_jsonable, obj), key=_set_sort_key)
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float)):
         return obj
     return str(obj)
 
 
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+    float: json.dumps,  # repr for finite floats, NaN/Infinity as json writes them
+}
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the indent-2 JSON text of ``value`` to ``out``.
+
+    ``newline`` is a newline plus the indentation of the line ``value``
+    starts on.  Each key and each scalar list member is appended together
+    with the separator before it, so few pieces are made.
+    """
+    cls = type(value)
+    if cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in sorted(value.items()):
+            text = _SCALAR_TEXT.get(type(v))
+            if text is not None:
+                out.append(sep + encode_basestring_ascii(k) + ": " + text(v))
+            else:
+                out.append(sep + encode_basestring_ascii(k) + ": ")
+                _write(v, out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in value:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is not None:
+                out.append(sep + text(v))
+            else:
+                out.append(sep)
+                _write(v, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        # json.dumps writes subclasses of str, int and float as their base type
+        out.append(_SCALAR_TEXT.get(cls, json.dumps)(value))
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The canonical report text of ``obj``: ``to_jsonable(obj)`` as JSON
+    with sorted keys, two-space indent, ASCII escapes and a trailing newline,
+    byte-identical to ``json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n"``."""
+    out = []
+    _write(to_jsonable(obj), out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def digest(obj) -> str:
@@ -275,9 +369,13 @@ def telescope_elements(value) -> list:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in the file; NaN, Infinity and -Infinity are rejected."""
+    def non_finite(constant):
+        raise ParseError(f"{constant} is not a JSON number", path)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}") from None
     except OSError as exc:

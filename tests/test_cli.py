@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -133,6 +134,16 @@ MALFORMED_INPUTS = {
                                       "groups": [{"rank": 2, "torsion": []},
                                                  {"rank": 1, "torsion": []}],
                                       "matrices": [[[1], []]]}),
+    # json.dumps writes these floats as the non-JSON tokens Infinity, -Infinity and NaN
+    "infinite_point_label": ("analyze", {"points": [math.inf, 1],
+                                         "scales": [[[math.inf, math.inf], [1, 1],
+                                                     [math.inf, 1], [1, math.inf]]]}),
+    "negative_infinite_point_label": ("analyze", {"points": [-math.inf, 1],
+                                                  "scales": [[[-math.inf, -math.inf],
+                                                              [1, 1]]]}),
+    "nan_point_label": ("analyze", {"points": [math.nan, 1],
+                                    "scales": [[[math.nan, math.nan], [1, 1]]]}),
+    "infinite_radius": ("analyze", {"matrix": [[0, 1], [1, 0]], "radii": [math.inf, 1]}),
 }
 
 

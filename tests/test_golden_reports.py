@@ -1,9 +1,9 @@
 """Golden CLI reports: byte-identical output for fixed inputs.
 
-Each case writes small JSON inputs with integer point labels into a fresh
-directory, runs the CLI on a relative file name there (so the argv recorded
-in the report is fixed) and compares the sha256 of the report on standard
-output with a digest recorded from an earlier build.  A changed digest means
+Each case writes small JSON and CSV inputs with integer point labels into a
+fresh directory, runs the CLI on a relative file name there (so the argv
+recorded in the report is fixed) and compares the sha256 of the report on
+standard output with a digest recorded from an earlier build.  A changed digest means
 a changed report: either a regression, or a deliberate change that must
 record its new digest here and say why.  Every success case must also
 replay: ``verify --replay`` of its report re-derives the same results.
@@ -30,6 +30,8 @@ def discrete(n):
 
 INPUTS = {
     "c6.json": cycle(6, (2, 1)),
+    # float radii reach the report as each scale's radius and as replay options
+    "tri.csv": "0,1,2\n1,0,1.5\n2,1.5,0\n",
     "rotation.json": {"kind": "action", "space": cycle(8, (2, 1, 0)),
                       "generators": [[(i + 2) % 8 for i in range(8)]]},
     "wrap.json": {"kind": "map", "source": cycle(16, (2, 1)), "target": cycle(8, (2, 1)),
@@ -52,6 +54,8 @@ INPUTS = {
 GOLDEN = {
     ("analyze", "c6.json"):
         "622ffba5d87bfecb1c77fc3b263420e14dec6f2b0a948daefafc60440ae01780",
+    ("analyze", "tri.csv", "--radii", "2.5,1.5"):
+        "81c640d23ffae8cb8b73336033621ea4c108ffe4287a4157000247353f649ad7",
     ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
         "30b20af6a1e659a90323fbf0019944f1ee3902e32c775f173ce763312a217751",
     ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
@@ -72,7 +76,7 @@ GOLDEN = {
 def write_inputs(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     for name, doc in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)

@@ -3,7 +3,10 @@
 import collections
 import contextlib
 import dataclasses
+import enum
+import fractions
 import itertools
+import json
 import math
 import random
 from unittest import mock
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space
-from scalecover import rips
+from scalecover import formats, rips
 from scalecover.covers import (
     bonding_h1_map,
     build_cover,
@@ -901,3 +904,111 @@ def test_action_tower_part_b_matches_all_pairs_loops(action):
     quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
     expected = part_b_by_all_pairs(opened.space, quotients)
     assert {k: report.part_b[k] for k in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# canonical serialization
+
+
+def _reference_to_jsonable(obj):
+    """formats.to_jsonable as it was before its type-dispatched rewrite."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _reference_to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not f.name.startswith("_")
+        }
+    if isinstance(obj, dict):
+        return {
+            (",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
+                _reference_to_jsonable(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (frozenset, set)):
+        converted = [_reference_to_jsonable(v) for v in obj]
+        return sorted(converted, key=lambda v: json.dumps(v, sort_keys=True, default=str))
+    if isinstance(obj, (list, tuple)):
+        return [_reference_to_jsonable(v) for v in obj]
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    return str(obj)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+@example({"b": [], "a": {}, "é\x00\u2028\U0001f600": [True, False, None, -0.0, 1e300]})
+@example([[], {}, [[]], [{}], 5e-324, 2 ** 70, "\\\"\x7f"])
+def test_writer_matches_json_dumps(tree):
+    assert formats.canonical_dumps(tree) == (
+        json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Verdict:
+    """Result-like: field order is not sorted order, one field is private."""
+    zeta: object
+    alpha: object
+    _memo: object = "private"
+
+
+_Row = collections.namedtuple("_Row", "left right")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Label(str):
+    pass
+
+
+_LEAVES = (st.integers(-3, 3) | st.text(max_size=3) | st.booleans() | st.none()
+           | st.floats(allow_nan=False, allow_infinity=False, width=16)
+           | st.sampled_from(_Level) | st.builds(_Label, st.text(max_size=3))
+           | st.tuples(st.integers(-3, 3), st.text(max_size=2))
+           | st.builds(fractions.Fraction, st.integers(-5, 5), st.integers(1, 5)))
+_KEYS = (st.text(max_size=3) | st.integers(-3, 3) | st.booleans()
+         | st.tuples(st.integers(0, 3), st.text(max_size=2)))
+
+
+@st.composite
+def result_values(draw, depth=3, hashable=False):
+    """Result-like values; hashable ones only where a set holds them."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(_LEAVES)
+
+    def inner(hashable=False):
+        return result_values(depth - 1, hashable)
+
+    options = [st.tuples(inner(True), inner(True)), st.frozensets(inner(True), max_size=4),
+               st.builds(_Verdict, inner(hashable), inner(hashable), inner(hashable))]
+    if not hashable:
+        options += [st.lists(inner(), max_size=4), st.dictionaries(_KEYS, inner(), max_size=4),
+                    st.sets(inner(True), max_size=4), st.builds(_Row, inner(), inner())]
+    return draw(st.one_of(options))
+
+
+@settings(max_examples=100, deadline=None)
+@given(result_values())
+@example(frozenset({(1, "b"), (0, "a"), ("x", 2), "é", "z", 3}))
+@example({(1, 2): {frozenset({frozenset({1}), frozenset()})}, 3: _Verdict([], {}),
+          True: fractions.Fraction(1, 3)})
+def test_to_jsonable_matches_reference(value):
+    """Equal as Python values and as types, order included (repr tells
+    True from 1 and a key order from another), and written as the old
+    ``json.dumps`` path wrote them, subclasses of int and str included."""
+    expected = _reference_to_jsonable(value)
+    assert repr(formats.to_jsonable(value)) == repr(expected)
+    assert formats.canonical_dumps(value) == (
+        json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
