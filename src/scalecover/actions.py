@@ -16,7 +16,6 @@ from .spaces import (
     FilteredSpace,
     Partition,
     SpaceError,
-    full_relation_of,
     quotient_by_partition,
 )
 from .towers import SpaceTower, assemble_limit_space, telescoping_backward_group
@@ -122,18 +121,26 @@ class SubgroupAtScale:
     elements: tuple
 
 
-def _subgroup_from_relation(action: ActionSpec, relation) -> tuple:
-    pts = action.space.points
-    seed = [g for g in action.elements
-            if any((pts[i], pts[g[i]]) in relation for i in range(len(pts)))]
-    return _closure(seed, len(pts), len(action.elements))
+def _closed_indices(space: FilteredSpace, pairs) -> list:
+    """Per point index i, the indices related to i by pairs or the diagonal."""
+    near = [{i} for i in range(len(space.points))]
+    for a, b in pairs:
+        i, j = space.index(a), space.index(b)
+        near[i].add(j)
+        near[j].add(i)
+    return near
+
+
+def _subgroup_moving_within(action: ActionSpec, near) -> tuple:
+    """The subgroup generated by the elements moving some point i into near[i]."""
+    seed = [g for g in action.elements if any(g[i] in near[i] for i in range(len(g)))]
+    return _closure(seed, len(action.space.points), len(action.elements))
 
 
 def subgroup_at_scale(action: ActionSpec, k: int) -> SubgroupAtScale:
     """Subgroup generated by the elements moving some point within scale k."""
-    action.space.check_scale(k)
-    relation = action.space.full_relation(k)
-    return SubgroupAtScale(k, _subgroup_from_relation(action, relation))
+    near = _closed_indices(action.space, action.space.scale_pairs(k))
+    return SubgroupAtScale(k, _subgroup_moving_within(action, near))
 
 
 def _saturate(space: FilteredSpace, elements, k: int) -> frozenset:
@@ -203,10 +210,7 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     # scale e of the orbit of x, i.e. G.N_f[x] lies in N_e[G.x] for every x.
     # The action need not be an isometry, so G.N_f[x] is not N_f[G.x].
     indices = range(len(pts))
-    closed = {
-        k: [{i}.union(map(space.index, space.neighbors(k, pts[i]))) for i in indices]
-        for k in range(1, m + 1)
-    }
+    closed = {k: _closed_indices(space, space.scale_pairs(k)) for k in range(1, m + 1)}
     orbits = [{g[i] for g in action.elements} for i in indices]
     moved_nbhd = {
         k: [set().union(*(orbits[z] for z in closed[k][i])) for i in indices]
@@ -237,20 +241,12 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         for e in range(1, m + 1)
     }
 
-    upd_per_scale = {}
-    for k in range(1, m + 1):
-        rel = space.full_relation(k)
-        offender = None
-        for g in action.elements:
-            if g == action.identity:
-                continue
-            for i, p in enumerate(pts):
-                if (p, pts[g[i]]) in rel:
-                    offender = {"g": action.perm_of_points(g), "x": p}
-                    break
-            if offender:
-                break
-        upd_per_scale[k] = offender
+    upd_per_scale = {
+        k: next(({"g": action.perm_of_points(g), "x": pts[i]}
+                 for g in action.elements if g != action.identity
+                 for i in indices if g[i] in closed[k][i]), None)
+        for k in range(1, m + 1)
+    }
     qualifying = tuple(k for k in range(1, m + 1) if upd_per_scale[k] is None)
     upd = {
         "qualifying_scales": qualifying,
@@ -258,9 +254,7 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         "counterexamples": {k: v for k, v in upd_per_scale.items() if v is not None},
     }
 
-    subgroups = {
-        f: _subgroup_from_relation(action, space.full_relation(f)) for f in range(1, m + 1)
-    }
+    subgroups = {f: _subgroup_moving_within(action, closed[f]) for f in range(1, m + 1)}
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
         found = None
@@ -363,8 +357,8 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     space.check_scale(k)
     pairs = saturate_invariant(action, k)
     was_saturated = pairs != space.scale_pairs(k)
-    relation = full_relation_of(space.points, pairs)
-    sub = _subgroup_from_relation(action, relation)
+    near = _closed_indices(space, pairs)
+    sub = _subgroup_moving_within(action, near)
     sub_set = set(sub)
     normal = all(
         _compose(_compose(g, s), _inverse(g)) in sub_set
@@ -414,15 +408,13 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
         for i, perm in enumerate(induced)
     )
 
-    pushed = {(blocks.block_of(a), blocks.block_of(b)) for a, b in relation}
-    upd = consistent
-    if consistent:
-        for i, perm in enumerate(induced):
-            if i == identity_coset:
-                continue
-            for bi, block in enumerate(qpoints):
-                if (block, qpoints[perm[bi]]) in pushed:
-                    upd = False
+    block_at = [qindex[blocks.block_of(p)] for p in space.points]
+    pushed = {(block_at[i], block_at[j]) for i, near_i in enumerate(near) for j in near_i}
+    upd = consistent and not any(
+        (bi, perm[bi]) in pushed
+        for i, perm in enumerate(induced) if i != identity_coset
+        for bi in range(len(qpoints))
+    )
     return QuotientAction(
         k, was_saturated, sub, qspace, projection, cosets, induced,
         normal and consistent, induced_faithful, upd, stabilizer == sub,

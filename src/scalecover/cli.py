@@ -80,7 +80,7 @@ def _parse_point(text):
 
 def _load_space(path, radii):
     """The space of a CSV matrix or a JSON spec, and the --radii as numbers."""
-    radii = [float(r) if "." in r else int(r) for r in radii.split(",")] if radii else None
+    radii = [formats.parse_number(r, "--radii") for r in radii.split(",")] if radii else None
     if path.endswith(".csv"):
         if radii is None:
             raise formats.ParseError("a CSV distance matrix needs --radii")

@@ -195,10 +195,9 @@ def fhat(cover: PartialCover, j: int) -> frozenset:
     cover.space.check_scale(j)
     pairs = set()
     for u in range(cover.num_vertices):
+        near = cover.space.closed(j, cover.endpoints[u])
         for y, v in cover.edges[u].items():
-            if v is None or v == u:
-                continue
-            if cover.space.related(j, cover.endpoints[u], y):
+            if v is not None and v != u and y in near:
                 pairs.add((u, v) if u < v else (v, u))
     return frozenset(pairs)
 
@@ -252,9 +251,9 @@ def verify_endpoint_ucm(space: FilteredSpace, k: int, cover: PartialCover) -> Uc
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "radius budget exhausted before completion")
     component = set(chain_components(space, k).block_of(cover.basepoint))
+    rels = {j: fhat(cover, j) for j in range(k, space.depth + 1)}
     failures = []
-    for j in range(k, space.depth + 1):
-        rel = fhat(cover, j)
+    for j, rel in rels.items():
         image = {
             space.pair(cover.endpoints[u], cover.endpoints[v]) for u, v in rel
         }
@@ -269,27 +268,19 @@ def verify_endpoint_ucm(space: FilteredSpace, k: int, cover: PartialCover) -> Uc
                     "extra": sorted(map(list, image - expected)),
                 }
             )
-    lifting_ok = True
     witnesses = []
-    for j in range(k, space.depth + 1):
-        rel = fhat(cover, j)
-        good = True
-        for u in range(cover.num_vertices):
-            for y in space.neighbors(j, cover.endpoints[u]):
-                v = cover.edges[u].get(y)
-                if v is None or (v != u and (min(u, v), max(u, v)) not in rel):
-                    good = False
+    for j, rel in rels.items():
+        steps = ((u, cover.edges[u].get(y)) for u in range(cover.num_vertices)
+                 for y in space.neighbors(j, cover.endpoints[u]))
+        good = all(v is not None and (v == u or (min(u, v), max(u, v)) in rel)
+                   for u, v in steps)
         witnesses.append(j if good else None)
-        lifting_ok = lifting_ok and good
-    transverse = k
-    for u, v in fhat(cover, k):
-        if cover.endpoints[u] == cover.endpoints[v] and u != v:
-            transverse = None
-            break
-    for u in range(cover.num_vertices):
-        for v in range(u + 1, cover.num_vertices):
-            if cover.endpoints[u] == cover.endpoints[v] and cover.words[u] == cover.words[v]:
-                transverse = None
+    lifting_ok = None not in witnesses
+    # transverse: no scale-k edge joins two lifts of one point, and no two
+    # vertices share an endpoint and a word
+    same_end = any(cover.endpoints[u] == cover.endpoints[v] for u, v in rels[k])
+    repeated = len(set(zip(cover.endpoints, cover.words))) < cover.num_vertices
+    transverse = None if same_end or repeated else k
     generates = not failures
     verdict = "UCM" if generates and lifting_ok and transverse is not None else "NotUCM"
     return UcmReport(generates, tuple(failures), lifting_ok, tuple(witnesses),

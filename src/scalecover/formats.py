@@ -6,8 +6,9 @@ canonical files.  Reports are written by a small recursive writer whose bytes
 equal ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``;
 floats are written as ``json.dumps`` writes them.  JSON input may not hold
 the non-finite constants NaN, Infinity or -Infinity, which are not JSON.
-Distance matrices come in as headerless CSV.  Parse errors carry the
-position that failed.
+Distance matrices come in as headerless CSV; its cells and the CLI's
+``--radii`` go through one number reader, ``parse_number``, which refuses
+non-finite values.  Parse errors carry the position that failed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from json.encoder import encode_basestring_ascii
 
 from .actions import ActionSpec, close_group
@@ -157,13 +159,10 @@ def digest(obj) -> str:
 
 
 def space_to_spec(space: FilteredSpace) -> dict:
-    scales = []
-    for k in range(1, space.depth + 1):
-        pairs = sorted(
-            space.full_relation(k),
-            key=lambda ab: (space.index(ab[0]), space.index(ab[1])),
-        )
-        scales.append([[a, b] for a, b in pairs])
+    scales = [
+        [[x, y] for x in space.points for y in space.sort_points(space.closed(k, x))]
+        for k in range(1, space.depth + 1)
+    ]
     return {
         "kind": "space",
         "points": list(space.points),
@@ -225,17 +224,22 @@ def space_from_spec(spec: dict) -> FilteredSpace:
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
 
+def parse_number(text: str, position=None):
+    """A finite number: a float when the text holds a '.' or an exponent, else an int."""
+    try:
+        value = float(text) if "." in text or "e" in text.lower() else int(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r}", position) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"number {text!r} is not finite", position)
+    return value
+
+
 def parse_distance_csv(text: str):
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(cell) if "." in cell or "e" in cell.lower() else int(cell)
-                   for cell in line.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"bad number ({exc})", f"line {lineno}") from None
-        rows.append(row)
+        if line.strip():
+            rows.append([parse_number(cell, f"line {lineno}") for cell in line.split(",")])
     n = len(rows)
     for lineno, row in enumerate(rows, start=1):
         if len(row) != n:

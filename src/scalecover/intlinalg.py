@@ -252,6 +252,17 @@ def column_lattice_form(a):
     return hermite_row_form(transpose(a))
 
 
+def with_relation_columns(a, relations):
+    """A copy of a with the column d*e_b appended for each nonzero relations[b] = d.
+
+    ``relations`` lists one modulus per row of a; 0 means a free row and
+    adds no column.  The columns of the result span the image of a plus the
+    relation lattice.
+    """
+    extra = [(b, d) for b, d in enumerate(relations) if d]
+    return [list(row) + [d if r == b else 0 for b, d in extra] for r, row in enumerate(a)]
+
+
 def is_surjective_onto(a, relation_diag):
     """Whether the columns of a generate Z^m modulo diag relations.
 
@@ -259,12 +270,7 @@ def is_surjective_onto(a, relation_diag):
     is onto exactly when [a | diag] has full row rank with all invariant
     factors 1.
     """
-    m, n = shape(a)
-    if len(relation_diag) != m:
+    if len(relation_diag) != len(a):
         raise ValueError("relation length mismatch")
-    aug = [list(row) for row in a]
-    for i in range(m):
-        for j in range(m):
-            aug[i].append(relation_diag[j] if i == j else 0)
-    facts = invariant_factors(aug)
-    return len(facts) == m and all(d == 1 for d in facts)
+    facts = invariant_factors(with_relation_columns(a, relation_diag))
+    return len(facts) == len(a) and all(d == 1 for d in facts)

@@ -65,25 +65,22 @@ class FilteredMap:
         except KeyError:
             raise UnknownPoint(x) from None
 
-    def image_relation(self, j: int) -> frozenset:
-        """f(E_j) as ordered pairs of target points, image diagonal included."""
-        return frozenset(
-            (self(a), self(b)) for a, b in self.source.full_relation(j)
-        )
+    def image_relation(self, j: int) -> dict:
+        """f(E_j) per target point a: the union of f(E_j[x]) over the fiber of a."""
+        out = {a: set() for a in self.target.points}
+        for x, a in zip(self.source.points, self.assignment):
+            out[a].update(map(self, self.source.closed(j, x)))
+        return out
 
     @property
     def continuity_witnesses(self) -> tuple:
         """Per target scale, the coarsest source scale mapping into it."""
-        out = []
-        for k in range(1, self.target.depth + 1):
-            fine = self.target.full_relation(k)
-            found = None
-            for j in range(1, self.source.depth + 1):
-                if self.image_relation(j) <= fine:
-                    found = j
-                    break
-            out.append(found)
-        return tuple(out)
+        images = [self.image_relation(j) for j in range(1, self.source.depth + 1)]
+        return tuple(
+            next((j for j, img in enumerate(images, start=1)
+                  if all(ys <= self.target.closed(k, a) for a, ys in img.items())), None)
+            for k in range(1, self.target.depth + 1)
+        )
 
     def is_uniformly_continuous(self) -> bool:
         return all(w is not None for w in self.continuity_witnesses)
@@ -93,24 +90,22 @@ class FilteredMap:
         """Per source scale e, the coarsest target scale k with f^-1(F_k) in E_e.
 
         None marks a source scale that no target scale pulls back into.  The
-        preimage is read as the fibers over each pair of F_k, so the work is
-        the size of the pullback, not the number of source pairs.
+        preimage is read per source point x as the fibers over F_k[f(x)], so
+        the work is the size of the pullback, not the number of source pairs.
         """
         fibers = {}
         for x, y in zip(self.source.points, self.assignment):
             fibers.setdefault(y, []).append(x)
-        out = []
-        for e in range(1, self.source.depth + 1):
-            fine = self.source.full_relation(e)
-            out.append(next(
-                (k for k in range(1, self.target.depth + 1)
-                 if all((x, y) in fine
-                        for a, b in self.target.full_relation(k)
-                        for x in fibers.get(a, ())
-                        for y in fibers.get(b, ()))),
-                None,
-            ))
-        return tuple(out)
+        source, target = self.source, self.target
+        return tuple(
+            next((k for k in range(1, target.depth + 1)
+                  if all(z in source.closed(e, x)
+                         for x, a in zip(source.points, self.assignment)
+                         for b in target.closed(k, a)
+                         for z in fibers.get(b, ()))),
+                 None)
+            for e in range(1, source.depth + 1)
+        )
 
 
 def identity_map(space: FilteredSpace) -> FilteredMap:
@@ -141,15 +136,13 @@ def check_generates(f: FilteredMap) -> GenerationResult:
     are entourages and cofinal).
     """
     continuity = f.continuity_witnesses
-    cofinal = []
-    for j in range(1, f.source.depth + 1):
-        img = f.image_relation(j)
-        found = None
-        for k in range(1, f.target.depth + 1):
-            if f.target.full_relation(k) <= img:
-                found = k
-                break
-        cofinal.append(found)
+    target = f.target
+    images = [f.image_relation(j) for j in range(1, f.source.depth + 1)]
+    cofinal = tuple(
+        next((k for k in range(1, target.depth + 1)
+              if all(target.closed(k, a) <= img[a] for a in target.points)), None)
+        for img in images
+    )
     counterexample = None
     for k, w in enumerate(continuity, start=1):
         if w is None:
@@ -158,19 +151,21 @@ def check_generates(f: FilteredMap) -> GenerationResult:
     if counterexample is None:
         for j, w in enumerate(cofinal, start=1):
             if w is None:
-                img = f.image_relation(j)
-                missing = sorted(
-                    (f.target.full_relation(f.target.depth) - img),
-                    key=lambda ab: (f.target.index(ab[0]), f.target.index(ab[1])),
+                img = images[j - 1]
+                missing = next(
+                    ([a, b] for a in target.points
+                     for b in target.sort_points(target.closed(target.depth, a))
+                     if b not in img[a]),
+                    None,
                 )
                 counterexample = {
                     "kind": "image_not_entourage",
                     "source_scale": j,
-                    "missing_pair": list(missing[0]) if missing else None,
+                    "missing_pair": missing,
                 }
                 break
     passed = counterexample is None
-    return GenerationResult(passed, continuity, tuple(cofinal), counterexample)
+    return GenerationResult(passed, continuity, cofinal, counterexample)
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ class ChainLiftingResult:
 
 def _lift_reach(f: FilteredMap, e: int, x) -> set:
     """Where a step from f(x) lifts to a scale-e step: f of x's closed neighbourhood."""
-    return {f(x), *map(f, f.source.neighbors(e, x))}
+    return set(map(f, f.source.closed(e, x)))
 
 
 def _one_step_lifts(f: FilteredMap, e: int, k: int):
@@ -389,9 +384,7 @@ def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     lifting = None
     if hypothesis:
         singleton = all(
-            set(q(x)) == {x}.union(
-                y for y in f.source.neighbors(k, x) if f(y) == f(x)
-            )
+            set(q(x)) == {y for y in f.source.closed(k, x) if f(y) == f(x)}
             for x in f.source.points
         )
         lifting = check_chain_lifting(q)
@@ -440,10 +433,9 @@ def factor_and_verify(f: FilteredMap, e: int) -> FactorizationReport:
                                    "no_admissible_scale")
     quotient = build_fiber_quotient(f, chosen)
     bounded = all(
-        f.source.related(chosen, a, b)
+        f.source.closed(chosen, a).issuperset(block)
         for block in quotient.blocks.blocks
         for a in block
-        for b in block
     )
     g_gen = check_generates(quotient.g)
     g_lift = check_chain_lifting(quotient.g)

@@ -59,22 +59,17 @@ class Rips2Skeleton:
 def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
     """Edges are scale-k pairs, triangles the pairwise scale-k triples.
 
-    A triangle (a, b, c) of an edge (a, b) takes c from b's later neighbours
-    that are also a's; edges and neighbours come in point order, so the
-    triangles do too.
+    A triangle (a, b, c) of an edge (a, b) takes c from b's later neighbours,
+    kept when they lie in a's closed neighbourhood ``space.closed(k, a)``;
+    edges and neighbours come in point order, so the triangles do too.
     """
     space.check_scale(k)
     edges = tuple(space.sorted_pairs(k))
-    near = {}
     triangles = []
     for a, b in edges:
-        near_a = near.get(a)
-        if near_a is None:
-            near_a = near[a] = set(space.neighbors(k, a))
-        ib = space.index(b)
-        for c in space.neighbors(k, b):
-            if c in near_a and space.index(c) > ib:
-                triangles.append((a, b, c))
+        near_a, ib = space.closed(k, a), space.index(b)
+        triangles.extend((a, b, c) for c in space.neighbors(k, b)
+                         if c in near_a and space.index(c) > ib)
     return Rips2Skeleton(k, space.points, edges, tuple(triangles))
 
 
@@ -380,7 +375,7 @@ def reduce_chain(space: FilteredSpace, k: int, chain) -> Chain:
             else:
                 i += 1
         for i in range(1, len(seq) - 1):
-            if space.related(k, seq[i - 1], seq[i + 1]):
+            if seq[i + 1] in space.closed(k, seq[i - 1]):
                 del seq[i]
                 changed = True
                 break

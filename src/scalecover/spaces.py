@@ -5,6 +5,12 @@ symmetric reflexive relations E_1 >= E_2 >= ... >= E_m, each one recording
 "closeness at a scale".  Scale indices are 1-based and 1 is the coarsest
 scale, so a larger index always means a finer relation.  All values are
 immutable after construction and every operation here is a pure function.
+
+A space is indexed once, when it is built: for each scale k and point x it
+holds the closed neighbourhood E_k[x] as a frozenset and the neighbours of x
+in point order.  Relation questions are asked per point against that index,
+as in f(E[x]) <= F[f(x)]; anything whose first hit reaches a report walks the
+ordered neighbours, so set order never decides it.
 """
 
 from __future__ import annotations
@@ -74,15 +80,6 @@ class EndpointMismatch(SpaceError):
     pass
 
 
-def full_relation_of(points, pairs) -> frozenset:
-    """Normalized pairs as ordered pairs both ways, with the diagonal of points."""
-    full = {(p, p) for p in points}
-    for a, b in pairs:
-        full.add((a, b))
-        full.add((b, a))
-    return frozenset(full)
-
-
 @dataclass(frozen=True)
 class FilteredSpace:
     """Finite point set with a descending chain of entourages.
@@ -90,6 +87,12 @@ class FilteredSpace:
     ``scales[k-1]`` holds scale k as a frozenset of normalized non-diagonal
     pairs ``(a, b)`` with a before b in point order; the diagonal is implicit.
     ``hausdorff`` asserts that the finest scale is exactly the diagonal.
+
+    Construction indexes every scale by point: ``closed(k, x)`` is the closed
+    neighbourhood E_k[x] as a frozenset, for membership tests, and
+    ``neighbors(k, x)`` the points other than x in it, in point order, for
+    iteration whose order can reach a report.  ``related`` is one lookup in
+    the first; ``full_relation`` rebuilds the ordered pairs on every call.
     """
 
     points: tuple
@@ -99,17 +102,17 @@ class FilteredSpace:
     def __post_init__(self):
         index = {p: i for i, p in enumerate(self.points)}
         object.__setattr__(self, "_index", index)
-        adjacency = []
-        for pairs in self.scales:
+        closed, adjacency = {}, {}
+        for k, pairs in enumerate(self.scales, start=1):
             nbrs = {p: set() for p in self.points}
             for a, b in pairs:
                 nbrs[a].add(b)
                 nbrs[b].add(a)
-            adjacency.append(
-                {p: tuple(sorted(nbrs[p], key=index.__getitem__)) for p in self.points}
-            )
-        object.__setattr__(self, "_adjacency", tuple(adjacency))
-        object.__setattr__(self, "_full", {})
+            adjacency[k] = {p: tuple(sorted(ys, key=index.__getitem__))
+                            for p, ys in nbrs.items()}
+            closed[k] = {p: frozenset(ys | {p}) for p, ys in nbrs.items()}
+        object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     @property
     def depth(self) -> int:
@@ -133,28 +136,36 @@ class FilteredSpace:
             return None
         return (x, y) if i < j else (y, x)
 
+    def closed(self, k: int, x) -> frozenset:
+        """The closed scale-k neighbourhood of x, x included."""
+        try:
+            return self._closed[k][x]
+        except KeyError:
+            self.check_scale(k)
+            raise UnknownPoint(x) from None
+
     def related(self, k: int, x, y) -> bool:
-        self.check_scale(k)
-        p = self.pair(x, y)
-        return p is None or p in self.scales[k - 1]
+        if y in self.closed(k, x):
+            return True
+        self.index(y)
+        return False
 
     def neighbors(self, k: int, x) -> tuple:
         """Points other than x related to x at scale k, in point order."""
-        self.check_scale(k)
-        self.index(x)
-        return self._adjacency[k - 1][x]
+        try:
+            return self._adjacency[k][x]
+        except KeyError:
+            self.check_scale(k)
+            raise UnknownPoint(x) from None
 
     def scale_pairs(self, k: int) -> frozenset:
         self.check_scale(k)
         return self.scales[k - 1]
 
     def full_relation(self, k: int) -> frozenset:
-        """Scale k as a set of ordered pairs, diagonal included."""
-        self.check_scale(k)
-        cached = self._full.get(k)
-        if cached is None:
-            cached = self._full[k] = full_relation_of(self.points, self.scales[k - 1])
-        return cached
+        """Scale k as a set of ordered pairs, diagonal included; not cached."""
+        near = self._closed[self.check_scale(k)]
+        return frozenset((x, y) for x in self.points for y in near[x])
 
     def sorted_pairs(self, k: int) -> list:
         key = self._index.__getitem__
@@ -200,10 +211,6 @@ class Partition:
                     raise SpaceError(f"point {p!r} occurs in two blocks")
                 lookup[p] = block
         object.__setattr__(self, "_lookup", lookup)
-
-    @property
-    def carrier(self) -> frozenset:
-        return frozenset(self._lookup)
 
     def block_of(self, point) -> tuple:
         try:
@@ -337,7 +344,7 @@ def quotient_by_partition(space: FilteredSpace, blocks: Partition) -> FilteredSp
     scales = []
     for j in range(1, space.depth + 1):
         pairs = set()
-        for a, b in space.full_relation(j):
+        for a, b in space.scales[j - 1]:
             ba, bb = blocks.block_of(a), blocks.block_of(b)
             ia, ib = index[ba], index[bb]
             if ia != ib:
@@ -354,7 +361,7 @@ def is_chain(space: FilteredSpace, k: int, seq: Sequence) -> bool:
         raise SpaceError("chain must be nonempty")
     for p in seq:
         space.index(p)
-    return all(space.related(k, a, b) for a, b in zip(seq, seq[1:]))
+    return all(b in space.closed(k, a) for a, b in zip(seq, seq[1:]))
 
 
 def chain(space: FilteredSpace, k: int, seq: Sequence) -> Chain:

@@ -131,15 +131,15 @@ def assemble_limit_space(tower: SpaceTower,
         current = {
             (t, s)
             for t in threads
-            for p in (t[i - 1],) + sp.neighbors(j, t[i - 1])
+            for p in sp.closed(j, t[i - 1])
             for s in over[p]
             if tindex[s] > tindex[t]
         }
     scales = []
     schedule = []
     for i, j in agenda:
-        related = tower.spaces[i - 1].full_relation(j)
-        current = {(t, s) for t, s in current if (t[i - 1], s[i - 1]) in related}
+        closed = tower.spaces[i - 1].closed
+        current = {(t, s) for t, s in current if s[i - 1] in closed(j, t[i - 1])}
         normalized = frozenset(current)
         if scales and scales[-1] == normalized:
             schedule[-1].append((i, j))
@@ -370,12 +370,7 @@ def telescoping_solve(tab: TowerAb, gs, mode: str) -> TelescopeResult:
         h[0] = reduce_element(tab.groups[0], [0] * group_dim(tab.groups[0]))
         for i in range(n - 1):
             target = [a - b for a, b in zip(h[i], gs[i])]
-            mat = [list(row) for row in tab.matrices[i]]
-            rows = len(mat)
-            for b, d in enumerate(group_relations(tab.groups[i])):
-                if d:
-                    for r in range(rows):
-                        mat[r].append(d if r == b else 0)
+            mat = ila.with_relation_columns(tab.matrices[i], group_relations(tab.groups[i]))
             sol = ila.solve_integer(mat, target)
             if sol is None:
                 return TelescopeResult("forward", False, None, i + 1, False)
@@ -422,19 +417,6 @@ class Lim1Verdict:
         return not self.trivial
 
 
-def _image_lattice_form(matrix, relations):
-    cols = ila.shape(matrix)[1]
-    aug = [list(row) for row in matrix]
-    rows = len(aug)
-    for b, d in enumerate(relations):
-        if d:
-            for r in range(rows):
-                aug[r].append(d if r == b else 0)
-    if not aug or (cols == 0 and all(d == 0 for d in relations)):
-        return ila.column_lattice_form([[0] for _ in range(rows)]) if rows else []
-    return ila.column_lattice_form(aug)
-
-
 def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
     """Certified lim1 triviality, or an honest Undetermined.
 
@@ -470,10 +452,10 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
     g = tab.groups[-1]
     relations = group_relations(g)
     power = ila.eye(rows)
-    previous = _image_lattice_form(power, relations)
+    previous = ila.column_lattice_form(ila.with_relation_columns(power, relations))
     for t in range(1, pattern_horizon + 1):
         power = ila.matmul([list(r) for r in last], power)
-        form = _image_lattice_form(power, relations)
+        form = ila.column_lattice_form(ila.with_relation_columns(power, relations))
         if form == previous:
             return Lim1Verdict(True, "mittag_leffler", None,
                                {"stabilized_at_power": t})

@@ -224,6 +224,26 @@ class TestAnalyze:
         assert code == 3
         assert "error" in report["results"]
 
+    # --radii and CSV cells share one number reader
+    @pytest.mark.parametrize("csv,radii", [
+        ("0,1,2\n1,0,1\n2,1,0\n", "1.e999,1.5"),
+        ("0,1e999\n1e999,0\n", "2,1"),
+    ], ids=["infinite_radius", "infinite_csv_cell"])
+    def test_non_finite_number_is_input_error(self, capsys, tmp_path, csv, radii):
+        path = tmp_path / "m.csv"
+        path.write_text(csv)
+        code, report = run(capsys, "analyze", str(path), "--radii", radii)
+        assert code == 3
+        assert report["results"]["error"].startswith("ParseError: ")
+        assert "is not finite" in report["results"]["error"]
+
+    def test_exponent_radius_reads_like_csv_cell(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,2\n1,0,2e0\n2,2e0,0\n")
+        code, report = run(capsys, "analyze", str(path), "--radii", "2e0,1")
+        assert code == 0
+        assert [row["radius"] for row in report["results"]["per_scale"]] == [2.0, 1]
+
 
 class TestCover:
     def test_cover_command(self, capsys, c6_csv_file, tmp_path):

@@ -13,6 +13,7 @@ from scalecover.intlinalg import (
     smith_normal_form,
     solve_integer,
     unimodular_inverse,
+    with_relation_columns,
 )
 
 
@@ -107,3 +108,20 @@ def test_column_lattice_form_canonical():
             for i in range(n):
                 b[i][0] += 3 * b[i][1]
         assert column_lattice_form(a) == column_lattice_form(b)
+
+
+def test_relation_columns_span_image_plus_relations():
+    rng = random.Random(41)
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(0, 3)
+        a = random_matrix(rng, m, n)
+        relations = [rng.choice([0, 0, 2, 3, 6]) for _ in range(m)]
+        before = [list(row) for row in a]
+        out = with_relation_columns(a, relations)
+        assert a == before
+        assert [row[:n] for row in out] == a
+        assert all(len(row) == n + sum(1 for d in relations if d) for row in out)
+        # the same lattice as appending the whole diagonal, zero columns included
+        full = [row + [relations[j] if i == j else 0 for j in range(m)]
+                for i, row in enumerate(a)]
+        assert column_lattice_form(out) == column_lattice_form(full)

@@ -23,6 +23,7 @@ from scalecover.covers import (
     bonding_h1_map,
     build_cover,
     critical_scales,
+    fhat,
     verify_endpoint_ucm,
 )
 from scalecover import actions
@@ -37,6 +38,7 @@ from scalecover.quotients import (
     build_fiber_quotient,
     check_approx_uniqueness,
     check_chain_lifting,
+    check_generates,
     counterexample_holds,
 )
 from scalecover.rips import (
@@ -840,6 +842,85 @@ def test_pullback_witnesses_match_all_pairs_definition(f):
         for e in range(1, src.depth + 1)
     )
     assert f.pullback_witnesses == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_map())
+@example(CONSTANT_ON_PATH)
+def test_generation_matches_all_pairs_definition(f):
+    src, tgt = f.source, f.target
+    images = [frozenset((f(a), f(b)) for a, b in src.full_relation(j))
+              for j in range(1, src.depth + 1)]
+    continuity = tuple(
+        next((j for j, img in enumerate(images, start=1) if img <= tgt.full_relation(k)),
+             None)
+        for k in range(1, tgt.depth + 1)
+    )
+    cofinal = tuple(
+        next((k for k in range(1, tgt.depth + 1) if tgt.full_relation(k) <= img), None)
+        for img in images
+    )
+    counterexample = None
+    if None in continuity:
+        counterexample = {"kind": "no_continuity_witness",
+                          "target_scale": continuity.index(None) + 1}
+    elif None in cofinal:
+        j = cofinal.index(None) + 1
+        missing = sorted(tgt.full_relation(tgt.depth) - images[j - 1],
+                         key=lambda ab: (tgt.index(ab[0]), tgt.index(ab[1])))
+        counterexample = {"kind": "image_not_entourage", "source_scale": j,
+                          "missing_pair": list(missing[0])}
+    result = check_generates(f)
+    assert (result.continuity, result.image_cofinal) == (continuity, cofinal)
+    assert result.counterexample == counterexample
+    assert result.passed == (counterexample is None)
+
+
+def assert_endpoint_ucm_matches_all_pairs_loops(space, k, base):
+    """Lifting witnesses and transversality against the loops they replaced:
+    every vertex pair for equal endpoints and words, fhat rebuilt per use."""
+    cover = build_cover(space, k, base, len(space.points) + 2)
+    report = verify_endpoint_ucm(space, k, cover)
+    if cover.identification_incomplete or not cover.complete:
+        assert report.verdict == "Inconclusive"
+        return cover, report
+    witnesses = []
+    for j in range(k, space.depth + 1):
+        good = True
+        for u in range(cover.num_vertices):
+            for y in space.neighbors(j, cover.endpoints[u]):
+                v = cover.edges[u].get(y)
+                if v is None or (v != u and (min(u, v), max(u, v)) not in fhat(cover, j)):
+                    good = False
+        witnesses.append(j if good else None)
+    transverse = k
+    for u, v in fhat(cover, k):
+        if cover.endpoints[u] == cover.endpoints[v] and u != v:
+            transverse = None
+    for u in range(cover.num_vertices):
+        for v in range(u + 1, cover.num_vertices):
+            if (cover.endpoints[u], cover.words[u]) == (cover.endpoints[v], cover.words[v]):
+                transverse = None
+    assert report.lifting_witnesses == tuple(witnesses)
+    assert report.chain_lifting == (None not in witnesses)
+    assert report.transverse_scale == transverse
+    ucm = report.generates and report.chain_lifting and transverse is not None
+    assert report.verdict == ("UCM" if ucm else "NotUCM")
+    return cover, report
+
+
+@settings(max_examples=60, deadline=None)
+@given(filtered_space(), st.data())
+def test_endpoint_ucm_matches_all_pairs_loops(space, data):
+    k = data.draw(st.integers(min_value=1, max_value=space.depth))
+    assert_endpoint_ucm_matches_all_pairs_loops(space, k, data.draw(st.sampled_from(space.points)))
+
+
+def test_rp2_endpoint_ucm_matches_all_pairs_loops(rp2_space):
+    # two vertices over every point: the double cover
+    cover, report = assert_endpoint_ucm_matches_all_pairs_loops(
+        rp2_space, 1, rp2_space.points[0])
+    assert (cover.num_vertices, report.verdict) == (2 * len(rp2_space.points), "UCM")
 
 
 def part_b_by_all_pairs(space, quotients):
