@@ -16,6 +16,7 @@ from .spaces import (
     FilteredSpace,
     Partition,
     SpaceError,
+    breadth_first,
     quotient_by_partition,
 )
 from .towers import SpaceTower, assemble_limit_space, telescoping_backward_group
@@ -76,22 +77,17 @@ class ActionSpec:
 
 
 def _closure(gens, n: int, bound: int) -> tuple:
-    """Sorted elements of the group the permutations gens generate on n points."""
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in gens:
-            for h in frontier:
-                prod = _compose(g, h)
-                if prod not in elements:
-                    elements.add(prod)
-                    nxt.append(prod)
-                    if len(elements) > bound:
-                        raise GroupTooLarge(f"closure exceeded {bound} elements")
-        frontier = nxt
-    return tuple(sorted(elements))
+    """Sorted elements of the group the permutations gens generate on n points.
+
+    A breadth-first search from the identity; GroupTooLarge as soon as it
+    has found more than bound elements.
+    """
+    found = {}
+    for _ in breadth_first((tuple(range(n)),),
+                           lambda h: [_compose(g, h) for g in gens], found):
+        if len(found) > bound:
+            raise GroupTooLarge(f"closure exceeded {bound} elements")
+    return tuple(sorted(found))
 
 
 def close_group(space: FilteredSpace, generators,

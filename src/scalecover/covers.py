@@ -31,7 +31,6 @@ from .spaces import (
     EndpointMismatch,
     FilteredSpace,
     SpaceError,
-    chain_components,
     is_chain,
     subspace,
 )
@@ -117,6 +116,9 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
 
     With allow_create False the slot is left unexplored when the extension
     does not identify with a known class; returns whether a class was created.
+
+    The vertex in edges[vid][y] ends at y, a neighbour of endpoints[vid] and
+    never that point itself, so no fhat edge joins two lifts of one point.
     """
     candidate = reduce_chain(
         cover.space, cover.scale, cover.reps[vid] + (y,)
@@ -213,8 +215,7 @@ def cover_space(cover: PartialCover) -> FilteredSpace:
 
 def cover_target_space(cover: PartialCover) -> FilteredSpace:
     """The basepoint's component carrying the scales from k on."""
-    component = chain_components(cover.space, cover.scale).block_of(cover.basepoint)
-    sub = subspace(cover.space, component)
+    sub = subspace(cover.space, cover.presentation.component)
     scales = sub.scales[cover.scale - 1 :]
     return FilteredSpace(sub.points, scales, hausdorff=not scales[-1])
 
@@ -242,15 +243,18 @@ def verify_endpoint_ucm(space: FilteredSpace, k: int, cover: PartialCover) -> Uc
     """Check generation, one-step lifting and transversality for the cover.
 
     Only complete, fully identified covers admit a verdict; anything else is
-    Inconclusive with the exhausted budget named.
+    Inconclusive with the exhausted budget named.  ``space`` and ``k`` must
+    be the cover's own.
     """
+    if space != cover.space or k != cover.scale:
+        raise SpaceError(f"expected the cover's own space and scale {cover.scale}")
     if cover.identification_incomplete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "identification budget exhausted; classes undetermined")
     if not cover.complete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "radius budget exhausted before completion")
-    component = set(chain_components(space, k).block_of(cover.basepoint))
+    component = set(cover.presentation.component)
     rels = {j: fhat(cover, j) for j in range(k, space.depth + 1)}
     failures = []
     for j, rel in rels.items():
@@ -276,11 +280,10 @@ def verify_endpoint_ucm(space: FilteredSpace, k: int, cover: PartialCover) -> Uc
                    for u, v in steps)
         witnesses.append(j if good else None)
     lifting_ok = None not in witnesses
-    # transverse: no scale-k edge joins two lifts of one point, and no two
-    # vertices share an endpoint and a word
-    same_end = any(cover.endpoints[u] == cover.endpoints[v] for u, v in rels[k])
+    # transverse: no two vertices share an endpoint and a word; no scale-k
+    # edge joins two lifts of one point, by the slot invariant of _resolve_slot
     repeated = len(set(zip(cover.endpoints, cover.words))) < cover.num_vertices
-    transverse = None if same_end or repeated else k
+    transverse = None if repeated else k
     generates = not failures
     verdict = "UCM" if generates and lifting_ok and transverse is not None else "NotUCM"
     return UcmReport(generates, tuple(failures), lifting_ok, tuple(witnesses),

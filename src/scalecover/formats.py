@@ -7,8 +7,9 @@ equal ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``;
 floats are written as ``json.dumps`` writes them.  JSON input may not hold
 the non-finite constants NaN, Infinity or -Infinity, which are not JSON.
 Distance matrices come in as headerless CSV; its cells and the CLI's
-``--radii`` go through one number reader, ``parse_number``, which refuses
-non-finite values.  Parse errors carry the position that failed.
+``--radii`` go through one number reader, ``parse_number``, which accepts
+ASCII decimal numbers only and refuses non-finite values.  Parse errors
+carry the position that failed.
 """
 
 from __future__ import annotations
@@ -224,9 +225,18 @@ def space_from_spec(spec: dict) -> FilteredSpace:
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
 
+# On these characters alone int() and float() read exactly the ASCII decimal
+# grammar: one optional sign, digits with an optional fraction and exponent,
+# spaces and tabs around.  Underscores, other scripts' digits and other
+# whitespace, which they also accept, are refused before they are called.
+_NUMBER_CHARS = frozenset("0123456789+-.eE \t")
+
+
 def parse_number(text: str, position=None):
     """A finite number: a float when the text holds a '.' or an exponent, else an int."""
     try:
+        if not _NUMBER_CHARS.issuperset(text):
+            raise ValueError(text)
         value = float(text) if "." in text or "e" in text.lower() else int(text)
     except ValueError:
         raise ParseError(f"bad number {text!r}", position) from None
@@ -297,14 +307,13 @@ def action_to_spec(action: ActionSpec) -> dict:
     }
 
 
-def action_from_spec(spec: dict, bound: int = None) -> ActionSpec:
+def action_from_spec(spec: dict) -> ActionSpec:
     if _expect(spec, dict, "an action spec").get("kind") not in (None, "action"):
         raise ParseError(f"expected an action spec, got kind {spec.get('kind')!r}")
     space = space_from_spec(spec["space"])
-    kwargs = {} if bound is None else {"bound": bound}
     generators = [[_as_point(p) for p in _expect(g, list, "a generator")]
                   for g in _expect(spec["generators"], list, "generators")]
-    return close_group(space, generators, **kwargs)
+    return close_group(space, generators)
 
 
 def space_tower_to_spec(tower: SpaceTower) -> dict:

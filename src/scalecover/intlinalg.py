@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of Python ints, so every computation is exact at
 arbitrary precision.  Pivots are chosen by minimal absolute value to limit
-coefficient growth.
+coefficient growth.  Solves and unimodular inverses are read off one Smith
+form S = U a V: a x = b is S y = U b with x = V y, and a unimodular a has
+S = I, so its inverse is V U.
 """
 
 from __future__ import annotations
@@ -146,32 +148,6 @@ def smith_normal_form(a):
     return u, s, v
 
 
-class SmithSolver:
-    """Reusable exact solver for a fixed coefficient matrix."""
-
-    def __init__(self, a):
-        self.shape = shape(a)
-        self.u, self.s, self.v = smith_normal_form(a)
-        self.diag = diagonal_of(self.s)
-        self.rank = sum(1 for d in self.diag if d)
-
-    def solve(self, b):
-        m, n = self.shape
-        if len(b) != m:
-            raise ValueError("right-hand side length mismatch")
-        c = matvec(self.u, b)
-        y = [0] * n
-        for i in range(m):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-            elif c[i]:
-                return None
-        return matvec(self.v, y)
-
-
 def diagonal_of(s):
     m, n = shape(s)
     return [s[i][i] for i in range(min(m, n))]
@@ -184,24 +160,40 @@ def invariant_factors(a):
 
 
 def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None when none exists."""
-    return SmithSolver(a).solve(b)
+    """One integer solution x of a @ x = b, or None when none exists.
+
+    With S = U a V in Smith form, a x = b exactly when S y = U b for
+    y = V^-1 x, and S y = U b is solved entry by entry.
+    """
+    m, n = shape(a)
+    if len(b) != m:
+        raise ValueError("right-hand side length mismatch")
+    u, s, v = smith_normal_form(a)
+    y = [0] * n
+    for i, c in enumerate(matvec(u, b)):
+        d = s[i][i] if i < n else 0
+        if d:
+            if c % d:
+                return None
+            y[i] = c // d
+        elif c:
+            return None
+    return matvec(v, y)
 
 
 def unimodular_inverse(u):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    The Smith form S = U u V of a unimodular u is the identity, so
+    u^-1 = V U; any other diagonal raises ValueError.
+    """
     m, n = shape(u)
     if m != n:
         raise ValueError("not square")
-    solver = SmithSolver(u)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solver.solve(e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    left, s, right = smith_normal_form(u)
+    if any(d != 1 for d in diagonal_of(s)):
+        raise ValueError("matrix is not unimodular")
+    return matmul(right, left)
 
 
 def hermite_row_form(a):

@@ -4,6 +4,9 @@ Every verifier here is verdict-valued: it returns a result object carrying
 per-scale witnesses on success and a replayable counterexample on failure.
 The two quantifier eliminations that make the checks finite are one-step
 induction for chain lifting and a pair fixpoint for approximate uniqueness.
+The fixpoint is a multi-source ``spaces.breadth_first`` search over pairs of
+source points, started from the whole diagonal; fiber components are a
+search over the scale-k steps whose ends have equal images.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from .spaces import (
     Partition,
     SpaceError,
     UnknownPoint,
-    chain_components,
+    breadth_first,
     is_chain,
     quotient_by_partition,
-    subspace,
 )
 
 
@@ -234,40 +236,31 @@ class ApproxUniquenessResult:
 def _uniqueness_condition(f: FilteredMap, e: int, j: int, strong: bool):
     """Pair fixpoint deciding whether scale-j chains with equal images stay close.
 
-    Starting from the diagonal, a close pair (a, b) steps to (a', b') when
-    both components move one scale-j step and the images agree.  Closeness is
-    judged at scale j (strong) or scale e (plain).  Returns None on success
-    or a counterexample pair of chains built from the BFS parents.
+    A multi-source breadth-first search from the whole diagonal: a pair
+    (a, b) steps to (a', b') when both components move one scale-j step and
+    the images agree.  Closeness is judged at scale j (strong) or scale e
+    (plain).  Returns None on success, or the first non-close pair found as
+    two chains read back through the search's parents.
     """
     close_scale = j if strong else e
-    parents = {}
-    queue = []
-    for p in f.source.points:
-        parents[(p, p)] = None
-        queue.append((p, p))
-    pos = 0
-    while pos < len(queue):
-        a, b = queue[pos]
-        pos += 1
-        for a2 in (a,) + f.source.neighbors(j, a):
-            for b2 in (b,) + f.source.neighbors(j, b):
-                if f(a2) != f(b2):
-                    continue
-                key = (a2, b2)
-                if key in parents:
-                    continue
-                parents[key] = (a, b)
-                if not f.source.related(close_scale, a2, b2):
-                    left, right = [a2], [b2]
-                    cur = (a, b)
-                    while cur is not None:
-                        left.append(cur[0])
-                        right.append(cur[1])
-                        cur = parents[cur]
-                    left.reverse()
-                    right.reverse()
-                    return (left, right)
-                queue.append(key)
+    source = f.source
+
+    def steps(pair):
+        a, b = pair
+        ends = [(b2, f(b2)) for b2 in (b,) + source.neighbors(j, b)]
+        return [(a2, b2) for a2 in (a,) + source.neighbors(j, a)
+                for b2, fb2 in ends if f(a2) == fb2]
+
+    parent = {}
+    for a, b in breadth_first(((p, p) for p in source.points), steps, parent):
+        if a != b and not source.related(close_scale, a, b):
+            left, right = [], []
+            cur = (a, b)
+            while cur is not None:
+                left.append(cur[0])
+                right.append(cur[1])
+                cur = parent[cur]
+            return left[::-1], right[::-1]
     return None
 
 
@@ -337,17 +330,16 @@ def strong_condition_at(f: FilteredMap, j: int) -> bool:
 
 def fiber_e_components(f: FilteredMap, k: int) -> Partition:
     """Scale-k components within each fiber of f; refines the fiber partition."""
-    f.source.check_scale(k)
-    blocks = []
-    for y in f.target.points:
-        fiber = [x for x in f.source.points if f(x) == y]
-        if not fiber:
-            continue
-        sub = subspace(f.source, fiber)
-        blocks.extend(chain_components(sub, k).blocks)
-    order = {p: i for i, p in enumerate(f.source.points)}
-    blocks.sort(key=lambda b: order[b[0]])
-    return Partition(tuple(blocks))
+    source = f.source
+    source.check_scale(k)
+
+    def fiber_steps(x):
+        fx = f(x)
+        return [y for y in source.neighbors(k, x) if f(y) == fx]
+
+    parent = {}
+    return Partition(tuple(source.sort_points(breadth_first((x,), fiber_steps, parent))
+                           for x in source.points if x not in parent))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .spaces import (
     FilteredSpace,
     ScaleMismatch,
     SpaceError,
+    breadth_first,
     is_chain,
 )
 
@@ -170,22 +171,10 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     else:
         space.index(basepoint)
         roots = (basepoint,)
-    tree = set()
     parent = {}
-    for root in roots:
-        if root in parent:
-            continue
-        parent[root] = None
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in space.neighbors(k, p):
-                    if q not in parent:
-                        parent[q] = p
-                        tree.add(space.pair(p, q))
-                        nxt.append(q)
-            frontier = nxt
+    reached = [q for root in roots if root not in parent
+               for q in breadth_first((root,), lambda p: space.neighbors(k, p), parent)]
+    tree = {space.pair(parent[q], q) for q in reached if parent[q] is not None}
     generators = tuple(
         e for e in space.sorted_pairs(k) if e[0] in parent and e not in tree
     )

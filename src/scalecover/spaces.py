@@ -11,6 +11,13 @@ holds the closed neighbourhood E_k[x] as a frozenset and the neighbours of x
 in point order.  Relation questions are asked per point against that index,
 as in f(E[x]) <= F[f(x)]; anything whose first hit reaches a report walks the
 ordered neighbours, so set order never decides it.
+
+Every chain search in the package runs on one engine, ``breadth_first``:
+chain components and spanning forests grow one tree per call over a shared
+parent dict, fiber components search only the steps whose ends have equal
+images, the approximate-uniqueness fixpoint searches pairs of points from the
+whole diagonal at once, and group closure searches permutations from the
+identity.
 """
 
 from __future__ import annotations
@@ -371,31 +378,39 @@ def chain(space: FilteredSpace, k: int, seq: Sequence) -> Chain:
     return Chain(k, tuple(seq))
 
 
+def breadth_first(sources, successors, parent: dict):
+    """Yield the nodes reachable from sources in breadth-first discovery order.
+
+    Each node is yielded as it is discovered, after ``parent`` records its
+    discoverer (None for a source).  A node already in ``parent`` is neither
+    yielded nor explored again, so calls sharing one dict grow a forest tree
+    by tree, and one call with many sources is a multi-source search.  The
+    consumer may stop early.  ``successors(node)`` returns a tuple or a list.
+    """
+    queue = []
+    for node in sources:
+        if node not in parent:
+            parent[node] = None
+            queue.append(node)
+            yield node
+    for node in queue:  # the queue grows while it is read
+        for nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+                yield nxt
+
+
 def chain_components(space: FilteredSpace, k: int) -> Partition:
     """Connected components of the scale-k closeness graph.
 
     The space is chain connected at scale k exactly when there is one block.
     """
     space.check_scale(k)
-    seen = set()
-    blocks = []
-    for start in space.points:
-        if start in seen:
-            continue
-        block = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in space.neighbors(k, p):
-                    if q not in seen:
-                        seen.add(q)
-                        block.append(q)
-                        nxt.append(q)
-            frontier = nxt
-        blocks.append(space.sort_points(block))
-    return Partition(tuple(blocks))
+    parent = {}
+    return Partition(tuple(
+        space.sort_points(breadth_first((p,), space._adjacency[k].__getitem__, parent))
+        for p in space.points if p not in parent))
 
 
 def concat_chains(c: Chain, d: Chain) -> Chain:

@@ -237,6 +237,20 @@ class TestAnalyze:
         assert report["results"]["error"].startswith("ParseError: ")
         assert "is not finite" in report["results"]["error"]
 
+    # ASCII digits only: no digit-group underscores, no other scripts' digits
+    @pytest.mark.parametrize("csv,radii", [
+        ("0,1_0\n1_0,0\n", "2,1"),
+        ("0,\u0661\n\u0661,0\n", "2,1"),
+        ("0,1\n1,0\n", "2_0,1"),
+    ], ids=["underscore_csv_cell", "arabic_indic_csv_cell", "underscore_radius"])
+    def test_non_ascii_decimal_is_input_error(self, capsys, tmp_path, csv, radii):
+        path = tmp_path / "m.csv"
+        path.write_text(csv, encoding="utf-8")
+        code, report = run(capsys, "analyze", str(path), "--radii", radii)
+        assert code == 3
+        assert report["results"]["error"].startswith("ParseError: ")
+        assert "bad number" in report["results"]["error"]
+
     def test_exponent_radius_reads_like_csv_cell(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,2\n1,0,2e0\n2,2e0,0\n")

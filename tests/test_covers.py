@@ -16,7 +16,7 @@ from scalecover.covers import (
 )
 from scalecover.quotients import verify_gucm
 from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import Chain, from_metric
+from scalecover.spaces import Chain, SpaceError, from_metric
 
 
 class TestBuildCover:
@@ -84,6 +84,12 @@ class TestUcm:
     def test_line_space_ucm(self, fix_l4):
         cover = build_cover(fix_l4, 1, 0, 4)
         assert verify_endpoint_ucm(fix_l4, 1, cover).verdict == "UCM"
+
+    def test_space_and_scale_must_be_the_covers(self, fix_c6, fix_l4):
+        cover = build_cover(fix_c6, 1, 0, 6)
+        for space, k in ((fix_c6, 2), (fix_l4, 1)):
+            with pytest.raises(SpaceError):
+                verify_endpoint_ucm(space, k, cover)
 
     def test_incomplete_is_inconclusive(self, fix_c6):
         cover = build_cover(fix_c6, 2, 0, 2)

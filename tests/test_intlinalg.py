@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -83,6 +84,9 @@ def test_unimodular_inverse():
         u, _, _ = smith_normal_form(a)
         inv = unimodular_inverse(u)
         assert matmul(u, inv) == eye(n)
+    for a in ([[2]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(a)
 
 
 def test_hermite_lattice_equality():

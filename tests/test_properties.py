@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 from unittest import mock
 
 import networkx as nx
@@ -40,6 +41,8 @@ from scalecover.quotients import (
     check_chain_lifting,
     check_generates,
     counterexample_holds,
+    fiber_e_components,
+    _uniqueness_condition,
 )
 from scalecover.rips import (
     AbelianGroupInv,
@@ -48,7 +51,14 @@ from scalecover.rips import (
     h1_class,
     reduce_chain,
 )
-from scalecover.spaces import FilteredSpace, chain_components, from_metric, is_chain
+from scalecover.spaces import (
+    FilteredSpace,
+    Partition,
+    chain_components,
+    from_metric,
+    is_chain,
+    subspace,
+)
 from scalecover.towers import ProductTooLarge, SpaceTower, assemble_limit_space
 
 
@@ -1093,3 +1103,197 @@ def test_to_jsonable_matches_reference(value):
     assert repr(formats.to_jsonable(value)) == repr(expected)
     assert formats.canonical_dumps(value) == (
         json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# chain searches on spaces.breadth_first against the loops they replaced
+
+
+def _old_chain_components(space, k):
+    seen = set()
+    blocks = []
+    for start in space.points:
+        if start in seen:
+            continue
+        block = [start]
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in space.neighbors(k, p):
+                    if q not in seen:
+                        seen.add(q)
+                        block.append(q)
+                        nxt.append(q)
+            frontier = nxt
+        blocks.append(space.sort_points(block))
+    return Partition(tuple(blocks))
+
+
+def _old_fiber_e_components(f, k):
+    blocks = []
+    for y in f.target.points:
+        fiber = [x for x in f.source.points if f(x) == y]
+        if fiber:
+            blocks.extend(_old_chain_components(subspace(f.source, fiber), k).blocks)
+    order = {p: i for i, p in enumerate(f.source.points)}
+    blocks.sort(key=lambda b: order[b[0]])
+    return Partition(tuple(blocks))
+
+
+def _old_presentation(space, k, basepoint):
+    roots = space.points if basepoint is None else (basepoint,)
+    tree = set()
+    parent = {}
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in space.neighbors(k, p):
+                    if q not in parent:
+                        parent[q] = p
+                        tree.add(space.pair(p, q))
+                        nxt.append(q)
+            frontier = nxt
+    generators = tuple(e for e in space.sorted_pairs(k) if e[0] in parent and e not in tree)
+    pres = rips.GroupPresentation(
+        space, k, basepoint, space.sort_points(parent),
+        tuple(sorted(tree, key=lambda e: (space.index(e[0]), space.index(e[1])))),
+        generators, (), parent,
+    )
+    relators = []
+    for a, b, c in rips.rips_2_skeleton(space, k).triangles:
+        if a in parent:
+            word = [pres.edge_letter(u, v) for u, v in ((a, b), (b, c), (c, a))]
+            relators.append(rips.free_reduce([x for x in word if x is not None]))
+    return dataclasses.replace(pres, relators=tuple(relators))
+
+
+def _old_uniqueness_condition(f, e, j, strong):
+    close_scale = j if strong else e
+    parents = {}
+    queue = []
+    for p in f.source.points:
+        parents[(p, p)] = None
+        queue.append((p, p))
+    pos = 0
+    while pos < len(queue):
+        a, b = queue[pos]
+        pos += 1
+        for a2 in (a,) + f.source.neighbors(j, a):
+            for b2 in (b,) + f.source.neighbors(j, b):
+                if f(a2) != f(b2):
+                    continue
+                key = (a2, b2)
+                if key in parents:
+                    continue
+                parents[key] = (a, b)
+                if not f.source.related(close_scale, a2, b2):
+                    left, right = [a2], [b2]
+                    cur = (a, b)
+                    while cur is not None:
+                        left.append(cur[0])
+                        right.append(cur[1])
+                        cur = parents[cur]
+                    left.reverse()
+                    right.reverse()
+                    return (left, right)
+                queue.append(key)
+    return None
+
+
+def _old_closure(gens, n, bound):
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in gens:
+            for h in frontier:
+                prod = actions._compose(g, h)
+                if prod not in elements:
+                    elements.add(prod)
+                    nxt.append(prod)
+                    if len(elements) > bound:
+                        raise actions.GroupTooLarge(f"closure exceeded {bound} elements")
+        frontier = nxt
+    return tuple(sorted(elements))
+
+
+def _presentation_fields(pres):
+    return (pres.component, pres.tree_edges, pres.generators, pres.relators,
+            list(pres.parent.items()))
+
+
+# On CONSTANT_ON_PATH the pair search from the whole diagonal reaches the
+# far pair (0, 2) in one step from (1, 1); a search seeded with (0, 0) alone
+# reaches it through (0, 1), so its counterexample chains differ.
+@settings(max_examples=150, deadline=None)
+@given(random_map())
+@example(CONSTANT_ON_PATH)
+def test_chain_searches_match_hand_written_loops(f):
+    """Components, fiber components, presentations (every basepoint and the
+    whole space, parents in discovery order) and the uniqueness fixpoint's
+    exact counterexample chains, for every scale pair and both modes."""
+    source = f.source
+    for k in range(1, source.depth + 1):
+        assert chain_components(source, k) == _old_chain_components(source, k)
+        assert fiber_e_components(f, k) == _old_fiber_e_components(f, k)
+        for base in (None,) + source.points:
+            assert _presentation_fields(rips.presentation_at_scale(source, k, base)) \
+                == _presentation_fields(_old_presentation(source, k, base))
+        for e in range(1, source.depth + 1):
+            for strong in (False, True):
+                assert _uniqueness_condition(f, e, k, strong) \
+                    == _old_uniqueness_condition(f, e, k, strong)
+
+
+def _closure_outcome(closure, gens, n, bound):
+    try:
+        return closure(gens, n, bound)
+    except actions.GroupTooLarge as exc:
+        return ("GroupTooLarge", str(exc))
+
+
+@st.composite
+def permutation_generators(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return n, draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_generators())
+def test_group_closure_matches_hand_written_loop(drawn):
+    """Elements, or GroupTooLarge, at bounds around the group order."""
+    n, gens = drawn
+    order = len(_old_closure(gens, n, math.factorial(n)))
+    for bound in range(max(1, order - 2), order + 2):
+        assert _closure_outcome(actions._closure, gens, n, bound) \
+            == _closure_outcome(_old_closure, gens, n, bound)
+
+
+# The ASCII decimal grammar, written out independently of parse_number.
+_ASCII_DECIMAL = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-.eE \t_\n١ ", max_size=8))
+@example("1_0")
+@example("١")
+@example(" -1.5e+3\t")
+@example("1e999")
+def test_parse_number_reads_the_ascii_decimal_grammar(text):
+    match = _ASCII_DECIMAL.fullmatch(text)
+    try:
+        value = formats.parse_number(text)
+    except formats.ParseError as exc:
+        assert match is None or "is not finite" in str(exc)
+        return
+    assert match is not None
+    assert type(value) is (float if "." in text or "e" in text.lower() else int)
+    assert value == float(text)
