@@ -4,7 +4,8 @@ Groups are materialized as explicit permutation lists (no stabilizer chains:
 desk-scale instances stay transparent enumerations).  A permutation is a
 tuple of point indices in the space's point order.  Every smallness property
 is decided by finite enumeration over scale pairs, elements and points, with
-replayable witnesses.
+replayable witnesses.  Each group's orbits are computed once, as one
+partition by ``_orbits``, and every orbit question reads that partition.
 """
 
 from __future__ import annotations
@@ -154,20 +155,23 @@ def saturate_invariant(action: ActionSpec, k: int) -> frozenset:
     return _saturate(action.space, action.elements, k)
 
 
-def _orbit(space, elements, point):
-    idx = space.index(point)
-    return space.sort_points({space.points[g[idx]] for g in elements})
+def _orbits(space: FilteredSpace, elements) -> Partition:
+    """The orbits of a group given by all its elements, each sorted, in order
+    of their first points."""
+    pts = space.points
+    seen = set()
+    orbits = []
+    for i in range(len(pts)):
+        if i not in seen:
+            orbit = sorted({g[i] for g in elements})
+            seen.update(orbit)
+            orbits.append(tuple(pts[j] for j in orbit))
+    return Partition(tuple(orbits))
 
 
 def _orbit_quotient(space: FilteredSpace, elements):
     """The orbits of a group of permutations, the orbit space and its projection."""
-    seen = set()
-    orbits = []
-    for p in space.points:
-        if p not in seen:
-            orbits.append(_orbit(space, elements, p))
-            seen.update(orbits[-1])
-    blocks = Partition(tuple(orbits))
+    blocks = _orbits(space, elements)
     qspace = quotient_by_partition(space, blocks)
     return blocks, qspace, FilteredMap.build(space, qspace, blocks.block_of)
 
@@ -207,7 +211,8 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     # The action need not be an isometry, so G.N_f[x] is not N_f[G.x].
     indices = range(len(pts))
     closed = {k: _closed_indices(space, space.scale_pairs(k)) for k in range(1, m + 1)}
-    orbits = [{g[i] for g in action.elements} for i in indices]
+    orbit_of = _orbits(space, action.elements).block_of
+    orbits = [set(map(space.index, orbit_of(p))) for p in pts]
     moved_nbhd = {
         k: [set().union(*(orbits[z] for z in closed[k][i])) for i in indices]
         for k in range(1, m + 1)
@@ -251,30 +256,19 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     }
 
     subgroups = {f: _subgroup_moving_within(action, closed[f]) for f in range(1, m + 1)}
+    sub_orbits = {f: _orbits(space, subgroups[f]).blocks for f in range(1, m + 1)}
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
-        found = None
-        last = None
+        # the coarsest f whose orbits are e-bounded, else the failure at the finest f
         for f in range(1, m + 1):
-            bad = None
-            for p in pts:
-                orb = _orbit(space, subgroups[f], p)
-                for a in orb:
-                    for b in orb:
-                        if not space.related(e, a, b):
-                            bad = {"scale_f": f, "orbit_of": p, "pair": [a, b]}
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
+            bad = next(({"scale_f": f, "orbit_of": orb[0], "pair": [a, b]}
+                        for orb in sub_orbits[f] for a in orb for b in orb
+                        if b not in space.closed(e, a)), None)
             if bad is None:
-                found = f
                 break
-            last = bad
-        ssbo["witnesses"][e] = found
-        if found is None:
-            ssbo["counterexamples"][e] = last
+        ssbo["witnesses"][e] = None if bad else f
+        if bad:
+            ssbo["counterexamples"][e] = bad
 
     # saturations and scales are compared as normalized pairs: adding the
     # diagonal and the mirrored pairs to both sides changes no inclusion
@@ -524,12 +518,18 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
         ),
     }
 
-    # (c) quotient of the limit vs limit of the quotients
+    # (c) quotient of the limit vs limit of the quotients.  A G-orbit is a
+    # union of stage orbits, so its image in a stage is a class of the
+    # induced full-group action there.
+    g_orbits = _orbits(space, action.elements)
+    classes = [
+        {o: q.space.sort_points({q.projection(x) for x in o}) for o in g_orbits.blocks}
+        for q in quotients
+    ]
+
     def stage_class(i, block):
         """Orbit of a stage-i block under the induced full-group action."""
-        q = quotients[i]
-        members = {q.projection(action.apply(g, block[0])) for g in action.elements}
-        return q.space.sort_points(members)
+        return classes[i][g_orbits.block_of(block[0])]
 
     def containing_block(i, finer_block):
         return quotients[i].projection(finer_block[0])
@@ -587,13 +587,7 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     limit_quotient_classes = {
         tuple(stage_class(i, st[i]) for i in range(n)) for st in space_threads
     }
-    orbit_count = len({
-        tuple(sorted(
-            tuple(quotients[i].projection(action.apply(g, x)) for i in range(n))
-            for g in action.elements
-        ))
-        for x in space.points
-    })
+    orbit_count = len({frozenset(space_thread[x] for x in o) for o in g_orbits.blocks})
     part_c = {
         "well_defined": well_defined,
         "bijective": limit_quotient_classes == a_threads

@@ -71,13 +71,6 @@ def default_budgets():
     }
 
 
-def _parse_point(text):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _load_space(path, radii):
     """The space of a CSV matrix or a JSON spec, and the --radii as numbers."""
     radii = [formats.parse_number(r, "--radii") for r in radii.split(",")] if radii else None
@@ -134,7 +127,7 @@ def run_cover(space, options, budgets):
         budgets["radius"],
         budgets["ident_budget"],
     )
-    report = verify_endpoint_ucm(space, options["scale"], cover)
+    report = verify_endpoint_ucm(cover)
     results = {
         "vertices": [list(r) for r in cover.reps],
         "endpoints": list(cover.endpoints),
@@ -267,7 +260,14 @@ def _live_space(args, budgets):
         budgets["ident_budget"] = budgets["coset_rows"]
     if args.ident_budget is not None:
         budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
-    return "cover", space, {"scale": args.scale, "basepoint": _parse_point(args.basepoint)}
+    # --basepoint 0 names the point 0, or the point "0" when 0 is not a point
+    try:
+        basepoint = int(args.basepoint)
+    except ValueError:
+        basepoint = args.basepoint
+    if basepoint not in space.points and args.basepoint in space.points:
+        basepoint = args.basepoint
+    return "cover", space, {"scale": args.scale, "basepoint": basepoint}
 
 
 def _live_map(args, budgets):

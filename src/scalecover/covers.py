@@ -239,15 +239,13 @@ class UcmReport:
     reason: str | None = None
 
 
-def verify_endpoint_ucm(space: FilteredSpace, k: int, cover: PartialCover) -> UcmReport:
+def verify_endpoint_ucm(cover: PartialCover) -> UcmReport:
     """Check generation, one-step lifting and transversality for the cover.
 
     Only complete, fully identified covers admit a verdict; anything else is
-    Inconclusive with the exhausted budget named.  ``space`` and ``k`` must
-    be the cover's own.
+    Inconclusive with the exhausted budget named.
     """
-    if space != cover.space or k != cover.scale:
-        raise SpaceError(f"expected the cover's own space and scale {cover.scale}")
+    space, k = cover.space, cover.scale
     if cover.identification_incomplete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "identification budget exhausted; classes undetermined")

@@ -269,7 +269,7 @@ def test_criterion_2_cover_correctness(fix_c6):
         assert cover.complete
         assert cover.num_vertices == len(trusted)
         assert set(map(tuple, cover.reps)) == {cls[0] for cls in trusted}
-        report = verify_endpoint_ucm(fix_c6, 1, cover)
+        report = verify_endpoint_ucm(cover)
         assert report.verdict == "UCM"
 
 

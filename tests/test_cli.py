@@ -280,6 +280,24 @@ class TestCover:
         assert report["results"]["num_vertices"] == 7
         assert report["results"]["ucm"]["verdict"] == "Inconclusive"
 
+    def test_basepoint_names_a_string_labelled_point(self, capsys, tmp_path):
+        matrix = [[min(abs(i - j), 6 - abs(i - j)) for j in range(6)] for i in range(6)]
+        path = tmp_path / "c6s.json"
+        path.write_text(json.dumps(
+            {"matrix": matrix, "radii": [2, 1], "names": [str(i) for i in range(6)]}))
+        code, report = run(capsys, "cover", str(path), "--scale", "1",
+                           "--basepoint", "0", "--radius", "6")
+        assert code == 0
+        assert report["replay"]["options"]["basepoint"] == "0"
+        assert report["results"]["endpoints"][0] == "0"
+        assert report["results"]["ucm"]["verdict"] == "UCM"
+
+    def test_int_basepoint_outside_the_space_stays_an_int(self, capsys, c6_csv_file):
+        code, report = run(capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "1",
+                           "--basepoint", "9", "--radius", "6")
+        assert code == 3
+        assert report["results"]["error"] == "UnknownPoint: unknown point 9"
+
 
 class TestMapCommand:
     def test_gucm_map(self, capsys, map_file):

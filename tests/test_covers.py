@@ -16,7 +16,7 @@ from scalecover.covers import (
 )
 from scalecover.quotients import verify_gucm
 from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import Chain, SpaceError, from_metric
+from scalecover.spaces import Chain, from_metric
 
 
 class TestBuildCover:
@@ -75,7 +75,7 @@ class TestEndpointMap:
 class TestUcm:
     def test_coarse_cover_is_ucm(self, fix_c6):
         cover = build_cover(fix_c6, 1, 0, 6)
-        report = verify_endpoint_ucm(fix_c6, 1, cover)
+        report = verify_endpoint_ucm(cover)
         assert report.verdict == "UCM"
         assert report.generates and report.chain_lifting
         assert report.transverse_scale == 1
@@ -83,17 +83,11 @@ class TestUcm:
 
     def test_line_space_ucm(self, fix_l4):
         cover = build_cover(fix_l4, 1, 0, 4)
-        assert verify_endpoint_ucm(fix_l4, 1, cover).verdict == "UCM"
-
-    def test_space_and_scale_must_be_the_covers(self, fix_c6, fix_l4):
-        cover = build_cover(fix_c6, 1, 0, 6)
-        for space, k in ((fix_c6, 2), (fix_l4, 1)):
-            with pytest.raises(SpaceError):
-                verify_endpoint_ucm(space, k, cover)
+        assert verify_endpoint_ucm(cover).verdict == "UCM"
 
     def test_incomplete_is_inconclusive(self, fix_c6):
         cover = build_cover(fix_c6, 2, 0, 2)
-        report = verify_endpoint_ucm(fix_c6, 2, cover)
+        report = verify_endpoint_ucm(cover)
         assert report.verdict == "Inconclusive"
         assert "radius" in report.reason
 
@@ -236,7 +230,7 @@ class TestDoubleCoverOfProjectivePlane:
         assert {len(f) for f in fibers.values()} == {2}
 
     def test_ucm_verdict(self, rp2_space, rp2_cover):
-        report = verify_endpoint_ucm(rp2_space, 1, rp2_cover)
+        report = verify_endpoint_ucm(rp2_cover)
         assert report.verdict == "UCM"
 
     def test_endpoint_map_reconstructs(self, rp2_cover):

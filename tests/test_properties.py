@@ -33,6 +33,7 @@ from scalecover.actions import (
     close_group,
     diagnose_action,
     quotient_at_scale,
+    subgroup_at_scale,
 )
 from scalecover.quotients import (
     FilteredMap,
@@ -59,7 +60,12 @@ from scalecover.spaces import (
     is_chain,
     subspace,
 )
-from scalecover.towers import ProductTooLarge, SpaceTower, assemble_limit_space
+from scalecover.towers import (
+    ProductTooLarge,
+    SpaceTower,
+    assemble_limit_space,
+    telescoping_backward_group,
+)
 
 
 @st.composite
@@ -592,7 +598,7 @@ def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
     assert state["hits"] > 0
     assert cover.identification_incomplete
     assert cover.unknown_pairs
-    report = verify_endpoint_ucm(fix_c6, 1, cover)
+    report = verify_endpoint_ucm(cover)
     assert report.verdict == "Inconclusive"
     assert "identification" in report.reason
 
@@ -890,7 +896,7 @@ def assert_endpoint_ucm_matches_all_pairs_loops(space, k, base):
     """Lifting witnesses and transversality against the loops they replaced:
     every vertex pair for equal endpoints and words, fhat rebuilt per use."""
     cover = build_cover(space, k, base, len(space.points) + 2)
-    report = verify_endpoint_ucm(space, k, cover)
+    report = verify_endpoint_ucm(cover)
     if cover.identification_incomplete or not cover.complete:
         assert report.verdict == "Inconclusive"
         return cover, report
@@ -995,6 +1001,150 @@ def test_action_tower_part_b_matches_all_pairs_loops(action):
     quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
     expected = part_b_by_all_pairs(opened.space, quotients)
     assert {k: report.part_b[k] for k in expected} == expected
+
+
+def ss_bounded_orbits_by_point(action):
+    """diagnose_action's bounded-orbits loop as it was: the orbit of each
+    point rebuilt from the subgroup's elements for every (e, f, point)."""
+    space, m = action.space, action.space.depth
+
+    def orbit(elements, point):
+        i = space.index(point)
+        return space.sort_points({space.points[g[i]] for g in elements})
+
+    subgroups = {f: subgroup_at_scale(action, f).elements for f in range(1, m + 1)}
+    ssbo = {"witnesses": {}, "counterexamples": {}}
+    for e in range(1, m + 1):
+        found = None
+        last = None
+        for f in range(1, m + 1):
+            bad = None
+            for p in space.points:
+                orb = orbit(subgroups[f], p)
+                for a in orb:
+                    for b in orb:
+                        if not space.related(e, a, b):
+                            bad = {"scale_f": f, "orbit_of": p, "pair": [a, b]}
+                            break
+                    if bad:
+                        break
+                if bad:
+                    break
+            if bad is None:
+                found = f
+                break
+            last = bad
+        ssbo["witnesses"][e] = found
+        if found is None:
+            ssbo["counterexamples"][e] = last
+    return ssbo
+
+
+def part_c_by_point(action, quotients):
+    """action_tower_verify's part (c) as it was: every stage class rebuilt
+    from all group elements, and one sorted thread list per point."""
+    space, n = action.space, len(quotients)
+
+    def stage_class(i, block):
+        q = quotients[i]
+        members = {q.projection(action.apply(g, block[0])) for g in action.elements}
+        return q.space.sort_points(members)
+
+    def containing_block(i, finer_block):
+        return quotients[i].projection(finer_block[0])
+
+    well_defined = True
+    a_threads = set()
+    witnesses_ok = True
+    for top in quotients[-1].space.points:
+        thread = [None] * n
+        thread[n - 1] = stage_class(n - 1, top)
+        block = top
+        for i in range(n - 2, -1, -1):
+            images = {stage_class(i, containing_block(i, member)) for member in thread[i + 1]}
+            if len(images) != 1:
+                well_defined = False
+            block = containing_block(i, block)
+            thread[i] = stage_class(i, block)
+            if images != {thread[i]}:
+                well_defined = False
+        a_threads.add(tuple(thread))
+        s = [cls_blocks[0] for cls_blocks in thread]
+        gs = []
+        for i in range(n - 1):
+            target = containing_block(i, s[i + 1])
+            chosen = None
+            for g in action.elements:
+                if quotients[i].projection(action.apply(g, s[i][0])) == target:
+                    chosen = g
+                    break
+            if chosen is None:
+                break
+            gs.append(chosen)
+        if len(gs) < n - 1:
+            witnesses_ok = False
+            continue
+        hs = telescoping_backward_group(
+            [lambda g: g] * (n - 1), gs, [action.identity] * n,
+            lambda stage, a, b: actions._compose(a, b),
+        )
+        adjusted = [quotients[i].projection(action.apply(hs[i], s[i][0])) for i in range(n)]
+        for i in range(n - 1):
+            if containing_block(i, adjusted[i + 1]) != adjusted[i]:
+                witnesses_ok = False
+        for i in range(n):
+            if stage_class(i, adjusted[i]) != thread[i]:
+                witnesses_ok = False
+
+    space_threads = {
+        tuple(q.projection(top[0]) for q in quotients) for top in quotients[-1].space.points
+    }
+    limit_quotient_classes = {
+        tuple(stage_class(i, st[i]) for i in range(n)) for st in space_threads
+    }
+    orbit_count = len({
+        tuple(sorted(
+            tuple(quotients[i].projection(action.apply(g, x)) for i in range(n))
+            for g in action.elements
+        ))
+        for x in space.points
+    })
+    return {
+        "well_defined": well_defined,
+        "bijective": limit_quotient_classes == a_threads and orbit_count == len(a_threads),
+        "telescoping_threads": witnesses_ok,
+    }
+
+
+# Rotation by 2 on C6 with a discrete finest scale: each G-orbit holds three
+# finest-stage blocks, so a stage class read off one stage's orbits is too small.
+ROTATED_HEXAGON = (
+    from_metric([[min(abs(i - j), 6 - abs(i - j)) for j in range(6)] for i in range(6)],
+                (2, 1, 0)),
+    ([2, 3, 4, 5, 0, 1],),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END))
+@example(close_group(*SWAPPED_END_HAUSDORFF))
+@example(close_group(*ROTATED_HEXAGON))
+def test_orbit_partitions_match_per_point_orbits(action):
+    """Bounded orbits and part (c) read one orbit partition per group; the
+    per-point definitions they replaced must agree, on non-normal stages and
+    non-isometric actions too.  Part (c) is reached on every draw by opening
+    the hypothesis gate as in the part (b) test."""
+    assert diagnose_action(action).ss_bounded_orbits == ss_bounded_orbits_by_point(action)
+    opened = dataclasses.replace(
+        action, space=dataclasses.replace(action.space, hausdorff=True))
+    diagnosis = mock.Mock()
+    diagnosis.is_equicontinuous.return_value = True
+    diagnosis.has_ss_bounded_orbits.return_value = True
+    with mock.patch.object(actions, "diagnose_action", return_value=diagnosis):
+        report = action_tower_verify(opened)
+    quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
+    assert report.part_c == part_c_by_point(opened, quotients)
 
 
 # ---------------------------------------------------------------------------
