@@ -1,12 +1,14 @@
 """Basepointed covers at a scale, built breadth-first under explicit budgets.
 
 A vertex of the cover is a homotopy class of scale-k chains from the
-basepoint, held as its breadth-first-minimal reduced representative.  New
-chains are identified against known vertices by reduced-word equality, then
-by the word problem of the Tietze-reduced presentation (H1 of its residual,
-rewriting, coset enumeration); an Unknown outcome marks the cover
-identification-incomplete and downstream verifiers refuse to conclude rather
-than guess.
+basepoint, held as its breadth-first-minimal reduced representative.  A new
+chain is compared only with the vertices in its bucket: those with the same
+endpoint and the same H1 class of their word, which a dict indexes.  Any
+other vertex differs in H1, so it is certified distinct without a word
+problem.  Within the bucket, chains are identified by reduced-word equality,
+then by the word problem of the Tietze-reduced presentation (rewriting, coset
+enumeration); an Unknown outcome marks the cover identification-incomplete
+and downstream verifiers refuse to conclude rather than guess.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
+    _expand,
+    _h1_coords,
     _word_trivial,
     chain_word,
     free_reduce,
@@ -23,7 +27,6 @@ from .rips import (
     invert_word,
     presentation_at_scale,
     presentation_h1,
-    reduce_chain,
     DEFAULT_COSET_ROWS,
 )
 from .spaces import (
@@ -51,6 +54,11 @@ class PartialCover:
     ``edges[v][y]`` holds the vertex reached from v by the one-step extension
     to the successor point y, or None while unexplored.  Mutated only during
     construction and on-demand lifting; treat as read-only afterwards.
+
+    Every representative is reduced: no interior point is spanned by its
+    neighbours at scale k, and no point repeats its predecessor.  Besides the
+    fields, the cover keeps each vertex's ``(len, point indices)`` order key
+    and lists the vertex ids of each (endpoint, H1 class) bucket in id order.
     """
 
     space: FilteredSpace
@@ -68,33 +76,53 @@ class PartialCover:
 
     def __post_init__(self):
         self.presentation = presentation_at_scale(self.space, self.scale, self.basepoint)
+        self._keys = [self._order_key(seq) for seq in self.reps]
+        self._buckets = {}
+        for vid, (end, word) in enumerate(zip(self.endpoints, self.words)):
+            self._buckets.setdefault(self._bucket(end, word), []).append(vid)
         if not self.reps:
-            self._add_vertex((self.basepoint,))
+            self._add_vertex((self.basepoint,), (), self._bucket(self.basepoint, ()))
 
     @property
     def num_vertices(self) -> int:
         return len(self.reps)
 
-    def _add_vertex(self, seq) -> int:
+    def _order_key(self, seq) -> tuple:
+        return len(seq), tuple(map(self.space.index, seq))
+
+    def _bucket(self, end, word) -> tuple:
+        pres = self.presentation
+        if not pres.relators:
+            # a free group: reduced words are its classes, and the H1
+            # coordinates would be one exponent sum per generator
+            return end, word
+        return end, _h1_coords(pres, _expand(pres, word))
+
+    def _add_vertex(self, seq, word, bucket) -> int:
         vid = len(self.reps)
-        self.reps.append(tuple(seq))
-        self.words.append(chain_word(self.presentation, Chain(self.scale, seq)))
+        self.reps.append(seq)
+        self.words.append(word)
         self.endpoints.append(seq[-1])
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
+        self._keys.append(self._order_key(seq))
+        self._buckets.setdefault(bucket, []).append(vid)
         return vid
 
 
-def _identify(cover: PartialCover, seq, word):
+def _identify(cover: PartialCover, seq, word, bucket):
     """Vertex id of an existing class equal to the given chain, or None.
+
+    Only the chain's bucket is scanned, in vertex-id order.  H1 coordinates
+    are additive, so a vertex in another bucket is one where the word problem
+    answers No by H1 separation; never Yes, never Unknown, so skipping it
+    changes neither the first Yes nor the unknown pairs.
 
     An Unknown comparison only taints the cover when the candidate is never
     certified equal to another vertex: a later certified match settles the
     earlier undecided pair through the existing vertex separations.
     """
     pending = []
-    for vid in range(cover.num_vertices):
-        if cover.endpoints[vid] != seq[-1]:
-            continue
+    for vid in cover._buckets.get(bucket, ()):
         if cover.words[vid] == word:
             return vid
         combined = free_reduce(word + invert_word(cover.words[vid]))
@@ -111,33 +139,52 @@ def _identify(cover: PartialCover, seq, word):
     return None
 
 
+def _extend_reduced(space: FilteredSpace, k: int, rep: tuple, y) -> tuple:
+    """``reduce_chain(space, k, rep + (y,)).seq`` for a reduced chain rep.
+
+    No interior point of rep is removable, so only the tail can change: pop
+    the point before y while y is scale-k close to the one before that, then
+    drop y if it repeats its predecessor.  Raises SpaceError unless y is
+    scale-k close to rep's endpoint.
+    """
+    if y not in space.closed(k, rep[-1]):
+        raise SpaceError(f"not a chain at scale {k}: {rep + (y,)!r}")
+    seq = [*rep, y]
+    while len(seq) >= 3 and y in space.closed(k, seq[-3]):
+        del seq[-2]
+    if len(seq) >= 2 and seq[-2] == y:
+        seq.pop()
+    return tuple(seq)
+
+
 def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -> int:
     """Fill edges[vid][y], creating a vertex for a genuinely new class.
 
     With allow_create False the slot is left unexplored when the extension
     does not identify with a known class; returns whether a class was created.
 
+    The extension is reduced by ``_extend_reduced``.  A class found again
+    keeps the smaller representative by ``(len, point indices)``; the swap
+    keeps the endpoint and the H1 class, so the vertex's bucket.
+
     The vertex in edges[vid][y] ends at y, a neighbour of endpoints[vid] and
     never that point itself, so no fhat edge joins two lifts of one point.
     """
-    candidate = reduce_chain(
-        cover.space, cover.scale, cover.reps[vid] + (y,)
-    ).seq
-    word = chain_word(cover.presentation, Chain(cover.scale, candidate))
-    target = _identify(cover, candidate, word)
+    candidate = _extend_reduced(cover.space, cover.scale, cover.reps[vid], y)
+    word = chain_word(cover.presentation, candidate)
+    bucket = cover._bucket(y, word)
+    target = _identify(cover, candidate, word, bucket)
     created = target is None
     if created:
         if not allow_create:
             return False
-        target = cover._add_vertex(candidate)
-    else:
-        old = cover.reps[target]
-        space = cover.space
-        new_key = (len(candidate), tuple(space.index(p) for p in candidate))
-        old_key = (len(old), tuple(space.index(p) for p in old))
-        if new_key < old_key:
-            cover.reps[target] = tuple(candidate)
+        target = cover._add_vertex(candidate, word, bucket)
+    elif len(candidate) <= len(cover.reps[target]):
+        key = cover._order_key(candidate)
+        if key < cover._keys[target]:
+            cover.reps[target] = candidate
             cover.words[target] = word
+            cover._keys[target] = key
     cover.edges[vid][y] = target
     return created
 
@@ -218,14 +265,6 @@ def cover_target_space(cover: PartialCover) -> FilteredSpace:
     sub = subspace(cover.space, cover.presentation.component)
     scales = sub.scales[cover.scale - 1 :]
     return FilteredSpace(sub.points, scales, hausdorff=not scales[-1])
-
-
-def endpoint_filtered_map(cover: PartialCover):
-    """The endpoint map as a FilteredMap between the spaces above."""
-    from .quotients import FilteredMap
-
-    return FilteredMap(cover_space(cover), cover_target_space(cover),
-                       tuple(cover.endpoints))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import intlinalg as ila
 from .coset import coset_enumeration
@@ -115,7 +115,9 @@ class GroupPresentation:
     non-tree edges, oriented from the smaller point; relators read each
     triangle boundary through the tree collapse.  ``parent`` maps each point
     to its tree parent (None at a root).  Words are relative to this specific
-    forest and are not canonical across different forests.
+    forest and are not canonical across different forests.  The reductions
+    of the relators are memoized on the instance (see ``_owned``), so they
+    live as long as it does.
     """
 
     space: FilteredSpace
@@ -133,6 +135,7 @@ class GroupPresentation:
         )
         object.__setattr__(self, "_tree", frozenset(self.tree_edges))
         object.__setattr__(self, "_members", frozenset(self.component))
+        object.__setattr__(self, "_memo", {})
 
     def edge_letter(self, a, b):
         """Signed generator for traversing a -> b; None for tree or diagonal."""
@@ -156,6 +159,22 @@ class GroupPresentation:
 
         a, b = self.generators[g - 1]
         return tuple(reversed(to_root(a))) + tuple(to_root(b))
+
+
+def _owned(fn):
+    """Memoize fn(pres, *args) in the presentation's own ``_memo``.
+
+    A lookup hashes only fn and the extra arguments, never the presentation,
+    and the results die with it.
+    """
+    @wraps(fn)
+    def memoized(pres, *args):
+        key = (fn, *args)
+        if key not in pres._memo:
+            pres._memo[key] = fn(pres, *args)
+        return pres._memo[key]
+
+    return memoized
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +293,7 @@ def presentation_h1(pres: GroupPresentation) -> AbelianGroupInv:
     return AbelianGroupInv(moduli.count(0), tuple(d for d in moduli if d))
 
 
-@lru_cache(maxsize=None)
+@_owned
 def _pres_abelian(pres: GroupPresentation):
     """Smith form of the residual relators over the surviving generators.
 
@@ -379,7 +398,7 @@ def _rotations(word):
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
-@lru_cache(maxsize=None)
+@_owned
 def _simplified(pres: GroupPresentation):
     """Tietze elimination: returns (substitution, residual relators).
 
@@ -464,7 +483,7 @@ def _simplified(pres: GroupPresentation):
     return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
 
 
-@lru_cache(maxsize=None)
+@_owned
 def _rewriting_rules(pres: GroupPresentation) -> tuple:
     """Length-decreasing replacements harvested from the residual relators."""
     rules = {}
@@ -504,7 +523,7 @@ def _rewrite(word, rules, max_steps=10_000):
     return word
 
 
-@lru_cache(maxsize=None)
+@_owned
 def _coset_table(pres: GroupPresentation, budget: int):
     _, rels = _simplified(pres)
     live = sorted({abs(l) for r in rels for l in r})

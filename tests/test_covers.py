@@ -6,15 +6,15 @@ from scalecover.covers import (
     bonding_h1_map,
     build_cover,
     cover_space,
+    cover_target_space,
     cover_to_dot,
     critical_scales,
-    endpoint_filtered_map,
     fhat,
     is_isomorphism,
     lift_chain,
     verify_endpoint_ucm,
 )
-from scalecover.quotients import verify_gucm
+from scalecover.quotients import FilteredMap, verify_gucm
 from scalecover.rips import AbelianGroupInv
 from scalecover.spaces import Chain, from_metric
 
@@ -97,7 +97,8 @@ class TestUcm:
         for sp, k in ((fix_c6, 1), (fix_l4, 1)):
             cover = build_cover(sp, k, sp.points[0], 8)
             assert cover.complete
-            f = endpoint_filtered_map(cover)
+            f = FilteredMap(cover_space(cover), cover_target_space(cover),
+                            tuple(cover.endpoints))
             assert verify_gucm(f).passed
 
 
@@ -238,7 +239,9 @@ class TestDoubleCoverOfProjectivePlane:
         # quotient tower with a bijective comparison map
         from scalecover.towers import quotient_tower_reconstruct
 
-        rep = quotient_tower_reconstruct(endpoint_filtered_map(rp2_cover))
+        rep = quotient_tower_reconstruct(FilteredMap(
+            cover_space(rp2_cover), cover_target_space(rp2_cover),
+            tuple(rp2_cover.endpoints)))
         assert rep.passed
         assert rep.stage_sizes == (62,)
 

@@ -26,12 +26,26 @@ def cycle(n, radii, names):
     return {"matrix": matrix, "radii": list(radii), "names": names[:n]}
 
 
+def king_torus(n, names):
+    """The n x n king-move torus at one scale, with string point names."""
+    pairs = {tuple(sorted((n * i + j, (i + di) % n * n + (j + dj) % n)))
+             for i in range(n) for j in range(n)
+             for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)}
+    listed = [[p, p] for p in names[:n * n]]
+    listed += [[names[a], names[b]] for a, b in sorted(pairs)]
+    listed += [[names[b], names[a]] for a, b in sorted(pairs)]
+    return {"kind": "space", "points": names[:n * n], "scales": [listed],
+            "hausdorff": False}
+
+
 def discrete(names):
     return {"points": names, "scales": [[[p, p] for p in names]], "hausdorff": True}
 
 
 INPUTS = {
     "c6.json": cycle(6, (2, 1), NAMES),
+    # pi1 = Z^2 at scale 1, so vertices share buckets and reach rewriting
+    "torus.json": king_torus(4, NAMES),
     "rotation.json": {"kind": "action", "space": cycle(8, (2, 1, 0), NAMES),
                       "generators": [[NAMES[(i + 2) % 8] for i in range(8)]]},
     "wrap.json": {"kind": "map", "source": cycle(16, (2, 1), NAMES),
@@ -48,6 +62,7 @@ COMMANDS = [
     ["analyze", "c6.json"],
     ["cover", "c6.json", "--scale", "1", "--basepoint", "q", "--radius", "6"],
     ["cover", "c6.json", "--scale", "2", "--basepoint", "q", "--radius", "6"],
+    ["cover", "torus.json", "--scale", "1", "--basepoint", "q", "--radius", "4"],
     ["map", "wrap.json"],
     ["quotient", "wrap.json", "--scale", "1"],
     ["action", "rotation.json", "--quotient-scale", "2", "--tower"],

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import re
+import types
 from unittest import mock
 
 import networkx as nx
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space
-from scalecover import formats, rips
+from scalecover import covers, formats, rips
 from scalecover.covers import (
     bonding_h1_map,
     build_cover,
@@ -53,6 +54,7 @@ from scalecover.rips import (
     reduce_chain,
 )
 from scalecover.spaces import (
+    Chain,
     FilteredSpace,
     Partition,
     chain_components,
@@ -321,17 +323,18 @@ def _is_boundary_sum(sp, k, loop):
 
 @contextlib.contextmanager
 def _tietze_cap(cap):
-    """Run with the elimination cap patched, on fresh reduction caches."""
-    caches = (rips._simplified, rips._rewriting_rules, rips._pres_abelian,
-              rips._coset_table)
+    """Run with the elimination cap patched, on fresh presentations.
+
+    The reductions are memoized on each presentation, so callers pass a
+    fresh ``dataclasses.replace(pres)``; the presentation cache is cleared on
+    entry and exit, so no presentation built under the cap outlives it.
+    """
     with mock.patch.object(rips, "TIETZE_LETTER_CAP", cap):
-        for cache in caches:
-            cache.cache_clear()
+        rips.presentation_at_scale.cache_clear()
         try:
             yield
         finally:
-            for cache in caches:
-                cache.cache_clear()
+            rips.presentation_at_scale.cache_clear()
 
 
 RP2 = rp2_subdivision_space()
@@ -501,7 +504,7 @@ def test_elimination_matches_rescanning_loop(pres):
     initial = sum(len(r) for r in {_reference_cyclic_reduce(r) for r in pres.relators})
     for cap in (rips.TIETZE_LETTER_CAP, 0, 1, initial + 1):
         with _tietze_cap(cap):
-            subst, residual = rips._simplified(pres)
+            subst, residual = rips._simplified(dataclasses.replace(pres))
             expected_subst, expected_residual = _reference_simplified(pres)
         assert list(subst.items()) == list(expected_subst.items())
         assert residual == expected_residual
@@ -511,7 +514,7 @@ def test_letter_cap_stops_elimination_partway():
     full, partway = [], []
     for cap, out in ((rips.TIETZE_LETTER_CAP, full), (21, partway)):
         with _tietze_cap(cap):
-            out.extend(g for g, w in rips._simplified(GROWING)[0].items() if w != (g,))
+            out.extend(g for g, w in rips._simplified(dataclasses.replace(GROWING))[0].items() if w != (g,))
     assert partway == [1]
     assert full == [1, 4]
 
@@ -601,6 +604,187 @@ def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
     report = verify_endpoint_ucm(cover)
     assert report.verdict == "Inconclusive"
     assert "identification" in report.reason
+
+
+def _flaky_word_trivial(modulus):
+    """The word problem with each Yes on a non-empty word whose length is a
+    multiple of modulus turned into Unknown; modulus 0 changes nothing."""
+    def word_trivial(pres, word, budget):
+        decision = rips._word_trivial(pres, word, budget)
+        if modulus and decision.is_yes and word and len(word) % modulus == 0:
+            return rips.HomotopyDecision("unknown", "budget",
+                                         {"exhausted": "coset_rows", "budget": budget})
+        return decision
+
+    return word_trivial
+
+
+def _reference_resolve_slot(ref, vid, y, word_trivial, allow_create=True):
+    """_resolve_slot and _identify before buckets: the extension is reduced
+    by reduce_chain, and every vertex with its endpoint is compared."""
+    space, k = ref.space, ref.scale
+    candidate = reduce_chain(space, k, ref.reps[vid] + (y,)).seq
+    word = rips.chain_word(ref.presentation, Chain(k, candidate))
+    target, pending = None, []
+    for v in range(len(ref.reps)):
+        if ref.endpoints[v] != y:
+            continue
+        if ref.words[v] == word:
+            target = v
+            break
+        combined = rips.free_reduce(word + rips.invert_word(ref.words[v]))
+        decision = word_trivial(ref.presentation, combined, ref.ident_budget)
+        if decision.is_yes:
+            target = v
+            break
+        if decision.is_unknown:
+            pending.append({"candidate": list(candidate), "vertex": v,
+                            "reason": decision.witness})
+    if target is None and pending:
+        ref.identification_incomplete = True
+        ref.unknown_pairs.extend(pending)
+    created = target is None
+    if created:
+        if not allow_create:
+            return False
+        target = _reference_add_vertex(ref, candidate)
+    else:
+        old = ref.reps[target]
+        new_key = (len(candidate), tuple(space.index(p) for p in candidate))
+        old_key = (len(old), tuple(space.index(p) for p in old))
+        if new_key < old_key:
+            ref.reps[target] = candidate
+            ref.words[target] = word
+    ref.edges[vid][y] = target
+    return created
+
+
+def _reference_add_vertex(ref, seq):
+    ref.reps.append(seq)
+    ref.words.append(rips.chain_word(ref.presentation, Chain(ref.scale, seq)))
+    ref.endpoints.append(seq[-1])
+    ref.edges.append({y: None for y in ref.space.neighbors(ref.scale, seq[-1])})
+    return len(ref.reps) - 1
+
+
+def _reference_build_cover(space, k, base, radius, word_trivial):
+    """build_cover's breadth-first rounds and closure pass, over the linear scan."""
+    ref = types.SimpleNamespace(
+        space=space, scale=k, ident_budget=rips.DEFAULT_COSET_ROWS,
+        presentation=rips.presentation_at_scale(space, k, base), reps=[], words=[],
+        endpoints=[], edges=[], frontier_radius=0, complete=False,
+        identification_incomplete=False, unknown_pairs=[])
+    _reference_add_vertex(ref, (base,))
+
+    def unresolved_slots():
+        return [(v, y) for v in range(len(ref.reps)) for y in ref.edges[v]
+                if ref.edges[v][y] is None]
+
+    rounds = 0
+    while rounds < radius:
+        unresolved = unresolved_slots()
+        if not unresolved:
+            ref.complete = True
+            break
+        new_classes = 0
+        for v, y in unresolved:
+            if ref.edges[v][y] is None:
+                new_classes += _reference_resolve_slot(ref, v, y, word_trivial)
+        rounds += 1
+        ref.frontier_radius = rounds
+        if new_classes == 0:
+            ref.complete = True
+            break
+    if not ref.complete:
+        for v, y in unresolved_slots():
+            _reference_resolve_slot(ref, v, y, word_trivial, allow_create=False)
+        ref.complete = not unresolved_slots()
+    return ref
+
+
+def _reference_lift(ref, seq, word_trivial):
+    """lift_chain from vertex 0 with an extension budget of len(seq)."""
+    lift = [0]
+    for y in seq[1:]:
+        cur = lift[-1]
+        if y == ref.endpoints[cur]:
+            lift.append(cur)
+            continue
+        if ref.edges[cur][y] is None:
+            _reference_resolve_slot(ref, cur, y, word_trivial)
+        lift.append(ref.edges[cur][y])
+    return lift
+
+
+COVER_FIELDS = ("reps", "words", "endpoints", "edges", "complete", "frontier_radius",
+                "identification_incomplete", "unknown_pairs")
+
+
+# lifting the walks below swaps a smaller representative into a vertex: on
+# SWAP_WORD its word changes; on SWAP_BETWEEN (5, 4, 3) becomes (5, 0, 3),
+# and the later candidate (5, 2, 3) lies between the two
+SWAP_WORD = FilteredSpace(tuple(range(4)), (frozenset(
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),))
+SWAP_BETWEEN = FilteredSpace(tuple(range(7)), (frozenset(
+    [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+     (3, 4), (4, 5), (5, 6)]),))
+
+
+@st.composite
+def cover_case(draw):
+    """A space, a scale, a basepoint, a radius budget, a forced-Unknown
+    modulus and a scale-k walk from the basepoint."""
+    sp = draw(st.one_of(filtered_space(), connected_space()))
+    k = draw(st.integers(min_value=1, max_value=sp.depth))
+    base = draw(st.sampled_from(sp.points))
+    walk = [base]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        walk.append(draw(st.sampled_from((walk[-1],) + sp.neighbors(k, walk[-1]))))
+    return (sp, k, base, draw(st.integers(min_value=0, max_value=6)),
+            draw(st.sampled_from((0, 0, 1, 2, 3))), tuple(walk))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_case())
+@example((KING_TORUS, 1, 0, 3, 0, (0, 1, 2, 3, 0, 4, 8, 12, 0)))
+@example((KING_TORUS, 1, 0, 2, 2, (0, 5, 10, 15, 0, 1, 2)))
+@example((KING_TORUS, 1, 0, 0, 0, (0, 1, 2, 5)))
+@example((RP2, 1, RP2.points[0], 16, 0, RP2_LOOP))
+@example((RP2, 1, RP2.points[0], 3, 3, RP2_LOOP))
+@example((SWAP_WORD, 1, 3, 0, 2, (3, 2, 0, 0, 1, 0, 2)))
+@example((SWAP_BETWEEN, 1, 5, 1, 3, (5, 4, 3, 0, 3, 2, 3, 3, 4, 5, 2, 6, 2)))
+def test_bucketed_cover_matches_linear_scan(case):
+    """build_cover and lift_chain with on-demand extension give the same
+    cover as the linear scan over every same-endpoint vertex with full
+    reduce_chain, also when some Yes answers are forced to Unknown."""
+    sp, k, base, radius, modulus, walk = case
+    word_trivial = _flaky_word_trivial(modulus)
+    ref = _reference_build_cover(sp, k, base, radius, word_trivial)
+    with mock.patch.object(covers, "_word_trivial", word_trivial):
+        cover = build_cover(sp, k, base, radius)
+        for name in COVER_FIELDS:
+            assert getattr(cover, name) == getattr(ref, name), name
+        lift = covers.lift_chain(cover, 0, walk, extend_budget=len(walk))
+    assert lift == _reference_lift(ref, walk, word_trivial)
+    for name in COVER_FIELDS:
+        assert getattr(cover, name) == getattr(ref, name), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_case())
+@example((KING_TORUS, 1, 0, 0, 0, (0, 1, 2)))
+def test_tail_reduction_matches_reduce_chain(case):
+    """For a reduced rep, extending by any point of the endpoint's closed
+    neighbourhood reduces as reduce_chain does; any other point is refused."""
+    sp, k, _, _, _, walk = case
+    rep = reduce_chain(sp, k, walk).seq
+    for y in sp.points:
+        if y in sp.closed(k, rep[-1]):
+            expected = reduce_chain(sp, k, rep + (y,)).seq
+            assert covers._extend_reduced(sp, k, rep, y) == expected
+        else:
+            with pytest.raises(rips.SpaceError):
+                covers._extend_reduced(sp, k, rep, y)
 
 
 def test_random_fine_scale_covers_are_spaces(fix_l4):
