@@ -337,9 +337,10 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     """Quotient by the scale-k subgroup, with the discontinuity verification.
 
     Non-invariant scales are saturated first and the substitution recorded.
-    Normality of the subgroup, faithfulness of the induced action (via the
-    stabilizer identity) and proper discontinuity below the pushed relation
-    are all re-verified rather than assumed.
+    The subgroup is normal by construction (see below), so ``normal`` reports
+    whether the cosets act consistently on the orbits.  Faithfulness of the
+    induced action and proper discontinuity below the pushed relation are
+    read off the induced permutations.
     """
     if not action.faithful:
         raise NotFaithful("the action must be faithful")
@@ -348,13 +349,10 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     pairs = saturate_invariant(action, k)
     was_saturated = pairs != space.scale_pairs(k)
     near = _closed_indices(space, pairs)
+    # The saturated scale is G-invariant, so if g moves x within it, h g h^-1
+    # moves h x within it: the generators are closed under conjugation and
+    # the subgroup they generate is normal.
     sub = _subgroup_moving_within(action, near)
-    sub_set = set(sub)
-    normal = all(
-        _compose(_compose(g, s), _inverse(g)) in sub_set
-        for g in action.elements
-        for s in sub
-    )
 
     blocks, qspace, projection = _orbit_quotient(space, sub)
     qpoints = blocks.blocks
@@ -385,18 +383,14 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
             induced.append(tuple(qindex[next(iter(images[b]))] for b in qpoints))
     induced = tuple(induced)
 
-    stabilizer = tuple(
-        sorted(
-            g for g in action.elements
-            if all(blocks.block_of(action.apply(g, b[0])) == b for b in qpoints)
-        )
-    )
+    # Once the cosets act consistently, g fixes every orbit exactly when its
+    # coset induces the identity, and the subgroup's own coset always does: the
+    # stabilizer of the orbits is the subgroup exactly when no other coset does.
     identity_perm = tuple(range(len(qpoints)))
     identity_coset = next(i for i, c in enumerate(cosets) if action.identity in c)
-    induced_faithful = consistent and all(
-        (perm == identity_perm) == (i == identity_coset)
-        for i, perm in enumerate(induced)
-    )
+    stabilizer_is_subgroup = not any(
+        perm == identity_perm for i, perm in enumerate(induced) if i != identity_coset)
+    induced_faithful = consistent and stabilizer_is_subgroup
 
     block_at = [qindex[blocks.block_of(p)] for p in space.points]
     pushed = {(block_at[i], block_at[j]) for i, near_i in enumerate(near) for j in near_i}
@@ -407,7 +401,7 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     )
     return QuotientAction(
         k, was_saturated, sub, qspace, projection, cosets, induced,
-        normal and consistent, induced_faithful, upd, stabilizer == sub,
+        consistent, induced_faithful, upd, stabilizer_is_subgroup,
     )
 
 
@@ -477,27 +471,19 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
         )
     }
 
-    # (a) g -> (coset of g per stage) is an isomorphism onto the thread group
+    # (a) g -> (coset of g per stage) is an isomorphism onto the thread group.
+    # Over a normal subgroup, multiplying coset representatives is the group
+    # law of the quotient, so the map is a homomorphism when every stage
+    # subgroup is normal.
     thread_of = {
         g: tuple(q.coset_index(g) for q in quotients) for g in action.elements
     }
-    hom = all(
-        thread_of[_compose(g, h)]
-        == tuple(
-            q.coset_index(
-                _compose(q.cosets[thread_of[g][i]][0], q.cosets[thread_of[h][i]][0])
-            )
-            for i, q in enumerate(quotients)
-        )
-        for g in action.elements
-        for h in action.elements
-    )
     group_threads = {
         tuple(q.coset_index(top[0]) for q in quotients)
         for top in quotients[-1].cosets
     }
     part_a = {
-        "homomorphism": hom,
+        "homomorphism": all(q.normal for q in quotients),
         "injective": len(set(thread_of.values())) == len(action.elements),
         "surjective_onto_threads": set(thread_of.values()) == group_threads,
     }

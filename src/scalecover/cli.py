@@ -361,9 +361,16 @@ def _report(argv, replay, inputs, budgets, results, code):
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors, reported with exit 3."""
+
+    def error(self, message):
+        raise formats.ParseError(message)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scalecover",
         description="verifiers for scale-filtered spaces, covers, quotients, "
                     "towers and group actions",
@@ -421,10 +428,11 @@ def main(argv=None) -> int:
     p.add_argument("--replay", required=True)
     p.add_argument("--out")
 
-    args = parser.parse_args(argv)
+    args = None
     budgets = {}
 
     try:
+        args = parser.parse_args(argv)
         budgets = default_budgets()
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)

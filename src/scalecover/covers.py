@@ -35,7 +35,6 @@ from .spaces import (
     FilteredSpace,
     SpaceError,
     is_chain,
-    subspace,
 )
 
 
@@ -249,22 +248,6 @@ def fhat(cover: PartialCover, j: int) -> frozenset:
             if v is not None and v != u and y in near:
                 pairs.add((u, v) if u < v else (v, u))
     return frozenset(pairs)
-
-
-def cover_space(cover: PartialCover) -> FilteredSpace:
-    """The discovered vertices with the induced basis, as a filtered space."""
-    scales = tuple(
-        fhat(cover, j) for j in range(cover.scale, cover.space.depth + 1)
-    )
-    points = tuple(range(cover.num_vertices))
-    return FilteredSpace(points, scales, hausdorff=not scales[-1])
-
-
-def cover_target_space(cover: PartialCover) -> FilteredSpace:
-    """The basepoint's component carrying the scales from k on."""
-    sub = subspace(cover.space, cover.presentation.component)
-    scales = sub.scales[cover.scale - 1 :]
-    return FilteredSpace(sub.points, scales, hausdorff=not scales[-1])
 
 
 @dataclass(frozen=True)

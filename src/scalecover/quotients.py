@@ -110,10 +110,6 @@ class FilteredMap:
         )
 
 
-def identity_map(space: FilteredSpace) -> FilteredMap:
-    return FilteredMap(space, space, tuple(space.points))
-
-
 def compose(outer: FilteredMap, inner: FilteredMap) -> FilteredMap:
     if outer.source is not inner.target and outer.source != inner.target:
         raise SpaceError("maps do not compose")

@@ -99,7 +99,7 @@ class FilteredSpace:
     neighbourhood E_k[x] as a frozenset, for membership tests, and
     ``neighbors(k, x)`` the points other than x in it, in point order, for
     iteration whose order can reach a report.  ``related`` is one lookup in
-    the first; ``full_relation`` rebuilds the ordered pairs on every call.
+    the first.
     """
 
     points: tuple
@@ -168,11 +168,6 @@ class FilteredSpace:
     def scale_pairs(self, k: int) -> frozenset:
         self.check_scale(k)
         return self.scales[k - 1]
-
-    def full_relation(self, k: int) -> frozenset:
-        """Scale k as a set of ordered pairs, diagonal included; not cached."""
-        near = self._closed[self.check_scale(k)]
-        return frozenset((x, y) for x in self.points for y in near[x])
 
     def sorted_pairs(self, k: int) -> list:
         key = self._index.__getitem__

@@ -8,6 +8,10 @@ from scalecover.spaces import from_metric, validate_space
 from scalecover.quotients import FilteredMap
 
 
+def identity_map(space):
+    return FilteredMap(space, space, tuple(space.points))
+
+
 def rp2_subdivision_space():
     """Barycentric subdivision of the 6-vertex projective plane, as a graph.
 

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import identity_map
 from scalecover.actions import (
     ActionTower,
     GroupTooLarge,
@@ -12,7 +13,6 @@ from scalecover.actions import (
     saturate_invariant,
     subgroup_at_scale,
 )
-from scalecover.quotients import identity_map
 from scalecover.spaces import from_metric
 
 

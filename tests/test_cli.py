@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import identity_map
 from scalecover import formats
 from scalecover.cli import main
 
@@ -155,6 +156,30 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     code, report = run(capsys, cmd, str(path))
     assert code == 3
     assert report["results"]["error"].startswith("ParseError: ")
+
+
+BAD_FLAGS = {
+    "unknown_flag": ["analyze", "{csv}", "--radii", "2,1", "--bogus"],
+    "non_integer_scale": ["cover", "{csv}", "--radii", "2,1", "--scale", "abc",
+                          "--basepoint", "0"],
+    "missing_basepoint": ["cover", "{csv}", "--radii", "2,1", "--scale", "1"],
+    "no_subcommand": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flags_are_input_error(capsys, c6_csv_file, case):
+    argv = [a.format(csv=c6_csv_file) for a in BAD_FLAGS[case]]
+    code, report = run(capsys, *argv)
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"].startswith("ParseError: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def test_duplicate_matrix_names_are_input_error(capsys, tmp_path):
@@ -381,7 +406,6 @@ class TestTowerCommand:
 
     def test_tower_and_action_spec_roundtrip(self, fix_l4, fix_c6):
         from scalecover.actions import close_group
-        from scalecover.quotients import identity_map
         from scalecover.towers import SpaceTower
 
         tower = SpaceTower((fix_l4, fix_l4), (identity_map(fix_l4),))

@@ -5,8 +5,6 @@ from scalecover.covers import (
     BudgetExhausted,
     bonding_h1_map,
     build_cover,
-    cover_space,
-    cover_target_space,
     cover_to_dot,
     critical_scales,
     fhat,
@@ -16,7 +14,20 @@ from scalecover.covers import (
 )
 from scalecover.quotients import FilteredMap, verify_gucm
 from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import Chain, from_metric
+from scalecover.spaces import Chain, FilteredSpace, from_metric, subspace
+
+
+def cover_space(cover):
+    """The discovered vertices with the induced basis, as a filtered space."""
+    scales = tuple(fhat(cover, j) for j in range(cover.scale, cover.space.depth + 1))
+    return FilteredSpace(tuple(range(cover.num_vertices)), scales, hausdorff=not scales[-1])
+
+
+def cover_target_space(cover):
+    """The basepoint's component carrying the scales from the cover's on."""
+    sub = subspace(cover.space, cover.presentation.component)
+    scales = sub.scales[cover.scale - 1:]
+    return FilteredSpace(sub.points, scales, hausdorff=not scales[-1])
 
 
 class TestBuildCover:

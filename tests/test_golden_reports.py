@@ -10,6 +10,7 @@ replay: ``verify --replay`` of its report re-derives the same results.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -23,6 +24,29 @@ def cycle(n, radii):
     return {"matrix": matrix, "radii": list(radii)}
 
 
+def s3_cayley():
+    """S3 acting by left multiplication on its Cayley graph for a transposition
+    and a 3-cycle, with the word metric thresholded at radii (2, 1, 0)."""
+    elements = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(elements)}
+
+    def compose(p, q):  # apply q first, then p
+        return tuple(p[i] for i in q)
+
+    gens = [(1, 0, 2), (1, 2, 0)]
+    steps = gens + [tuple(g.index(i) for i in range(3)) for g in gens]
+    length, frontier, d = {(0, 1, 2): 0}, {(0, 1, 2)}, 0
+    while frontier:
+        d += 1
+        frontier = {compose(w, s) for w in frontier for s in steps} - length.keys()
+        length.update(dict.fromkeys(frontier, d))
+    inverse = {g: tuple(g.index(i) for i in range(3)) for g in elements}
+    matrix = [[length[compose(inverse[x], y)] for y in elements] for x in elements]
+    left = [[index[compose(g, x)] for x in elements] for g in gens]
+    return {"kind": "action", "space": {"matrix": matrix, "radii": [2, 1, 0]},
+            "generators": left}
+
+
 def discrete(n):
     return {"points": list(range(n)), "scales": [[[i, i] for i in range(n)]],
             "hausdorff": True}
@@ -34,6 +58,8 @@ INPUTS = {
     "tri.csv": "0,1,2\n1,0,1.5\n2,1.5,0\n",
     "rotation.json": {"kind": "action", "space": cycle(8, (2, 1, 0)),
                       "generators": [[(i + 2) % 8 for i in range(8)]]},
+    # a non-abelian group with two generators
+    "s3.json": s3_cayley(),
     "wrap.json": {"kind": "map", "source": cycle(16, (2, 1)), "target": cycle(8, (2, 1)),
                   "assignment": [i % 8 for i in range(16)]},
     "discrete.json": {"kind": "space_tower",
@@ -60,6 +86,8 @@ GOLDEN = {
         "30b20af6a1e659a90323fbf0019944f1ee3902e32c775f173ce763312a217751",
     ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
         "1ce12952f9d012026530252c65440c974cdc479a66adaf6856f743d1d66848b6",
+    ("action", "s3.json", "--quotient-scale", "3", "--tower"):
+        "98a8ee1bdde22fb212ebeb0dea7f652d146ce21753303077ecc3a081eb1b96b1",
     ("map", "wrap.json"):
         "bd2dc74273f4f3f731815fb9e5ec18a70c03be13bfedcaf6851b7b489988b226",
     ("quotient", "wrap.json", "--scale", "1"):

@@ -111,6 +111,11 @@ def filtered_space(draw):
     return FilteredSpace(tuple(range(n)), tuple(scales), hausdorff=not scales[-1])
 
 
+def full_relation(space, k):
+    """Scale k as a set of ordered pairs, diagonal included."""
+    return frozenset((x, y) for x in space.points for y in space.closed(k, x))
+
+
 def _graph(sp, k):
     g = nx.Graph()
     g.add_nodes_from(sp.points)
@@ -874,8 +879,8 @@ def random_space_tower(draw):
         image = dict(zip(raw.points, assignment))
         scales = []
         for j, pairs in enumerate(raw.scales, start=1):
-            into = target.full_relation(
-                target.depth if j == raw.depth else min(j, target.depth))
+            into = full_relation(
+                target, target.depth if j == raw.depth else min(j, target.depth))
             scales.append(frozenset(
                 (a, b) for a, b in pairs if (image[a], image[b]) in into))
         source = FilteredSpace(raw.points, tuple(scales), hausdorff=not scales[-1])
@@ -1049,15 +1054,15 @@ def test_pullback_witnesses_match_all_pairs_definition(f):
 @example(CONSTANT_ON_PATH)
 def test_generation_matches_all_pairs_definition(f):
     src, tgt = f.source, f.target
-    images = [frozenset((f(a), f(b)) for a, b in src.full_relation(j))
+    images = [frozenset((f(a), f(b)) for a, b in full_relation(src, j))
               for j in range(1, src.depth + 1)]
     continuity = tuple(
-        next((j for j, img in enumerate(images, start=1) if img <= tgt.full_relation(k)),
+        next((j for j, img in enumerate(images, start=1) if img <= full_relation(tgt, k)),
              None)
         for k in range(1, tgt.depth + 1)
     )
     cofinal = tuple(
-        next((k for k in range(1, tgt.depth + 1) if tgt.full_relation(k) <= img), None)
+        next((k for k in range(1, tgt.depth + 1) if full_relation(tgt, k) <= img), None)
         for img in images
     )
     counterexample = None
@@ -1066,7 +1071,7 @@ def test_generation_matches_all_pairs_definition(f):
                           "target_scale": continuity.index(None) + 1}
     elif None in cofinal:
         j = cofinal.index(None) + 1
-        missing = sorted(tgt.full_relation(tgt.depth) - images[j - 1],
+        missing = sorted(full_relation(tgt, tgt.depth) - images[j - 1],
                          key=lambda ab: (tgt.index(ab[0]), tgt.index(ab[1])))
         counterexample = {"kind": "image_not_entourage", "source_scale": j,
                           "missing_pair": list(missing[0])}
@@ -1133,7 +1138,7 @@ def part_b_by_all_pairs(space, quotients):
         any(
             all(
                 quotients[s].space.related(j, space_thread[x][s], space_thread[y][s])
-                for x, y in space.full_relation(e)
+                for x, y in full_relation(space, e)
             )
             for e in range(1, space.depth + 1)
         )
@@ -1168,13 +1173,11 @@ SWAPPED_END_HAUSDORFF = (
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_action())
-@example(close_group(*SWAPPED_END_HAUSDORFF))
-def test_action_tower_part_b_matches_all_pairs_loops(action):
-    """Part (b) reads only the stage quotients.  To reach it on every draw,
-    also where the orbit tower does not embed the space, the hypothesis gate
-    is opened: the space is flagged Hausdorff and the diagnosis is stubbed."""
+def opened_tower(action):
+    """action_tower_verify with its hypothesis gate opened, and the stage
+    quotients.  The space is flagged Hausdorff and the diagnosis is stubbed,
+    so the parts are reached on every draw, also where the orbit tower does
+    not embed the space."""
     opened = dataclasses.replace(
         action, space=dataclasses.replace(action.space, hausdorff=True))
     diagnosis = mock.Mock()
@@ -1183,6 +1186,15 @@ def test_action_tower_part_b_matches_all_pairs_loops(action):
     with mock.patch.object(actions, "diagnose_action", return_value=diagnosis):
         report = action_tower_verify(opened)
     quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
+    return opened, report, quotients
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END_HAUSDORFF))
+def test_action_tower_part_b_matches_all_pairs_loops(action):
+    """Part (b) reads only the stage quotients; the gate is opened."""
+    opened, report, quotients = opened_tower(action)
     expected = part_b_by_all_pairs(opened.space, quotients)
     assert {k: report.part_b[k] for k in expected} == expected
 
@@ -1316,19 +1328,60 @@ ROTATED_HEXAGON = (
 @example(close_group(*ROTATED_HEXAGON))
 def test_orbit_partitions_match_per_point_orbits(action):
     """Bounded orbits and part (c) read one orbit partition per group; the
-    per-point definitions they replaced must agree, on non-normal stages and
-    non-isometric actions too.  Part (c) is reached on every draw by opening
-    the hypothesis gate as in the part (b) test."""
+    per-point definitions they replaced must agree, on non-isometric actions
+    too.  Part (c) is reached on every draw by opening the hypothesis gate."""
     assert diagnose_action(action).ss_bounded_orbits == ss_bounded_orbits_by_point(action)
-    opened = dataclasses.replace(
-        action, space=dataclasses.replace(action.space, hausdorff=True))
-    diagnosis = mock.Mock()
-    diagnosis.is_equicontinuous.return_value = True
-    diagnosis.has_ss_bounded_orbits.return_value = True
-    with mock.patch.object(actions, "diagnose_action", return_value=diagnosis):
-        report = action_tower_verify(opened)
-    quotients = [quotient_at_scale(opened, k) for k in range(1, opened.space.depth + 1)]
+    opened, report, quotients = opened_tower(action)
     assert report.part_c == part_c_by_point(opened, quotients)
+
+
+def quotient_fields_by_all_pairs(action, q):
+    """quotient_at_scale's normality and stabilizer scans as they were: the
+    subgroup is normal when g s g^-1 lies in it for every (g, s) in G x N, and
+    the stabilizer of the orbits holds every g that sends the first point of
+    each orbit into that orbit."""
+    compose, inverse = actions._compose, actions._inverse
+    sub = set(q.subgroup)
+    stabilizer = tuple(sorted(
+        g for g in action.elements
+        if all(q.projection(action.apply(g, b[0])) == b for b in q.space.points)
+    ))
+    return {
+        "normal": all(compose(compose(g, s), inverse(g)) in sub
+                      for g in action.elements for s in q.subgroup),
+        "stabilizer_is_subgroup": stabilizer == q.subgroup,
+    }
+
+
+def homomorphism_by_all_pairs(action, quotients):
+    """Part (a)'s homomorphism check as it was: for every (g, h) in G x G, the
+    stage cosets of gh are those of the product of the coset representatives."""
+    compose = actions._compose
+    thread_of = {g: tuple(q.coset_index(g) for q in quotients) for g in action.elements}
+    return all(
+        thread_of[compose(g, h)] == tuple(
+            q.coset_index(compose(q.cosets[thread_of[g][i]][0], q.cosets[thread_of[h][i]][0]))
+            for i, q in enumerate(quotients)
+        )
+        for g in action.elements
+        for h in action.elements
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END))
+@example(close_group(*SWAPPED_END_HAUSDORFF))
+@example(close_group(*ROTATED_HEXAGON))
+def test_action_quotients_match_all_pairs_definitions(action):
+    """Normality, the stabilizer identity and part (a) are read off how the
+    stage subgroups are built; the all-pairs scans they replaced must agree.
+    Part (a) is reached on every draw by opening the hypothesis gate."""
+    opened, report, quotients = opened_tower(action)
+    for q in quotients:
+        fields = {"normal": q.normal, "stabilizer_is_subgroup": q.stabilizer_is_subgroup}
+        assert fields == quotient_fields_by_all_pairs(opened, q)
+    assert report.part_a["homomorphism"] == homomorphism_by_all_pairs(opened, quotients)
 
 
 # ---------------------------------------------------------------------------

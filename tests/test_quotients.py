@@ -1,3 +1,4 @@
+from conftest import identity_map
 from scalecover.spaces import from_metric, validate_space
 from scalecover.quotients import (
     FilteredMap,
@@ -8,7 +9,6 @@ from scalecover.quotients import (
     compose,
     factor_and_verify,
     fiber_e_components,
-    identity_map,
     verify_gucm,
 )
 

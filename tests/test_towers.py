@@ -1,6 +1,7 @@
 import pytest
 
-from scalecover.quotients import FilteredMap, identity_map
+from conftest import identity_map
+from scalecover.quotients import FilteredMap
 from scalecover.rips import AbelianGroupInv
 from scalecover.spaces import FilteredSpace
 from scalecover.towers import (
