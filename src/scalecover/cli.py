@@ -63,10 +63,15 @@ def _env_budget(name, default):
 
 
 def default_budgets():
+    radius = _env_budget("SCALECOVER_RADIUS", 8)
+    ident_budget = _env_budget("SCALECOVER_IDENT_BUDGET", None)
+    coset_rows = _env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS)
     return {
-        "radius": _env_budget("SCALECOVER_RADIUS", 8),
-        "ident_budget": _env_budget("SCALECOVER_IDENT_BUDGET", DEFAULT_COSET_ROWS),
-        "coset_rows": _env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS),
+        "radius": radius,
+        # as with the flags, the coset-row budget is also the identification
+        # budget unless that is given itself
+        "ident_budget": coset_rows if ident_budget is None else ident_budget,
+        "coset_rows": coset_rows,
         "product_bound": _env_budget("SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND),
     }
 

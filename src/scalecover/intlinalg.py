@@ -1,4 +1,4 @@
-"""Exact integer matrix algebra: Smith and Hermite forms and solves.
+"""Exact integer matrix algebra: Smith forms and solves.
 
 Matrices are lists of lists of Python ints, so every computation is exact at
 arbitrary precision.  Pivots are chosen by minimal absolute value to limit
@@ -24,11 +24,6 @@ def eye(n):
 
 def copy_matrix(a):
     return [list(row) for row in a]
-
-
-def transpose(a):
-    m, n = shape(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
 def matmul(a, b):
@@ -194,54 +189,6 @@ def unimodular_inverse(u):
     if any(d != 1 for d in diagonal_of(s)):
         raise ValueError("matrix is not unimodular")
     return matmul(right, left)
-
-
-def hermite_row_form(a):
-    """Canonical row-style Hermite normal form of the row lattice of a.
-
-    Zero rows are dropped, pivots are positive and entries above each pivot
-    are reduced into [0, pivot), so two matrices span the same row lattice
-    exactly when their forms are equal.
-    """
-    h = copy_matrix(a)
-    m, n = shape(h)
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        while True:
-            best = None
-            for i in range(r, m):
-                val = h[i][col]
-                if val and (best is None or abs(val) < abs(h[best][col])):
-                    best = i
-            if best is None:
-                break
-            if best != r:
-                h[r], h[best] = h[best], h[r]
-            finished = True
-            for i in range(r + 1, m):
-                if h[i][col]:
-                    q = h[i][col] // h[r][col]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    if h[i][col]:
-                        finished = False
-            if finished:
-                break
-        if r < m and h[r][col]:
-            if h[r][col] < 0:
-                h[r] = [-x for x in h[r]]
-            for i in range(r):
-                q = h[i][col] // h[r][col]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-            r += 1
-    return [row for row in h[:r]]
-
-
-def column_lattice_form(a):
-    """Canonical form of the lattice spanned by the columns of a."""
-    return hermite_row_form(transpose(a))
 
 
 def with_relation_columns(a, relations):

@@ -398,9 +398,9 @@ class FactorizationReport:
 def factor_and_verify(f: FilteredMap, e: int) -> FactorizationReport:
     """Factor f through a fiber quotient and verify the covering axioms.
 
-    The finer scale F is searched finest-first below scale e among those where
-    the strong uniqueness condition holds; the induced map g is then checked
-    to generate, lift chains and admit the pushed scale as transverse.
+    Once the preconditions hold, f factors through its fiber quotient at the
+    finest scale (scale e is validated only); the induced map g is then
+    checked to generate, lift chains and admit that scale as transverse.
     """
     f.source.check_scale(e)
     pre = {
@@ -411,14 +411,10 @@ def factor_and_verify(f: FilteredMap, e: int) -> FactorizationReport:
     if not all(pre.values()):
         return FactorizationReport(pre, None, None, None, None, None, None,
                                    "preconditions_failed")
-    chosen = None
-    for j in range(f.source.depth, e - 1, -1):
-        if strong_condition_at(f, j):
-            chosen = j
-            break
-    if chosen is None:
-        return FactorizationReport(pre, None, None, None, None, None, None,
-                                   "no_admissible_scale")
+    # The strong condition at scale j does not read e, so the precondition's
+    # search for e = depth, which tries only j = depth, shows that it holds at
+    # the finest scale: a finest-first search would stop there at once.
+    chosen = f.source.depth
     quotient = build_fiber_quotient(f, chosen)
     bounded = all(
         f.source.closed(chosen, a).issuperset(block)

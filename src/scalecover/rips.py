@@ -33,7 +33,7 @@ from .spaces import (
 )
 
 DEFAULT_COSET_ROWS = 100_000
-# _simplified stops eliminating once the relators hold this many letters
+# _simplified stops eliminating once the relators have grown by this many letters
 TIETZE_LETTER_CAP = 10_000
 
 
@@ -414,8 +414,8 @@ def _simplified(pres: GroupPresentation):
     words hold it, so only those are rewritten; a heap of ``(len, r)`` holds
     the relators with a once-occurring letter, and entries no longer live are
     skipped when popped.  Elimination stops when no relator has such a letter,
-    or when a running count of the relators' letters reaches
-    ``TIETZE_LETTER_CAP``.
+    or when a running count of the relators' letters exceeds its initial
+    value by ``TIETZE_LETTER_CAP``.
     """
     subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
     words_with = {g: {g} for g in subst}
@@ -439,7 +439,8 @@ def _simplified(pres: GroupPresentation):
     for rel in pres.relators:
         add(_cyclic_reduce(rel))
 
-    while total < TIETZE_LETTER_CAP:
+    limit = total + TIETZE_LETTER_CAP
+    while total < limit:
         while heap and heap[0][1] not in live:
             heapq.heappop(heap)
         if not heap:

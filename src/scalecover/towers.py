@@ -422,8 +422,8 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
 
     Surjective bondings certify triviality outright.  Otherwise a declared
     stabilization can certify the Mittag-Leffler condition: image lattices are
-    compared through Hermite forms, iterating the repeated matrix up to a
-    horizon when the pattern is declared to repeat.
+    compared through their Smith invariant factors, iterating the repeated
+    matrix up to a horizon when the pattern is declared to repeat.
     """
     surjective = all(
         ila.is_surjective_onto(
@@ -451,11 +451,14 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
                            "declared repetition is not an endomorphism", {})
     g = tab.groups[-1]
     relations = group_relations(g)
+    # L_t = M^t Z^r + R shrinks as t grows, since M^(t+1) x = M^t (M x).  Nested
+    # lattices are equal exactly when their invariant factors are: those give
+    # the rank, and the index of each in its saturation as their product.
     power = ila.eye(rows)
-    previous = ila.column_lattice_form(ila.with_relation_columns(power, relations))
+    previous = ila.invariant_factors(ila.with_relation_columns(power, relations))
     for t in range(1, pattern_horizon + 1):
         power = ila.matmul([list(r) for r in last], power)
-        form = ila.column_lattice_form(ila.with_relation_columns(power, relations))
+        form = ila.invariant_factors(ila.with_relation_columns(power, relations))
         if form == previous:
             return Lim1Verdict(True, "mittag_leffler", None,
                                {"stabilized_at_power": t})

@@ -43,7 +43,6 @@ def fix_ant_h(c6_wide):
 class TestCloseGroup:
     def test_antipode(self, fix_ant):
         assert len(fix_ant.elements) == 2
-        assert fix_ant.faithful
 
     def test_rotation(self, fix_c6):
         action = close_group(fix_c6, [ROTATION])

@@ -559,6 +559,19 @@ class TestBudgetInput:
         assert code == 3
         assert "--product-bound" in report["results"]["error"]
 
+    @pytest.mark.parametrize("env,expected", [
+        ({"SCALECOVER_COSET_ROWS": "7"}, 7),
+        ({"SCALECOVER_COSET_ROWS": "7", "SCALECOVER_IDENT_BUDGET": "9"}, 9),
+    ])
+    def test_coset_rows_env_sets_ident_budget(self, capsys, c6_csv_file, monkeypatch,
+                                              env, expected):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        _, report = run(capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",
+                        "--basepoint", "0")
+        assert report["budgets"]["ident_budget"] == expected
+        assert report["budgets"]["coset_rows"] == 7
+
     def test_zero_budget_is_accepted(self, capsys, c6_csv_file):
         code, report = run(
             capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",

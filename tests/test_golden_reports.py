@@ -70,6 +70,10 @@ INPUTS = {
                                 {"rank": 1, "torsion": []}],
                      "matrices": [[[0, 1]], [[1], [3]]],
                      "g": [[1], [1, 2]]},
+    # doubling on Z/4: the image lattices 2^t Z + 4Z are Z, 2Z, 4Z, 4Z for
+    # t = 0..3, so they first repeat at power 3; their ranks agree from power 1
+    "z4.json": {"kind": "abelian_tower", "groups": [{"rank": 0, "torsion": [4]}] * 3,
+                "matrices": [[[2]], [[2]]], "stabilization": "pattern_repeats"},
     # a tampered report: the stored budgets are read before the bad replay
     # field is found, so the error report carries radius 4, not the default
     "tampered.json": {"budgets": {"coset_rows": 100000, "ident_budget": 100000,
@@ -96,6 +100,8 @@ GOLDEN = {
         "23fdd08a88309c5c7e23a68c862807b564d45cc415eaa2a538fa300837e32237",
     ("tower", "abelian.json", "--telescope", "backward"):
         "5102ef0da87e80f211ca528666e44f499aed844c7109f939b5734cf11e3d0319",
+    ("tower", "z4.json"):
+        "d224fb59b9aaf5c0eca91cf007cb31068ad4f25a01edc367944454d4fb18fbc7",
     ("verify", "--replay", "tampered.json"):
         "8c5c9e687be598959e9ccdba0905697c2dfdb95b67d2a28664d9ff25b8f0e006",
 }

@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space
@@ -43,7 +44,9 @@ from scalecover.quotients import (
     check_chain_lifting,
     check_generates,
     counterexample_holds,
+    factor_and_verify,
     fiber_e_components,
+    strong_condition_at,
     _uniqueness_condition,
 )
 from scalecover.rips import (
@@ -65,7 +68,9 @@ from scalecover.spaces import (
 from scalecover.towers import (
     ProductTooLarge,
     SpaceTower,
+    TowerAb,
     assemble_limit_space,
+    lim1_verdict,
     telescoping_backward_group,
 )
 
@@ -430,7 +435,8 @@ def _reference_simplified(pres):
                 out.append(lt)
         return free_reduce(out)
 
-    while sum(len(r) for r in rels) < rips.TIETZE_LETTER_CAP:
+    limit = sum(len(r) for r in rels) + rips.TIETZE_LETTER_CAP
+    while sum(len(r) for r in rels) < limit:
         for rel in rels:
             counts = collections.Counter(map(abs, rel))
             pos = next((i for i, x in enumerate(rel) if counts[abs(x)] == 1), None)
@@ -491,8 +497,8 @@ def noisy_circle(n, seed):
     return from_metric(matrix, [math.floor(16 * s2), math.floor(4 * s2)])
 
 
-# solving (1, 2, 2) for 1 lengthens the second relator, so a cap one above
-# the initial letter count (20) stops elimination after that first step
+# solving (1, 2, 2) for 1 lengthens the second relator, so a cap of one
+# letter of growth over the initial 20 stops elimination after that first step
 GROWING = _bare_presentation(5, [(1, 2, 2), (1, 1, 1, 1, 3, 3, 3, 3), (4,) + (5,) * 8])
 
 
@@ -504,7 +510,7 @@ GROWING = _bare_presentation(5, [(1, 2, 2), (1, 1, 1, 1, 3, 3, 3, 3), (4,) + (5,
 @example(GROWING)
 def test_elimination_matches_rescanning_loop(pres):
     """Same pivots, same substitution and same residual as the rescanning
-    loop, at the default cap, at caps 0 and 1 and one above the initial
+    loop, at the default cap and at caps 0, 1 and one above the initial
     letter count."""
     initial = sum(len(r) for r in {_reference_cyclic_reduce(r) for r in pres.relators})
     for cap in (rips.TIETZE_LETTER_CAP, 0, 1, initial + 1):
@@ -517,11 +523,25 @@ def test_elimination_matches_rescanning_loop(pres):
 
 def test_letter_cap_stops_elimination_partway():
     full, partway = [], []
-    for cap, out in ((rips.TIETZE_LETTER_CAP, full), (21, partway)):
+    for cap, out in ((rips.TIETZE_LETTER_CAP, full), (1, partway)):
         with _tietze_cap(cap):
             out.extend(g for g, w in rips._simplified(dataclasses.replace(GROWING))[0].items() if w != (g,))
     assert partway == [1]
     assert full == [1, 4]
+
+
+def test_letter_cap_bounds_growth_not_size():
+    """A presentation that starts above the cap is still eliminated down to
+    rank-many survivors: the 18-cycle thickened to radius 2 has H1 = Z."""
+    pres = rips.presentation_at_scale(from_metric(
+        [[min(abs(i - j), 18 - abs(i - j)) for j in range(18)] for i in range(18)], [2]),
+        1, None)
+    initial = sum(len(r) for r in {_reference_cyclic_reduce(r) for r in pres.relators})
+    assert initial > initial // 2 > 0
+    with _tietze_cap(initial // 2):
+        subst, residual = rips._simplified(dataclasses.replace(pres))
+    assert len([g for g, w in subst.items() if w == (g,)]) == 1
+    assert residual == ()
 
 
 @settings(max_examples=80, deadline=None)
@@ -1684,3 +1704,102 @@ def test_parse_number_reads_the_ascii_decimal_grammar(text):
     assert match is not None
     assert type(value) is (float if "." in text or "e" in text.lower() else int)
     assert value == float(text)
+
+
+# ---------------------------------------------------------------------------
+# the factorization's scale and the lim1 verdict against the rules they replace
+
+
+def _finest_first_scale(f, e):
+    """The scale search factor_and_verify ran: the finest j >= e at which the
+    strong uniqueness condition holds, or None."""
+    for j in range(f.source.depth, e - 1, -1):
+        if strong_condition_at(f, j):
+            return j
+    return None
+
+
+WRAP_16_8 = FilteredMap(
+    from_metric([[min(abs(i - j), 16 - abs(i - j)) for j in range(16)] for i in range(16)], (2, 1)),
+    from_metric([[min(abs(i - j), 8 - abs(i - j)) for j in range(8)] for i in range(8)], (2, 1)),
+    tuple(i % 8 for i in range(16)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_map())
+@example(WRAP_16_8)
+def test_factorization_scale_matches_finest_first_search(f):
+    """Once the preconditions hold, the search would have chosen the finest
+    scale at every e, and no e leaves it without a scale."""
+    for e in range(1, f.source.depth + 1):
+        report = factor_and_verify(f, e)
+        if report.verdict == "preconditions_failed":
+            assert report.chosen_scale is None
+        else:
+            assert report.chosen_scale == _finest_first_scale(f, e) == f.source.depth
+
+
+@st.composite
+def abelian_endomorphism(draw):
+    """A group Z^r + torsion of dimension 1 to 3 and a matrix of an
+    endomorphism of it: torsion columns vanish on free rows, and on a torsion
+    row they are multiples of what keeps the relation."""
+    torsion = []
+    if draw(st.booleans()):
+        torsion.append(draw(st.sampled_from([2, 3, 4, 6])))
+        if draw(st.booleans()):
+            torsion.append(torsion[0] * draw(st.integers(min_value=1, max_value=3)))
+    rank = draw(st.integers(min_value=0 if torsion else 1, max_value=3 - len(torsion)))
+    relations = torsion + [0] * rank
+    matrix = []
+    for db in relations:
+        row = []
+        for a, da in enumerate(relations):
+            x = draw(st.integers(min_value=-3, max_value=3))
+            if a < len(torsion):
+                x = x * (db // math.gcd(db, da)) if db else 0
+            row.append(x)
+        matrix.append(row)
+    return AbelianGroupInv(rank, tuple(torsion)), matrix
+
+
+def _first_repeated_power(matrix, relations, horizon):
+    """The first t <= horizon with M^t Z^r + R = M^(t-1) Z^r + R, comparing
+    sympy's Hermite forms of the lattices; None when there is none."""
+    m, extra = sympy.Matrix(matrix), sympy.diag(*relations)
+    power = sympy.eye(len(relations))
+    previous = sympy_hnf(power.row_join(extra))
+    for t in range(1, horizon + 1):
+        power = m * power
+        form = sympy_hnf(power.row_join(extra))
+        if form == previous:
+            return t
+        previous = form
+    return None
+
+
+LIM1_HORIZON = 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(abelian_endomorphism())
+@example((AbelianGroupInv(0, (4,)), [[2]]))
+@example((AbelianGroupInv(2, ()), [[0, 1], [0, 0]]))
+@example((AbelianGroupInv(1, (2,)), [[1, 1], [0, 2]]))
+@example((AbelianGroupInv(1, ()), [[2]]))
+def test_lim1_matches_hermite_lattice_rule(drawn):
+    """A repeated bonding is surjective when the first image lattice is
+    everything, certifies Mittag-Leffler at the first power whose lattice
+    repeats, and is undetermined when none does up to the horizon."""
+    group, matrix = drawn
+    t = _first_repeated_power(matrix, list(group.torsion) + [0] * group.rank, LIM1_HORIZON)
+    verdict = lim1_verdict(TowerAb((group, group), (matrix,), "pattern_repeats"), LIM1_HORIZON)
+    if t == 1:
+        assert (verdict.trivial, verdict.certificate) == (True, "surjectivity")
+    elif t is not None:
+        assert (verdict.trivial, verdict.certificate) == (True, "mittag_leffler")
+        assert verdict.detail == {"stabilized_at_power": t}
+    else:
+        assert not verdict.trivial
+        assert verdict.detail == {"first_unstable_index": 2, "horizon": LIM1_HORIZON}
