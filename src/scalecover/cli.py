@@ -167,7 +167,7 @@ def run_map(f, options, budgets):
 def run_quotient(f, options, budgets):
     k = options["scale"]
     quotient = build_fiber_quotient(f, k)
-    factorization = factor_and_verify(f, k)
+    factorization = factor_and_verify(f)
     results = {
         "fiber_components": quotient.blocks.blocks,
         "quotient": {

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
+    _chain_letters,
     _expand,
     _h1_coords,
     _word_trivial,
-    chain_word,
     free_reduce,
     h1_pushforward,
     invert_word,
@@ -170,7 +170,9 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
     never that point itself, so no fhat edge joins two lifts of one point.
     """
     candidate = _extend_reduced(cover.space, cover.scale, cover.reps[vid], y)
-    word = chain_word(cover.presentation, candidate)
+    # _extend_reduced proved the candidate a scale-k chain, and it starts at
+    # the basepoint, so every point of it lies in the basepoint's component
+    word = _chain_letters(cover.presentation, candidate)
     bucket = cover._bucket(y, word)
     target = _identify(cover, candidate, word, bucket)
     created = target is None

@@ -395,14 +395,13 @@ class FactorizationReport:
         return self.verdict == "UCM"
 
 
-def factor_and_verify(f: FilteredMap, e: int) -> FactorizationReport:
+def factor_and_verify(f: FilteredMap) -> FactorizationReport:
     """Factor f through a fiber quotient and verify the covering axioms.
 
     Once the preconditions hold, f factors through its fiber quotient at the
-    finest scale (scale e is validated only); the induced map g is then
-    checked to generate, lift chains and admit that scale as transverse.
+    finest scale; the induced map g is then checked to generate, lift chains
+    and admit that scale as transverse.
     """
-    f.source.check_scale(e)
     pre = {
         "generates": check_generates(f).passed,
         "chain_lifting": check_chain_lifting(f).passed,
@@ -411,9 +410,9 @@ def factor_and_verify(f: FilteredMap, e: int) -> FactorizationReport:
     if not all(pre.values()):
         return FactorizationReport(pre, None, None, None, None, None, None,
                                    "preconditions_failed")
-    # The strong condition at scale j does not read e, so the precondition's
-    # search for e = depth, which tries only j = depth, shows that it holds at
-    # the finest scale: a finest-first search would stop there at once.
+    # The strong condition at scale j does not depend on the source scale e it
+    # is searched for, so the precondition's search at e = depth, which tries
+    # only j = depth, shows that it holds at the finest scale.
     chosen = f.source.depth
     quotient = build_fiber_quotient(f, chosen)
     bounded = all(

@@ -233,6 +233,12 @@ def chain_word(pres: GroupPresentation, chain) -> tuple:
     for p in seq:
         if p not in pres._members:
             raise OutsideComponent(f"point {p!r} is outside the basepoint's component")
+    return _chain_letters(pres, seq)
+
+
+def _chain_letters(pres: GroupPresentation, seq: tuple) -> tuple:
+    """``chain_word`` for a point sequence already known to be a chain at the
+    presentation's scale inside the basepoint's component."""
     word = []
     for a, b in zip(seq, seq[1:]):
         letter = pres.edge_letter(a, b)

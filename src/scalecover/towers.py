@@ -390,21 +390,6 @@ def telescoping_solve(tab: TowerAb, gs, mode: str) -> TelescopeResult:
     return TelescopeResult(mode, True, tuple(h), None, verified)
 
 
-def telescoping_backward_group(psis, gs, identities, mul) -> list:
-    """Set-level backward solve of g_i = psi(h_{i+1})^{-1} h_i in any groups.
-
-    ``psis[i]`` maps stage i+2 to stage i+1 (0-based), ``identities`` holds one
-    identity element per stage and ``mul(stage, a, b)`` multiplies at a stage.
-    Always succeeds on a truncation.
-    """
-    n = len(gs) + 1
-    h = [None] * n
-    h[n - 1] = identities[n - 1]
-    for i in range(n - 2, -1, -1):
-        h[i] = mul(i, psis[i](h[i + 1]), gs[i])
-    return h
-
-
 @dataclass(frozen=True)
 class Lim1Verdict:
     trivial: bool

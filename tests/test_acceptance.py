@@ -278,10 +278,9 @@ def test_criterion_3_factorization(criterion3_maps):
         assert len(criterion3_maps) == 200
         discrepancies = []
         for idx, f in enumerate(criterion3_maps):
-            for e in range(1, f.source.depth + 1):
-                report = factor_and_verify(f, e)
-                if report.verdict != "UCM" or not report.fibers_bounded:
-                    discrepancies.append((idx, e, report.verdict))
+            report = factor_and_verify(f)
+            if report.verdict != "UCM" or not report.fibers_bounded:
+                discrepancies.append((idx, report.verdict))
         assert discrepancies == []
 
 

@@ -4,6 +4,7 @@ from conftest import identity_map
 from scalecover.actions import (
     ActionTower,
     GroupTooLarge,
+    InvalidActionTower,
     NotAPermutation,
     action_tower_verify,
     close_group,
@@ -13,6 +14,7 @@ from scalecover.actions import (
     saturate_invariant,
     subgroup_at_scale,
 )
+from scalecover.quotients import FilteredMap
 from scalecover.spaces import from_metric
 
 
@@ -231,3 +233,21 @@ class TestLimitAction:
         action = close_group(fix_l4, [[0, 1, 2, 3]])
         report = limit_action_verify(self.constant_tower(action))
         assert report.verdict == "verified"
+
+
+class TestActionTowerBondings:
+    def test_bonding_respecting_only_the_first_generator_rejected(self):
+        # Two commuting transpositions a, b onto Z/3, fixing the point every
+        # fine point maps to: a -> e, b -> r, ab -> r.  psi(g a) = psi(g) psi(a)
+        # for every g, but psi(b b) = e while psi(b) psi(b) = r^2.
+        discrete = from_metric([[int(i != j) for j in range(4)] for i in range(4)], (0,))
+        fine = close_group(discrete, [[1, 0, 2, 3], [0, 1, 3, 2]])
+        coarse = close_group(discrete, [[0, 2, 3, 1]])
+        a, b = fine.generators
+        r = coarse.generators[0]
+        e, e_coarse = fine.identity, coarse.identity
+        ab = tuple(a[b[i]] for i in range(4))
+        psi = {e: e_coarse, a: e_coarse, b: r, ab: r}
+        phi = FilteredMap.build(discrete, discrete, {x: 0 for x in range(4)})
+        with pytest.raises(InvalidActionTower, match="is not a homomorphism"):
+            ActionTower((coarse, fine), (phi,), (psi,))

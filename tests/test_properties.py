@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import oracle_h1, rp2_subdivision_space
+from conftest import oracle_h1, rp2_subdivision_space, telescoping_backward_group
 from scalecover import covers, formats, rips
 from scalecover.covers import (
     bonding_h1_map,
@@ -35,6 +35,7 @@ from scalecover.actions import (
     close_group,
     diagnose_action,
     quotient_at_scale,
+    saturate_invariant,
     subgroup_at_scale,
 )
 from scalecover.quotients import (
@@ -60,6 +61,7 @@ from scalecover.spaces import (
     Chain,
     FilteredSpace,
     Partition,
+    SpaceError,
     chain_components,
     from_metric,
     is_chain,
@@ -71,7 +73,6 @@ from scalecover.towers import (
     TowerAb,
     assemble_limit_space,
     lim1_verdict,
-    telescoping_backward_group,
 )
 
 
@@ -1404,6 +1405,121 @@ def test_action_quotients_match_all_pairs_definitions(action):
     assert report.part_a["homomorphism"] == homomorphism_by_all_pairs(opened, quotients)
 
 
+def saturate_by_every_element(space, elements, k):
+    """_saturate as it was: every scale-k pair mapped by every element."""
+    pts, index = space.points, space.index
+    return frozenset(
+        space.pair(pts[g[index(a)]], pts[g[index(b)]])
+        for g in elements
+        for a, b in space.scale_pairs(k)
+    )
+
+
+# Two transpositions on a four-point line: the closure of the pair (0, 1)
+# reaches (0, 3) only through the second generator.
+SWAPS_ON_LINE = (
+    FilteredSpace((0, 1, 2, 3), (frozenset({(0, 1)}),)),
+    ([0, 2, 1, 3], [0, 1, 3, 2]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPS_ON_LINE))
+@example(close_group(*SWAPPED_END))
+def test_saturation_by_generators_matches_every_element_scan(action):
+    """A scale closed under a generating set is its image under every element:
+    for G with its generators, and for each scale subgroup with the elements
+    moving a point within that scale, the generators diagnose_action passes."""
+    space, m = action.space, action.space.depth
+    for k in range(1, m + 1):
+        assert saturate_invariant(action, k) == saturate_by_every_element(
+            space, action.elements, k)
+    for f in range(1, m + 1):
+        seed = actions._moving_within(
+            action, actions._closed_indices(space, space.scale_pairs(f)))
+        sub = subgroup_at_scale(action, f).elements
+        for k in range(1, m + 1):
+            assert actions._saturate(space, seed, k) == saturate_by_every_element(
+                space, sub, k)
+
+
+def tower_fields_as_computed(action, quotients):
+    """The fields quotient_at_scale and action_tower_verify read off the
+    construction, computed as they were: each coset's induced permutation from
+    all its members (None where they disagree), the group and space thread
+    sets, the forward witness tables and the coset-tower bondings."""
+    induced = []
+    for q in quotients:
+        qindex = {b: i for i, b in enumerate(q.space.points)}
+        per_coset = []
+        for coset in q.cosets:
+            images = {b: {q.projection(action.apply(g, p)) for g in coset for p in b}
+                      for b in q.space.points}
+            per_coset.append(
+                None if any(len(v) != 1 for v in images.values())
+                else tuple(qindex[next(iter(images[b]))] for b in q.space.points))
+        induced.append(tuple(per_coset))
+    thread_of = {g: tuple(q.coset_index(g) for q in quotients) for g in action.elements}
+    group_threads = {
+        tuple(q.coset_index(top[0]) for q in quotients) for top in quotients[-1].cosets}
+    space_thread = {x: tuple(q.projection(x) for q in quotients) for x in action.space.points}
+    space_threads = {
+        tuple(q.projection(top[0]) for q in quotients) for top in quotients[-1].space.points}
+    bondings = [tuple(coarse.coset_index(c[0]) for c in fine.cosets)
+                for fine, coarse in zip(quotients[1:], quotients[:-1])]
+    return {
+        "induced": induced,
+        "a_injective": len(set(thread_of.values())) == len(action.elements),
+        "a_surjective": set(thread_of.values()) == group_threads,
+        "b_injective": len(set(space_thread.values())) == len(action.space.points),
+        "b_surjective": set(space_thread.values()) == space_threads,
+        "entourage_forward": all(q.projection.is_uniformly_continuous() for q in quotients),
+        "part_d": all(set(b) == set(range(len(coarse.cosets)))
+                      for b, coarse in zip(bondings, quotients[:-1])),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END_HAUSDORFF))
+@example(close_group(*ROTATED_HEXAGON))
+@example(close_group(*SWAPS_ON_LINE))
+def test_action_tower_constants_match_old_computations(action):
+    """Each coset's induced permutation is read off its first element, the two
+    injectivity fields off the finest stage, and surjectivity onto threads,
+    the forward entourage test and part (d) off the normal, nested stages; the
+    computations they replaced must agree.  The hypothesis gate is opened."""
+    opened, report, quotients = opened_tower(action)
+    assert tower_fields_as_computed(opened, quotients) == {
+        "induced": [q.induced_elements for q in quotients],
+        "a_injective": report.part_a["injective"],
+        "a_surjective": report.part_a["surjective_onto_threads"],
+        "b_injective": report.part_b["injective"],
+        "b_surjective": report.part_b["surjective_onto_threads"],
+        "entourage_forward": report.part_b["entourage_forward"],
+        "part_d": report.part_d["all_surjective"],
+    }
+
+
+# Rotation of a 4-cycle whose scale 1 holds only the diagonal pair (0, 2) and
+# whose scale 2 holds only the edge (0, 1): the scale-1 subgroup is {e, r^2},
+# but r moves 0 within scale 2, so the scale-2 subgroup is the whole group.
+UNNESTED_SQUARE = (
+    FilteredSpace((0, 1, 2, 3), (frozenset({(0, 2)}), frozenset({(0, 1)}), frozenset()),
+                  hausdorff=True),
+    ([1, 2, 3, 0],),
+)
+
+
+def test_unnested_scales_stop_the_action_tower():
+    """Every hypothesis holds, so the tower is built; its stage subgroups do
+    not nest, which the fields read off the construction rely on."""
+    action = close_group(*UNNESTED_SQUARE)
+    with pytest.raises(SpaceError, match="do not nest"):
+        action_tower_verify(action)
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -1732,8 +1848,8 @@ WRAP_16_8 = FilteredMap(
 def test_factorization_scale_matches_finest_first_search(f):
     """Once the preconditions hold, the search would have chosen the finest
     scale at every e, and no e leaves it without a scale."""
+    report = factor_and_verify(f)
     for e in range(1, f.source.depth + 1):
-        report = factor_and_verify(f, e)
         if report.verdict == "preconditions_failed":
             assert report.chosen_scale is None
         else:

@@ -158,17 +158,17 @@ class TestFiberQuotient:
 
 class TestFactorAndVerify:
     def test_fix_map(self, fix_map):
-        rep = factor_and_verify(fix_map, 1)
+        rep = factor_and_verify(fix_map)
         assert rep.chosen_scale == 1
         assert rep.verdict == "UCM"
         assert rep.fibers_bounded
 
     def test_identity(self, fix_c6):
-        rep = factor_and_verify(identity_map(fix_c6), 1)
+        rep = factor_and_verify(identity_map(fix_c6))
         assert rep.verdict == "UCM"
 
     def test_constant_map_preconditions_fail(self, constant_map):
-        rep = factor_and_verify(constant_map, 1)
+        rep = factor_and_verify(constant_map)
         assert rep.verdict == "preconditions_failed"
         assert not rep.preconditions["strong_approx_uniqueness"]
         assert rep.preconditions["generates"]

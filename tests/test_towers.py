@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import identity_map
+from conftest import identity_map, telescoping_backward_group
 from scalecover.quotients import FilteredMap
 from scalecover.rips import AbelianGroupInv
 from scalecover.spaces import FilteredSpace
@@ -13,7 +13,6 @@ from scalecover.towers import (
     lim1_verdict,
     quotient_tower_reconstruct,
     strong_ml_check,
-    telescoping_backward_group,
     telescoping_solve,
     tower_map_limits,
 )
