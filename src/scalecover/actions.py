@@ -425,7 +425,7 @@ class ActionTowerReport:
         return self.verdict == "verified"
 
 
-def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
+def action_tower_verify(action: ActionSpec, diagnosis=None, known=None) -> ActionTowerReport:
     """Verify the reconstruction of a faithful action from its scale quotients.
 
     Over the saturated invariant basis this builds the coset tower and the
@@ -437,9 +437,13 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     from that: it is written as True with its reason beside it.  A space
     whose scales do not nest can break the nesting of the subgroups; that
     raises SpaceError.
+
+    ``diagnosis`` and ``known`` (scale -> quotient) are results of
+    ``diagnose_action`` and ``quotient_at_scale`` for this action that the
+    caller already has; the rest are computed here.
     """
     space = action.space
-    diag = diagnose_action(action)
+    diag = diagnose_action(action) if diagnosis is None else diagnosis
     hypotheses = {
         # a group given by its distinct permutations acts faithfully
         "faithful": True,
@@ -452,7 +456,9 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
         return ActionTowerReport(hypotheses, (), {}, {}, {}, {},
                                  f"HypothesisUnmet:{failing}")
 
-    quotients = [quotient_at_scale(action, k) for k in range(1, space.depth + 1)]
+    known = known or {}
+    quotients = [known[k] if k in known else quotient_at_scale(action, k)
+                 for k in range(1, space.depth + 1)]
     for k in range(1, len(quotients)):
         if not set(quotients[k].subgroup) <= set(quotients[k - 1].subgroup):
             raise SpaceError(f"the stage subgroup of scale {k + 1} is not contained in "

@@ -10,12 +10,16 @@ SCALECOVER_* environment variables.
 A live command turns its flags into (report kind, input object, options).
 The table COMMANDS gives each kind its inputs field, spec reader and writer
 and runner, so live runs and ``verify --replay`` share one path.  Runners
-return library objects; the report is converted to JSON once, on output.
+return library objects, and the report is written to JSON once, on output.
+Its ``inputs`` are written once before that, by ``formats.written_field``,
+which gives both their text, indented for the report, and their
+``input_digest``.  Integer flags and budgets are read in ASCII decimal only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -46,13 +50,32 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
+def _integer(raw) -> int:
+    """raw if it is an int, or the int its text writes in ASCII decimal (the
+    grammar of formats.parse_number); ValueError for anything else, such as
+    the '1_0' and non-ASCII digits that int() reads."""
+    if type(raw) is str:
+        raw = formats.parse_number(raw)
+    if type(raw) is not int:
+        raise ValueError(raw)
+    return raw
+
+
+def _int_flag(text) -> int:
+    """The argparse type of the integer flags, with argparse's message for int."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _budget(name, raw):
     """A budget given on the command line, in the environment or in a report."""
     try:
-        value = int(raw)
-        if value >= 0 and not isinstance(raw, (bool, float)):
+        value = _integer(raw)
+        if value >= 0:
             return value
-    except (TypeError, ValueError):
+    except ValueError:
         pass
     raise formats.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
 
@@ -205,10 +228,13 @@ def run_abelian_tower(tab, options, budgets):
 
 
 def run_action(action, options, budgets):
-    results = {"diagnosis": diagnose_action(action)}
+    diagnosis = diagnose_action(action)
+    results = {"diagnosis": diagnosis}
     code = EXIT_OK
-    if options.get("quotient_scale") is not None:
-        q = quotient_at_scale(action, options["quotient_scale"])
+    known = {}  # scale -> quotient, for the tower to reuse
+    k = options.get("quotient_scale")
+    if k is not None:
+        q = known[k] = quotient_at_scale(action, k)
         results["quotient"] = {
             "scale": q.scale,
             "saturated": q.saturated,
@@ -225,7 +251,7 @@ def run_action(action, options, budgets):
         if not (q.normal and q.induced_faithful and q.upd_holds):
             code = EXIT_COUNTEREXAMPLE
     if options.get("tower"):
-        report = action_tower_verify(action)
+        report = action_tower_verify(action, diagnosis, known)
         results["tower"] = report
         if report.verdict == "discrepancy":
             code = EXIT_COUNTEREXAMPLE
@@ -353,12 +379,13 @@ def _emit(report: dict, out_path):
 
 
 def _report(argv, replay, inputs, budgets, results, code):
+    inputs, input_digest = formats.written_field(inputs)
     return {
         "schema": formats.SCHEMA,
         "command": list(argv),
         "replay": replay,
         "inputs": inputs,
-        "input_digest": formats.digest(inputs),
+        "input_digest": input_digest,
         "budgets": budgets,
         "results": results,
         "exit_code": code,
@@ -373,8 +400,10 @@ class _Parser(argparse.ArgumentParser):
         raise formats.ParseError(message)
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser; parse_args leaves it as it was, so one serves
+    every call of main."""
     parser = _Parser(
         prog="scalecover",
         description="verifiers for scale-filtered spaces, covers, quotients, "
@@ -393,7 +422,7 @@ def main(argv=None) -> int:
     p.set_defaults(live=_live_space)
     p.add_argument("space")
     p.add_argument("--radii")
-    p.add_argument("--scale", type=int, required=True)
+    p.add_argument("--scale", type=_int_flag, required=True)
     p.add_argument("--basepoint", required=True)
     p.add_argument("--radius")
     p.add_argument("--ident-budget", dest="ident_budget")
@@ -410,7 +439,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("quotient", help="fiber quotient and factorization at a scale")
     p.set_defaults(live=_live_map)
     p.add_argument("mapfile")
-    p.add_argument("--scale", type=int, required=True)
+    p.add_argument("--scale", type=_int_flag, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("tower", help="limits, strong-ML, lim1, telescoping")
@@ -425,19 +454,23 @@ def main(argv=None) -> int:
     p = sub.add_parser("action", help="diagnosis, quotients, tower verification")
     p.set_defaults(live=_live_action)
     p.add_argument("actionfile")
-    p.add_argument("--quotient-scale", type=int, dest="quotient_scale")
+    p.add_argument("--quotient-scale", type=_int_flag, dest="quotient_scale")
     p.add_argument("--tower", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="re-run a report's analysis and counterexamples")
     p.add_argument("--replay", required=True)
     p.add_argument("--out")
+    return parser
 
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = None
     budgets = {}
 
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         budgets = default_budgets()
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)

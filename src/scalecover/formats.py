@@ -88,12 +88,18 @@ def to_jsonable(obj):
     return str(obj)
 
 
+class _Written(str):
+    """JSON text already written for the place it stands in; the writer
+    copies it as it is."""
+
+
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda v: "null",
     float: json.dumps,  # repr for finite floats, NaN/Infinity as json writes them
+    _Written: str.__str__,
 }
 
 
@@ -151,8 +157,21 @@ def canonical_dumps(obj) -> str:
     return "".join(out)
 
 
-def digest(obj) -> str:
-    return "sha256:" + hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+def written_field(obj):
+    """``obj`` written once, as (field, digest).
+
+    ``digest`` hashes the canonical text of ``obj`` as its own document.
+    ``field`` is that text without its trailing newline, indented to stand
+    as the value of a top-level key of another document, and
+    ``canonical_dumps`` copies it as it is.  The re-indent is exact because
+    ``encode_basestring_ascii`` escapes every control character inside
+    strings, so every newline in canonical text is structural.
+    """
+    out = []
+    _write(to_jsonable(obj), out, "\n")
+    text = "".join(out)
+    digest = "sha256:" + hashlib.sha256((text + "\n").encode()).hexdigest()
+    return _Written(text.replace("\n", "\n  ")), digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
+import collections
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import scalecover
 from conftest import identity_map
-from scalecover import formats
+from scalecover import actions, cli, formats
 from scalecover.cli import main
 
 
@@ -163,6 +171,9 @@ BAD_FLAGS = {
     "non_integer_scale": ["cover", "{csv}", "--radii", "2,1", "--scale", "abc",
                           "--basepoint", "0"],
     "missing_basepoint": ["cover", "{csv}", "--radii", "2,1", "--scale", "1"],
+    # int() reads this as 10
+    "underscored_scale": ["cover", "{csv}", "--radii", "2,1", "--scale", "1_0",
+                          "--basepoint", "0"],
     "no_subcommand": [],
 }
 
@@ -433,6 +444,12 @@ class TestActionCommand:
         assert len(report["results"]["quotient"]["orbit_partition"]) == 6
         assert report["results"]["quotient"]["upd_holds"]
 
+    def test_quotient_scale_reads_ascii_decimal_only(self, capsys, action_file):
+        # int() reads the Arabic-Indic digit three as 3
+        code, report = run(capsys, "action", action_file, "--quotient-scale", "\u0663")
+        assert code == 3
+        assert "--quotient-scale" in report["results"]["error"]
+
 
 class TestDeterminismAndReplay:
     def test_reports_byte_identical(self, capsys, c6_csv_file, map_file,
@@ -533,7 +550,7 @@ class TestDeterminismAndReplay:
 
 
 class TestBudgetInput:
-    @pytest.mark.parametrize("value", ["abc", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "-3", "1_2", "\u0663"])
     @pytest.mark.parametrize("name", ["SCALECOVER_RADIUS", "SCALECOVER_IDENT_BUDGET",
                                       "SCALECOVER_COSET_ROWS", "SCALECOVER_PRODUCT_BOUND"])
     def test_bad_env_budget_is_input_error(self, capsys, c6_csv_file, monkeypatch,
@@ -543,7 +560,7 @@ class TestBudgetInput:
         assert code == 3
         assert name in report["results"]["error"]
 
-    @pytest.mark.parametrize("value", ["-3", "abc"])
+    @pytest.mark.parametrize("value", ["-3", "abc", "1_0", "\u0663"])
     @pytest.mark.parametrize("flag", ["--radius", "--ident-budget", "--coset-rows"])
     def test_bad_cover_budget_flag_is_input_error(self, capsys, c6_csv_file, flag, value):
         code, report = run(
@@ -607,3 +624,88 @@ class TestBudgetInput:
         code, report = run(capsys, "verify", "--replay", str(out))
         assert code == 3
         assert "budgets" in report["results"]["error"]
+
+
+def test_action_tower_reuses_diagnosis_and_quotient(capsys, tmp_path, monkeypatch):
+    """action --quotient-scale k --tower diagnoses once and builds each scale
+    quotient once: the tower reuses the command's own."""
+    n = 8
+    cycle = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    spec = {"kind": "action", "space": {"matrix": cycle, "radii": [2, 1, 0]},
+            "generators": [[(i + 2) % n for i in range(n)]]}
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(spec))
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(action, *args):
+            calls[(fn.__name__, *args)] += 1
+            return fn(action, *args)
+        return wrapper
+
+    for name in ("diagnose_action", "quotient_at_scale"):
+        wrapper = counted(getattr(actions, name))
+        monkeypatch.setattr(actions, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    code, report = run(capsys, "action", str(path), "--quotient-scale", "2", "--tower")
+    assert code == 0
+    assert report["results"]["tower"]["verdict"] == "verified"
+    assert calls == {("diagnose_action",): 1, ("quotient_at_scale", 1): 1,
+                     ("quotient_at_scale", 2): 1, ("quotient_at_scale", 3): 1}
+
+
+def test_parser_reuse_is_stateless(capsys, c6_csv_file, monkeypatch):
+    """One parser serves good and failing commands in turn, and each report is
+    the one a fresh process writes."""
+    for name in list(os.environ):
+        if name.startswith("SCALECOVER_"):
+            monkeypatch.delenv(name)
+    commands = [
+        ["analyze", c6_csv_file, "--radii", "2,1"],
+        ["analyze", c6_csv_file, "--radii", "2,1", "--bogus"],
+        ["cover", c6_csv_file, "--radii", "2,1", "--scale", "1"],
+        ["cover", c6_csv_file, "--radii", "2,1", "--scale", "1", "--basepoint", "0",
+         "--radius", "6"],
+        ["analyze", c6_csv_file, "--radii", "2,1"],
+    ]
+    cli._parser.cache_clear()
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _ in in_process] == [0, 3, 3, 0, 0]
+    assert in_process[0] == in_process[-1]
+
+    src = str(Path(scalecover.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, expected in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "scalecover.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout) == expected, argv
+
+
+# strings with newlines, quotes, backslashes, control and non-ASCII characters
+_text = st.text(st.sampled_from(["\n", '"', "\\", "\t", "\x00", "\u00e9", "\u2028", "a"])
+                | st.characters(), max_size=6)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | _text)
+_values = st.recursive(
+    _scalars | st.tuples(st.integers(), _text),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(inputs=st.dictionaries(_text, _values, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_input_digest_hashes_inputs_as_their_own_document(inputs):
+    report = cli._report(["analyze"], {"kind": "analyze", "options": {}}, inputs, {}, {}, 0)
+    text = formats.canonical_dumps(report)
+    alone = json.dumps(formats.to_jsonable(inputs), sort_keys=True, indent=2,
+                       ensure_ascii=True) + "\n"
+    parsed = json.loads(text)
+    assert parsed["input_digest"] == "sha256:" + hashlib.sha256(alone.encode()).hexdigest()
+    assert parsed["inputs"] == json.loads(alone)
+    assert text == json.dumps(parsed, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
