@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quotients import FilteredMap, verify_gucm
+from .rips import _owned
 from .spaces import (
     FilteredSpace,
     Partition,
@@ -67,12 +68,18 @@ class ActionSpec:
     """A finite permutation action with its element list materialized.
 
     Elements are distinct permutations of the points, so the action is
-    faithful.
+    faithful.  Its diagnosis and scale quotients are memoized on the
+    instance (see ``rips._owned``), so a command that reports a scale
+    quotient and the tower computes each once, and they live as long as the
+    action does.
     """
 
     space: FilteredSpace
     generators: tuple
     elements: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     def apply(self, perm, point):
         return self.space.points[perm[self.space.index(point)]]
@@ -208,6 +215,7 @@ class ActionDiagnosis:
         return all(v is not None for v in self.equicontinuity["witnesses"].values())
 
 
+@_owned
 def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     """Decide the smallness properties of the action.
 
@@ -350,6 +358,7 @@ class QuotientAction:
             raise SpaceError("element not covered by the cosets") from None
 
 
+@_owned
 def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     """Quotient by the scale-k subgroup, with the discontinuity verification.
 
@@ -425,7 +434,7 @@ class ActionTowerReport:
         return self.verdict == "verified"
 
 
-def action_tower_verify(action: ActionSpec, diagnosis=None, known=None) -> ActionTowerReport:
+def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     """Verify the reconstruction of a faithful action from its scale quotients.
 
     Over the saturated invariant basis this builds the coset tower and the
@@ -437,13 +446,9 @@ def action_tower_verify(action: ActionSpec, diagnosis=None, known=None) -> Actio
     from that: it is written as True with its reason beside it.  A space
     whose scales do not nest can break the nesting of the subgroups; that
     raises SpaceError.
-
-    ``diagnosis`` and ``known`` (scale -> quotient) are results of
-    ``diagnose_action`` and ``quotient_at_scale`` for this action that the
-    caller already has; the rest are computed here.
     """
     space = action.space
-    diag = diagnose_action(action) if diagnosis is None else diagnosis
+    diag = diagnose_action(action)
     hypotheses = {
         # a group given by its distinct permutations acts faithfully
         "faithful": True,
@@ -456,9 +461,7 @@ def action_tower_verify(action: ActionSpec, diagnosis=None, known=None) -> Actio
         return ActionTowerReport(hypotheses, (), {}, {}, {}, {},
                                  f"HypothesisUnmet:{failing}")
 
-    known = known or {}
-    quotients = [known[k] if k in known else quotient_at_scale(action, k)
-                 for k in range(1, space.depth + 1)]
+    quotients = [quotient_at_scale(action, k) for k in range(1, space.depth + 1)]
     for k in range(1, len(quotients)):
         if not set(quotients[k].subgroup) <= set(quotients[k - 1].subgroup):
             raise SpaceError(f"the stage subgroup of scale {k + 1} is not contained in "

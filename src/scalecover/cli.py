@@ -19,7 +19,6 @@ which gives both their text, indented for the report, and their
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -228,13 +227,10 @@ def run_abelian_tower(tab, options, budgets):
 
 
 def run_action(action, options, budgets):
-    diagnosis = diagnose_action(action)
-    results = {"diagnosis": diagnosis}
+    results = {"diagnosis": diagnose_action(action)}
     code = EXIT_OK
-    known = {}  # scale -> quotient, for the tower to reuse
-    k = options.get("quotient_scale")
-    if k is not None:
-        q = known[k] = quotient_at_scale(action, k)
+    if options.get("quotient_scale") is not None:
+        q = quotient_at_scale(action, options["quotient_scale"])
         results["quotient"] = {
             "scale": q.scale,
             "saturated": q.saturated,
@@ -251,7 +247,7 @@ def run_action(action, options, budgets):
         if not (q.normal and q.induced_faithful and q.upd_holds):
             code = EXIT_COUNTEREXAMPLE
     if options.get("tower"):
-        report = action_tower_verify(action, diagnosis, known)
+        report = action_tower_verify(action)
         results["tower"] = report
         if report.verdict == "discrepancy":
             code = EXIT_COUNTEREXAMPLE
@@ -400,10 +396,8 @@ class _Parser(argparse.ArgumentParser):
         raise formats.ParseError(message)
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The command-line parser; parse_args leaves it as it was, so one serves
-    every call of main."""
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _Parser(
         prog="scalecover",
         description="verifiers for scale-filtered spaces, covers, quotients, "
@@ -461,16 +455,12 @@ def _parser() -> _Parser:
     p = sub.add_parser("verify", help="re-run a report's analysis and counterexamples")
     p.add_argument("--replay", required=True)
     p.add_argument("--out")
-    return parser
 
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = None
     budgets = {}
 
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         budgets = default_budgets()
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)

@@ -162,17 +162,18 @@ class GroupPresentation:
 
 
 def _owned(fn):
-    """Memoize fn(pres, *args) in the presentation's own ``_memo``.
+    """Memoize fn(owner, *args) in the owner's own ``_memo``: a presentation's
+    here, an ``actions.ActionSpec``'s there.
 
-    A lookup hashes only fn and the extra arguments, never the presentation,
-    and the results die with it.
+    A lookup hashes only fn and the extra arguments, never the owner, and
+    the results die with it.
     """
     @wraps(fn)
-    def memoized(pres, *args):
+    def memoized(owner, *args):
         key = (fn, *args)
-        if key not in pres._memo:
-            pres._memo[key] = fn(pres, *args)
-        return pres._memo[key]
+        if key not in owner._memo:
+            owner._memo[key] = fn(owner, *args)
+        return owner._memo[key]
 
     return memoized
 

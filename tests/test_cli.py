@@ -628,35 +628,38 @@ class TestBudgetInput:
 
 def test_action_tower_reuses_diagnosis_and_quotient(capsys, tmp_path, monkeypatch):
     """action --quotient-scale k --tower diagnoses once and builds each scale
-    quotient once: the tower reuses the command's own."""
+    quotient once: the tower gets the very objects the command reported."""
     n = 8
     cycle = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
     spec = {"kind": "action", "space": {"matrix": cycle, "radii": [2, 1, 0]},
             "generators": [[(i + 2) % n for i in range(n)]]}
     path = tmp_path / "rotation.json"
     path.write_text(json.dumps(spec))
-    calls = collections.Counter()
+    returned = collections.defaultdict(list)
 
-    def counted(fn):
+    def recorded(fn):
         def wrapper(action, *args):
-            calls[(fn.__name__, *args)] += 1
-            return fn(action, *args)
+            result = fn(action, *args)
+            returned[(fn.__name__, *args)].append(result)
+            return result
         return wrapper
 
     for name in ("diagnose_action", "quotient_at_scale"):
-        wrapper = counted(getattr(actions, name))
+        wrapper = recorded(getattr(actions, name))
         monkeypatch.setattr(actions, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
     code, report = run(capsys, "action", str(path), "--quotient-scale", "2", "--tower")
     assert code == 0
     assert report["results"]["tower"]["verdict"] == "verified"
-    assert calls == {("diagnose_action",): 1, ("quotient_at_scale", 1): 1,
-                     ("quotient_at_scale", 2): 1, ("quotient_at_scale", 3): 1}
+    assert {key: len(results) for key, results in returned.items()} == {
+        ("diagnose_action",): 2, ("quotient_at_scale", 1): 1,
+        ("quotient_at_scale", 2): 2, ("quotient_at_scale", 3): 1}
+    assert all(r is results[0] for results in returned.values() for r in results)
 
 
-def test_parser_reuse_is_stateless(capsys, c6_csv_file, monkeypatch):
-    """One parser serves good and failing commands in turn, and each report is
-    the one a fresh process writes."""
+def test_main_is_stateless_across_calls(capsys, c6_csv_file, monkeypatch):
+    """Good and failing commands run in turn in one process each write the
+    report a fresh process writes."""
     for name in list(os.environ):
         if name.startswith("SCALECOVER_"):
             monkeypatch.delenv(name)
@@ -668,12 +671,10 @@ def test_parser_reuse_is_stateless(capsys, c6_csv_file, monkeypatch):
          "--radius", "6"],
         ["analyze", c6_csv_file, "--radii", "2,1"],
     ]
-    cli._parser.cache_clear()
     in_process = []
     for argv in commands:
         code = main(argv)
         in_process.append((code, capsys.readouterr().out))
-    assert cli._parser.cache_info().misses == 1
     assert [code for code, _ in in_process] == [0, 3, 3, 0, 0]
     assert in_process[0] == in_process[-1]
 
