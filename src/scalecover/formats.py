@@ -3,13 +3,14 @@
 All structured input and output is JSON with sorted keys, two-space indent
 and a trailing newline, so serialize(parse(file)) is byte-identical for
 canonical files.  Reports are written by a small recursive writer whose bytes
-equal ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``;
-floats are written as ``json.dumps`` writes them.  JSON input may not hold
-the non-finite constants NaN, Infinity or -Infinity, which are not JSON.
-Distance matrices come in as headerless CSV; its cells and the CLI's
-``--radii`` go through one number reader, ``parse_number``, which accepts
-ASCII decimal numbers only and refuses non-finite values.  Parse errors
-carry the position that failed.
+equal ``json.dumps(to_jsonable(value), sort_keys=True, indent=2,
+ensure_ascii=True)``; it walks the result objects in one pass, writes each
+dataclass instance once per document and floats as ``json.dumps`` does.
+JSON input may not hold the non-finite constants NaN, Infinity or -Infinity,
+which are not JSON.  Distance matrices come in as headerless CSV; its cells
+and the CLI's ``--radii`` go through one number reader, ``parse_number``,
+which accepts ASCII decimal numbers only and refuses non-finite values.
+Parse errors carry the position that failed.
 """
 
 from __future__ import annotations
@@ -103,12 +104,14 @@ _SCALAR_TEXT = {
 }
 
 
-def _write(value, out: list, newline: str) -> None:
-    """Append the indent-2 JSON text of ``value`` to ``out``.
+def _write(value, out: list, newline: str, memo: dict) -> None:
+    """Append the indent-2 JSON text of ``to_jsonable(value)`` to ``out``.
 
     ``newline`` is a newline plus the indentation of the line ``value``
     starts on.  Each key and each scalar list member is appended together
-    with the separator before it, so few pieces are made.
+    with the separator before it, so few pieces are made.  ``memo`` maps the
+    id of each dataclass instance written so far to (instance, its text as
+    a document); a later occurrence copies that text re-indented.
     """
     cls = type(value)
     if cls is dict:
@@ -117,16 +120,16 @@ def _write(value, out: list, newline: str) -> None:
             return
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
-        for k, v in sorted(value.items()):
+        for k, v in sorted({_key(k): v for k, v in value.items()}.items()):
             text = _SCALAR_TEXT.get(type(v))
             if text is not None:
                 out.append(sep + encode_basestring_ascii(k) + ": " + text(v))
             else:
                 out.append(sep + encode_basestring_ascii(k) + ": ")
-                _write(v, out, inner)
+                _write(v, out, inner, memo)
             sep = comma
         out.append(newline + "}")
-    elif cls is list:
+    elif cls is list or cls is tuple:
         if not value:
             out.append("[]")
             return
@@ -138,12 +141,24 @@ def _write(value, out: list, newline: str) -> None:
                 out.append(sep + text(v))
             else:
                 out.append(sep)
-                _write(v, out, inner)
+                _write(v, out, inner, memo)
             sep = comma
         out.append(newline + "]")
-    else:
-        # json.dumps writes subclasses of str, int and float as their base type
-        out.append(_SCALAR_TEXT.get(cls, json.dumps)(value))
+    elif (names := _public_fields(cls)) is not None:
+        seen = memo.get(id(value))
+        if seen is None:
+            own = []
+            _write({name: getattr(value, name) for name in names}, own, "\n", memo)
+            seen = memo[id(value)] = (value, "".join(own))
+        out.append(seen[1].replace("\n", newline))
+    elif (text := _SCALAR_TEXT.get(cls)) is not None:
+        out.append(text(value))
+    else:  # sets, subclasses of the types above, and str() of anything else
+        jsonable = to_jsonable(value)
+        if jsonable is value:  # json.dumps writes a str, int or float subclass as its base
+            out.append(json.dumps(value))
+        else:
+            _write(jsonable, out, newline, memo)
 
 
 def canonical_dumps(obj) -> str:
@@ -152,7 +167,7 @@ def canonical_dumps(obj) -> str:
     byte-identical to ``json.dumps(..., sort_keys=True, indent=2,
     ensure_ascii=True) + "\\n"``."""
     out = []
-    _write(to_jsonable(obj), out, "\n")
+    _write(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -168,7 +183,7 @@ def written_field(obj):
     strings, so every newline in canonical text is structural.
     """
     out = []
-    _write(to_jsonable(obj), out, "\n")
+    _write(obj, out, "\n", {})
     text = "".join(out)
     digest = "sha256:" + hashlib.sha256((text + "\n").encode()).hexdigest()
     return _Written(text.replace("\n", "\n  ")), digest
@@ -264,11 +279,22 @@ def parse_number(text: str, position=None):
     return value
 
 
+# int() reads lines of these characters as parse_number does, or refuses them
+_INTEGER_LINE_CHARS = _NUMBER_CHARS - frozenset(".eE") | frozenset(",")
+
+
 def parse_distance_csv(text: str):
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            rows.append([parse_number(cell, f"line {lineno}") for cell in line.split(",")])
+        if not line.strip():
+            continue
+        if _INTEGER_LINE_CHARS.issuperset(line):
+            try:
+                rows.append(list(map(int, line.split(","))))
+                continue
+            except ValueError:
+                pass
+        rows.append([parse_number(cell, f"line {lineno}") for cell in line.split(",")])
     n = len(rows)
     for lineno, row in enumerate(rows, start=1):
         if len(row) != n:

@@ -22,7 +22,10 @@ identity.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import le, ne
 from typing import Iterable, Sequence
 
 
@@ -279,20 +282,29 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
 
     Scale k relates x and y when d(x, y) <= r_k (closed entourages).  The
     hausdorff flag is set exactly when the finest radius lies below the
-    smallest positive distance.
+    smallest positive distance.  The matrix is checked a row at a time, and
+    walked entry by entry only to name the first bad entry.
     """
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise AsymmetricMatrix("distance matrix is not square")
-    for i in range(n):
-        if matrix[i][i] != 0:
-            raise AsymmetricMatrix(f"nonzero diagonal entry at {i}")
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
-                raise AsymmetricMatrix(f"matrix[{i}][{j}] != matrix[{j}][{i}]")
-            if matrix[i][j] < 0:
-                raise AsymmetricMatrix(f"negative distance at ({i}, {j})")
+    try:  # != (unlike tuple equality) refuses a NaN object at [i][j] and [j][i]
+        ok = (all(len(row) == n for row in matrix)
+              and not any(row[i] != 0 for i, row in enumerate(matrix))
+              and not any(any(map(ne, row, column)) for row, column in zip(matrix, zip(*matrix)))
+              and not min(map(min, matrix), default=0) < 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        for row in matrix:
+            if len(row) != n:
+                raise AsymmetricMatrix("distance matrix is not square")
+        for i in range(n):
+            if matrix[i][i] != 0:
+                raise AsymmetricMatrix(f"nonzero diagonal entry at {i}")
+            for j in range(n):
+                if matrix[i][j] != matrix[j][i]:
+                    raise AsymmetricMatrix(f"matrix[{i}][{j}] != matrix[{j}][{i}]")
+                if matrix[i][j] < 0:
+                    raise AsymmetricMatrix(f"negative distance at ({i}, {j})")
     radii = tuple(radii)
     if not radii:
         raise NonDecreasingRadii("at least one radius is required")
@@ -309,18 +321,20 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
             raise SpaceError("point list does not match matrix size")
         if len(set(points)) != n:
             raise SpaceError("duplicate point identifiers")
-    scales = []
-    for r in radii:
-        pairs = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if matrix[i][j] <= r:
-                    pairs.add((points[i], points[j]))
-        scales.append(frozenset(pairs))
-    positive = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
-    min_positive = min((d for d in positive if d > 0), default=None)
+    # finest[k] holds the pairs whose finest scale is k: d <= r_k, not d <= r_(k+1)
+    ascending, depth = radii[::-1], len(radii)
+    finest = [[] for _ in range(depth + 1)]
+    minima = []
+    for i, row in enumerate(matrix):
+        later = row[i + 1:]
+        minima.append(min(filter(None, later), default=0))  # no entry is < 0 or NaN here
+        for j in compress(range(i + 1, n), map(le, later, repeat(radii[0]))):
+            finest[depth - bisect_left(ascending, row[j])].append((points[i], points[j]))
+    # scale k is the union of finest[depth], ..., finest[k]
+    scales = tuple(accumulate(finest[:0:-1], frozenset.union, initial=frozenset()))[:0:-1]
+    min_positive = min(filter(None, minima), default=None)
     hausdorff = min_positive is None or radii[-1] < min_positive
-    return FilteredSpace(points, tuple(scales), hausdorff)
+    return FilteredSpace(points, scales, hausdorff)
 
 
 def subspace(space: FilteredSpace, keep: Iterable) -> FilteredSpace:

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import enum
 import fractions
+import hashlib
 import itertools
 import json
 import math
@@ -58,8 +59,10 @@ from scalecover.rips import (
     reduce_chain,
 )
 from scalecover.spaces import (
+    AsymmetricMatrix,
     Chain,
     FilteredSpace,
+    NonDecreasingRadii,
     Partition,
     SpaceError,
     chain_components,
@@ -1919,3 +1922,209 @@ def test_lim1_matches_hermite_lattice_rule(drawn):
     else:
         assert not verdict.trivial
         assert verdict.detail == {"first_unstable_index": 2, "horizon": LIM1_HORIZON}
+
+
+# ---------------------------------------------------------------------------
+# the writer's per-document memo of dataclass instances
+
+
+def _reference_dumps(value):
+    return json.dumps(_reference_to_jsonable(value), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+
+
+def test_shared_instance_written_at_every_depth():
+    """One instance under a list, as a dict value and at the top of a value,
+    each at its own indentation, holding a nested instance that is shared too."""
+    inner = _Verdict([1, {"x": (2, 3)}], frozenset({(0, "a"), (1, "b")}))
+    shared = _Verdict({"deep": [inner, [inner]]}, ["s", 2.5, None])
+    value = {"list": [shared, [0, shared]], "dict": {"k": {"v": shared}}, "top": shared,
+             "inner": inner}
+    assert formats.canonical_dumps(value) == _reference_dumps(value)
+    field, digest = formats.written_field([value, shared])
+    assert digest == "sha256:" + hashlib.sha256(_reference_dumps([value, shared]).encode()
+                                                ).hexdigest()
+    assert formats.canonical_dumps({"field": field}) == _reference_dumps(
+        {"field": [value, shared]})
+
+
+def test_mutable_instance_is_written_as_it_is_at_each_dump(fix_c6):
+    """The memo lives for one document: a cover mutated between two dumps,
+    each holding it twice, shows each state in its own document."""
+    cover = covers.build_cover(fix_c6, 1, 0, 1)
+    first = formats.canonical_dumps({"a": [cover], "b": cover})
+    assert first == _reference_dumps({"a": [cover], "b": cover})
+    cover.frontier_radius += 7
+    cover.unknown_pairs.append((0, 1))
+    second = formats.canonical_dumps({"a": [cover], "b": cover})
+    assert second == _reference_dumps({"a": [cover], "b": cover})
+    assert second != first
+    assert formats.written_field(cover)[1] == "sha256:" + hashlib.sha256(
+        _reference_dumps(cover).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# metric ingestion against the loops it replaced
+
+
+def _old_parse_distance_csv(text):
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            rows.append([formats.parse_number(cell, f"line {lineno}")
+                         for cell in line.split(",")])
+    n = len(rows)
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise formats.ParseError(
+                f"row has {len(row)} entries but the matrix has {n} rows",
+                f"line {lineno}",
+            )
+    return rows
+
+
+def _old_from_metric(matrix, radii, points=None):
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise AsymmetricMatrix("distance matrix is not square")
+    for i in range(n):
+        if matrix[i][i] != 0:
+            raise AsymmetricMatrix(f"nonzero diagonal entry at {i}")
+        for j in range(n):
+            if matrix[i][j] != matrix[j][i]:
+                raise AsymmetricMatrix(f"matrix[{i}][{j}] != matrix[{j}][{i}]")
+            if matrix[i][j] < 0:
+                raise AsymmetricMatrix(f"negative distance at ({i}, {j})")
+    radii = tuple(radii)
+    if not radii:
+        raise NonDecreasingRadii("at least one radius is required")
+    for r, s in zip(radii, radii[1:]):
+        if not s < r:
+            raise NonDecreasingRadii(f"radii must strictly decrease, got {r} then {s}")
+    if radii[-1] < 0:
+        raise NonDecreasingRadii("radii must be nonnegative")
+    if points is None:
+        points = tuple(range(n))
+    else:
+        points = tuple(points)
+        if len(points) != n:
+            raise SpaceError("point list does not match matrix size")
+        if len(set(points)) != n:
+            raise SpaceError("duplicate point identifiers")
+    scales = []
+    for r in radii:
+        pairs = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if matrix[i][j] <= r:
+                    pairs.add((points[i], points[j]))
+        scales.append(frozenset(pairs))
+    positive = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
+    min_positive = min((d for d in positive if d > 0), default=None)
+    hausdorff = min_positive is None or radii[-1] < min_positive
+    return FilteredSpace(points, tuple(scales), hausdorff)
+
+
+def _outcome(call, *args):
+    """What a call returned, or the class, text and position of what it raised."""
+    try:
+        return "returned", call(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "position", None)
+
+
+_NAN = float("nan")
+# distances and radii share one small pool, so ties at a radius are common
+_DISTANCES = {"int": st.integers(0, 4),
+              "float": st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.25]),
+              "mixed": st.sampled_from([0, 1, 2, 0.5, 1.0, 1.5, 2.0, 3])}
+
+
+@st.composite
+def metric_input(draw):
+    """A matrix, radii and point names; some matrices are spoilt in one way."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(sorted(_DISTANCES)))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(_DISTANCES[kind])
+    spoil = draw(st.sampled_from(["none"] * 4 + ["ragged", "negative", "diagonal",
+                                                 "asymmetric", "shared_nan"]))
+    if spoil == "ragged" and n:
+        matrix[draw(st.integers(0, n - 1))].append(1)
+    elif spoil == "ragged":
+        matrix.append([])
+    elif n and spoil != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if spoil == "negative":
+            matrix[i][j] = matrix[j][i] = -draw(_DISTANCES[kind]) - 1
+        elif spoil == "diagonal":
+            matrix[i][i] = draw(_DISTANCES[kind].filter(bool))
+        elif spoil == "asymmetric":
+            matrix[i][j] = 7.5
+        else:
+            matrix[i][j] = matrix[j][i] = _NAN
+    radii = draw(st.lists(_DISTANCES[kind] | st.sampled_from([2.5, -1]), min_size=0,
+                          max_size=3, unique=True))
+    if draw(st.integers(0, 4)):
+        radii.sort(reverse=True)
+    names = draw(st.none() | st.just([f"p{i}" for i in range(n)])
+                 | st.just(["dup"] * n) | st.just(list(range(n + 1))))
+    return matrix, radii, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(metric_input())
+@example(([], [1], None))
+@example(([[0]], [1, 0], None))
+@example(([[0, 2], [2, 0]], [2, 1], None))
+@example(([[0, 1], [1, 0]], [1.0, 0], ["a", "b"]))
+@example(([[0, _NAN], [_NAN, 0]], [1], None))
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [_NAN], None))
+@example(([[0, 1], [1, 0], [0, 0]], [1], None))
+@example(([[0, -1], [-1, 0]], [1], None))
+@example(([[1, 0], [0, 0]], [1], None))
+def test_from_metric_matches_old_loop(drawn):
+    """Same points, scales and hausdorff flag, or the same exception and text.
+    One NaN object at [i][j] and [j][i] passes tuple equality, but not !=."""
+    matrix, radii, names = drawn
+    old = _outcome(_old_from_metric, matrix, radii, names)
+    new = _outcome(from_metric, matrix, radii, names)
+    if old[0] == "raised":
+        assert new == old
+    else:
+        assert new[0] == "returned"
+        assert (new[1].points, new[1].scales, new[1].hausdorff) == (
+            old[1].points, old[1].scales, old[1].hausdorff)
+
+
+# each bad cell in the second line, beside an integer or a decimal cell; a ragged row
+_BAD_CSV = [f"0,1,2\n1,{other},{cell}\n2,1,0\n"
+            for cell in ["1_0", "\u0661", "", "+-1", "inf", "nan", "1e400", " 1 2", "0x1"]
+            for other in ["3", "1.5"]] + ["0,1,2\n1,0\n\n2,1,0\n"]
+
+
+@pytest.mark.parametrize("text", _BAD_CSV)
+def test_bad_csv_reads_as_before(text):
+    """The same error class, text and position as the per-cell reader."""
+    old = _outcome(_old_parse_distance_csv, text)
+    assert old[0] == "raised"
+    assert _outcome(formats.parse_distance_csv, text) == old
+
+
+_CSV_CELLS = (st.integers(-10 ** 30, 10 ** 30).map(str)
+              | st.sampled_from(["0", " 7", "+3\t", "-0", "007", "1.5", "2e1", "-.5", "1E2",
+                                 "", " ", "1_0", "١", "+-1", "--1", "inf", "nan",
+                                 "1e400", "0x1", "1 2", " 1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=4), min_size=1, max_size=4))
+def test_parse_distance_csv_matches_old_reader(rows):
+    """Equal rows, ints and floats alike, or the same error and position."""
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    old = _outcome(_old_parse_distance_csv, text)
+    new = _outcome(formats.parse_distance_csv, text)
+    assert repr(new) == repr(old)
