@@ -69,7 +69,6 @@ from .actions import (
     limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
-    subgroup_at_scale,
 )
 
 __all__ = [
@@ -113,7 +112,6 @@ __all__ = [
     "rips_2_skeleton",
     "saturate_invariant",
     "strong_ml_check",
-    "subgroup_at_scale",
     "subspace",
     "telescoping_solve",
     "tower_map_limits",

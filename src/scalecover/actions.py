@@ -4,10 +4,13 @@ Groups are materialized as explicit permutation lists (no stabilizer chains:
 desk-scale instances stay transparent enumerations).  A permutation is a
 tuple of point indices in the space's point order.  Every smallness property
 is decided by finite enumeration over scale pairs, elements and points, with
-replayable witnesses.  Each group's orbits are computed once, as one
-partition by ``_orbits``, and every orbit question reads that partition.
-An invariant entourage is the closure of a scale's pairs under a generating
-set (Seress, *Permutation Group Algorithms*, 2003, ch. 2-3).
+replayable witnesses.  A scale subgroup is generated by the elements moving
+some point within a relation.  ``_scale_subgroup`` keeps one record per
+relation on the action (neighbourhoods, those elements, the subgroup and its
+orbit partition), so each is closed and its orbits computed once, and the
+diagnosis, scale quotients and tower all read it.  An invariant entourage is
+the closure of a scale's pairs under a generating set (Seress, *Permutation
+Group Algorithms*, 2003, ch. 2-3).
 
 The quotient tower computes only what can fail: the injectivity of the
 group and of the space into their threads, faithfulness and proper
@@ -24,6 +27,7 @@ checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quotients import FilteredMap, verify_gucm
 from .rips import _owned
@@ -68,10 +72,10 @@ class ActionSpec:
     """A finite permutation action with its element list materialized.
 
     Elements are distinct permutations of the points, so the action is
-    faithful.  Its diagnosis and scale quotients are memoized on the
-    instance (see ``rips._owned``), so a command that reports a scale
-    quotient and the tower computes each once, and they live as long as the
-    action does.
+    faithful.  Its diagnosis, saturations, scale subgroups and scale
+    quotients are memoized on the instance (see ``rips._owned``), so a
+    command that reports a scale quotient and the tower computes each once,
+    and they live as long as the action does.
     """
 
     space: FilteredSpace
@@ -125,39 +129,6 @@ def close_group(space: FilteredSpace, generators,
     return ActionSpec(space, tuple(gens), _closure(gens, n, bound))
 
 
-@dataclass(frozen=True)
-class SubgroupAtScale:
-    scale: int
-    elements: tuple
-
-
-def _closed_indices(space: FilteredSpace, pairs) -> list:
-    """Per point index i, the indices related to i by pairs or the diagonal."""
-    near = [{i} for i in range(len(space.points))]
-    for a, b in pairs:
-        i, j = space.index(a), space.index(b)
-        near[i].add(j)
-        near[j].add(i)
-    return near
-
-
-def _moving_within(action: ActionSpec, near) -> list:
-    """The elements moving some point i into near[i]."""
-    return [g for g in action.elements if any(g[i] in near[i] for i in range(len(g)))]
-
-
-def _subgroup_moving_within(action: ActionSpec, near) -> tuple:
-    """The subgroup generated by the elements moving some point i into near[i]."""
-    return _closure(_moving_within(action, near), len(action.space.points),
-                    len(action.elements))
-
-
-def subgroup_at_scale(action: ActionSpec, k: int) -> SubgroupAtScale:
-    """Subgroup generated by the elements moving some point within scale k."""
-    near = _closed_indices(action.space, action.space.scale_pairs(k))
-    return SubgroupAtScale(k, _subgroup_moving_within(action, near))
-
-
 def _saturate(space: FilteredSpace, gens, k: int) -> frozenset:
     """The images of the scale-k pairs under the group the permutations gens
     generate, as normalized pairs: the scale-k pairs closed under gens."""
@@ -171,6 +142,7 @@ def _saturate(space: FilteredSpace, gens, k: int) -> frozenset:
     return frozenset(breadth_first(space.scale_pairs(k), images, {}))
 
 
+@_owned
 def saturate_invariant(action: ActionSpec, k: int) -> frozenset:
     """Smallest invariant entourage containing scale k, as normalized pairs."""
     return _saturate(action.space, action.generators, k)
@@ -190,11 +162,27 @@ def _orbits(space: FilteredSpace, elements) -> Partition:
     return Partition(tuple(orbits))
 
 
-def _orbit_quotient(space: FilteredSpace, elements):
-    """The orbits of a group of permutations, the orbit space and its projection."""
-    blocks = _orbits(space, elements)
-    qspace = quotient_by_partition(space, blocks)
-    return blocks, qspace, FilteredMap.build(space, qspace, blocks.block_of)
+class _ScaleSubgroup(NamedTuple):
+    near: list  # per point index i, the indices related to i, and i itself
+    seeds: list  # the elements moving some point i into near[i], in element order
+    subgroup: tuple  # the sorted elements of the group the seeds generate
+    orbits: Partition  # the subgroup's orbits
+
+
+@_owned
+def _scale_subgroup(action: ActionSpec, pairs: frozenset) -> _ScaleSubgroup:
+    """The subgroup generated by the elements moving some point within the
+    relation pairs (normalized pairs), with what diagnosis and quotients read
+    of it.  Every scale subgroup is closed here, once per relation."""
+    space = action.space
+    near = [{i} for i in range(len(space.points))]
+    for a, b in pairs:
+        i, j = space.index(a), space.index(b)
+        near[i].add(j)
+        near[j].add(i)
+    seeds = [g for g in action.elements if any(g[i] in near[i] for i in range(len(g)))]
+    subgroup = _closure(seeds, len(near), len(action.elements))
+    return _ScaleSubgroup(near, seeds, subgroup, _orbits(space, subgroup))
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,8 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     # scale e of the orbit of x, i.e. G.N_f[x] lies in N_e[G.x] for every x.
     # The action need not be an isometry, so G.N_f[x] is not N_f[G.x].
     indices = range(len(pts))
-    closed = {k: _closed_indices(space, space.scale_pairs(k)) for k in range(1, m + 1)}
+    record = {k: _scale_subgroup(action, space.scale_pairs(k)) for k in range(1, m + 1)}
+    closed = {k: r.near for k, r in record.items()}
     orbit_of = _orbits(space, action.elements).block_of
     orbits = [set(map(space.index, orbit_of(p))) for p in pts]
     moved_nbhd = {
@@ -264,9 +253,10 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         for e in range(1, m + 1)
     }
 
+    # the first element other than the identity that moves a point within k
     upd_per_scale = {
         k: next(({"g": action.perm_of_points(g), "x": pts[i]}
-                 for g in action.elements if g != action.identity
+                 for g in record[k].seeds if g != action.identity
                  for i in indices if g[i] in closed[k][i]), None)
         for k in range(1, m + 1)
     }
@@ -277,17 +267,12 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         "counterexamples": {k: v for k, v in upd_per_scale.items() if v is not None},
     }
 
-    # the elements moving a point within scale f generate that scale's subgroup
-    seeds = {f: _moving_within(action, closed[f]) for f in range(1, m + 1)}
-    subgroups = {f: _closure(seeds[f], len(pts), len(action.elements))
-                 for f in range(1, m + 1)}
-    sub_orbits = {f: _orbits(space, subgroups[f]).blocks for f in range(1, m + 1)}
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
         # the coarsest f whose orbits are e-bounded, else the failure at the finest f
         for f in range(1, m + 1):
             bad = next(({"scale_f": f, "orbit_of": orb[0], "pair": [a, b]}
-                        for orb in sub_orbits[f] for a in orb for b in orb
+                        for orb in record[f].orbits.blocks for a in orb for b in orb
                         if b not in space.closed(e, a)), None)
             if bad is None:
                 break
@@ -298,7 +283,7 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     # saturations and scales are compared as normalized pairs: adding the
     # diagonal and the mirrored pairs to both sides changes no inclusion
     saturated = {k: saturate_invariant(action, k) for k in range(1, m + 1)}
-    ss_saturated = {k: _saturate(space, seeds[k], k) for k in range(1, m + 1)}
+    ss_saturated = {k: _saturate(space, record[k].seeds, k) for k in range(1, m + 1)}
     equi = {
         "witnesses": {},
         "failures": {},
@@ -346,17 +331,6 @@ class QuotientAction:
     upd_holds: bool
     stabilizer_is_subgroup: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "_coset_of", {
-            g: i for i, coset in enumerate(self.cosets) for g in coset
-        })
-
-    def coset_index(self, perm) -> int:
-        try:
-            return self._coset_of[perm]
-        except KeyError:
-            raise SpaceError("element not covered by the cosets") from None
-
 
 @_owned
 def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
@@ -374,13 +348,13 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     space.check_scale(k)
     pairs = saturate_invariant(action, k)
     was_saturated = pairs != space.scale_pairs(k)
-    near = _closed_indices(space, pairs)
     # The saturated scale is G-invariant, so if g moves x within it, h g h^-1
     # moves h x within it: the generators are closed under conjugation and
-    # the subgroup they generate is normal.
-    sub = _subgroup_moving_within(action, near)
-
-    blocks, qspace, projection = _orbit_quotient(space, sub)
+    # the subgroup they generate is normal.  At an invariant scale this is
+    # the record diagnose_action read.
+    near, _, sub, blocks = _scale_subgroup(action, pairs)
+    qspace = quotient_by_partition(space, blocks)
+    projection = FilteredMap.build(space, qspace, blocks.block_of)
     qpoints = blocks.blocks
     qindex = {b: i for i, b in enumerate(qpoints)}
 
@@ -614,7 +588,9 @@ def limit_action_verify(tower: ActionTower) -> LimitActionReport:
     }
 
     limit_diag = diagnose_action(limit_action)
-    _, _, projection = _orbit_quotient(limit.space, limit_action.elements)
+    orbits = _orbits(limit.space, limit_action.elements)
+    projection = FilteredMap.build(
+        limit.space, quotient_by_partition(limit.space, orbits), orbits.block_of)
 
     conclusions = {
         "limit_neutral": limit_diag.all_neutral(),

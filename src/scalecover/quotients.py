@@ -243,9 +243,11 @@ def _uniqueness_condition(f: FilteredMap, e: int, j: int, strong: bool):
 
     def steps(pair):
         a, b = pair
-        ends = [(b2, f(b2)) for b2 in (b,) + source.neighbors(j, b)]
+        ends = {}  # b's scale-j ends grouped by image, each group in order
+        for b2 in (b,) + source.neighbors(j, b):
+            ends.setdefault(f(b2), []).append(b2)
         return [(a2, b2) for a2 in (a,) + source.neighbors(j, a)
-                for b2, fb2 in ends if f(a2) == fb2]
+                for b2 in ends.get(f(a2), ())]
 
     parent = {}
     for a, b in breadth_first(((p, p) for p in source.points), steps, parent):

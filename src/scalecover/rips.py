@@ -163,10 +163,11 @@ class GroupPresentation:
 
 def _owned(fn):
     """Memoize fn(owner, *args) in the owner's own ``_memo``: a presentation's
-    here, an ``actions.ActionSpec``'s there.
+    here, an ``actions.ActionSpec``'s there, where a scale subgroup's record
+    is keyed by its relation as a frozenset of pairs.
 
-    A lookup hashes only fn and the extra arguments, never the owner, and
-    the results die with it.
+    A lookup hashes only fn and the extra arguments, never the owner (a
+    frozenset keeps its hash once computed), and the results die with it.
     """
     @wraps(fn)
     def memoized(owner, *args):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import identity_map
+from scalecover import actions
 from scalecover.actions import (
     ActionTower,
     GroupTooLarge,
@@ -12,7 +13,6 @@ from scalecover.actions import (
     limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
-    subgroup_at_scale,
 )
 from scalecover.quotients import FilteredMap
 from scalecover.spaces import from_metric
@@ -20,6 +20,11 @@ from scalecover.spaces import from_metric
 
 def c6_matrix():
     return [[min(abs(i - j), 6 - abs(i - j)) for j in range(6)] for i in range(6)]
+
+
+def subgroup_at_scale(action, k):
+    """The elements of the subgroup generated by those moving a point within scale k."""
+    return actions._scale_subgroup(action, action.space.scale_pairs(k)).subgroup
 
 
 ANTIPODE = [3, 4, 5, 0, 1, 2]
@@ -65,20 +70,20 @@ class TestCloseGroup:
 
 class TestSubgroupAtScale:
     def test_antipode_trivial_at_fine_scales(self, fix_ant):
-        assert len(subgroup_at_scale(fix_ant, 1).elements) == 1
-        assert len(subgroup_at_scale(fix_ant, 2).elements) == 1
+        assert len(subgroup_at_scale(fix_ant, 1)) == 1
+        assert len(subgroup_at_scale(fix_ant, 2)) == 1
 
     def test_antipode_full_at_all_pairs(self, fix_ant_h):
-        assert len(subgroup_at_scale(fix_ant_h, 1).elements) == 2
-        assert len(subgroup_at_scale(fix_ant_h, 2).elements) == 1
+        assert len(subgroup_at_scale(fix_ant_h, 1)) == 2
+        assert len(subgroup_at_scale(fix_ant_h, 2)) == 1
 
     def test_rotation_full_at_adjacency(self, fix_c6):
         action = close_group(fix_c6, [ROTATION])
-        assert len(subgroup_at_scale(action, 2).elements) == 6
+        assert len(subgroup_at_scale(action, 2)) == 6
 
     def test_antitone(self, fix_ant_h):
         sizes = [
-            len(subgroup_at_scale(fix_ant_h, k).elements)
+            len(subgroup_at_scale(fix_ant_h, k))
             for k in range(1, fix_ant_h.space.depth + 1)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -113,7 +118,7 @@ class TestDiagnose:
         for action in (fix_ant, fix_ant_h, close_group(fix_c6, [ROTATION])):
             diag = diagnose_action(action)
             for k in range(1, action.space.depth + 1):
-                trivial = len(subgroup_at_scale(action, k).elements) == 1
+                trivial = len(subgroup_at_scale(action, k)) == 1
                 qualifies = k in diag.upd["qualifying_scales"]
                 assert trivial == qualifies
 

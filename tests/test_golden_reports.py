@@ -13,8 +13,11 @@ import hashlib
 import itertools
 import json
 
+from unittest import mock
+
 import pytest
 
+from scalecover import actions
 from scalecover.cli import main
 
 
@@ -60,6 +63,15 @@ INPUTS = {
                       "generators": [[(i + 2) % 8 for i in range(8)]]},
     # a non-abelian group with two generators
     "s3.json": s3_cayley(),
+    # swapping 1 and 2 does not preserve scale 1 = {(0, 1)}: the quotient is
+    # taken at its saturation, and the swap fixes 0 and 3, so no scale has
+    # bounded small-scale orbits
+    "swap.json": {"kind": "action",
+                  "space": {"points": [0, 1, 2, 3],
+                            "scales": [[[0, 1], [1, 0]] + [[i, i] for i in range(4)],
+                                       [[i, i] for i in range(4)]],
+                            "hausdorff": True},
+                  "generators": [[0, 2, 1, 3]]},
     "wrap.json": {"kind": "map", "source": cycle(16, (2, 1)), "target": cycle(8, (2, 1)),
                   "assignment": [i % 8 for i in range(16)]},
     "discrete.json": {"kind": "space_tower",
@@ -92,6 +104,8 @@ GOLDEN = {
         "1ce12952f9d012026530252c65440c974cdc479a66adaf6856f743d1d66848b6",
     ("action", "s3.json", "--quotient-scale", "3", "--tower"):
         "98a8ee1bdde22fb212ebeb0dea7f652d146ce21753303077ecc3a081eb1b96b1",
+    ("action", "swap.json", "--quotient-scale", "1", "--tower"):
+        "35c371ca2ae0f51feef027d25ee6aceb01f08dcfe708f3ccb8af0bf2d4cf0555",
     ("map", "wrap.json"):
         "bd2dc74273f4f3f731815fb9e5ec18a70c03be13bfedcaf6851b7b489988b226",
     ("quotient", "wrap.json", "--scale", "1"):
@@ -132,3 +146,14 @@ def test_golden_report_replays(capsys, monkeypatch, tmp_path, argv):
     assert code == 0
     assert results["results_identical"] is True
     assert results["counterexample_failures"] == []
+
+
+def test_rotation_closes_each_group_once(capsys, monkeypatch, tmp_path):
+    """The diagnosis, the scale quotient and the tower share one subgroup per
+    scale: the rotation closes the group and one subgroup for each of its
+    three scales, and no more."""
+    write_inputs(monkeypatch, tmp_path)
+    with mock.patch.object(actions, "_closure", wraps=actions._closure) as closure:
+        assert main(["action", "rotation.json", "--quotient-scale", "2", "--tower"]) == 0
+    capsys.readouterr()
+    assert closure.call_count == 4

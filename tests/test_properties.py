@@ -37,7 +37,6 @@ from scalecover.actions import (
     diagnose_action,
     quotient_at_scale,
     saturate_invariant,
-    subgroup_at_scale,
 )
 from scalecover.quotients import (
     FilteredMap,
@@ -1223,6 +1222,39 @@ def test_action_tower_part_b_matches_all_pairs_loops(action):
     assert {k: report.part_b[k] for k in expected} == expected
 
 
+def old_scale_subgroup(action, pairs):
+    """A relation's record as diagnose_action and quotient_at_scale each built
+    it: the indices near each point index, the elements moving some point near
+    itself (in element order), the subgroup they generate, closed by the
+    hand-written loop, and its orbits in order of their first points."""
+    space, n = action.space, len(action.space.points)
+    near = [{i} for i in range(n)]
+    for a, b in pairs:
+        i, j = space.index(a), space.index(b)
+        near[i].add(j)
+        near[j].add(i)
+    seeds = [g for g in action.elements if any(g[i] in near[i] for i in range(n))]
+    sub = _old_closure(seeds, n, len(action.elements))
+    orbits = [space.sort_points({space.points[g[i]] for g in sub}) for i in range(n)]
+    return near, seeds, sub, tuple(o for i, o in enumerate(orbits) if o[0] == space.points[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_action())
+@example(close_group(*SWAPPED_END))
+def test_scale_subgroup_records_match_old_computation(action):
+    """Each scale and each saturated scale has one record, which the diagnosis
+    and the scale quotients share; it must equal the neighbourhoods, seeds,
+    subgroup and orbits their own call sites computed."""
+    space = action.space
+    for k in range(1, space.depth + 1):
+        for pairs in (space.scale_pairs(k), saturate_invariant(action, k)):
+            record = actions._scale_subgroup(action, pairs)
+            assert (record.near, record.seeds, record.subgroup, record.orbits.blocks) \
+                == old_scale_subgroup(action, pairs)
+        assert quotient_at_scale(action, k).subgroup is record.subgroup
+
+
 def ss_bounded_orbits_by_point(action):
     """diagnose_action's bounded-orbits loop as it was: the orbit of each
     point rebuilt from the subgroup's elements for every (e, f, point)."""
@@ -1232,7 +1264,8 @@ def ss_bounded_orbits_by_point(action):
         i = space.index(point)
         return space.sort_points({space.points[g[i]] for g in elements})
 
-    subgroups = {f: subgroup_at_scale(action, f).elements for f in range(1, m + 1)}
+    subgroups = {f: old_scale_subgroup(action, space.scale_pairs(f))[2]
+                 for f in range(1, m + 1)}
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
         found = None
@@ -1377,14 +1410,20 @@ def quotient_fields_by_all_pairs(action, q):
     }
 
 
+def coset_index(q):
+    """Each element's position in the coset list of the stage quotient q."""
+    return {g: i for i, coset in enumerate(q.cosets) for g in coset}
+
+
 def homomorphism_by_all_pairs(action, quotients):
     """Part (a)'s homomorphism check as it was: for every (g, h) in G x G, the
     stage cosets of gh are those of the product of the coset representatives."""
     compose = actions._compose
-    thread_of = {g: tuple(q.coset_index(g) for q in quotients) for g in action.elements}
+    index = [coset_index(q) for q in quotients]
+    thread_of = {g: tuple(ix[g] for ix in index) for g in action.elements}
     return all(
         thread_of[compose(g, h)] == tuple(
-            q.coset_index(compose(q.cosets[thread_of[g][i]][0], q.cosets[thread_of[h][i]][0]))
+            index[i][compose(q.cosets[thread_of[g][i]][0], q.cosets[thread_of[h][i]][0])]
             for i, q in enumerate(quotients)
         )
         for g in action.elements
@@ -1439,9 +1478,7 @@ def test_saturation_by_generators_matches_every_element_scan(action):
         assert saturate_invariant(action, k) == saturate_by_every_element(
             space, action.elements, k)
     for f in range(1, m + 1):
-        seed = actions._moving_within(
-            action, actions._closed_indices(space, space.scale_pairs(f)))
-        sub = subgroup_at_scale(action, f).elements
+        _, seed, sub, _ = old_scale_subgroup(action, space.scale_pairs(f))
         for k in range(1, m + 1):
             assert actions._saturate(space, seed, k) == saturate_by_every_element(
                 space, sub, k)
@@ -1463,14 +1500,15 @@ def tower_fields_as_computed(action, quotients):
                 None if any(len(v) != 1 for v in images.values())
                 else tuple(qindex[next(iter(images[b]))] for b in q.space.points))
         induced.append(tuple(per_coset))
-    thread_of = {g: tuple(q.coset_index(g) for q in quotients) for g in action.elements}
+    index = [coset_index(q) for q in quotients]
+    thread_of = {g: tuple(ix[g] for ix in index) for g in action.elements}
     group_threads = {
-        tuple(q.coset_index(top[0]) for q in quotients) for top in quotients[-1].cosets}
+        tuple(ix[top[0]] for ix in index) for top in quotients[-1].cosets}
     space_thread = {x: tuple(q.projection(x) for q in quotients) for x in action.space.points}
     space_threads = {
         tuple(q.projection(top[0]) for q in quotients) for top in quotients[-1].space.points}
-    bondings = [tuple(coarse.coset_index(c[0]) for c in fine.cosets)
-                for fine, coarse in zip(quotients[1:], quotients[:-1])]
+    bondings = [tuple(coarse[c[0]] for c in fine.cosets)
+                for fine, coarse in zip(quotients[1:], index[:-1])]
     return {
         "induced": induced,
         "a_injective": len(set(thread_of.values())) == len(action.elements),
