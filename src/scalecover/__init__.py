@@ -1,12 +1,12 @@
 """Scale-filtered finite spaces and the verifiers built on them.
 
 Submodules:
-  spaces     filtered spaces, chains, chain components, partition quotients
+  spaces     filtered spaces with nested scales, chains, chain components
   intlinalg  exact integer Smith forms and solves
   rips       Rips 2-skeletons, spanning-forest edge-path presentations, H1 as
              their abelianization, homotopy decisions
   covers     basepointed covers at a scale with their entourage bases
-  quotients  maps between filtered spaces, covering axioms, fiber quotients
+  quotients  maps, block projections, covering axioms, fiber quotients
   towers     truncated inverse systems of spaces and abelian groups
   actions    finite group actions, smallness properties, quotient towers
   cli        command-line front end and file formats

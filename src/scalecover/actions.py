@@ -20,8 +20,9 @@ a G-invariant scale, so it is normal, and the subgroups nest as the scales
 do.  The remaining fields (normality, consistency of the induced action,
 the homomorphism, surjectivity onto threads, part (c), part (d) and the
 forward entourage test) follow from those two facts and are read off the
-construction, each with its reason beside it; the nesting they rest on is
-checked.
+construction, each with its reason beside it.  The subgroups nest because
+every space's scales do: saturations, and so the moving elements, shrink as
+the scale gets finer.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .quotients import FilteredMap, verify_gucm
+from .quotients import FilteredMap, collapse, verify_gucm
 from .rips import _owned
-from .spaces import (
-    FilteredSpace,
-    Partition,
-    SpaceError,
-    breadth_first,
-    quotient_by_partition,
-)
+from .spaces import FilteredSpace, Partition, SpaceError, breadth_first
 from .towers import SpaceTower, assemble_limit_space
 
 DEFAULT_GROUP_BOUND = 10_000
@@ -353,8 +348,7 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     # the subgroup they generate is normal.  At an invariant scale this is
     # the record diagnose_action read.
     near, _, sub, blocks = _scale_subgroup(action, pairs)
-    qspace = quotient_by_partition(space, blocks)
-    projection = FilteredMap.build(space, qspace, blocks.block_of)
+    projection = collapse(space, blocks)
     qpoints = blocks.blocks
     qindex = {b: i for i, b in enumerate(qpoints)}
 
@@ -388,7 +382,7 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
         for bi in range(len(qpoints))
     )
     return QuotientAction(
-        k, was_saturated, sub, qspace, projection, cosets, induced,
+        k, was_saturated, sub, projection.target, projection, cosets, induced,
         True, stabilizer_is_subgroup, upd, stabilizer_is_subgroup,
     )
 
@@ -414,12 +408,10 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     Over the saturated invariant basis this builds the coset tower and the
     orbit-space tower.  Three fields can fail, and they are computed: the
     group and the space map injectively into their threads (parts (a) and
-    (b)), and each scale of the space has a pullback witness in some stage
-    projection (part (b)'s ``entourage_backward``).  The stage subgroups are
-    normal and nested, and every other field, of parts (a) to (d), follows
-    from that: it is written as True with its reason beside it.  A space
-    whose scales do not nest can break the nesting of the subgroups; that
-    raises SpaceError.
+    (b)), and each scale of the space has a pullback witness in the finest
+    stage projection (part (b)'s ``entourage_backward``).  The stage
+    subgroups are normal and nested, and every other field, of parts (a) to
+    (d), follows from that: it is written as True with its reason beside it.
     """
     space = action.space
     diag = diagnose_action(action)
@@ -436,10 +428,6 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
                                  f"HypothesisUnmet:{failing}")
 
     quotients = [quotient_at_scale(action, k) for k in range(1, space.depth + 1)]
-    for k in range(1, len(quotients)):
-        if not set(quotients[k].subgroup) <= set(quotients[k - 1].subgroup):
-            raise SpaceError(f"the stage subgroup of scale {k + 1} is not contained in "
-                             f"that of scale {k}: the scales do not nest")
     stages = tuple(
         {
             "scale": q.scale,
@@ -460,16 +448,16 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
         # every thread is the thread of the first member of a finest coset
         "surjective_onto_threads": True,
     }
-    pullbacks = [q.projection.pullback_witnesses for q in quotients]
     part_b = {
         "injective": len(quotients[-1].space.points) == len(space.points),
         # every thread is the thread of the first member of a finest orbit
         "surjective_onto_threads": True,
         # an orbit projection maps scale j into scale j
         "entourage_forward": True,
+        # the finest orbits pull back the fewest pairs: a scale with a pullback
+        # witness in some stage has one in the finest
         "entourage_backward": all(
-            any(w[e] is not None for w in pullbacks) for e in range(space.depth)
-        ),
+            w is not None for w in quotients[-1].projection.pullback_witnesses),
     }
     part_c = {
         # stage orbits lie inside G-orbits, so the class threads are the
@@ -588,9 +576,7 @@ def limit_action_verify(tower: ActionTower) -> LimitActionReport:
     }
 
     limit_diag = diagnose_action(limit_action)
-    orbits = _orbits(limit.space, limit_action.elements)
-    projection = FilteredMap.build(
-        limit.space, quotient_by_partition(limit.space, orbits), orbits.block_of)
+    projection = collapse(limit.space, _orbits(limit.space, limit_action.elements))
 
     conclusions = {
         "limit_neutral": limit_diag.all_neutral(),

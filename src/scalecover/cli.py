@@ -289,7 +289,7 @@ def _live_space(args, budgets):
         budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
     # --basepoint 0 names the point 0, or the point "0" when 0 is not a point
     try:
-        basepoint = int(args.basepoint)
+        basepoint = _integer(args.basepoint)
     except ValueError:
         basepoint = args.basepoint
     if basepoint not in space.points and args.basepoint in space.points:

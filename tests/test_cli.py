@@ -153,6 +153,11 @@ MALFORMED_INPUTS = {
     "nan_point_label": ("analyze", {"points": [math.nan, 1],
                                     "scales": [[[math.nan, math.nan], [1, 1]]]}),
     "infinite_radius": ("analyze", {"matrix": [[0, 1], [1, 0]], "radii": [math.inf, 1]}),
+    # bool() reads both as true, and the finest scale is the diagonal
+    "hausdorff_string": ("analyze", {**SPACE_SPEC, "hausdorff": "false",
+                                     "scales": [[[0, 0], [1, 1]]]}),
+    "hausdorff_number": ("analyze", {**SPACE_SPEC, "hausdorff": 1,
+                                     "scales": [[[0, 0], [1, 1]]]}),
 }
 
 
@@ -333,6 +338,18 @@ class TestCover:
                            "--basepoint", "9", "--radius", "6")
         assert code == 3
         assert report["results"]["error"] == "UnknownPoint: unknown point 9"
+
+    # int() reads these as 10 and 3, both points of C_12
+    @pytest.mark.parametrize("text", ["1_0", "\u0663"])
+    def test_basepoint_int_is_ascii_decimal(self, capsys, tmp_path, text):
+        path = tmp_path / "c12.csv"
+        path.write_text("".join(
+            ",".join(str(min(abs(i - j), 12 - abs(i - j))) for j in range(12)) + "\n"
+            for i in range(12)))
+        code, report = run(capsys, "cover", str(path), "--radii", "2,1", "--scale", "2",
+                           "--basepoint", text, "--radius", "2")
+        assert code == 3
+        assert report["results"]["error"] == f"UnknownPoint: unknown point {text!r}"
 
 
 class TestMapCommand:

@@ -22,6 +22,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space, telescoping_backward_group
+from test_acceptance import cyclic_cover_map, double_cover_map, raw_random_map, relabel_map
 from scalecover import covers, formats, rips
 from scalecover.covers import (
     bonding_h1_map,
@@ -48,6 +49,7 @@ from scalecover.quotients import (
     factor_and_verify,
     fiber_e_components,
     strong_condition_at,
+    verify_gucm,
     _uniqueness_condition,
 )
 from scalecover.rips import (
@@ -62,19 +64,23 @@ from scalecover.spaces import (
     Chain,
     FilteredSpace,
     NonDecreasingRadii,
+    NotNested,
     Partition,
     SpaceError,
     chain_components,
     from_metric,
     is_chain,
     subspace,
+    validate_space,
 )
 from scalecover.towers import (
     ProductTooLarge,
+    ReconstructionReport,
     SpaceTower,
     TowerAb,
     assemble_limit_space,
     lim1_verdict,
+    quotient_tower_reconstruct,
 )
 
 
@@ -1543,22 +1549,160 @@ def test_action_tower_constants_match_old_computations(action):
     }
 
 
-# Rotation of a 4-cycle whose scale 1 holds only the diagonal pair (0, 2) and
-# whose scale 2 holds only the edge (0, 1): the scale-1 subgroup is {e, r^2},
-# but r moves 0 within scale 2, so the scale-2 subgroup is the whole group.
-UNNESTED_SQUARE = (
-    FilteredSpace((0, 1, 2, 3), (frozenset({(0, 2)}), frozenset({(0, 1)}), frozenset()),
-                  hausdorff=True),
-    ([1, 2, 3, 0],),
+def test_unnested_scales_stop_the_action_tower():
+    """A 4-cycle whose scale 1 holds only the diagonal pair (0, 2) and whose
+    scale 2 holds only the edge (0, 1): under the rotation r its scale-1
+    subgroup would be {e, r^2} but its scale-2 subgroup the whole group, so
+    the stage subgroups the tower's fields rely on would not nest.  Such a
+    space is never built."""
+    with pytest.raises(NotNested) as exc:
+        FilteredSpace((0, 1, 2, 3),
+                      (frozenset({(0, 2)}), frozenset({(0, 1)}), frozenset()),
+                      hausdorff=True)
+    assert str(exc.value) == "scale 2 is not contained in scale 1 (extra pair (0, 1))"
+
+
+# ---------------------------------------------------------------------------
+# nesting checked once, on construction, against the checks it replaced
+
+
+def old_nesting_failure(points, scales):
+    """validate_space's nesting loop as it was: the first scale k whose
+    successor holds a pair outside it, and the first such pair in point order."""
+    index = {p: i for i, p in enumerate(points)}
+    for k in range(len(scales) - 1):
+        extra = scales[k + 1] - scales[k]
+        if extra:
+            return k + 1, sorted(extra, key=lambda ab: (index[ab[0]], index[ab[1]]))[0]
+    return None
+
+
+@st.composite
+def scale_list(draw):
+    """Points in a random order and up to four scales of normalized pairs,
+    each drawn from the one before when the draw is nested, else from all."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    points = tuple(draw(st.permutations(range(n))))
+    every = list(itertools.combinations(points, 2))  # normalized: in point order
+    nested = draw(st.booleans())
+    scales = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pool = sorted(scales[-1], key=every.index) if nested and scales else every
+        keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        scales.append(frozenset(itertools.compress(pool, keep)))
+    return points, tuple(scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_list())
+def test_spaces_are_nested_exactly_when_validation_said_so(drawn):
+    """FilteredSpace raises NotNested exactly when validate_space's old loop
+    did, with its scale and pair; validate_space, which now leaves nesting to
+    FilteredSpace, raises the same."""
+    points, scales = drawn
+    failure = old_nesting_failure(points, scales)
+    listed = [[(p, p) for p in points] + [ab for a, b in pairs for ab in ((a, b), (b, a))]
+              for pairs in scales]
+    if failure is None:
+        assert FilteredSpace(points, scales).scales == scales
+        assert validate_space(points, listed).scales == scales
+        return
+    for build in (lambda: FilteredSpace(points, scales), lambda: validate_space(points, listed)):
+        with pytest.raises(NotNested) as exc:
+            build()
+        assert (exc.value.scale, exc.value.pair) == failure
+
+
+# ---------------------------------------------------------------------------
+# the fiber-quotient reconstruction against the tower it no longer builds
+
+
+def old_quotient_tower_reconstruct(f):
+    """quotient_tower_reconstruct as it was when it built the tower: bondings
+    between the fiber quotients over the strong basis, the SpaceTower, its
+    limit and the comparison map, whose four fields were computed."""
+    gucm = verify_gucm(f)
+    strong = check_approx_uniqueness(f, strong=True)
+    hypotheses = {
+        "gucm": gucm.passed,
+        "strong_approx_uniqueness": strong.passed,
+        "source_hausdorff": f.source.hausdorff,
+    }
+    if not (gucm.passed and strong.passed):
+        failing = [k for k, v in hypotheses.items() if not v and k != "source_hausdorff"]
+        return ReconstructionReport(hypotheses, (), (), None, None, None, None,
+                                    "HypothesisUnmet:" + ",".join(failing))
+    basis = tuple(
+        j for j in range(1, f.source.depth + 1) if strong_condition_at(f, j)
+    )
+    quotients = [build_fiber_quotient(f, j) for j in basis]
+    spaces = tuple(q.space for q in quotients)
+    bondings = []
+    for prev, nxt in zip(quotients, quotients[1:]):
+        assignment = []
+        for block in nxt.space.points:
+            containers = {prev.q(member) for member in block}
+            if len(containers) != 1:
+                return ReconstructionReport(hypotheses, basis, (), None, None, None,
+                                            None, "discrepancy:block_not_nested")
+            assignment.append(containers.pop())
+        bondings.append(FilteredMap(nxt.space, prev.space, tuple(assignment)))
+    tower = SpaceTower(spaces, tuple(bondings))
+    limit = assemble_limit_space(tower)
+    q = FilteredMap(
+        f.source,
+        limit.space,
+        tuple(tuple(quot.q(x) for quot in quotients) for x in f.source.points),
+    )
+    injective = len(set(q.assignment)) == len(q.assignment)
+    uc = q.is_uniformly_continuous()
+    embedding = all(w is not None for w in q.pullback_witnesses)
+    surjective = set(q.assignment) == set(limit.space.points)
+    ok = injective and uc and embedding and surjective
+    return ReconstructionReport(
+        hypotheses, basis, tuple(len(sp.points) for sp in spaces),
+        injective, uc, embedding, surjective,
+        "verified" if ok else "discrepancy",
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([relabel_map, double_cover_map, cyclic_cover_map, raw_random_map]),
+       st.randoms(use_true_random=False), st.booleans())
+def test_reconstruction_of_acceptance_maps_matches_the_tower(family, rng, hausdorff):
+    f = family(rng, hausdorff=hausdorff)
+    assert quotient_tower_reconstruct(f) == old_quotient_tower_reconstruct(f)
+
+
+@st.composite
+def random_map_maybe_hausdorff(draw):
+    """random_map, with an empty finest scale added to both spaces or not."""
+    f = draw(random_map())
+    if not draw(st.booleans()):
+        return f
+
+    def discrete_below(space):
+        return FilteredSpace(space.points, space.scales + (frozenset(),), hausdorff=True)
+
+    return FilteredMap(discrete_below(f.source), discrete_below(f.target), f.assignment)
+
+
+# Two points related only at the coarser scale, over one point: the strong
+# basis is (1, 2), and only the coarser fiber quotient glues the points, so
+# injectivity and the embedding hold at the finest stage and fail at scale 1.
+GLUED_AT_SCALE_1 = FilteredMap(
+    FilteredSpace((0, 1), (frozenset({(0, 1)}), frozenset()), hausdorff=True),
+    FilteredSpace(("p",), (frozenset(),), hausdorff=True),
+    ("p", "p"),
 )
 
 
-def test_unnested_scales_stop_the_action_tower():
-    """Every hypothesis holds, so the tower is built; its stage subgroups do
-    not nest, which the fields read off the construction rely on."""
-    action = close_group(*UNNESTED_SQUARE)
-    with pytest.raises(SpaceError, match="do not nest"):
-        action_tower_verify(action)
+@settings(max_examples=300, deadline=None)
+@given(random_map_maybe_hausdorff())
+@example(GLUED_AT_SCALE_1)
+@example(CONSTANT_ON_PATH)
+def test_reconstruction_of_random_maps_matches_the_tower(f):
+    assert quotient_tower_reconstruct(f) == old_quotient_tower_reconstruct(f)
 
 
 # ---------------------------------------------------------------------------
