@@ -210,7 +210,7 @@ def run_space_tower(tower, options, budgets):
         "threads": [list(t) for t in limit.space.points],
         "limit_depth": limit.space.depth,
         "limit_hausdorff": limit.space.hausdorff,
-        "strong_ml": strong_ml_check(tower, limit),
+        "strong_ml": strong_ml_check(tower),
     }
     return results, EXIT_OK
 
@@ -366,14 +366,6 @@ def _replay(stored, budgets):
     return results, EXIT_OK if not drift and not failures else EXIT_COUNTEREXAMPLE
 
 
-def _emit(report: dict, out_path):
-    text = formats.canonical_dumps(report)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
 def _report(argv, replay, inputs, budgets, results, code):
     inputs, input_digest = formats.written_field(inputs)
     return {
@@ -387,6 +379,11 @@ def _report(argv, replay, inputs, budgets, results, code):
         "exit_code": code,
         "timing": None,
     }
+
+
+def _input_error(argv, budgets, exc):
+    return _report(argv, {"kind": "error", "options": {}}, {}, budgets,
+                   {"error": f"{type(exc).__name__}: {exc}"}, EXIT_INPUT)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -482,15 +479,20 @@ def main(argv=None) -> int:
         report = _report(argv, {"kind": "error", "options": {}}, {}, budgets,
                          {"error": str(exc), "exhausted": "product_bound"},
                          EXIT_INCONCLUSIVE)
-        _emit(report, getattr(args, "out", None))
-        return EXIT_INCONCLUSIVE
     except (formats.ParseError, SpaceError, OSError, KeyError, ValueError) as exc:
-        report = _report(argv, {"kind": "error", "options": {}}, {}, budgets,
-                         {"error": f"{type(exc).__name__}: {exc}"}, EXIT_INPUT)
-        _emit(report, getattr(args, "out", None))
-        return EXIT_INPUT
+        report = _input_error(argv, budgets, exc)
 
-    _emit(report, args.out)
+    text = formats.canonical_dumps(report)
+    out_path = getattr(args, "out", None)
+    if out_path:
+        # a report that cannot be written is replaced by an input-error report
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            report = _input_error(argv, budgets, exc)
+            text = formats.canonical_dumps(report)
+    sys.stdout.write(text)
     return report["exit_code"]
 
 

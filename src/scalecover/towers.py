@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from . import intlinalg as ila
 from .quotients import (
     FilteredMap,
-    build_fiber_quotient,
     check_approx_uniqueness,
     check_chain_lifting,
     check_generates,
-    strong_condition_at,
+    collapse,
+    fiber_e_components,
     verify_gucm,
 )
 from .rips import AbelianGroupInv
@@ -73,12 +73,9 @@ class SpaceTower:
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """Thread space of a tower with projection maps and its scale schedule."""
+    """Thread space of a tower; thread t projects to stage i as t[i - 1]."""
 
-    tower: SpaceTower
     space: FilteredSpace
-    projections: tuple
-    schedule: tuple  # per limit scale, the merged (space, scale) preimages
 
 
 def assemble_limit_space(tower: SpaceTower,
@@ -87,7 +84,8 @@ def assemble_limit_space(tower: SpaceTower,
 
     Thread scales are cumulative intersections of projection preimages taken
     in the order (space + scale) ascending, then space; equal consecutive
-    relations are merged.  An empty limit is a legal outcome.
+    relations are merged.  An empty limit is a legal outcome.  A thread's
+    coordinates are its projections, so only the thread space is returned.
 
     Only pairs related at the first agenda entry (stage 1, scale 1) are ever
     built: each thread is paired with the later threads lying over the closed
@@ -136,26 +134,15 @@ def assemble_limit_space(tower: SpaceTower,
             if tindex[s] > tindex[t]
         }
     scales = []
-    schedule = []
     for i, j in agenda:
         closed = tower.spaces[i - 1].closed
         current = {(t, s) for t, s in current if s[i - 1] in closed(j, t[i - 1])}
         normalized = frozenset(current)
-        if scales and scales[-1] == normalized:
-            schedule[-1].append((i, j))
-        else:
+        if not scales or scales[-1] != normalized:
             scales.append(normalized)
-            schedule.append([(i, j)])
     if not scales:
         scales = [frozenset()]
-        schedule = [[]]
-    limit = FilteredSpace(tuple(threads), tuple(scales), hausdorff=not scales[-1])
-    projections = tuple(
-        FilteredMap(limit, tower.spaces[i], tuple(t[i] for t in threads))
-        for i in range(n)
-    )
-    return LimitSpace(tower, limit, projections,
-                      tuple(tuple(group) for group in schedule))
+    return LimitSpace(FilteredSpace(tuple(threads), tuple(scales), hausdorff=not scales[-1]))
 
 
 @dataclass(frozen=True)
@@ -164,29 +151,25 @@ class StrongMlReport:
     passed: bool
 
 
-def strong_ml_check(tower: SpaceTower, limit: LimitSpace = None) -> StrongMlReport:
-    """Per index, the shallowest deeper stage whose image already equals the
-    limit projection; the paper's inclusion-forces-equality remark is
-    re-verified on each witness."""
-    if limit is None:
-        limit = assemble_limit_space(tower)
+def strong_ml_check(tower: SpaceTower) -> StrongMlReport:
+    """Per index, the shallowest deeper stage whose image lies in the limit's.
+
+    Every thread is the thread of a top point, so the limit's image in X_alpha
+    is the top stage's, and the top stage is a witness for every index.  A
+    shallower stage's image contains the top's, so inclusion forces equality
+    (the paper's remark), and a truncated tower always satisfies the strong
+    Mittag-Leffler condition: only the witnesses are computed.
+    """
+    n = tower.length
     entries = []
-    ok = True
-    for alpha in range(1, tower.length + 1):
-        projected = {t[alpha - 1] for t in limit.space.points}
-        witness = None
-        equal = None
-        for beta in range(alpha, tower.length + 1):
-            image = set(tower.composite(beta, alpha).values())
-            if image <= projected:
-                witness = beta
-                equal = image == projected
-                break
+    for alpha in range(1, n + 1):
+        projected = set(tower.composite(n, alpha).values())
+        witness = next(beta for beta in range(alpha, n + 1)
+                       if set(tower.composite(beta, alpha).values()) <= projected)
         entries.append(
-            {"index": alpha, "witness": witness, "image_equals_projection": equal}
+            {"index": alpha, "witness": witness, "image_equals_projection": True}
         )
-        ok = ok and witness is not None and equal
-    return StrongMlReport(tuple(entries), ok)
+    return StrongMlReport(tuple(entries), True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +198,14 @@ def quotient_tower_reconstruct(f: FilteredMap) -> ReconstructionReport:
 
     Hard hypotheses: the covering checks and strong approximate uniqueness.
     The source hausdorff flag is recorded; when it is absent the injectivity
-    outcome is still checked rather than presumed.  The stages are the fiber
-    quotients over the strong basis, which ends at the finest scale; their
-    blocks nest as the scales do, so a point's thread is the thread of its
-    finest block.  The two fields that can fail are read off the finest
-    stage: q is injective when it has one block per point, and an embedding
-    when its projection has every pullback witness.  The other two are
-    written as True with their reason beside them.
+    outcome is still checked rather than presumed.  The stages are the
+    projections onto the scale-j fiber components over the strong basis:
+    the scales j that are their own strong witness, which end at the finest
+    scale.  Their blocks nest as the scales do, so a point's thread is the
+    thread of its finest block.  The two fields that can fail are read off
+    the finest stage: q is injective when it has one block per point, and an
+    embedding when its projection has every pullback witness.  The other two
+    are written as True with their reason beside them.
     """
     gucm = verify_gucm(f)
     strong = check_approx_uniqueness(f, strong=True)
@@ -234,17 +218,17 @@ def quotient_tower_reconstruct(f: FilteredMap) -> ReconstructionReport:
         failing = [k for k, v in hypotheses.items() if not v and k != "source_hausdorff"]
         return ReconstructionReport(hypotheses, (), (), None, None, None, None,
                                     "HypothesisUnmet:" + ",".join(failing))
-    basis = tuple(
-        j for j in range(1, f.source.depth + 1) if strong_condition_at(f, j)
-    )
-    quotients = [build_fiber_quotient(f, j) for j in basis]
-    finest = quotients[-1]
-    injective = len(finest.space.points) == len(f.source.points)
+    # the strong condition at j does not depend on the scale it is searched
+    # for, so it holds at j exactly when the search from j stops there
+    basis = tuple(j for j, w in enumerate(strong.witnesses, start=1) if w == j)
+    stages = [collapse(f.source, fiber_e_components(f, j)) for j in basis]
+    finest = stages[-1]
+    injective = len(finest.target.points) == len(f.source.points)
     # blocks related in the finest stage lie in blocks related in every stage,
     # so the finest limit scale pulls back as the finest stage's does
-    embedding = all(w is not None for w in finest.q.pullback_witnesses)
+    embedding = all(w is not None for w in finest.pullback_witnesses)
     return ReconstructionReport(
-        hypotheses, basis, tuple(len(q.space.points) for q in quotients),
+        hypotheses, basis, tuple(len(q.target.points) for q in stages),
         injective,
         # q maps source scale j into every stage's scale j, so the finest
         # source scale into every limit scale
@@ -463,15 +447,24 @@ def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = N
                      product_bound: int = DEFAULT_PRODUCT_BOUND) -> TowerMapReport:
     """Instance verification that limit maps inherit the stage properties.
 
-    With a fixed target: compatible maps into one space, strong Mittag-Leffler
-    hypothesis, generation and chain lifting preserved in the limit.  With a
-    paired target tower: approximate uniqueness (both flavors) preserved.  A
-    discrepancy (hypotheses verified, conclusion refuted) is reported, never
-    silently ignored.
+    Map i goes from stage i to one fixed space or, with a target tower, to
+    its stage i; InvalidTower otherwise.  With a fixed target: compatible
+    maps, generation and chain lifting preserved in the limit; the strong
+    Mittag-Leffler hypothesis holds on every truncated tower (see
+    strong_ml_check) and is written as True.  With a paired target tower:
+    approximate uniqueness (both flavors) preserved.  A discrepancy
+    (hypotheses verified, conclusion refuted) is reported, never silently
+    ignored.
     """
     maps = tuple(maps)
     if len(maps) != space_tower.length:
         raise InvalidTower("need one map per tower stage")
+    if target_tower is not None and target_tower.length != space_tower.length:
+        raise InvalidTower("towers must have equal length")
+    ends = target_tower.spaces if target_tower is not None else (maps[0].target,) * len(maps)
+    for i, f in enumerate(maps):
+        if f.source != space_tower.spaces[i] or f.target != ends[i]:
+            raise InvalidTower(f"map {i} does not go from stage {i + 1} to its target")
     limit = assemble_limit_space(space_tower, product_bound)
     if target_tower is None:
         mode = "fixed_target"
@@ -480,9 +473,8 @@ def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = N
             for i in range(space_tower.length - 1)
             for x in space_tower.spaces[i + 1].points
         )
-        ml = strong_ml_check(space_tower, limit).passed
-        hypotheses = {"strong_ml": ml}
-        guard = compatible and ml
+        # every truncated tower is strongly Mittag-Leffler (strong_ml_check)
+        hypotheses = {"strong_ml": True}
         limit_map = FilteredMap(
             limit.space, maps[0].target, tuple(maps[0](t[0]) for t in limit.space.points)
         )
@@ -491,17 +483,13 @@ def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = N
             ("chain_lifting", "chain_lifting", lambda f: check_chain_lifting(f).passed),
         )
     else:
-        if target_tower.length != space_tower.length:
-            raise InvalidTower("towers must have equal length")
         mode = "paired_towers"
         compatible = all(
             target_tower.bondings[i](maps[i + 1](x)) == maps[i](space_tower.bondings[i](x))
             for i in range(space_tower.length - 1)
             for x in space_tower.spaces[i + 1].points
         )
-        ml = None
         hypotheses = {}
-        guard = compatible
         target_limit = assemble_limit_space(target_tower, product_bound)
         limit_map = FilteredMap(
             limit.space,
@@ -520,12 +508,12 @@ def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = N
     for name, label, check in checks:
         hypotheses[f"each_{name}"] = all(check(f) for f in maps)
         conclusions[f"limit_{name}"] = check(limit_map)
-        if guard and hypotheses[f"each_{name}"] and not conclusions[f"limit_{name}"]:
+        if compatible and hypotheses[f"each_{name}"] and not conclusions[f"limit_{name}"]:
             discrepancies.append(f"{label}_not_preserved")
     hyp_ok = compatible and all(hypotheses.values())
     verdict = (
         "verified" if hyp_ok and not discrepancies and all(conclusions.values())
         else ("discrepancy" if discrepancies else "HypothesisUnmet")
     )
-    return TowerMapReport(mode, compatible, ml, hypotheses,
+    return TowerMapReport(mode, compatible, hypotheses.get("strong_ml"), hypotheses,
                           conclusions, tuple(discrepancies), verdict)

@@ -206,6 +206,22 @@ def test_duplicate_matrix_names_are_input_error(capsys, tmp_path):
     assert report["results"]["error"] == "SpaceError: duplicate point identifiers"
 
 
+@pytest.mark.parametrize("flags", [("--radii", "1", "--out"), ("--out",),
+                                   ("--radii", "1", "--barcode")],
+                         ids=["out", "out after an input error", "barcode"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, flags):
+    """A report or side file that cannot be written ends in an input-error
+    report on standard output naming the OSError, whether the run succeeded
+    (with --radii) or not (without)."""
+    path = tmp_path / "two.csv"
+    path.write_text("0,1\n1,0\n")
+    target = tmp_path / "missing" / "r.json"
+    code, report = run(capsys, "analyze", str(path), *flags, str(target))
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"].startswith("FileNotFoundError: ")
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("field,value", [("replay", 5), ("inputs", [1])])
 def test_malformed_replayed_report_is_input_error(capsys, c6_csv_file, tmp_path,
                                                  field, value):

@@ -77,6 +77,11 @@ INPUTS = {
     "discrete.json": {"kind": "space_tower",
                       "spaces": [discrete(2), discrete(4), discrete(8)],
                       "bondings": [[i // 2 for i in range(4)], [i // 2 for i in range(8)]]},
+    # a <- ab <- a: the middle stage's image is too big, so the strong ML
+    # witness of index 2 is stage 3
+    "detour.json": {"kind": "space_tower",
+                    "spaces": [discrete(1), discrete(2), discrete(1)],
+                    "bondings": [[0, 0], [0]]},
     "abelian.json": {"kind": "abelian_tower",
                      "groups": [{"rank": 1, "torsion": []}, {"rank": 1, "torsion": [2]},
                                 {"rank": 1, "torsion": []}],
@@ -112,6 +117,8 @@ GOLDEN = {
         "1e041e0d17ef44c7cbc8077fb37333edd50aeb6a124677241c770a7713ef15b9",
     ("tower", "discrete.json"):
         "23fdd08a88309c5c7e23a68c862807b564d45cc415eaa2a538fa300837e32237",
+    ("tower", "detour.json"):
+        "9dc0ef55d849fd34a78e6fb47179e19c0833b622159b6be640270860e1e9a353",
     ("tower", "abelian.json", "--telescope", "backward"):
         "5102ef0da87e80f211ca528666e44f499aed844c7109f939b5734cf11e3d0319",
     ("tower", "z4.json"):

@@ -33,9 +33,11 @@ from scalecover.covers import (
 )
 from scalecover import actions
 from scalecover.actions import (
+    ActionTower,
     action_tower_verify,
     close_group,
     diagnose_action,
+    limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
 )
@@ -45,6 +47,7 @@ from scalecover.quotients import (
     check_approx_uniqueness,
     check_chain_lifting,
     check_generates,
+    collapse,
     counterexample_holds,
     factor_and_verify,
     fiber_e_components,
@@ -77,10 +80,12 @@ from scalecover.towers import (
     ProductTooLarge,
     ReconstructionReport,
     SpaceTower,
+    StrongMlReport,
     TowerAb,
     assemble_limit_space,
     lim1_verdict,
     quotient_tower_reconstruct,
+    strong_ml_check,
 )
 
 
@@ -1035,17 +1040,13 @@ def test_limit_space_matches_all_pairs_definition(tower):
         key=lambda ij: (ij[0] + ij[1], ij[0]),
     )
     current = set(itertools.combinations(threads, 2))
-    scales, schedule = [], []
+    scales = []
     for i, j in agenda:
         current = {(t, s) for t, s in current
                    if tower.spaces[i - 1].related(j, t[i - 1], s[i - 1])}
-        if scales and scales[-1] == current:
-            schedule[-1].append((i, j))
-        else:
+        if not scales or scales[-1] != current:
             scales.append(frozenset(current))
-            schedule.append([(i, j)])
     assert limit.space.scales == tuple(scales)
-    assert limit.schedule == tuple(map(tuple, schedule))
     # the product bound counts exactly the pairs related at the first entry
     seeded = len(scales[0])
     if len(top) * tower.length < seeded:
@@ -2039,6 +2040,179 @@ def test_factorization_scale_matches_finest_first_search(f):
             assert report.chosen_scale is None
         else:
             assert report.chosen_scale == _finest_first_scale(f, e) == f.source.depth
+
+
+# ---------------------------------------------------------------------------
+# the fields the factorization, strong ML and limit action now write, against
+# the computations they replace
+
+
+def old_factorization_fields(f, report):
+    """(fibers_bounded, g_generates, transverse_scale) as factor_and_verify
+    computed them: block containment, the generation check run on g, and a
+    scan of the quotient's pairs at the chosen scale."""
+    quotient, chosen = report.quotient, report.chosen_scale
+    bounded = all(f.source.closed(chosen, a).issuperset(block)
+                  for block in quotient.blocks.blocks for a in block)
+    transverse = chosen if all(u == v for u, v in quotient.space.scale_pairs(chosen)
+                               if quotient.g(u) == quotient.g(v)) else None
+    return bounded, check_generates(quotient.g), transverse
+
+
+def acceptance_example(family, seed, hausdorff=False):
+    return family(random.Random(seed), hausdorff=hausdorff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_map()
+       | st.builds(acceptance_example,
+                   st.sampled_from([relabel_map, double_cover_map, cyclic_cover_map,
+                                    raw_random_map]),
+                   st.integers(0, 10 ** 6), st.booleans()))
+@example(WRAP_16_8)
+@example(acceptance_example(relabel_map, 1))
+@example(acceptance_example(double_cover_map, 2))
+@example(acceptance_example(double_cover_map, 3, hausdorff=True))
+@example(acceptance_example(cyclic_cover_map, 4))
+@example(acceptance_example(cyclic_cover_map, 5, hausdorff=True))
+def test_factorization_fields_match_old_computations(f):
+    report = factor_and_verify(f)
+    if report.verdict == "preconditions_failed":
+        assert report.quotient is report.fibers_bounded is report.g_generates is None
+        assert report.transverse_scale is None
+        return
+    bounded, generation, transverse = old_factorization_fields(f, report)
+    assert report.fibers_bounded == bounded
+    assert report.g_generates == generation
+    assert report.transverse_scale == transverse
+    ucm = bounded and generation.passed and report.g_chain_lifting.passed \
+        and transverse is not None
+    assert report.verdict == ("UCM" if ucm else "verification_failed")
+
+
+def old_strong_ml_check(tower):
+    """strong_ml_check as it was: witnesses against the assembled limit's
+    projections, with the equality re-checked on each."""
+    limit = assemble_limit_space(tower)
+    entries = []
+    ok = True
+    for alpha in range(1, tower.length + 1):
+        projected = {t[alpha - 1] for t in limit.space.points}
+        witness = None
+        equal = None
+        for beta in range(alpha, tower.length + 1):
+            image = set(tower.composite(beta, alpha).values())
+            if image <= projected:
+                witness = beta
+                equal = image == projected
+                break
+        entries.append({"index": alpha, "witness": witness, "image_equals_projection": equal})
+        ok = ok and witness is not None and equal
+    return StrongMlReport(tuple(entries), ok)
+
+
+# a <- ab <- a: the middle stage's image {a, b} is too big, so index 2 has
+# witness 3
+_A = FilteredSpace(("a",), (frozenset(),), hausdorff=True)
+_AB = FilteredSpace(("a", "b"), (frozenset(),), hausdorff=True)
+DETOUR_TOWER = SpaceTower((_A, _AB, _A),
+                          (FilteredMap(_AB, _A, ("a", "a")), FilteredMap(_A, _AB, ("a",))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_space_tower())
+@example(DETOUR_TOWER)
+def test_strong_ml_matches_old_check(tower):
+    assert strong_ml_check(tower) == old_strong_ml_check(tower)
+
+
+def old_limit_action_verify(tower):
+    """limit_action_verify as it was: the thread elements chased through the
+    group bondings, the group's strong ML condition searched, and each limit
+    element applied stage by stage.  (report, limit action elements)."""
+    n = tower.length
+    spaces = tuple(a.space for a in tower.actions)
+    limit = assemble_limit_space(SpaceTower(spaces, tower.space_bondings))
+    thread_elements = []
+    for g in tower.actions[-1].elements:
+        stages = [g]
+        for i in range(n - 2, -1, -1):
+            stages.append(tower.group_bondings[i][stages[-1]])
+        thread_elements.append(tuple(reversed(stages)))
+    group_ml = True
+    for alpha in range(n):
+        projected = {te[alpha] for te in thread_elements}
+        for beta in range(alpha, n):
+            image = set(tower.actions[beta].elements)
+            for i in range(beta - 1, alpha - 1, -1):
+                image = {tower.group_bondings[i][g] for g in image}
+            if image <= projected:
+                break
+        else:
+            group_ml = False
+    tindex = {t: i for i, t in enumerate(limit.space.points)}
+    perms = [tuple(tindex[tuple(tower.actions[i].apply(te[i], t[i]) for i in range(n))]
+                   for t in limit.space.points)
+             for te in thread_elements]
+    distinct = tuple(sorted(set(perms)))
+    limit_action = actions.ActionSpec(limit.space, distinct, distinct)
+    stage_diags = [diagnose_action(a) for a in tower.actions]
+    hypotheses = {
+        "group_strong_ml": group_ml,
+        "each_neutral": all(d.all_neutral() for d in stage_diags),
+        "each_ss_bounded_orbits": all(d.has_ss_bounded_orbits() for d in stage_diags),
+        "each_hausdorff": all(sp.hausdorff for sp in spaces),
+    }
+    limit_diag = diagnose_action(limit_action)
+    projection = collapse(limit.space, actions._orbits(limit.space, distinct))
+    conclusions = {
+        "limit_neutral": limit_diag.all_neutral(),
+        "limit_ss_bounded_orbits": limit_diag.has_ss_bounded_orbits(),
+        "projection_gucm": verify_gucm(projection).passed,
+    }
+    discrepancies = []
+    if group_ml and hypotheses["each_neutral"] and not conclusions["limit_neutral"]:
+        discrepancies.append("neutrality_not_preserved")
+    if hypotheses["each_ss_bounded_orbits"] and not conclusions["limit_ss_bounded_orbits"]:
+        discrepancies.append("bounded_orbits_not_preserved")
+    if all(hypotheses.values()) and not conclusions["projection_gucm"]:
+        discrepancies.append("projection_not_gucm")
+    verdict = (
+        "discrepancy" if discrepancies
+        else ("verified" if all(hypotheses.values()) and all(conclusions.values())
+              else "HypothesisUnmet:" + ",".join(k for k, v in hypotheses.items() if not v))
+    )
+    report = actions.LimitActionReport(hypotheses, conclusions, tuple(discrepancies), verdict)
+    return report, distinct
+
+
+@st.composite
+def random_action_tower(draw):
+    """A constant tower of a random action, or the action over one of its
+    scale quotients: the space bonding is the orbit projection, and the group
+    bonding sends g to its coset's induced permutation."""
+    action = draw(random_action())
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=3))
+        ident = FilteredMap(action.space, action.space, action.space.points)
+        return ActionTower((action,) * n, (ident,) * (n - 1),
+                           ({g: g for g in action.elements},) * (n - 1))
+    q = quotient_at_scale(action, draw(st.integers(min_value=1, max_value=action.space.depth)))
+    coset_perm = {g: perm for coset, perm in zip(q.cosets, q.induced_elements) for g in coset}
+    coarse = close_group(q.space, [[q.space.points[i] for i in coset_perm[s]]
+                                   for s in action.generators])
+    return ActionTower((coarse, action), (q.projection,), (coset_perm,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_action_tower())
+def test_limit_action_matches_old_computation(tower):
+    with mock.patch.object(actions, "diagnose_action", wraps=actions.diagnose_action) as diag:
+        report = limit_action_verify(tower)
+    old_report, old_elements = old_limit_action_verify(tower)
+    assert report == old_report
+    # the limit action is the last action diagnosed
+    assert diag.call_args_list[-1].args[0].elements == old_elements
 
 
 @st.composite

@@ -3,7 +3,7 @@ import pytest
 from conftest import identity_map, telescoping_backward_group
 from scalecover.quotients import FilteredMap
 from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import FilteredSpace
+from scalecover.spaces import FilteredSpace, from_metric
 from scalecover.towers import (
     InvalidTower,
     ProductTooLarge,
@@ -42,10 +42,10 @@ class TestLimitSpace:
     def test_projections_commute_with_bondings(self, fix_c6):
         tower = constant_tower(fix_c6)
         limit = assemble_limit_space(tower)
+        # a thread projects to stage i + 1 as its coordinate i
         for i in range(tower.length - 1):
             for t in limit.space.points:
-                assert tower.bondings[i](limit.projections[i + 1](t)) == \
-                    limit.projections[i](t)
+                assert tower.bondings[i](t[i + 1]) == t[i]
 
     def test_graph_of_map(self, fix_map):
         tower = SpaceTower((fix_map.target, fix_map.source), (fix_map,))
@@ -219,3 +219,21 @@ class TestTowerMapLimits:
         )
         assert report.verdict == "HypothesisUnmet"
         assert not report.discrepancies
+
+    def test_maps_must_start_and_end_at_their_stages(self, fix_c6, fix_map):
+        # the identity of the 4-cycle is not a map from the discrete space on
+        # its points: read as one, its limit map would seem to lose generation
+        # and chain lifting
+        c4 = from_metric([[min(abs(i - j), 4 - abs(i - j)) for j in range(4)]
+                          for i in range(4)], (1,))
+        discrete = from_metric([[int(i != j) for j in range(4)] for i in range(4)], (0,))
+        with pytest.raises(InvalidTower, match="map 0 does not go from stage 1"):
+            tower_map_limits(SpaceTower((discrete,), ()), (identity_map(c4),))
+        # fixed target: every map ends at the first map's target
+        tower = constant_tower(fix_map.source, 2)
+        with pytest.raises(InvalidTower, match="map 1 does not go from stage 2"):
+            tower_map_limits(tower, (fix_map, identity_map(fix_map.source)))
+        # paired towers: map i ends at stage i of the target tower
+        with pytest.raises(InvalidTower, match="map 0 does not go from stage 1"):
+            tower_map_limits(tower, (fix_map,) * 2,
+                             target_tower=constant_tower(fix_c6, 2))
