@@ -99,7 +99,10 @@ def default_budgets():
 
 
 def _load_space(path, radii):
-    """The space of a CSV matrix or a JSON spec, and the --radii as numbers."""
+    """The space of a CSV matrix or a JSON spec, and the --radii as numbers.
+
+    Only a CSV matrix takes --radii: a JSON spec carries its own scales.
+    """
     radii = [formats.parse_number(r, "--radii") for r in radii.split(",")] if radii else None
     if path.endswith(".csv"):
         if radii is None:
@@ -107,7 +110,9 @@ def _load_space(path, radii):
         with open(path) as fh:
             matrix = formats.parse_distance_csv(fh.read())
         return from_metric(matrix, radii), radii
-    return formats.space_from_spec(formats.load_json(path)), radii
+    if radii is not None:
+        raise formats.ParseError("--radii applies only to a CSV distance matrix")
+    return formats.space_from_spec(formats.load_json(path)), None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
     _chain_letters,
-    _expand,
     _h1_coords,
     _word_trivial,
     free_reduce,
@@ -95,7 +94,7 @@ class PartialCover:
             # a free group: reduced words are its classes, and the H1
             # coordinates would be one exponent sum per generator
             return end, word
-        return end, _h1_coords(pres, _expand(pres, word))
+        return end, _h1_coords(pres, word)
 
     def _add_vertex(self, seq, word, bucket) -> int:
         vid = len(self.reps)

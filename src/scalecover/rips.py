@@ -4,13 +4,13 @@ Only the 2-skeleton is ever built: homotopy of edge paths in a simplicial
 complex is decided by its 2-skeleton.  Chains map to words over the non-tree
 edges of a breadth-first spanning forest; two chains with common endpoints are
 homotopic at the scale exactly when the combined word dies in the edge-path
-group.  One Tietze reduction of the presentation serves both H1 and the word
-problem: generators that occur once in a relator are eliminated, H1 is the
-Smith form of the residual relators over the surviving generators, and a
-word's H1 coordinates come from its exponents over the survivors.  Word
-triviality is attacked in a fixed order (free reduction, integral
-abelianization, bounded rewriting, coset enumeration) and the answer is a
-certified Yes/No or an honest Unknown; nothing is ever guessed.
+group.  H1 comes from the abelianized relators as sparse rows: unit pivots
+eliminate generators, only the core they leave goes through a Smith form, and
+a word's H1 coordinates are the sums of its letters' coordinates.  A Tietze
+reduction of the relator words serves only the word problem, which is
+attacked in a fixed order (free reduction, integral abelianization, bounded
+rewriting, coset enumeration); the answer is a certified Yes/No or an honest
+Unknown, and nothing is ever guessed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .spaces import (
 )
 
 DEFAULT_COSET_ROWS = 100_000
-# _simplified stops eliminating once the relators have grown by this many letters
+# the word problem's _simplified stops eliminating once the relators have grown
+# by this many letters; H1 does not depend on it
 TIETZE_LETTER_CAP = 10_000
 
 
@@ -280,65 +281,141 @@ def h1_at_scale(space: FilteredSpace, k: int, basepoint=None) -> AbelianGroupInv
 def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
     """Image of a loop in H1 coordinates; zero is necessary for nulhomotopy.
 
-    Coordinates list torsion positions first (reduced into [0, d)), then
-    free positions.
+    Coordinates list the torsion positions of the Smith form first (reduced
+    into [0, d)), then its free positions, then one per free survivor of
+    the elimination (see ``_pres_abelian``).
     """
     pres = presentation_at_scale(space, k, None)
     loop = seq if isinstance(seq, Chain) else Chain(k, seq)
     word = chain_word(pres, loop)
     if loop.start != loop.end:
         raise NotALoop(f"chain from {loop.start!r} to {loop.end!r} is not a loop")
-    return _h1_coords(pres, _expand(pres, word))
+    return _h1_coords(pres, word)
 
 
 def presentation_h1(pres: GroupPresentation) -> AbelianGroupInv:
     """Abelianization of the presented group: H1 of the presented components.
 
-    Tietze moves keep the group, so this is the Smith form of the residual
-    relators left by ``_simplified`` over its surviving generators.
+    Unit pivots keep the abelianized group, so this is the Smith form of the
+    core left by ``_pres_abelian`` plus one free summand per free survivor.
     """
-    _, _, _, moduli = _pres_abelian(pres)
-    return AbelianGroupInv(moduli.count(0), tuple(d for d in moduli if d))
+    _, _, _, _, moduli, free = _pres_abelian(pres)
+    return AbelianGroupInv(moduli.count(0) + len(free), tuple(d for d in moduli if d))
+
+
+def _unit_pivot(row):
+    """The smallest generator with entry 1 or -1 in a sparse row, or None."""
+    return min((g for g, a in row.items() if a == 1 or a == -1), default=None)
 
 
 @_owned
 def _pres_abelian(pres: GroupPresentation):
-    """Smith form of the residual relators over the surviving generators.
+    """Abelianized relators eliminated by unit pivots, then a Smith form of
+    what is left.
 
-    Returns (column, u, kept, moduli): each survivor's column, the row
-    transform, the diagonal positions that are not 1 (torsion first, then
-    free) and their diagonal entries, 0 when free.
+    Each relator is a sparse row ``{generator: exponent sum}``, and an index
+    maps each generator to the rows that hold it.  While some row has a unit
+    entry, the shortest such row by ``(len, row index)`` is solved for its
+    smallest unit generator g, and the solution is substituted into the
+    rows that hold g.  Survivors that occur in no residual row are free
+    summands; only the others, the core, go through ``smith_normal_form``.
+
+    Returns (steps, core, u, kept, moduli, free): the eliminations
+    ``(g, {h: coefficient})`` in order, the core generators by column, the
+    core's row transform, the diagonal positions that are not 1 (torsion
+    first, then free) and their diagonal entries, 0 when free, and the free
+    survivors.
     """
-    subst, rels = _simplified(pres)
-    column = {g: i for i, g in enumerate(g for g, w in subst.items() if w == (g,))}
-    r = ila.zeros(len(column), len(rels))
-    for j, rel in enumerate(rels):
+    rows = []
+    rows_with = {g: set() for g in range(1, len(pres.generators) + 1)}
+    for rel in pres.relators:
+        row = {}
         for letter in rel:
-            r[column[abs(letter)]][j] += 1 if letter > 0 else -1
+            g = abs(letter)
+            row[g] = row.get(g, 0) + (1 if letter > 0 else -1)
+        row = {g: a for g, a in row.items() if a}
+        for g in row:
+            rows_with[g].add(len(rows))
+        rows.append(row)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = rows[i]
+        if len(row) != n or (g := _unit_pivot(row)) is None:
+            continue  # a stale entry, or a row with no unit entry
+        a = row.pop(g)
+        solution = {h: -a * b for h, b in row.items()}
+        steps.append((g, solution))
+        rows[i] = {}
+        for h in row:
+            rows_with[h].discard(i)
+        for j in rows_with.pop(g) - {i}:
+            other = rows[j]
+            c = other.pop(g)
+            for h, b in solution.items():
+                value = other.get(h, 0) + c * b
+                if value:
+                    other[h] = value
+                    rows_with[h].add(j)
+                else:
+                    del other[h]
+                    rows_with[h].discard(j)
+            if other:
+                heapq.heappush(heap, (len(other), j))
+    residual = [row for row in rows if row]
+    core = sorted({g for row in residual for g in row})
+    column = {g: c for c, g in enumerate(core)}
+    r = ila.zeros(len(core), len(residual))
+    for j, row in enumerate(residual):
+        for g, a in row.items():
+            r[column[g]][j] = a
     u, s, _ = ila.smith_normal_form(r)
     diag = ila.diagonal_of(s)
-    diag += [0] * (len(column) - len(diag))
+    diag += [0] * (len(core) - len(diag))
     kept = tuple(i for i, d in enumerate(diag) if d != 1)
-    return column, tuple(map(tuple, u)), kept, tuple(diag[i] for i in kept)
+    # rows_with has lost every eliminated generator: it keys the survivors
+    free = tuple(g for g in rows_with if g not in column)
+    return (tuple(steps), tuple(core), tuple(map(tuple, u)), kept,
+            tuple(diag[i] for i in kept), free)
 
 
-def _expand(pres, word) -> tuple:
-    """The word over the surviving generators, through the substitution."""
-    subst = _simplified(pres)[0]
-    out = []
+@_owned
+def _h1_basis(pres: GroupPresentation):
+    """Each generator's H1 coordinates as a sparse dict, and the moduli.
+
+    A core generator's coordinates are its column of the row transform at
+    the kept positions, a free survivor's a unit vector after those, and an
+    eliminated generator's the sum of its solution's, taken in reverse
+    elimination order so that the solution's generators are known.
+    """
+    steps, core, u, kept, moduli, free = _pres_abelian(pres)
+    moduli += (0,) * len(free)
+    coords = {g: {len(kept) + q: 1} for q, g in enumerate(free)}
+    for c, g in enumerate(core):
+        coords[g] = {p: r for p, i in enumerate(kept) if (r := _reduce(u[i][c], moduli[p]))}
+    for g, solution in reversed(steps):
+        total = {}
+        for h, b in solution.items():
+            for p, v in coords[h].items():
+                total[p] = total.get(p, 0) + b * v
+        coords[g] = {p: r for p, v in total.items() if (r := _reduce(v, moduli[p]))}
+    return coords, moduli
+
+
+def _h1_coords(pres, word) -> tuple:
+    """H1 coordinates of a word over the presentation's generators."""
+    coords, moduli = _h1_basis(pres)
+    total = [0] * len(moduli)
     for letter in word:
-        out.extend(subst[letter] if letter > 0 else invert_word(subst[-letter]))
-    return free_reduce(out)
-
-
-def _h1_coords(pres, expanded) -> tuple:
-    """H1 coordinates of a word over the surviving generators."""
-    column, u, kept, moduli = _pres_abelian(pres)
-    counts = Counter()
-    for letter in expanded:
-        counts[column[abs(letter)]] += 1 if letter > 0 else -1
-    return tuple(_reduce(sum(u[i][c] * n for c, n in counts.items()), d)
-                 for i, d in zip(kept, moduli))
+        if letter > 0:
+            for p, v in coords[letter].items():
+                total[p] += v
+        else:
+            for p, v in coords[-letter].items():
+                total[p] -= v
+    return tuple(map(_reduce, total, moduli))
 
 
 def _reduce(value, modulus):
@@ -348,17 +425,20 @@ def _reduce(value, modulus):
 def h1_pushforward(source: GroupPresentation, target: GroupPresentation) -> tuple:
     """Matrix of H1(source) -> H1(target) for one space, target scale coarser.
 
-    Source basis element i is column i of the inverse Smith transform, a sum
-    of surviving generators' fundamental loops; each loop is read in the target.
+    Source basis element i at a Smith position is column i of the inverse of
+    the core's row transform, a sum of core generators' fundamental loops;
+    at a free survivor's position it is that generator's loop.  Each loop is
+    read in the target.
     """
-    column, u, kept, _ = _pres_abelian(source)
+    _, core, u, kept, _, free = _pres_abelian(source)
     uinv = ila.unimodular_inverse(u) if kept else []
-    images = [_h1_coords(target, _expand(target, chain_word(
-        target, source.fundamental_loop(g)))) for g in column]
+    basis = [[(g, uinv[c][i]) for c, g in enumerate(core)] for i in kept]
+    basis += [[(g, 1)] for g in free]
+    images = {g: _h1_coords(target, chain_word(target, source.fundamental_loop(g)))
+              for g in (core if kept else ()) + free}
     return tuple(
-        tuple(_reduce(sum(uinv[c][i] * im[r] for c, im in enumerate(images)), d)
-              for i in kept)
-        for r, d in enumerate(_pres_abelian(target)[3]))
+        tuple(_reduce(sum(n * images[g][r] for g, n in element), d) for element in basis)
+        for r, d in enumerate(_h1_basis(target)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +488,13 @@ def _rotations(word):
 
 @_owned
 def _simplified(pres: GroupPresentation):
-    """Tietze elimination: returns (substitution, residual relators).
+    """Tietze elimination for the word problem: returns (substitution,
+    residual relators).
 
     The substitution rewrites original letters into words over the surviving
     generators, those g with ``subst[g] == (g,)``; the residual relators are
-    words over the survivors and present the same group.
+    words over the survivors and present the same group.  Rewriting and
+    coset enumeration read them; H1 is read off ``_pres_abelian`` instead.
 
     The relators form a set of non-empty cyclically reduced words.  Each step
     takes the smallest relator by ``(len, r)`` that has a letter occurring
@@ -490,6 +572,15 @@ def _simplified(pres: GroupPresentation):
         for r in stale:
             add(_cyclic_reduce(substitute(r)))
     return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
+
+
+def _expand(pres, word) -> tuple:
+    """The word over the surviving generators, through the substitution."""
+    subst = _simplified(pres)[0]
+    out = []
+    for letter in word:
+        out.extend(subst[letter] if letter > 0 else invert_word(subst[-letter]))
+    return free_reduce(out)
 
 
 @_owned
@@ -571,13 +662,12 @@ def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
         return HomotopyDecision(
             "no", "free_group", {"reduced_word": list(word)}
         )
-    expanded = _expand(pres, word)
-    coords = _h1_coords(pres, expanded)
+    coords = _h1_coords(pres, word)
     if any(coords):
         return HomotopyDecision(
             "no", "h1_separation", {"h1_class_difference": list(coords)}
         )
-    rewritten = _rewrite(expanded, _rewriting_rules(pres))
+    rewritten = _rewrite(_expand(pres, word), _rewriting_rules(pres))
     if not rewritten:
         return HomotopyDecision("yes", "relator_rewriting")
     _, rels = _simplified(pres)

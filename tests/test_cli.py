@@ -261,6 +261,23 @@ def test_product_bound_covers_thread_pairs(capsys, tmp_path):
     assert "435" in report["results"]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--radii", "1"],
+    ["analyze", "--radii", "5,4,3"],
+    ["cover", "--radii", "2,1", "--scale", "1", "--basepoint", "0"],
+], ids=["analyze_fewer_radii", "analyze_other_radii", "cover"])
+def test_radii_on_a_json_spec_is_input_error(capsys, tmp_path, argv):
+    """A JSON spec carries its own scales, so --radii is refused rather than
+    indexed past its end or reported as the spec's radii."""
+    matrix = [[min(abs(i - j), 6 - abs(i - j)) for j in range(6)] for i in range(6)]
+    path = tmp_path / "c6.json"
+    path.write_text(json.dumps({"matrix": matrix, "radii": [2, 1]}))
+    code, report = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"] == (
+        "ParseError: --radii applies only to a CSV distance matrix")
+
+
 class TestAnalyze:
     def test_c6_barcode(self, capsys, c6_csv_file, tmp_path):
         barcode = tmp_path / "barcode.csv"

@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from scalecover import actions
+from scalecover import actions, rips
 from scalecover.cli import main
 
 
@@ -164,3 +164,15 @@ def test_rotation_closes_each_group_once(capsys, monkeypatch, tmp_path):
         assert main(["action", "rotation.json", "--quotient-scale", "2", "--tower"]) == 0
     capsys.readouterr()
     assert closure.call_count == 4
+
+
+@pytest.mark.parametrize("argv", sorted(a for a in GOLDEN if a[0] == "analyze"), ids=" ".join)
+def test_analyze_runs_no_word_elimination(capsys, monkeypatch, tmp_path, argv):
+    """H1 comes from the sparse abelian elimination: an analyze report runs
+    no word-level Tietze reduction, which serves only the word problem."""
+    write_inputs(monkeypatch, tmp_path)
+    with mock.patch.object(rips, "_simplified", wraps=rips._simplified) as simplified:
+        main(list(argv))
+    out = capsys.readouterr().out
+    assert simplified.call_count == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

@@ -24,6 +24,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from conftest import oracle_h1, rp2_subdivision_space, telescoping_backward_group
 from test_acceptance import cyclic_cover_map, double_cover_map, raw_random_map, relabel_map
 from scalecover import covers, formats, rips
+from scalecover import intlinalg as ila
 from scalecover.covers import (
     bonding_h1_map,
     build_cover,
@@ -346,19 +347,24 @@ def _is_boundary_sum(sp, k, loop):
 
 
 @contextlib.contextmanager
-def _tietze_cap(cap):
-    """Run with the elimination cap patched, on fresh presentations.
+def _fresh_presentations(name, value):
+    """Run with ``rips.<name>`` patched to value, on fresh presentations.
 
     The reductions are memoized on each presentation, so callers pass a
     fresh ``dataclasses.replace(pres)``; the presentation cache is cleared on
-    entry and exit, so no presentation built under the cap outlives it.
+    entry and exit, so no presentation built under the patch outlives it.
     """
-    with mock.patch.object(rips, "TIETZE_LETTER_CAP", cap):
+    with mock.patch.object(rips, name, value):
         rips.presentation_at_scale.cache_clear()
         try:
             yield
         finally:
             rips.presentation_at_scale.cache_clear()
+
+
+def _tietze_cap(cap):
+    """Run with the word elimination's letter cap patched."""
+    return _fresh_presentations("TIETZE_LETTER_CAP", cap)
 
 
 RP2 = rp2_subdivision_space()
@@ -389,16 +395,16 @@ RP2_AND_SQUARE = FilteredSpace(
 @example((RP2_AND_SQUARE, 1, 1, RP2_LOOP))
 def test_h1_class_zero_exactly_on_boundaries(data):
     """h1_class vanishes exactly on sums of triangle boundaries, and groups and
-    bonding maps agree with the oracles, with elimination on and capped at 0."""
+    bonding maps agree with the oracles, with unit pivots on and off."""
     sp, j, k, loop = data
     expected = {}
     for scale in {j, k}:
         index, edges, triangles = _skeleton(sp, scale)
         group = AbelianGroupInv(*oracle_h1(edges, triangles, len(index)))
         expected[scale] = group, _is_boundary_sum(sp, scale, loop)
-    # the default cap reduces to a small residual; cap 0 factors the full one
-    for cap in (rips.TIETZE_LETTER_CAP, 0):
-        with _tietze_cap(cap):
+    # unit pivots leave a small core; without them Smith factors every relator
+    for pivot in (rips._unit_pivot, lambda row: None):
+        with _fresh_presentations("_unit_pivot", pivot):
             for scale, (group, bounds) in expected.items():
                 assert h1_at_scale(sp, scale) == group
                 assert (not any(h1_class(sp, scale, loop))) == bounds
@@ -556,6 +562,98 @@ def test_letter_cap_bounds_growth_not_size():
         subst, residual = rips._simplified(dataclasses.replace(pres))
     assert len([g for g, w in subst.items() if w == (g,)]) == 1
     assert residual == ()
+
+
+def _tietze_smith_abelian(pres):
+    """H1 as it was read before the sparse elimination: the Smith form of the
+    word Tietze residual over the surviving generators.  Returns (column, u,
+    kept, moduli) as the old ``rips._pres_abelian`` did."""
+    subst, rels = rips._simplified(pres)
+    column = {g: i for i, g in enumerate(g for g, w in subst.items() if w == (g,))}
+    r = ila.zeros(len(column), len(rels))
+    for j, rel in enumerate(rels):
+        for letter in rel:
+            r[column[abs(letter)]][j] += 1 if letter > 0 else -1
+    u, s, _ = ila.smith_normal_form(r)
+    diag = ila.diagonal_of(s)
+    diag += [0] * (len(column) - len(diag))
+    kept = tuple(i for i, d in enumerate(diag) if d != 1)
+    return column, u, kept, tuple(diag[i] for i in kept)
+
+
+def _tietze_smith_coords(pres, abelian, word):
+    """The old ``rips._h1_coords``: the word through the Tietze substitution,
+    counted over the survivors and read through the row transform."""
+    column, u, kept, moduli = abelian
+    counts = collections.Counter()
+    for letter in rips._expand(pres, word):
+        counts[column[abs(letter)]] += 1 if letter > 0 else -1
+    return tuple(rips._reduce(sum(u[i][c] * n for c, n in counts.items()), d)
+                 for i, d in zip(kept, moduli))
+
+
+def gnp_space(n, p, seed):
+    """The random graph G(n, p) of random.Random(seed) as a one-scale space."""
+    rng = random.Random(seed)
+    pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    return FilteredSpace(tuple(range(n)), (pairs,), hausdorff=False)
+
+
+@st.composite
+def small_gnp(draw):
+    return gnp_space(draw(st.integers(min_value=1, max_value=12)),
+                     draw(st.sampled_from((0.2, 0.35, 0.5, 0.7, 0.9))),
+                     draw(st.integers(min_value=0, max_value=2 ** 16)))
+
+
+def _loop_words(pres, rng, count=12):
+    """Words over the generators: products of relators, which are zero in H1,
+    mixed with single and doubled letters, which are zero only by torsion or
+    by the relators."""
+    letters = [s * g for g in range(1, len(pres.generators) + 1) for s in (1, -1)]
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(0, 4)):
+            if pres.relators and rng.random() < 0.6:
+                rel = rng.choice(pres.relators)
+                word += rel if rng.random() < 0.5 else rips.invert_word(rel)
+            elif letters:
+                word += [rng.choice(letters)] * rng.randint(1, 2)
+        yield tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(filtered_space(), small_gnp()), st.randoms(use_true_random=False))
+@example(RP2, random.Random(0))
+@example(RP2_AND_SQUARE, random.Random(0))
+@example(KING_TORUS, random.Random(0))
+def test_sparse_abelianization_matches_tietze_then_smith(sp, rng):
+    """The unit-pivot elimination gives the groups of the Tietze residual's
+    Smith form, its coordinates vanish on the same words, and every cover
+    has the same buckets under both."""
+    for k in range(1, sp.depth + 1):
+        pres = rips.presentation_at_scale(sp, k, None)
+        old = _tietze_smith_abelian(pres)
+        moduli = old[3]
+        assert rips.presentation_h1(pres) == AbelianGroupInv(
+            moduli.count(0), tuple(d for d in moduli if d))
+        for word in _loop_words(pres, rng):
+            assert (not any(rips._h1_coords(pres, word))) == \
+                (not any(_tietze_smith_coords(pres, old, word)))
+        base = rng.choice(sp.points)
+        cover = build_cover(sp, k, base, 4)
+        based = rips.presentation_at_scale(sp, k, base)
+        if not based.relators:
+            continue  # buckets are then the reduced words, not H1 classes
+        based_old = _tietze_smith_abelian(based)
+        partitions = []
+        for key in (lambda w: rips._h1_coords(based, w),
+                    lambda w: _tietze_smith_coords(based, based_old, w)):
+            blocks = collections.defaultdict(set)
+            for vid, (end, word) in enumerate(zip(cover.endpoints, cover.words)):
+                blocks[end, key(word)].add(vid)
+            partitions.append(sorted(map(sorted, blocks.values())))
+        assert partitions[0] == partitions[1]
 
 
 @settings(max_examples=80, deadline=None)
