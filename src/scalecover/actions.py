@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quotients import FilteredMap, collapse, verify_gucm
-from .rips import _owned
-from .spaces import FilteredSpace, Partition, SpaceError, breadth_first
+from .spaces import FilteredSpace, Partition, SpaceError, _owned, breadth_first
 from .towers import SpaceTower, assemble_limit_space
 
 DEFAULT_GROUP_BOUND = 10_000
@@ -68,7 +67,7 @@ class ActionSpec:
 
     Elements are distinct permutations of the points, so the action is
     faithful.  Its diagnosis, saturations, scale subgroups and scale
-    quotients are memoized on the instance (see ``rips._owned``), so a
+    quotients are memoized on the instance (see ``spaces._owned``), so a
     command that reports a scale quotient and the tower computes each once,
     and they live as long as the action does.
     """

@@ -7,7 +7,8 @@ induction for chain lifting and a pair fixpoint for approximate uniqueness.
 The fixpoint is a multi-source ``spaces.breadth_first`` search over pairs of
 source points, started from the whole diagonal; fiber components are a
 search over the scale-k steps whose ends have equal images.  Fiber and orbit
-quotients share one block projection, ``collapse``.
+quotients share one block projection, ``collapse``.  Each fact about a map
+is memoized on it, so verifiers that read one another's facts share them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .spaces import (
     Partition,
     SpaceError,
     UnknownPoint,
+    _owned,
     breadth_first,
     is_chain,
 )
@@ -32,7 +34,9 @@ class FilteredMap:
     order.  Uniform continuity is not required at construction; the
     witnesses, when they exist, are available via continuity_witnesses, and
     those of the inverse direction (source scales containing the preimage of
-    a target scale) via pullback_witnesses.
+    a target scale) via pullback_witnesses.  The verifiers' facts about it
+    live in ``_memo`` (see ``spaces._owned``); a memoized fiber quotient
+    refers back to it, so only the cyclic collector frees it.
     """
 
     source: FilteredSpace
@@ -47,6 +51,7 @@ class FilteredMap:
         object.__setattr__(
             self, "_map", dict(zip(self.source.points, self.assignment))
         )
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def build(cls, source, target, mapping):
@@ -67,6 +72,7 @@ class FilteredMap:
         except KeyError:
             raise UnknownPoint(x) from None
 
+    @_owned
     def image_relation(self, j: int) -> dict:
         """f(E_j) per target point a: the union of f(E_j[x]) over the fiber of a."""
         out = {a: set() for a in self.target.points}
@@ -139,6 +145,7 @@ class GenerationResult:
     counterexample: dict | None = None
 
 
+@_owned
 def check_generates(f: FilteredMap) -> GenerationResult:
     """Whether the images of the source scales form a basis for the target.
 
@@ -202,6 +209,7 @@ def _one_step_lifts(f: FilteredMap, e: int, k: int):
     return None
 
 
+@_owned
 def check_chain_lifting(f: FilteredMap) -> ChainLiftingResult:
     """One-step chain lifting, which gives chain lifting by induction.
 
@@ -242,16 +250,16 @@ class ApproxUniquenessResult:
     counterexample: dict | None = None
 
 
-def _uniqueness_condition(f: FilteredMap, e: int, j: int, strong: bool):
+@_owned
+def _uniqueness_condition(f: FilteredMap, j: int, close_scale: int):
     """Pair fixpoint deciding whether scale-j chains with equal images stay close.
 
     A multi-source breadth-first search from the whole diagonal: a pair
     (a, b) steps to (a', b') when both components move one scale-j step and
-    the images agree.  Closeness is judged at scale j (strong) or scale e
-    (plain).  Returns None on success, or the first non-close pair found as
-    two chains read back through the search's parents.
+    the images agree.  Closeness is judged at close_scale, j (strong) or e
+    (plain), so plain at e = j is strong at j.  Returns None on success, or
+    the first non-close pair found as two chains read back through the parents.
     """
-    close_scale = j if strong else e
     source = f.source
 
     def steps(pair):
@@ -289,7 +297,7 @@ def check_approx_uniqueness(f: FilteredMap, strong: bool = False) -> ApproxUniqu
         found = None
         last = None
         for j in range(e, f.source.depth + 1):
-            failure = _uniqueness_condition(f, e, j, strong)
+            failure = _uniqueness_condition(f, j, j if strong else e)
             if failure is None:
                 found = j
                 break
@@ -333,12 +341,7 @@ def counterexample_holds(f: FilteredMap, ce: dict) -> bool:
     raise ValueError(f"no checker for counterexample kind {ce['kind']!r}")
 
 
-def strong_condition_at(f: FilteredMap, j: int) -> bool:
-    """Whether scale-j chains from a common start with equal images are j-close."""
-    f.source.check_scale(j)
-    return _uniqueness_condition(f, j, j, strong=True) is None
-
-
+@_owned
 def fiber_e_components(f: FilteredMap, k: int) -> Partition:
     """Scale-k components within each fiber of f; refines the fiber partition."""
     source = f.source
@@ -377,6 +380,7 @@ class QuotientSpace:
     q_chain_lifting: ChainLiftingResult | None
 
 
+@_owned
 def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     """The fiber quotient of f at scale k: see QuotientSpace."""
     f.source.check_scale(k)
@@ -386,7 +390,7 @@ def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     g = FilteredMap.build(qspace, f.target, lambda blk: f(blk[0]))
     if compose(g, q).assignment != f.assignment:
         raise RuntimeError("the induced map does not factor f through its fiber quotient")
-    if not strong_condition_at(f, k):
+    if _uniqueness_condition(f, k, k) is not None:
         return QuotientSpace(f, k, blocks, qspace, q, g, False, None, None)
     # A scale-k chain within x's fiber and the constant chain at x have equal
     # images, so strong uniqueness at k puts the chain's end within scale k

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from . import intlinalg as ila
 from .coset import coset_enumeration
@@ -28,6 +28,7 @@ from .spaces import (
     FilteredSpace,
     ScaleMismatch,
     SpaceError,
+    _owned,
     breadth_first,
     is_chain,
 )
@@ -117,8 +118,8 @@ class GroupPresentation:
     triangle boundary through the tree collapse.  ``parent`` maps each point
     to its tree parent (None at a root).  Words are relative to this specific
     forest and are not canonical across different forests.  The reductions
-    of the relators are memoized on the instance (see ``_owned``), so they
-    live as long as it does.
+    of the relators are memoized on the instance (see ``spaces._owned``),
+    so they live as long as it does.
     """
 
     space: FilteredSpace
@@ -160,24 +161,6 @@ class GroupPresentation:
 
         a, b = self.generators[g - 1]
         return tuple(reversed(to_root(a))) + tuple(to_root(b))
-
-
-def _owned(fn):
-    """Memoize fn(owner, *args) in the owner's own ``_memo``: a presentation's
-    here, an ``actions.ActionSpec``'s there, where a scale subgroup's record
-    is keyed by its relation as a frozenset of pairs.
-
-    A lookup hashes only fn and the extra arguments, never the owner (a
-    frozenset keeps its hash once computed), and the results die with it.
-    """
-    @wraps(fn)
-    def memoized(owner, *args):
-        key = (fn, *args)
-        if key not in owner._memo:
-            owner._memo[key] = fn(owner, *args)
-        return owner._memo[key]
-
-    return memoized
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import wraps
 from itertools import accumulate, compress, repeat
 from operator import le, ne
 from typing import Iterable, Sequence
@@ -392,6 +393,24 @@ def breadth_first(sources, successors, parent: dict):
                 parent[nxt] = node
                 queue.append(nxt)
                 yield nxt
+
+
+def _owned(fn):
+    """Memoize fn(owner, *args) in the owner's own ``_memo``, that of a
+    ``rips.GroupPresentation``, an ``actions.ActionSpec`` (a scale subgroup's
+    record is keyed by its relation as a frozenset of pairs) or a
+    ``quotients.FilteredMap``.  Results are shared and never mutated.  A
+    lookup hashes only fn and the extra arguments, never the owner (a
+    frozenset keeps its hash once computed), and the results die with it.
+    """
+    @wraps(fn)
+    def memoized(owner, *args):
+        key = (fn, *args)
+        if key not in owner._memo:
+            owner._memo[key] = fn(owner, *args)
+        return owner._memo[key]
+
+    return memoized
 
 
 def chain_components(space: FilteredSpace, k: int) -> Partition:

@@ -218,8 +218,8 @@ def quotient_tower_reconstruct(f: FilteredMap) -> ReconstructionReport:
         failing = [k for k, v in hypotheses.items() if not v and k != "source_hausdorff"]
         return ReconstructionReport(hypotheses, (), (), None, None, None, None,
                                     "HypothesisUnmet:" + ",".join(failing))
-    # the strong condition at j does not depend on the scale it is searched
-    # for, so it holds at j exactly when the search from j stops there
+    # the strong search at e = j tries (j, j) first, so j is its own witness
+    # exactly when the strong condition holds at j
     basis = tuple(j for j, w in enumerate(strong.witnesses, start=1) if w == j)
     stages = [collapse(f.source, fiber_e_components(f, j)) for j in basis]
     finest = stages[-1]

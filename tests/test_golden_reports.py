@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from scalecover import actions, rips
+from scalecover import actions, quotients, rips
 from scalecover.cli import main
 
 
@@ -115,6 +115,9 @@ GOLDEN = {
         "bd2dc74273f4f3f731815fb9e5ec18a70c03be13bfedcaf6851b7b489988b226",
     ("quotient", "wrap.json", "--scale", "1"):
         "1e041e0d17ef44c7cbc8077fb37333edd50aeb6a124677241c770a7713ef15b9",
+    # the quotient at the source depth is also the factorization's
+    ("quotient", "wrap.json", "--scale", "2"):
+        "6804772ac9bacdfc79ff6cae30d17006251f510cec4067f461247a2fa5d7eb8d",
     ("tower", "discrete.json"):
         "23fdd08a88309c5c7e23a68c862807b564d45cc415eaa2a538fa300837e32237",
     ("tower", "detour.json"):
@@ -164,6 +167,44 @@ def test_rotation_closes_each_group_once(capsys, monkeypatch, tmp_path):
         assert main(["action", "rotation.json", "--quotient-scale", "2", "--tower"]) == 0
     capsys.readouterr()
     assert closure.call_count == 4
+
+
+def _map_work(capsys, argv):
+    """Run a golden map command and return the work it did: the number of
+    pair searches, and the arguments of every one-step lifting test and
+    every fiber_e_components call."""
+    def counted(name):
+        return mock.patch.object(quotients, name, wraps=getattr(quotients, name))
+
+    with counted("breadth_first") as search, counted("_one_step_lifts") as lifts, \
+            counted("fiber_e_components") as fibers:
+        main(list(argv))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+    pair_searches = [c for c in search.call_args_list
+                     if c.args[1].__qualname__.startswith("_uniqueness_condition.")]
+    return (len(pair_searches), [c.args for c in lifts.call_args_list],
+            [c.args for c in fibers.call_args_list])
+
+
+def test_wrap_map_facts_computed_once(capsys, monkeypatch, tmp_path):
+    """Each fact about the C16 -> C8 wrap is computed once per command.
+
+    Plain uniqueness at e = j and strong uniqueness at j are one pair search,
+    so ``map`` runs one per scale of the source.  ``quotient --scale 2`` asks
+    for the fiber quotient the factorization also builds, and builds it
+    once; chain lifting is checked once for each of f, q and g.
+    """
+    write_inputs(monkeypatch, tmp_path)
+    searches, lifts, fibers = _map_work(capsys, ("map", "wrap.json"))
+    assert searches == 2
+    assert len(lifts) == len(set(lifts)) and len({f for f, _, _ in lifts}) == 1
+    assert fibers == []
+
+    searches, lifts, fibers = _map_work(capsys, ("quotient", "wrap.json", "--scale", "2"))
+    assert searches == 2
+    assert len(lifts) == len(set(lifts)) and len({f for f, _, _ in lifts}) == 3
+    assert len(fibers) == len(set(fibers)) == 1
 
 
 @pytest.mark.parametrize("argv", sorted(a for a in GOLDEN if a[0] == "analyze"), ids=" ".join)

@@ -52,7 +52,6 @@ from scalecover.quotients import (
     counterexample_holds,
     factor_and_verify,
     fiber_e_components,
-    strong_condition_at,
     verify_gucm,
     _uniqueness_condition,
 )
@@ -1732,7 +1731,8 @@ def old_quotient_tower_reconstruct(f):
         return ReconstructionReport(hypotheses, (), (), None, None, None, None,
                                     "HypothesisUnmet:" + ",".join(failing))
     basis = tuple(
-        j for j in range(1, f.source.depth + 1) if strong_condition_at(f, j)
+        j for j in range(1, f.source.depth + 1)
+        if _uniqueness_condition(f, j, j) is None
     )
     quotients = [build_fiber_quotient(f, j) for j in basis]
     spaces = tuple(q.space for q in quotients)
@@ -2056,7 +2056,7 @@ def test_chain_searches_match_hand_written_loops(f):
                 == _presentation_fields(_old_presentation(source, k, base))
         for e in range(1, source.depth + 1):
             for strong in (False, True):
-                assert _uniqueness_condition(f, e, k, strong) \
+                assert _uniqueness_condition(f, k, k if strong else e) \
                     == _old_uniqueness_condition(f, e, k, strong)
 
 
@@ -2114,7 +2114,7 @@ def _finest_first_scale(f, e):
     """The scale search factor_and_verify ran: the finest j >= e at which the
     strong uniqueness condition holds, or None."""
     for j in range(f.source.depth, e - 1, -1):
-        if strong_condition_at(f, j):
+        if _uniqueness_condition(f, j, j) is None:
             return j
     return None
 

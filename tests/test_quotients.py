@@ -1,4 +1,8 @@
+import gc
+import weakref
+
 from conftest import identity_map
+from scalecover.actions import close_group, quotient_at_scale
 from scalecover.spaces import from_metric, validate_space
 from scalecover.quotients import (
     FilteredMap,
@@ -119,7 +123,7 @@ class TestApproxUniqueness:
                     for j in range(e, f.source.depth + 1):
                         from scalecover.quotients import _uniqueness_condition
 
-                        ours = _uniqueness_condition(f, e, j, strong) is None
+                        ours = _uniqueness_condition(f, j, j if strong else e) is None
                         brute = brute_force_uniqueness(f, e, j, strong)
                         assert ours == brute
 
@@ -187,3 +191,30 @@ class TestGucm:
 
     def test_identity_passes(self, fix_c6):
         assert verify_gucm(identity_map(fix_c6)).passed
+
+
+def test_memoized_facts_die_with_their_maps_and_actions():
+    """Facts memoized on a map or an action are freed with it.
+
+    Ten wrap maps C_2n -> C_n and a rotation action are verified, factored
+    and quotiented, then dropped.  A map's memoized fiber quotient refers
+    back to the map through ``QuotientSpace.base``, a reference cycle, so
+    only the cyclic collector frees those maps: every weak reference must be
+    dead after ``gc.collect()``, and none may be kept alive by a global cache.
+    """
+    def cycle(n, radii):
+        return from_metric(
+            [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)], radii)
+
+    maps = [FilteredMap(cycle(2 * n, (2, 1)), cycle(n, (2, 1)),
+                        tuple(i % n for i in range(2 * n))) for n in range(6, 16)]
+    action = close_group(cycle(8, (2, 1, 0)), [[(i + 2) % 8 for i in range(8)]])
+    factored = sum(factor_and_verify(f).quotient is not None for f in maps)
+    gucm = sum(verify_gucm(f).passed for f in maps)
+    quotient_at_scale(action, 2)
+    assert factored and gucm
+    refs = [weakref.ref(x) for f in maps for x in (f, f.source, f.target)]
+    refs += [weakref.ref(action), weakref.ref(action.space)]
+    del maps, action
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
