@@ -13,7 +13,9 @@ and runner, so live runs and ``verify --replay`` share one path.  Runners
 return library objects, and the report is written to JSON once, on output.
 Its ``inputs`` are written once before that, by ``formats.written_field``,
 which gives both their text, indented for the report, and their
-``input_digest``.  Integer flags and budgets are read in ASCII decimal only.
+``input_digest``.  Integer flags and budgets are read in ASCII decimal only,
+and ``verify --replay`` checks a stored report's options as the flags that
+wrote them were checked before it runs them.
 """
 
 from __future__ import annotations
@@ -170,12 +172,7 @@ def run_cover(space, options, budgets):
         "unknown_pairs": cover.unknown_pairs,
         "ucm": report,
     }
-    if report.verdict == "Inconclusive":
-        code = EXIT_INCONCLUSIVE
-    elif report.verdict == "UCM":
-        code = EXIT_OK
-    else:
-        code = EXIT_COUNTEREXAMPLE
+    code = EXIT_INCONCLUSIVE if report.verdict == "Inconclusive" else EXIT_OK
     return results, code, cover
 
 
@@ -339,6 +336,31 @@ def _run_live(args, kind, obj, options, budgets):
     return {key: spec}, results, code
 
 
+def _replay_options(kind, obj, options):
+    """A stored report's options, checked as its live flags were: ParseError
+    for a value that no live command writes, such as the text "2" for a
+    scale, which a report writes as a JSON integer."""
+    what = "report field replay.options"
+
+    def expect(key, types, name):
+        if type(options.get(key)) not in types:
+            raise formats.ParseError(f"{what}.{key} must be {name}, got {options.get(key)!r}")
+
+    if kind in ("cover", "quotient"):
+        expect("scale", (int,), "an integer")
+    if kind == "action":
+        expect("quotient_scale", (int, type(None)), "an integer or null")
+        expect("tower", (bool,), "true or false")
+    radii = options.get("radii")
+    if kind == "analyze" and radii is not None and \
+            len(formats._numbers(radii, f"{what}.radii")) != obj.depth:
+        raise formats.ParseError(f"{what}.radii must hold one number for each of "
+                                 f"the {obj.depth} scales, got {radii!r}")
+    if kind == "cover":
+        return {**options, "basepoint": formats._as_point(options.get("basepoint"))}
+    return options
+
+
 def _replay(stored, budgets):
     """Re-run a stored report from its recorded inputs and re-check the
     counterexamples that have a checker; (results, exit code)."""
@@ -351,7 +373,7 @@ def _replay(stored, budgets):
         raise formats.ParseError(f"cannot replay report kind {kind!r}")
     key, reader, _, runner = COMMANDS[kind]
     obj = getattr(formats, reader)(inputs[key])
-    results, *_ = globals()[runner](obj, options, budgets)
+    results, *_ = globals()[runner](obj, _replay_options(kind, obj, options), budgets)
     drift = formats.canonical_dumps(results) != formats.canonical_dumps(stored["results"])
     failures = []
     map_checks = ("approx_uniqueness_plain", "approx_uniqueness_strong", "chain_lifting")

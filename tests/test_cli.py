@@ -237,6 +237,36 @@ def test_malformed_replayed_report_is_input_error(capsys, c6_csv_file, tmp_path,
     assert f"report field {field} must be an object" in report["results"]["error"]
 
 
+@pytest.mark.parametrize("command,key,value,error", [
+    ("cover", "scale", "x", "ParseError"),
+    ("cover", "scale", None, "ParseError"),
+    ("cover", "scale", True, "ParseError"),
+    ("cover", "basepoint", [0], "UnknownPoint"),
+    ("quotient", "scale", "2", "ParseError"),
+    ("action", "quotient_scale", "2", "ParseError"),
+    ("action", "tower", 1, "ParseError"),
+    ("analyze", "radii", 5, "ParseError"),
+    ("analyze", "radii", [2], "ParseError"),
+])
+def test_tampered_replay_options_are_input_errors(capsys, tmp_path, c6_csv_file, map_file,
+                                                  action_file, command, key, value, error):
+    flags = {
+        "analyze": [c6_csv_file, "--radii", "2,1"],
+        "cover": [c6_csv_file, "--radii", "2,1", "--scale", "1", "--basepoint", "0"],
+        "quotient": [map_file, "--scale", "1"],
+        "action": [action_file, "--quotient-scale", "2"],
+    }[command]
+    out = tmp_path / "report.json"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc["replay"]["options"][key] = value
+    out.write_text(json.dumps(doc))
+    code, report = run(capsys, "verify", "--replay", str(out))
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"].startswith(f"{error}: ")
+
+
 @pytest.mark.parametrize("g", [5, [["x"], [1]], [[1], [0], [1], [0]]])
 def test_malformed_telescope_elements_are_input_errors(capsys, tmp_path, g):
     spec = {"kind": "abelian_tower", "groups": [{"rank": 1, "torsion": []}] * 3,

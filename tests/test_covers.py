@@ -7,7 +7,6 @@ from scalecover.covers import (
     build_cover,
     cover_to_dot,
     critical_scales,
-    fhat,
     is_isomorphism,
     lift_chain,
     verify_endpoint_ucm,
@@ -15,6 +14,7 @@ from scalecover.covers import (
 from scalecover.quotients import FilteredMap, verify_gucm
 from scalecover.rips import AbelianGroupInv
 from scalecover.spaces import Chain, FilteredSpace, from_metric, subspace
+from test_properties import fhat
 
 
 def cover_space(cover):
@@ -273,11 +273,6 @@ class TestDoubleCoverOfProjectivePlane:
 
 
 class TestExports:
-    def test_fhat_nested_and_symmetric(self, fix_c6):
-        cover = build_cover(fix_c6, 1, 0, 6)
-        f1, f2 = fhat(cover, 1), fhat(cover, 2)
-        assert f2 <= f1
-
     def test_cover_space_structure(self, fix_c6):
         cover = build_cover(fix_c6, 1, 0, 6)
         sp = cover_space(cover)

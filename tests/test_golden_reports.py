@@ -103,6 +103,9 @@ GOLDEN = {
         "622ffba5d87bfecb1c77fc3b263420e14dec6f2b0a948daefafc60440ae01780",
     ("analyze", "tri.csv", "--radii", "2.5,1.5"):
         "81c640d23ffae8cb8b73336033621ea4c108ffe4287a4157000247353f649ad7",
+    # a complete, identified cover: its verdict is UCM with witnesses (1, 2)
+    ("cover", "c6.json", "--scale", "1", "--basepoint", "0", "--radius", "6"):
+        "218df48363028e1e62b876843251d7cd6452d311619310b7e940c919356fb664",
     ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
         "30b20af6a1e659a90323fbf0019944f1ee3902e32c775f173ce763312a217751",
     ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
@@ -193,7 +196,9 @@ def test_wrap_map_facts_computed_once(capsys, monkeypatch, tmp_path):
     Plain uniqueness at e = j and strong uniqueness at j are one pair search,
     so ``map`` runs one per scale of the source.  ``quotient --scale 2`` asks
     for the fiber quotient the factorization also builds, and builds it
-    once; chain lifting is checked once for each of f, q and g.
+    once.  Chain lifting is checked once for each of f, q and g, where q and
+    g are the finest scale's, whose lifting the factorization writes: the
+    quotient at scale 1 is built, but its q's lifting is not checked.
     """
     write_inputs(monkeypatch, tmp_path)
     searches, lifts, fibers = _map_work(capsys, ("map", "wrap.json"))
@@ -205,6 +210,10 @@ def test_wrap_map_facts_computed_once(capsys, monkeypatch, tmp_path):
     assert searches == 2
     assert len(lifts) == len(set(lifts)) and len({f for f, _, _ in lifts}) == 3
     assert len(fibers) == len(set(fibers)) == 1
+
+    searches, lifts, fibers = _map_work(capsys, ("quotient", "wrap.json", "--scale", "1"))
+    assert len(lifts) == len(set(lifts)) and len({f for f, _, _ in lifts}) == 3
+    assert len(fibers) == len(set(fibers)) == 2
 
 
 @pytest.mark.parametrize("argv", sorted(a for a in GOLDEN if a[0] == "analyze"), ids=" ".join)
