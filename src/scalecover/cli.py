@@ -7,6 +7,12 @@ when a verifier found a counterexample, 2 when a budget left a verdict
 inconclusive, and 3 on input errors.  Budget defaults can be overridden by
 SCALECOVER_* environment variables.
 
+The table SUBCOMMANDS gives each subcommand its help, its live reader and
+its arguments.  A call builds only the subparser that its first argument
+names, or all seven when that names none (top-level help, or an unknown or
+missing command), so argparse still lists every choice; no parser outlives
+the call.
+
 A live command turns its flags into (report kind, input object, options).
 The table COMMANDS gives each kind its inputs field, spec reader and writer
 and runner, so live runs and ``verify --replay`` share one path.  Runners
@@ -413,6 +419,57 @@ def _input_error(argv, budgets, exc):
                    {"error": f"{type(exc).__name__}: {exc}"}, EXIT_INPUT)
 
 
+# subcommand -> (help, live reader, arguments as (name or flag, add_argument options));
+# verify has no live reader
+SUBCOMMANDS = {
+    "analyze": ("chain components, H1 per scale, critical scales", _live_space, (
+        ("space", {}),
+        ("--radii", {"help": "comma-separated radii for a CSV matrix"}),
+        ("--barcode", {"help": "write a barcode CSV here"}),
+        ("--out", {}),
+    )),
+    "cover": ("build a cover and verify the covering axioms", _live_space, (
+        ("space", {}),
+        ("--radii", {}),
+        ("--scale", {"type": _int_flag, "required": True}),
+        ("--basepoint", {"required": True}),
+        ("--radius", {}),
+        ("--ident-budget", {"dest": "ident_budget"}),
+        ("--coset-rows", {"dest": "coset_rows",
+                          "help": "row budget for the identification enumerations"}),
+        ("--dot", {"help": "write the cover graph here"}),
+        ("--out", {}),
+    )),
+    "map": ("generation, lifting, uniqueness, gucm verdict", _live_map, (
+        ("mapfile", {}),
+        ("--out", {}),
+    )),
+    "quotient": ("fiber quotient and factorization at a scale", _live_map, (
+        ("mapfile", {}),
+        ("--scale", {"type": _int_flag, "required": True}),
+        ("--out", {}),
+    )),
+    "tower": ("limits, strong-ML, lim1, telescoping", _live_tower, (
+        ("towerfile", {}),
+        ("--lim1", {"action": "store_true",
+                    "help": "included for compatibility; lim1 always reported"}),
+        ("--telescope", {"choices": ["forward", "backward"]}),
+        ("--product-bound", {"dest": "product_bound"}),
+        ("--out", {}),
+    )),
+    "action": ("diagnosis, quotients, tower verification", _live_action, (
+        ("actionfile", {}),
+        ("--quotient-scale", {"type": _int_flag, "dest": "quotient_scale"}),
+        ("--tower", {"action": "store_true"}),
+        ("--out", {}),
+    )),
+    "verify": ("re-run a report's analysis and counterexamples", None, (
+        ("--replay", {"required": True}),
+        ("--out", {}),
+    )),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are input errors, reported with exit 3."""
 
@@ -420,71 +477,33 @@ class _Parser(argparse.ArgumentParser):
         raise formats.ParseError(message)
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parser(argv):
+    """The parser for argv: only the subparser that argv[0] names, or all of
+    them when it names none (top-level help, or an unknown or missing
+    command), so that argparse lists every choice."""
     parser = _Parser(
         prog="scalecover",
         description="verifiers for scale-filtered spaces, covers, quotients, "
                     "towers and group actions",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    for name in names:
+        help_text, live, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(live=live)
+        for name_or_flag, options in arguments:
+            p.add_argument(name_or_flag, **options)
+    return parser
 
-    p = sub.add_parser("analyze", help="chain components, H1 per scale, critical scales")
-    p.set_defaults(live=_live_space)
-    p.add_argument("space")
-    p.add_argument("--radii", help="comma-separated radii for a CSV matrix")
-    p.add_argument("--barcode", help="write a barcode CSV here")
-    p.add_argument("--out")
 
-    p = sub.add_parser("cover", help="build a cover and verify the covering axioms")
-    p.set_defaults(live=_live_space)
-    p.add_argument("space")
-    p.add_argument("--radii")
-    p.add_argument("--scale", type=_int_flag, required=True)
-    p.add_argument("--basepoint", required=True)
-    p.add_argument("--radius")
-    p.add_argument("--ident-budget", dest="ident_budget")
-    p.add_argument("--coset-rows", dest="coset_rows",
-                   help="row budget for the identification enumerations")
-    p.add_argument("--dot", help="write the cover graph here")
-    p.add_argument("--out")
-
-    p = sub.add_parser("map", help="generation, lifting, uniqueness, gucm verdict")
-    p.set_defaults(live=_live_map)
-    p.add_argument("mapfile")
-    p.add_argument("--out")
-
-    p = sub.add_parser("quotient", help="fiber quotient and factorization at a scale")
-    p.set_defaults(live=_live_map)
-    p.add_argument("mapfile")
-    p.add_argument("--scale", type=_int_flag, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("tower", help="limits, strong-ML, lim1, telescoping")
-    p.set_defaults(live=_live_tower)
-    p.add_argument("towerfile")
-    p.add_argument("--lim1", action="store_true",
-                   help="included for compatibility; lim1 always reported")
-    p.add_argument("--telescope", choices=["forward", "backward"])
-    p.add_argument("--product-bound", dest="product_bound")
-    p.add_argument("--out")
-
-    p = sub.add_parser("action", help="diagnosis, quotients, tower verification")
-    p.set_defaults(live=_live_action)
-    p.add_argument("actionfile")
-    p.add_argument("--quotient-scale", type=_int_flag, dest="quotient_scale")
-    p.add_argument("--tower", action="store_true")
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="re-run a report's analysis and counterexamples")
-    p.add_argument("--replay", required=True)
-    p.add_argument("--out")
-
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = None
     budgets = {}
 
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
         budgets = default_budgets()
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)

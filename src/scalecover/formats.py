@@ -7,10 +7,11 @@ equal ``json.dumps(to_jsonable(value), sort_keys=True, indent=2,
 ensure_ascii=True)``; it walks the result objects in one pass, writes each
 dataclass instance once per document and floats as ``json.dumps`` does.
 JSON input may not hold the non-finite constants NaN, Infinity or -Infinity,
-which are not JSON.  Distance matrices come in as headerless CSV; its cells
-and the CLI's ``--radii`` go through one number reader, ``parse_number``,
-which accepts ASCII decimal numbers only and refuses non-finite values.
-Parse errors carry the position that failed.
+which are not JSON, nor numbers such as 1e400 that overflow to them.
+Distance matrices come in as headerless CSV; its cells and the CLI's
+``--radii`` go through one number reader, ``parse_number``, which accepts
+ASCII decimal numbers only and refuses non-finite values.  Parse errors
+carry the position that failed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .actions import ActionSpec, close_group
 from .quotients import FilteredMap
 from .rips import AbelianGroupInv
 from .spaces import FilteredSpace, from_metric, validate_space
-from .towers import SpaceTower, TowerAb
+from .towers import InvalidTower, SpaceTower, TowerAb
 
 SCHEMA = "scalecover-report/1"
 
@@ -211,10 +212,17 @@ _POINT_TYPES = frozenset({str, int, float, bool, type(None), tuple})
 
 
 def _as_point(value):
+    try:
+        return _point(value)
+    except RecursionError:
+        raise ParseError("a point is nested too deeply") from None
+
+
+def _point(value):
     if type(value) in _POINT_TYPES:
         return value
     if isinstance(value, list):
-        return tuple(_as_point(v) for v in value)
+        return tuple(_point(v) for v in value)
     raise ParseError(f"a point must be a JSON scalar or array, got {value!r}")
 
 
@@ -385,10 +393,13 @@ def space_tower_from_spec(spec: dict, base_dir: str = ".") -> SpaceTower:
         return space_from_spec(entry)
 
     spaces = tuple(resolve(s) for s in _expect(spec["spaces"], list, "spaces"))
+    assignments = _expect(spec["bondings"], list, "bondings")
+    if len(assignments) != len(spaces) - 1:
+        raise InvalidTower("need exactly one bonding map per adjacent pair")
     bondings = tuple(
         FilteredMap(spaces[i + 1], spaces[i],
                     tuple(_as_point(p) for p in _expect(assignment, list, "a bonding")))
-        for i, assignment in enumerate(_expect(spec["bondings"], list, "bondings"))
+        for i, assignment in enumerate(assignments)
     )
     return SpaceTower(spaces, bondings, spec.get("stabilization", "none"))
 
@@ -430,15 +441,20 @@ def telescope_elements(value) -> list:
 
 
 def load_json(path: str) -> dict:
-    """The JSON object in the file; NaN, Infinity and -Infinity are rejected."""
+    """The JSON object in the file; NaN, Infinity and -Infinity are rejected,
+    and so are numbers such as 1e400 that overflow to them, and documents
+    nested deeper than the parser's recursion allows."""
     def non_finite(constant):
         raise ParseError(f"{constant} is not a JSON number", path)
 
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=non_finite)
+            doc = json.load(fh, parse_constant=non_finite,
+                            parse_float=lambda text: parse_number(text, path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}") from None
+    except RecursionError:
+        raise ParseError("the document is nested too deeply", path) from None
     except OSError as exc:
         raise ParseError(str(exc)) from None
     return _expect(doc, dict, f"the top level of {path}")

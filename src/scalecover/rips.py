@@ -1,23 +1,26 @@
 """Rips 2-skeletons and the homotopy theory of chains at a fixed scale.
 
-Only the 2-skeleton is ever built: homotopy of edge paths in a simplicial
-complex is decided by its 2-skeleton.  Chains map to words over the non-tree
-edges of a breadth-first spanning forest; two chains with common endpoints are
-homotopic at the scale exactly when the combined word dies in the edge-path
-group.  H1 comes from the abelianized relators as sparse rows: unit pivots
-eliminate generators, only the core they leave goes through a Smith form, and
-a word's H1 coordinates are the sums of its letters' coordinates.  A Tietze
-reduction of the relator words serves only the word problem, which is
-attacked in a fixed order (free reduction, integral abelianization, bounded
-rewriting, coset enumeration); the answer is a certified Yes/No or an honest
-Unknown, and nothing is ever guessed.
+Only the 2-skeleton is ever built, in one walk of the scale index in point
+order: homotopy of edge paths in a simplicial complex is decided by its
+2-skeleton.  Chains map to words over the non-tree edges of a breadth-first
+spanning forest, read off one letter index that maps each directed edge to
+its signed generator; two chains with common endpoints are homotopic at the
+scale exactly when the combined word dies in the edge-path group.  H1 comes
+from the abelianized relators as sparse rows: unit pivots eliminate
+generators, only the core they leave goes through a Smith form, and a word's
+H1 coordinates are the sums of its letters' coordinates.  A Tietze reduction
+of the relator words, whose substitution is expanded once at the end, serves
+only the word problem, which is attacked in a fixed order (free reduction,
+integral abelianization, bounded rewriting, coset enumeration); the answer
+is a certified Yes/No or an honest Unknown, and nothing is ever guessed.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import intlinalg as ila
@@ -62,18 +65,24 @@ class Rips2Skeleton:
 def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
     """Edges are scale-k pairs, triangles the pairwise scale-k triples.
 
-    A triangle (a, b, c) of an edge (a, b) takes c from b's later neighbours,
-    kept when they lie in a's closed neighbourhood ``space.closed(k, a)``;
-    edges and neighbours come in point order, so the triangles do too.
+    One walk of the scale index in point order: an edge (a, b) takes b from
+    a's later neighbours, and a triangle (a, b, c) of it takes c from b's
+    later neighbours, kept when they lie in a's closed neighbourhood
+    ``space.closed(k, a)``.  Neighbours come in point order, so edges and
+    triangles do too.
     """
     space.check_scale(k)
-    edges = tuple(space.sorted_pairs(k))
-    triangles = []
-    for a, b in edges:
-        near_a, ib = space.closed(k, a), space.index(b)
-        triangles.extend((a, b, c) for c in space.neighbors(k, b)
-                         if c in near_a and space.index(c) > ib)
-    return Rips2Skeleton(k, space.points, edges, tuple(triangles))
+    later = {}
+    for i, a in enumerate(space.points):
+        near = space.neighbors(k, a)
+        later[a] = near[bisect_right(near, i, key=space.index):]
+    edges, triangles = [], []
+    for a, after_a in later.items():
+        near_a = space.closed(k, a)
+        for b in after_a:
+            edges.append((a, b))
+            triangles.extend((a, b, c) for c in later[b] if c in near_a)
+    return Rips2Skeleton(k, space.points, tuple(edges), tuple(triangles))
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +126,9 @@ class GroupPresentation:
     non-tree edges, oriented from the smaller point; relators read each
     triangle boundary through the tree collapse.  ``parent`` maps each point
     to its tree parent (None at a root).  Words are relative to this specific
-    forest and are not canonical across different forests.  The reductions
-    of the relators are memoized on the instance (see ``spaces._owned``),
-    so they live as long as it does.
+    forest and are not canonical across different forests.  The letter
+    index and the reductions of the relators are memoized on the instance
+    (see ``spaces._owned``), so they live as long as it does.
     """
 
     space: FilteredSpace
@@ -132,24 +141,8 @@ class GroupPresentation:
     parent: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_gen_index", {e: i + 1 for i, e in enumerate(self.generators)}
-        )
-        object.__setattr__(self, "_tree", frozenset(self.tree_edges))
         object.__setattr__(self, "_members", frozenset(self.component))
         object.__setattr__(self, "_memo", {})
-
-    def edge_letter(self, a, b):
-        """Signed generator for traversing a -> b; None for tree or diagonal."""
-        if a == b:
-            return None
-        pair = self.space.pair(a, b)
-        if pair in self._tree:
-            return None
-        g = self._gen_index.get(pair)
-        if g is None:
-            raise SpaceError(f"{(a, b)!r} is not an edge at scale {self.scale}")
-        return g if pair == (a, b) else -g
 
     def fundamental_loop(self, g: int) -> tuple:
         """The loop root -> a -> b -> root of generator g = (a, b) in its tree."""
@@ -163,12 +156,31 @@ class GroupPresentation:
         return tuple(reversed(to_root(a))) + tuple(to_root(b))
 
 
+def _letter_index(tree_edges, generators) -> dict:
+    """Each directed edge's letter: None both ways along a tree edge, and
+    g from a to b and -g back for generator g = (a, b)."""
+    letters = dict.fromkeys(tree_edges)
+    letters.update(dict.fromkeys((b, a) for a, b in tree_edges))
+    for g, (a, b) in enumerate(generators, start=1):
+        letters[a, b], letters[b, a] = g, -g
+    return letters
+
+
+@_owned
+def _letters(pres: GroupPresentation) -> dict:
+    """The presentation's letter index (see ``_letter_index``)."""
+    return _letter_index(pres.tree_edges, pres.generators)
+
+
 @lru_cache(maxsize=None)
 def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPresentation:
     """Presentation of the basepoint's component at scale k.
 
     With basepoint None it presents the whole space over a spanning forest
-    with one breadth-first tree per component.
+    with one breadth-first tree per component.  The tree edges and the
+    generators are the skeleton's edges in the component, in its order, and
+    each triangle's relator reads its three sides off one letter index,
+    which the presentation keeps for ``chain_word``.
     """
     space.check_scale(k)
     if basepoint is None:
@@ -179,26 +191,21 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     parent = {}
     reached = [q for root in roots if root not in parent
                for q in breadth_first((root,), lambda p: space.neighbors(k, p), parent)]
-    tree = {space.pair(parent[q], q) for q in reached if parent[q] is not None}
-    generators = tuple(
-        e for e in space.sorted_pairs(k) if e[0] in parent and e not in tree
-    )
-    pres = GroupPresentation(
-        space, k, basepoint, space.sort_points(parent),
-        tuple(sorted(tree, key=lambda e: (space.index(e[0]), space.index(e[1])))),
-        generators, (), parent,
-    )
-    relators = []
-    for a, b, c in rips_2_skeleton(space, k).triangles:
-        if a not in parent:
-            continue
-        word = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            letter = pres.edge_letter(u, v)
-            if letter is not None:
-                word.append(letter)
-        relators.append(free_reduce(word))
-    return replace(pres, relators=tuple(relators))
+    tree = {(parent[q], q) for q in reached if parent[q] is not None}
+    tree |= {(b, a) for a, b in tree}
+    skeleton = rips_2_skeleton(space, k)
+    tree_edges, generators = [], []
+    for e in skeleton.edges:
+        if e[0] in parent:
+            (tree_edges if e in tree else generators).append(e)
+    letters = _letter_index(tree_edges, generators)
+    # the three sides are distinct edges, so the word is already reduced
+    relators = tuple(tuple(filter(None, (letters[a, b], letters[b, c], letters[c, a])))
+                     for a, b, c in skeleton.triangles if a in parent)
+    pres = GroupPresentation(space, k, basepoint, space.sort_points(parent),
+                             tuple(tree_edges), tuple(generators), relators, parent)
+    _letters.prime(pres, letters)
+    return pres
 
 
 def chain_word(pres: GroupPresentation, chain) -> tuple:
@@ -225,12 +232,8 @@ def chain_word(pres: GroupPresentation, chain) -> tuple:
 def _chain_letters(pres: GroupPresentation, seq: tuple) -> tuple:
     """``chain_word`` for a point sequence already known to be a chain at the
     presentation's scale inside the basepoint's component."""
-    word = []
-    for a, b in zip(seq, seq[1:]):
-        letter = pres.edge_letter(a, b)
-        if letter is not None:
-            word.append(letter)
-    return free_reduce(word)
+    letters = _letters(pres)
+    return free_reduce(filter(None, [letters[a, b] for a, b in zip(seq, seq[1:]) if a != b]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +332,14 @@ def _pres_abelian(pres: GroupPresentation):
         if len(row) != n or (g := _unit_pivot(row)) is None:
             continue  # a stale entry, or a row with no unit entry
         a = row.pop(g)
+        rows[i] = {}
+        touched = rows_with.pop(g)
+        touched.discard(i)
         solution = {h: -a * b for h, b in row.items()}
         steps.append((g, solution))
-        rows[i] = {}
         for h in row:
             rows_with[h].discard(i)
-        for j in rows_with.pop(g) - {i}:
+        for j in touched:
             other = rows[j]
             c = other.pop(g)
             for h, b in solution.items():
@@ -482,19 +487,22 @@ def _simplified(pres: GroupPresentation):
     The relators form a set of non-empty cyclically reduced words.  Each step
     takes the smallest relator by ``(len, r)`` that has a letter occurring
     once, solves it for the first such letter's generator g, and substitutes
-    the solution for g.  The step is incremental: an occurrence index maps
-    each generator to the live relators, and to the substitution keys, whose
-    words hold it, so only those are rewritten; a heap of ``(len, r)`` holds
-    the relators with a once-occurring letter, and entries no longer live are
+    the solution for g in the relators.  The step is incremental: an
+    occurrence index maps each generator to the live relators whose words
+    hold it, so only those are rewritten; a heap of ``(len, r)`` holds the
+    relators with a once-occurring letter, and entries no longer live are
     skipped when popped.  Elimination stops when no relator has such a letter,
     or when a running count of the relators' letters exceeds its initial
-    value by ``TIETZE_LETTER_CAP``.
+    value by ``TIETZE_LETTER_CAP``.  Each step records ``(g, solution)``, and
+    the substitution is expanded once at the end, in reverse elimination
+    order: a solution's letters are survivors or generators eliminated later,
+    whose words are known by then.
     """
     subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
-    words_with = {g: {g} for g in subst}
     rels_with = {g: set() for g in subst}
     live = set()
     heap = []
+    steps = []
     total = 0
 
     def add(rel):
@@ -526,6 +534,7 @@ def _simplified(pres: GroupPresentation):
         g = abs(letter)
         replacement = invert_word(rest) if letter > 0 else rest
         inverse = invert_word(replacement)
+        steps.append((g, replacement))
 
         def substitute(word):
             out = []
@@ -538,14 +547,6 @@ def _simplified(pres: GroupPresentation):
                     out.append(lt)
             return out
 
-        for key in words_with.pop(g):
-            old = set(map(abs, subst[key]))
-            subst[key] = free_reduce(substitute(subst[key]))
-            new = set(map(abs, subst[key]))
-            for h in old - new - {g}:
-                words_with[h].discard(key)
-            for h in new - old:
-                words_with[h].add(key)
         stale = rels_with.pop(g)
         for r in stale:
             live.remove(r)
@@ -554,6 +555,11 @@ def _simplified(pres: GroupPresentation):
                 rels_with[h].discard(r)
         for r in stale:
             add(_cyclic_reduce(substitute(r)))
+    for g, replacement in reversed(steps):
+        word = []
+        for lt in replacement:
+            word.extend(subst[lt] if lt > 0 else invert_word(subst[-lt]))
+        subst[g] = free_reduce(word)
     return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
 
 

@@ -402,6 +402,8 @@ def _owned(fn):
     ``quotients.FilteredMap``.  Results are shared and never mutated.  A
     lookup hashes only fn and the extra arguments, never the owner (a
     frozenset keeps its hash once computed), and the results die with it.
+    ``prime(owner, value, *args)`` records a value that the owner's builder
+    computed on the way, so that it is not computed again.
     """
     @wraps(fn)
     def memoized(owner, *args):
@@ -410,6 +412,10 @@ def _owned(fn):
             owner._memo[key] = fn(owner, *args)
         return owner._memo[key]
 
+    def prime(owner, value, *args):
+        owner._memo[(fn, *args)] = value
+
+    memoized.prime = prime
     return memoized
 
 

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import hashlib
 import json
@@ -158,6 +159,16 @@ MALFORMED_INPUTS = {
                                      "scales": [[[0, 0], [1, 1]]]}),
     "hausdorff_number": ("analyze", {**SPACE_SPEC, "hausdorff": 1,
                                      "scales": [[[0, 0], [1, 1]]]}),
+    # documents given as text: json.dumps cannot write these, or writes 1e400 as Infinity
+    "point_nested_3000_deep": ("analyze", '{"points": [' + "[" * 3000 + "0" + "]" * 3000
+                               + '], "scales": [[]]}'),
+    # json reads this one, and the point reader recurses past the limit
+    "point_nested_900_deep": ("analyze", '{"points": [' + "[" * 900 + "0" + "]" * 900
+                              + '], "scales": [[]]}'),
+    "array_nested_100000_deep": ("analyze", "[" * 100_000 + "]" * 100_000),
+    "overflowing_matrix_entry": ("analyze", '{"matrix": [[0, 1e400], [1e400, 0]], '
+                                            '"radii": [1]}'),
+    "overflowing_radius": ("analyze", '{"matrix": [[0, 1], [1, 0]], "radii": [-1e400]}'),
 }
 
 
@@ -165,7 +176,7 @@ MALFORMED_INPUTS = {
 def test_malformed_json_is_input_error(capsys, tmp_path, case):
     cmd, doc = MALFORMED_INPUTS[case]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, report = run(capsys, cmd, str(path))
     assert code == 3
     assert report["results"]["error"].startswith("ParseError: ")
@@ -480,6 +491,17 @@ class TestTowerCommand:
         assert len(report["results"]["threads"]) == 4
         assert report["results"]["strong_ml"]["passed"]
 
+    @pytest.mark.parametrize("bondings", [[], [[0, 1, 2, 3]] * 2], ids=["fewer", "more"])
+    def test_bonding_count_is_input_error(self, capsys, tmp_path, fix_l4, bondings):
+        spec = {"kind": "space_tower", "spaces": [formats.space_to_spec(fix_l4)] * 2,
+                "bondings": bondings}
+        path = tmp_path / "spt.json"
+        path.write_text(formats.canonical_dumps(spec))
+        code, report = run(capsys, "tower", str(path))
+        assert code == report["exit_code"] == 3
+        assert report["results"]["error"] == (
+            "InvalidTower: need exactly one bonding map per adjacent pair")
+
     def test_space_tower_with_file_references(self, capsys, tmp_path, fix_l4):
         (tmp_path / "l4.json").write_text(
             formats.canonical_dumps(formats.space_to_spec(fix_l4))
@@ -790,3 +812,139 @@ def test_input_digest_hashes_inputs_as_their_own_document(inputs):
     assert parsed["input_digest"] == "sha256:" + hashlib.sha256(alone.encode()).hexdigest()
     assert parsed["inputs"] == json.loads(alone)
     assert text == json.dumps(parsed, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def _seven_subparsers(argv):
+    """The parser as it was built for every call before a call built only
+    its own subparser: all seven subparsers, whatever argv names."""
+    parser = cli._Parser(
+        prog="scalecover",
+        description="verifiers for scale-filtered spaces, covers, quotients, "
+                    "towers and group actions",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    p = sub.add_parser("analyze", help="chain components, H1 per scale, critical scales")
+    p.set_defaults(live=cli._live_space)
+    p.add_argument("space")
+    p.add_argument("--radii", help="comma-separated radii for a CSV matrix")
+    p.add_argument("--barcode", help="write a barcode CSV here")
+    p.add_argument("--out")
+
+    p = sub.add_parser("cover", help="build a cover and verify the covering axioms")
+    p.set_defaults(live=cli._live_space)
+    p.add_argument("space")
+    p.add_argument("--radii")
+    p.add_argument("--scale", type=cli._int_flag, required=True)
+    p.add_argument("--basepoint", required=True)
+    p.add_argument("--radius")
+    p.add_argument("--ident-budget", dest="ident_budget")
+    p.add_argument("--coset-rows", dest="coset_rows",
+                   help="row budget for the identification enumerations")
+    p.add_argument("--dot", help="write the cover graph here")
+    p.add_argument("--out")
+
+    p = sub.add_parser("map", help="generation, lifting, uniqueness, gucm verdict")
+    p.set_defaults(live=cli._live_map)
+    p.add_argument("mapfile")
+    p.add_argument("--out")
+
+    p = sub.add_parser("quotient", help="fiber quotient and factorization at a scale")
+    p.set_defaults(live=cli._live_map)
+    p.add_argument("mapfile")
+    p.add_argument("--scale", type=cli._int_flag, required=True)
+    p.add_argument("--out")
+
+    p = sub.add_parser("tower", help="limits, strong-ML, lim1, telescoping")
+    p.set_defaults(live=cli._live_tower)
+    p.add_argument("towerfile")
+    p.add_argument("--lim1", action="store_true",
+                   help="included for compatibility; lim1 always reported")
+    p.add_argument("--telescope", choices=["forward", "backward"])
+    p.add_argument("--product-bound", dest="product_bound")
+    p.add_argument("--out")
+
+    p = sub.add_parser("action", help="diagnosis, quotients, tower verification")
+    p.set_defaults(live=cli._live_action)
+    p.add_argument("actionfile")
+    p.add_argument("--quotient-scale", type=cli._int_flag, dest="quotient_scale")
+    p.add_argument("--tower", action="store_true")
+    p.add_argument("--out")
+
+    p = sub.add_parser("verify", help="re-run a report's analysis and counterexamples")
+    p.add_argument("--replay", required=True)
+    p.add_argument("--out")
+    return parser
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout) of main(argv), help's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return code, capsys.readouterr().out
+
+
+def test_one_subparser_answers_as_seven(capsys, monkeypatch, tmp_path, c6_csv_file,
+                                        map_file, action_file, doubling_tower_file):
+    """Every subcommand's valid argv, its -h, and bad argv give the reports,
+    help texts and exit codes that the seven-subparser parser gives."""
+    for name in list(os.environ):
+        if name.startswith("SCALECOVER_"):
+            monkeypatch.delenv(name)
+    report = str(tmp_path / "report.json")
+    assert main(["map", map_file, "--out", report]) == 0
+    capsys.readouterr()
+    csv = (c6_csv_file, "--radii", "2,1")
+    valid = [
+        ["analyze", *csv],
+        ["analyze", *csv, "--barcode", str(tmp_path / "barcode.csv")],
+        ["cover", *csv, "--scale", "1", "--basepoint", "0", "--radius", "6",
+         "--coset-rows", "500", "--ident-budget", "400", "--dot", str(tmp_path / "c.dot")],
+        ["map", map_file],
+        ["quotient", map_file, "--scale", "1"],
+        ["tower", doubling_tower_file, "--lim1", "--telescope", "forward",
+         "--product-bound", "100"],
+        ["action", action_file, "--quotient-scale", "1", "--tower"],
+        ["verify", "--replay", report],
+    ]
+    helps = [[cmd, "-h"] for cmd in cli.SUBCOMMANDS] + [["-h"], ["--help"]]
+    bad = [
+        ["analyze", *csv, "--bogus"],
+        ["analyze"],
+        ["cover", *csv, "--scale", "1"],
+        ["cover", *csv, "--scale", "abc", "--basepoint", "0"],
+        ["quotient", map_file, "--scale", "1.5"],
+        ["tower", doubling_tower_file, "--telescope", "sideways"],
+        ["verify"],
+        ["analyze", *csv, "cover"],
+        ["bogus", c6_csv_file],
+        ["--bogus"],
+        [],
+    ]
+    corpus = valid + helps + bad
+    built = [_outcome(capsys, argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parser", _seven_subparsers)
+    assert [_outcome(capsys, argv) for argv in corpus] == built
+    assert [code for code, _ in built] == (
+        [0] * len(valid) + [("SystemExit", 0)] * len(helps) + [3] * len(bad))
+
+
+def test_a_command_builds_only_its_subparser(capsys, monkeypatch, c6_csv_file):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["analyze", c6_csv_file, "--radii", "2,1"]) == 0
+    assert names == ["analyze"]
+    names.clear()
+    capsys.readouterr()
+    code, report = run(capsys, "bogus")  # an unknown command lists every choice
+    assert code == 3
+    assert names == list(cli.SUBCOMMANDS)
+    assert report["results"]["error"].startswith("ParseError: argument cmd: invalid choice")
