@@ -21,7 +21,8 @@ Its ``inputs`` are written once before that, by ``formats.written_field``,
 which gives both their text, indented for the report, and their
 ``input_digest``.  Integer flags and budgets are read in ASCII decimal only,
 and ``verify --replay`` checks a stored report's options as the flags that
-wrote them were checked before it runs them.
+wrote them were checked before it runs them.  It replays reports of schema 1
+too, comparing their results in the shape that schema wrote.
 """
 
 from __future__ import annotations
@@ -199,12 +200,11 @@ def run_quotient(f, options, budgets):
     quotient = build_fiber_quotient(f, k)
     factorization = factor_and_verify(f)
     results = {
-        "fiber_components": quotient.blocks.blocks,
         "quotient": {
             "blocks": quotient.blocks.blocks,
             "hypothesis_met": quotient.hypothesis_met,
             "singleton_property": quotient.singleton_property,
-            "num_blocks": len(quotient.space.points),
+            "num_blocks": len(quotient.blocks),
         },
         "factorization": factorization,
     }
@@ -367,6 +367,32 @@ def _replay_options(kind, obj, options):
     return options
 
 
+# Schema 1 also wrote a quotient report's blocks as fiber_components, and the
+# factorization's quotient with whole spaces and maps; schema 2 writes that
+# quotient as its blocks and g's images.
+SCHEMA_1 = "scalecover-report/1"
+_SCHEMA_1_QUOTIENT = ("base", "blocks", "g", "hypothesis_met", "q", "q_chain_lifting",
+                      "scale", "singleton_property", "space")
+
+
+def _schema_1_results(kind, results):
+    """Replayed results in the shape a schema-1 report wrote them: for a
+    quotient report, the fields that schema 2 dropped, rebuilt from the map
+    and its blocks, so that every stored field is compared."""
+    if kind != "quotient":
+        return results
+    factorization = results["factorization"]
+    quotient = factorization.quotient
+    if quotient is not None:
+        factorization = {
+            **{name: getattr(factorization, name)
+               for name in formats._public_fields(type(factorization))},
+            "quotient": {name: getattr(quotient, name) for name in _SCHEMA_1_QUOTIENT},
+        }
+    return {**results, "fiber_components": results["quotient"]["blocks"],
+            "factorization": factorization}
+
+
 def _replay(stored, budgets):
     """Re-run a stored report from its recorded inputs and re-check the
     counterexamples that have a checker; (results, exit code)."""
@@ -380,6 +406,8 @@ def _replay(stored, budgets):
     key, reader, _, runner = COMMANDS[kind]
     obj = getattr(formats, reader)(inputs[key])
     results, *_ = globals()[runner](obj, _replay_options(kind, obj, options), budgets)
+    if stored.get("schema") == SCHEMA_1:
+        results = _schema_1_results(kind, results)
     drift = formats.canonical_dumps(results) != formats.canonical_dumps(stored["results"])
     failures = []
     map_checks = ("approx_uniqueness_plain", "approx_uniqueness_strong", "chain_lifting")

@@ -4,8 +4,8 @@ All structured input and output is JSON with sorted keys, two-space indent
 and a trailing newline, so serialize(parse(file)) is byte-identical for
 canonical files.  Reports are written by a small recursive writer whose bytes
 equal ``json.dumps(to_jsonable(value), sort_keys=True, indent=2,
-ensure_ascii=True)``; it walks the result objects in one pass, writes each
-dataclass instance once per document and floats as ``json.dumps`` does.
+ensure_ascii=True)``; it walks the result objects in one pass and writes
+floats as ``json.dumps`` does.
 JSON input may not hold the non-finite constants NaN, Infinity or -Infinity,
 which are not JSON, nor numbers such as 1e400 that overflow to them.
 Distance matrices come in as headerless CSV; its cells and the CLI's
@@ -29,7 +29,7 @@ from .rips import AbelianGroupInv
 from .spaces import FilteredSpace, from_metric, validate_space
 from .towers import InvalidTower, SpaceTower, TowerAb
 
-SCHEMA = "scalecover-report/1"
+SCHEMA = "scalecover-report/2"
 
 
 class ParseError(ValueError):
@@ -105,14 +105,12 @@ _SCALAR_TEXT = {
 }
 
 
-def _write(value, out: list, newline: str, memo: dict) -> None:
+def _write(value, out: list, newline: str) -> None:
     """Append the indent-2 JSON text of ``to_jsonable(value)`` to ``out``.
 
     ``newline`` is a newline plus the indentation of the line ``value``
     starts on.  Each key and each scalar list member is appended together
-    with the separator before it, so few pieces are made.  ``memo`` maps the
-    id of each dataclass instance written so far to (instance, its text as
-    a document); a later occurrence copies that text re-indented.
+    with the separator before it, so few pieces are made.
     """
     cls = type(value)
     if cls is dict:
@@ -127,7 +125,7 @@ def _write(value, out: list, newline: str, memo: dict) -> None:
                 out.append(sep + encode_basestring_ascii(k) + ": " + text(v))
             else:
                 out.append(sep + encode_basestring_ascii(k) + ": ")
-                _write(v, out, inner, memo)
+                _write(v, out, inner)
             sep = comma
         out.append(newline + "}")
     elif cls is list or cls is tuple:
@@ -142,16 +140,11 @@ def _write(value, out: list, newline: str, memo: dict) -> None:
                 out.append(sep + text(v))
             else:
                 out.append(sep)
-                _write(v, out, inner, memo)
+                _write(v, out, inner)
             sep = comma
         out.append(newline + "]")
     elif (names := _public_fields(cls)) is not None:
-        seen = memo.get(id(value))
-        if seen is None:
-            own = []
-            _write({name: getattr(value, name) for name in names}, own, "\n", memo)
-            seen = memo[id(value)] = (value, "".join(own))
-        out.append(seen[1].replace("\n", newline))
+        _write({name: getattr(value, name) for name in names}, out, newline)
     elif (text := _SCALAR_TEXT.get(cls)) is not None:
         out.append(text(value))
     else:  # sets, subclasses of the types above, and str() of anything else
@@ -159,7 +152,7 @@ def _write(value, out: list, newline: str, memo: dict) -> None:
         if jsonable is value:  # json.dumps writes a str, int or float subclass as its base
             out.append(json.dumps(value))
         else:
-            _write(jsonable, out, newline, memo)
+            _write(jsonable, out, newline)
 
 
 def canonical_dumps(obj) -> str:
@@ -168,7 +161,7 @@ def canonical_dumps(obj) -> str:
     byte-identical to ``json.dumps(..., sort_keys=True, indent=2,
     ensure_ascii=True) + "\\n"``."""
     out = []
-    _write(obj, out, "\n", {})
+    _write(obj, out, "\n")
     out.append("\n")
     return "".join(out)
 
@@ -184,7 +177,7 @@ def written_field(obj):
     strings, so every newline in canonical text is structural.
     """
     out = []
-    _write(obj, out, "\n", {})
+    _write(obj, out, "\n")
     text = "".join(out)
     digest = "sha256:" + hashlib.sha256((text + "\n").encode()).hexdigest()
     return _Written(text.replace("\n", "\n  ")), digest

@@ -116,14 +116,6 @@ class FilteredMap:
         )
 
 
-def compose(outer: FilteredMap, inner: FilteredMap) -> FilteredMap:
-    if outer.source is not inner.target and outer.source != inner.target:
-        raise SpaceError("maps do not compose")
-    return FilteredMap(
-        inner.source, outer.target, tuple(outer(y) for y in inner.assignment)
-    )
-
-
 def collapse(space: FilteredSpace, blocks: Partition) -> FilteredMap:
     """The projection of space onto the blocks of a partition of its points, in
     partition order; two blocks are related at scale j when some members are."""
@@ -360,24 +352,50 @@ def fiber_e_components(f: FilteredMap, k: int) -> Partition:
 class QuotientSpace:
     """The source with scale-k fiber components collapsed to points.
 
-    Block identifiers are the sorted member tuples.  ``q`` is the collapse,
-    ``g`` the induced map to the target; g o q = f always holds.  When the
-    strong-uniqueness hypothesis fails at k the set-level quotient is still
-    returned, flagged via hypothesis_met, and the singleton property is
-    None.  When it holds, the singleton property (each block is the fiber
+    Block identifiers are the sorted member tuples.  The quotient is fixed
+    by the map and its blocks, so it is stored as them: ``g_assignment``
+    lists the image under f of each block, in block order.  ``base`` (f),
+    ``space`` (the quotient space), ``q`` (the collapse) and ``g`` (the
+    induced map to the target) are read off those on demand, once per map
+    and scale, and are not written in reports; g o q = f always holds.  When
+    the strong-uniqueness hypothesis fails at k the set-level quotient is
+    still returned, flagged via hypothesis_met, and the singleton property
+    is None.  When it holds, the singleton property (each block is the fiber
     part of its members' scale-k neighbourhoods) follows.  The chain lifting
     of q is None here; only the factorization, which writes it, checks it.
     """
 
-    base: FilteredMap
+    _base: FilteredMap
     scale: int
     blocks: Partition
-    space: FilteredSpace
-    q: FilteredMap
-    g: FilteredMap
+    g_assignment: tuple
     hypothesis_met: bool
     singleton_property: bool | None
     q_chain_lifting: ChainLiftingResult | None
+
+    @property
+    def base(self) -> FilteredMap:
+        return self._base
+
+    @property
+    def q(self) -> FilteredMap:
+        return _fiber_factors(self._base, self.scale)[0]
+
+    @property
+    def space(self) -> FilteredSpace:
+        return self.q.target
+
+    @property
+    def g(self) -> FilteredMap:
+        return _fiber_factors(self._base, self.scale)[1]
+
+
+@_owned
+def _fiber_factors(f: FilteredMap, k: int) -> tuple:
+    """(q, g): the collapse onto the scale-k fiber quotient and the map it induces."""
+    quotient = build_fiber_quotient(f, k)
+    q = collapse(f.source, quotient.blocks)
+    return q, FilteredMap(q.target, f.target, quotient.g_assignment)
 
 
 @_owned
@@ -385,17 +403,15 @@ def build_fiber_quotient(f: FilteredMap, k: int) -> QuotientSpace:
     """The fiber quotient of f at scale k: see QuotientSpace."""
     f.source.check_scale(k)
     blocks = fiber_e_components(f, k)
-    q = collapse(f.source, blocks)
-    qspace = q.target
-    g = FilteredMap.build(qspace, f.target, lambda blk: f(blk[0]))
-    if compose(g, q).assignment != f.assignment:
+    images = tuple(f(block[0]) for block in blocks.blocks)
+    if any(f(x) != y for block, y in zip(blocks.blocks, images) for x in block):
         raise RuntimeError("the induced map does not factor f through its fiber quotient")
     if _uniqueness_condition(f, k, k) is not None:
-        return QuotientSpace(f, k, blocks, qspace, q, g, False, None, None)
+        return QuotientSpace(f, k, blocks, images, False, None, None)
     # A scale-k chain within x's fiber and the constant chain at x have equal
     # images, so strong uniqueness at k puts the chain's end within scale k
     # of x: x's block is the fiber part of its closed neighbourhood.
-    return QuotientSpace(f, k, blocks, qspace, q, g, True, True, None)
+    return QuotientSpace(f, k, blocks, images, True, True, None)
 
 
 @dataclass(frozen=True)
@@ -418,10 +434,13 @@ def factor_and_verify(f: FilteredMap) -> FactorizationReport:
     """Factor f through a fiber quotient and verify the covering axioms.
 
     Once the preconditions hold, f factors through its fiber quotient at the
-    finest scale and the verdict is UCM.  The chain lifting of q and of the
-    induced map g are computed for their witnesses; bounded fibers,
-    generation by g, the lifting of g and the transverse scale follow from
-    the construction, with their reasons beside them.
+    finest scale and the verdict is UCM.  The factorization f = g o q is
+    fixed by f and the blocks, so the report holds the quotient as its
+    blocks and g's images (see QuotientSpace), not as spaces and maps.  The
+    chain lifting of q and of the induced map g are computed for their
+    witnesses; bounded fibers, generation by g, the lifting of g and the
+    transverse scale follow from the construction, with their reasons beside
+    them.
     """
     generation = check_generates(f)
     pre = {

@@ -511,10 +511,12 @@ def _simplified(pres: GroupPresentation):
             return
         live.add(rel)
         total += len(rel)
-        counts = Counter(map(abs, rel))
-        for h in counts:
+        letters = set(map(abs, rel))
+        for h in letters:
             rels_with[h].add(rel)
-        if 1 in counts.values():
+        # a relator whose generators are all distinct, the usual case, has a
+        # once-occurring letter without counting
+        if len(letters) == len(rel) or 1 in Counter(map(abs, rel)).values():
             heapq.heappush(heap, (len(rel), rel))
 
     for rel in pres.relators:
@@ -527,8 +529,11 @@ def _simplified(pres: GroupPresentation):
         if not heap:
             break
         _, rel = heapq.heappop(heap)
-        counts = Counter(map(abs, rel))
-        pos = next(i for i, x in enumerate(rel) if counts[abs(x)] == 1)
+        if len(set(map(abs, rel))) == len(rel):
+            pos = 0
+        else:
+            counts = Counter(map(abs, rel))
+            pos = next(i for i, x in enumerate(rel) if counts[abs(x)] == 1)
         rotated = rel[pos:] + rel[:pos]
         letter, rest = rotated[0], rotated[1:]
         g = abs(letter)

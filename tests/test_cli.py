@@ -446,7 +446,7 @@ class TestQuotientCommand:
         code, report = run(capsys, "quotient", map_file, "--scale", "1")
         assert code == 0
         assert report["results"]["factorization"]["verdict"] == "UCM"
-        assert len(report["results"]["fiber_components"]) == 6
+        assert len(report["results"]["quotient"]["blocks"]) == 6
 
     def test_constant_map_names_failing_axiom(self, capsys, tmp_path, constant_map):
         path = tmp_path / "const.json"

@@ -7,9 +7,18 @@ standard output with a digest recorded from an earlier build.  A changed digest 
 a changed report: either a regression, or a deliberate change that must
 record its new digest here and say why.  Every success case must also
 replay: ``verify --replay`` of its report re-derives the same results.
+
+Every digest was re-recorded for ``scalecover-report/2``: each report's
+``schema`` line changed, and the two quotient reports also dropped
+``results.fiber_components`` and write ``factorization.quotient`` as its
+blocks and g's images instead of whole spaces and maps.  Nothing else in any
+report changed.  The two schema-1 quotient reports are kept as
+``SCHEMA_1_GOLDEN``, rebuilt by ``schema_1_report`` and replayed.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
@@ -17,7 +26,7 @@ from unittest import mock
 
 import pytest
 
-from scalecover import actions, quotients, rips
+from scalecover import actions, cli, formats, quotients, rips
 from scalecover.cli import main
 
 
@@ -100,38 +109,74 @@ INPUTS = {
 
 GOLDEN = {
     ("analyze", "c6.json"):
-        "622ffba5d87bfecb1c77fc3b263420e14dec6f2b0a948daefafc60440ae01780",
+        "6a855f40aafc50025fab47d5d7b7469d5cd40ef46f1b0b1b7a2a722ea2556d1d",
     ("analyze", "tri.csv", "--radii", "2.5,1.5"):
-        "81c640d23ffae8cb8b73336033621ea4c108ffe4287a4157000247353f649ad7",
+        "10ccb90c5a9b11b2540aa95f67e8c954b9b2f676e52586fa0059d5d4c1fb6c1b",
     # a complete, identified cover: its verdict is UCM with witnesses (1, 2)
     ("cover", "c6.json", "--scale", "1", "--basepoint", "0", "--radius", "6"):
-        "218df48363028e1e62b876843251d7cd6452d311619310b7e940c919356fb664",
+        "de76f92fc4e38c8bcd84362035d5253501e885d170426e0ca5c2ce27f97c522d",
     ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
-        "30b20af6a1e659a90323fbf0019944f1ee3902e32c775f173ce763312a217751",
+        "42ccdc6146bddf289e5777167e9232ce1f235d617418c27a47effcb471052f26",
     ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
-        "1ce12952f9d012026530252c65440c974cdc479a66adaf6856f743d1d66848b6",
+        "a401ee1f0c5d6cb8fec8548e27188ab9a9f7684669c95916ba862c33ad3128bc",
     ("action", "s3.json", "--quotient-scale", "3", "--tower"):
-        "98a8ee1bdde22fb212ebeb0dea7f652d146ce21753303077ecc3a081eb1b96b1",
+        "9f75fa236bca43ee1ed71468bac8801341ec23fdf1b1550af7639eee6b803b87",
     ("action", "swap.json", "--quotient-scale", "1", "--tower"):
-        "35c371ca2ae0f51feef027d25ee6aceb01f08dcfe708f3ccb8af0bf2d4cf0555",
+        "5ca846ff7f19f79c8ee481301621dfcb2a899c8375aaf9267c5f38ad8f1260d0",
     ("map", "wrap.json"):
-        "bd2dc74273f4f3f731815fb9e5ec18a70c03be13bfedcaf6851b7b489988b226",
+        "c87fa983d5fd702ea41b4c93b2c049a1cfbca6263edb0b832bd4a4d835241175",
     ("quotient", "wrap.json", "--scale", "1"):
-        "1e041e0d17ef44c7cbc8077fb37333edd50aeb6a124677241c770a7713ef15b9",
+        "2ae9af620d92aa6052c547983f947125c5e322b952b424a531fe64f3c3d02da2",
     # the quotient at the source depth is also the factorization's
     ("quotient", "wrap.json", "--scale", "2"):
-        "6804772ac9bacdfc79ff6cae30d17006251f510cec4067f461247a2fa5d7eb8d",
+        "713c29d11a830590752cf1c2864b3812be20044382e9ebf1e93f2a8023a9be8b",
     ("tower", "discrete.json"):
-        "23fdd08a88309c5c7e23a68c862807b564d45cc415eaa2a538fa300837e32237",
+        "4ca5197b1cb7bc1f05ce1d6b918de5a33699b21ca89eb540bb03f1363124da37",
     ("tower", "detour.json"):
-        "9dc0ef55d849fd34a78e6fb47179e19c0833b622159b6be640270860e1e9a353",
+        "166ae2629a3aec55a7c428b9fc49ffbb883f154df97cb432c211254e5b1c3cba",
     ("tower", "abelian.json", "--telescope", "backward"):
-        "5102ef0da87e80f211ca528666e44f499aed844c7109f939b5734cf11e3d0319",
+        "daff3e0692914d56d489cdd373c7c71ef75da7591e8ee06ca390f8b046869170",
     ("tower", "z4.json"):
-        "d224fb59b9aaf5c0eca91cf007cb31068ad4f25a01edc367944454d4fb18fbc7",
+        "5758f1825ce81f1477e46bda8aa8a64b428a4af14823795d5021be08f4a21402",
     ("verify", "--replay", "tampered.json"):
-        "8c5c9e687be598959e9ccdba0905697c2dfdb95b67d2a28664d9ff25b8f0e006",
+        "10981b30c21a590cdec97d3083329bb2859de6abe3e403d52091185eb84000a7",
 }
+
+
+# The digests of the two quotient goldens under scalecover-report/1.
+SCHEMA_1_GOLDEN = {
+    ("quotient", "wrap.json", "--scale", "1"):
+        "1e041e0d17ef44c7cbc8077fb37333edd50aeb6a124677241c770a7713ef15b9",
+    ("quotient", "wrap.json", "--scale", "2"):
+        "6804772ac9bacdfc79ff6cae30d17006251f510cec4067f461247a2fa5d7eb8d",
+}
+
+
+def schema_1_report(argv) -> str:
+    """The scalecover-report/1 text of a quotient command, run in the current
+    directory and rebuilt from library objects as schema 1 wrote it: the
+    blocks once more as ``fiber_components``, and the factorization's
+    quotient with its map, space, collapse and induced map (``base``,
+    ``space``, ``q``, ``g``) written whole."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    report = json.loads(out.getvalue())
+    f = formats.map_from_spec(report["inputs"]["map"])
+    results, _ = cli.run_quotient(f, report["replay"]["options"], report["budgets"])
+    factorization = results["factorization"]
+    old = {name: getattr(factorization, name) for name in (
+        "chosen_scale", "fibers_bounded", "g_chain_lifting", "g_generates",
+        "preconditions", "quotient", "transverse_scale", "verdict")}
+    if factorization.quotient is not None:
+        old["quotient"] = {name: getattr(factorization.quotient, name) for name in (
+            "base", "blocks", "g", "hypothesis_met", "q", "q_chain_lifting", "scale",
+            "singleton_property", "space")}
+    results = {**results, "fiber_components": results["quotient"]["blocks"],
+               "factorization": old}
+    report["schema"] = "scalecover-report/1"
+    report["results"] = json.loads(formats.canonical_dumps(results))
+    return formats.canonical_dumps(report)
 
 
 def write_inputs(monkeypatch, tmp_path):
@@ -159,6 +204,52 @@ def test_golden_report_replays(capsys, monkeypatch, tmp_path, argv):
     assert code == 0
     assert results["results_identical"] is True
     assert results["counterexample_failures"] == []
+
+
+@pytest.mark.parametrize("argv", sorted(SCHEMA_1_GOLDEN), ids=" ".join)
+def test_schema_1_quotient_report_replays(capsys, monkeypatch, tmp_path, argv):
+    """A quotient report written under schema 1 replays: verify compares its
+    stored results, whole spaces and maps included, with the replayed ones
+    written in the schema-1 shape.  One point moved from its block into the
+    next one's, everywhere the blocks are written, is drift."""
+    write_inputs(monkeypatch, tmp_path)
+    text = schema_1_report(argv)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_1_GOLDEN[argv]
+    report = json.loads(text)
+    blocks = [report["results"]["fiber_components"], report["results"]["quotient"]["blocks"],
+              report["results"]["factorization"]["quotient"]["blocks"]["blocks"]]
+    (tmp_path / "report.json").write_text(text)
+    for first, second, *_ in blocks:
+        second.append(first.pop())
+    (tmp_path / "moved.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    for name, identical in (("report.json", True), ("moved.json", False)):
+        code = main(["verify", "--replay", name])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["results_identical"] is identical
+        assert code == (0 if identical else 1)
+
+
+def wrap_8x30():
+    """The 8-fold wrap C240 -> C30 at radii (2, 1), labelled as the benchmark
+    labels it: the target's points follow the source's."""
+    return {"kind": "map",
+            "source": {**cycle(240, (2, 1)), "names": list(range(240))},
+            "target": {**cycle(30, (2, 1)), "names": list(range(240, 270))},
+            "assignment": [240 + i % 30 for i in range(240)]}
+
+
+@pytest.mark.parametrize("argv", sorted(a for a in GOLDEN if a[0] == "quotient")
+                         + [("quotient", "wrap8x30.json", "--scale", "1")], ids=" ".join)
+def test_quotient_results_no_longer_than_inputs(capsys, monkeypatch, tmp_path, argv):
+    """A quotient report is linear in its input: its written results are no
+    longer than its written inputs."""
+    write_inputs(monkeypatch, tmp_path)
+    (tmp_path / "wrap8x30.json").write_text(json.dumps(wrap_8x30()))
+    assert main(list(argv)) == 0
+    report = json.loads(capsys.readouterr().out)
+    written = {key: len(formats.canonical_dumps(report[key])) for key in ("inputs", "results")}
+    assert written["results"] <= written["inputs"]
 
 
 def test_rotation_closes_each_group_once(capsys, monkeypatch, tmp_path):

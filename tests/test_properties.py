@@ -2565,7 +2565,7 @@ def test_lim1_matches_hermite_lattice_rule(drawn):
 
 
 # ---------------------------------------------------------------------------
-# the writer's per-document memo of dataclass instances
+# the writer on shared and mutated dataclass instances
 
 
 def _reference_dumps(value):
@@ -2589,8 +2589,8 @@ def test_shared_instance_written_at_every_depth():
 
 
 def test_mutable_instance_is_written_as_it_is_at_each_dump(fix_c6):
-    """The memo lives for one document: a cover mutated between two dumps,
-    each holding it twice, shows each state in its own document."""
+    """A cover mutated between two dumps, each holding it twice, shows each
+    state in its own document."""
     cover = covers.build_cover(fix_c6, 1, 0, 1)
     first = formats.canonical_dumps({"a": [cover], "b": cover})
     assert first == _reference_dumps({"a": [cover], "b": cover})

@@ -10,7 +10,6 @@ from scalecover.quotients import (
     check_approx_uniqueness,
     check_chain_lifting,
     check_generates,
-    compose,
     factor_and_verify,
     fiber_e_components,
     verify_gucm,
@@ -147,7 +146,7 @@ class TestFiberQuotient:
         assert quot.singleton_property
         assert len(quot.space.points) == 6
         assert quot.g.assignment == tuple(fix_map(b[0]) for b in quot.space.points)
-        assert compose(quot.g, quot.q).assignment == fix_map.assignment
+        assert tuple(quot.g(quot.q(x)) for x in fix_map.source.points) == fix_map.assignment
 
     def test_constant_map_flagged(self, constant_map):
         quot = build_fiber_quotient(constant_map, 1)
