@@ -4,8 +4,8 @@ Subcommands: analyze, cover, map, quotient, tower, action, verify.  Every run
 emits one deterministic JSON report (identical inputs and budgets give
 byte-identical bytes) and exits with 0 when all verdicts are as claimed, 1
 when a verifier found a counterexample, 2 when a budget left a verdict
-inconclusive, and 3 on input errors.  Budget defaults can be overridden by
-SCALECOVER_* environment variables.
+inconclusive, and 3 on input errors.  The table BUDGETS gives each budget its
+flag, its SCALECOVER_* environment variable and its default.
 
 The table SUBCOMMANDS gives each subcommand its help, its live reader and
 its arguments.  A call builds only the subparser that its first argument
@@ -19,10 +19,10 @@ and runner, so live runs and ``verify --replay`` share one path.  Runners
 return library objects, and the report is written to JSON once, on output.
 Its ``inputs`` are written once before that, by ``formats.written_field``,
 which gives both their text, indented for the report, and their
-``input_digest``.  Integer flags and budgets are read in ASCII decimal only,
-and ``verify --replay`` checks a stored report's options as the flags that
-wrote them were checked before it runs them.  It replays reports of schema 1
-too, comparing their results in the shape that schema wrote.
+``input_digest``.  Integer flags and budgets are read in ASCII decimal only.
+``verify --replay`` checks a stored report's options as their flags were
+checked, and its budgets against BUDGETS, before it runs them; it replays
+reports of schema 1 and 2, comparing schema 1 results in the shape it wrote.
 """
 
 from __future__ import annotations
@@ -88,23 +88,29 @@ def _budget(name, raw):
     raise formats.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
 
 
-def _env_budget(name, default):
-    value = os.environ.get(name)
-    return _budget(name, value) if value else default
+# budget -> (flag, variable, default, subcommand taking the flag, flag help).  Variables beat
+# defaults and flags beat both; a source's coset_rows is its ident_budget unless it gives that.
+BUDGETS = {
+    "radius": ("--radius", "SCALECOVER_RADIUS", 8, "cover", None),
+    "ident_budget": ("--ident-budget", "SCALECOVER_IDENT_BUDGET", DEFAULT_COSET_ROWS,
+                     "cover", None),
+    "coset_rows": ("--coset-rows", "SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS, "cover",
+                   "row budget for the identification enumerations"),
+    "product_bound": ("--product-bound", "SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND,
+                      "tower", None),
+}
 
 
-def default_budgets():
-    radius = _env_budget("SCALECOVER_RADIUS", 8)
-    ident_budget = _env_budget("SCALECOVER_IDENT_BUDGET", None)
-    coset_rows = _env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS)
-    return {
-        "radius": radius,
-        # as with the flags, the coset-row budget is also the identification
-        # budget unless that is given itself
-        "ident_budget": coset_rows if ident_budget is None else ident_budget,
-        "coset_rows": coset_rows,
-        "product_bound": _env_budget("SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND),
-    }
+def _overridden(budgets, args=None):
+    """budgets overridden by the variables (an empty one is unset), or by args' flags."""
+    given = {}
+    for name, (flag, variable, *_) in BUDGETS.items():
+        raw = os.environ.get(variable) or None if args is None else getattr(args, name, None)
+        if raw is not None:
+            given[name] = _budget(variable if args is None else flag, raw)
+    if "coset_rows" in given:
+        given.setdefault("ident_budget", given["coset_rows"])
+    return {**budgets, **given}
 
 
 def _load_space(path, radii):
@@ -282,19 +288,11 @@ COMMANDS = {
 }
 
 
-# A live command's (report kind, input object, options), from its flags; its
-# budget flags are applied to budgets in place.
-def _live_space(args, budgets):
+# A live command's (report kind, input object, options), from its flags.
+def _live_space(args):
     space, radii = _load_space(args.space, args.radii)
     if args.cmd == "analyze":
         return "analyze", space, {"radii": radii}
-    if args.radius is not None:
-        budgets["radius"] = _budget("--radius", args.radius)
-    if args.coset_rows is not None:
-        budgets["coset_rows"] = _budget("--coset-rows", args.coset_rows)
-        budgets["ident_budget"] = budgets["coset_rows"]
-    if args.ident_budget is not None:
-        budgets["ident_budget"] = _budget("--ident-budget", args.ident_budget)
     # --basepoint 0 names the point 0, or the point "0" when 0 is not a point
     try:
         basepoint = _integer(args.basepoint)
@@ -305,15 +303,13 @@ def _live_space(args, budgets):
     return "cover", space, {"scale": args.scale, "basepoint": basepoint}
 
 
-def _live_map(args, budgets):
+def _live_map(args):
     f = formats.map_from_spec(formats.load_json(args.mapfile))
     return args.cmd, f, {} if args.cmd == "map" else {"scale": args.scale}
 
 
-def _live_tower(args, budgets):
+def _live_tower(args):
     spec = formats.load_json(args.towerfile)
-    if args.product_bound is not None:
-        budgets["product_bound"] = _budget("--product-bound", args.product_bound)
     if spec.get("kind") == "abelian_tower":
         options = {"telescope": args.telescope, "g": spec.get("g")}
         return "abelian_tower", formats.abelian_tower_from_spec(spec), options
@@ -321,7 +317,7 @@ def _live_tower(args, budgets):
     return "space_tower", formats.space_tower_from_spec(spec, base_dir), {}
 
 
-def _live_action(args, budgets):
+def _live_action(args):
     action = formats.action_from_spec(formats.load_json(args.actionfile))
     return "action", action, {"quotient_scale": args.quotient_scale, "tower": args.tower}
 
@@ -400,6 +396,10 @@ def _replay(stored, budgets):
     options = formats._expect(replay.get("options"), dict, "report field replay.options")
     inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
     formats._expect(stored.get("results"), dict, "report field results")
+    schema = stored.get("schema")
+    if schema not in (SCHEMA_1, formats.SCHEMA):
+        raise formats.ParseError(f"report field schema must be {SCHEMA_1!r} or "
+                                 f"{formats.SCHEMA!r}, got {schema!r}")
     kind = replay["kind"]
     if not isinstance(kind, str) or kind not in COMMANDS:
         raise formats.ParseError(f"cannot replay report kind {kind!r}")
@@ -447,6 +447,11 @@ def _input_error(argv, budgets, exc):
                    {"error": f"{type(exc).__name__}: {exc}"}, EXIT_INPUT)
 
 
+def _budget_flags(subcommand):
+    return tuple((flag, {"help": help_text}) for flag, _, _, taker, help_text
+                 in BUDGETS.values() if taker == subcommand)
+
+
 # subcommand -> (help, live reader, arguments as (name or flag, add_argument options));
 # verify has no live reader
 SUBCOMMANDS = {
@@ -461,10 +466,7 @@ SUBCOMMANDS = {
         ("--radii", {}),
         ("--scale", {"type": _int_flag, "required": True}),
         ("--basepoint", {"required": True}),
-        ("--radius", {}),
-        ("--ident-budget", {"dest": "ident_budget"}),
-        ("--coset-rows", {"dest": "coset_rows",
-                          "help": "row budget for the identification enumerations"}),
+        *_budget_flags("cover"),
         ("--dot", {"help": "write the cover graph here"}),
         ("--out", {}),
     )),
@@ -482,7 +484,7 @@ SUBCOMMANDS = {
         ("--lim1", {"action": "store_true",
                     "help": "included for compatibility; lim1 always reported"}),
         ("--telescope", {"choices": ["forward", "backward"]}),
-        ("--product-bound", {"dest": "product_bound"}),
+        *_budget_flags("tower"),
         ("--out", {}),
     )),
     "action": ("diagnosis, quotients, tower verification", _live_action, (
@@ -532,20 +534,25 @@ def main(argv=None) -> int:
 
     try:
         args = _parser(argv).parse_args(argv)
-        budgets = default_budgets()
+        budgets = _overridden({name: row[2] for name, row in BUDGETS.items()})
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)
-            stored_budgets = stored.get("budgets", budgets)
+            stored_budgets = stored.get("budgets", {})
             if not isinstance(stored_budgets, dict):
                 raise formats.ParseError(
                     f"report field budgets must be an object, got {stored_budgets!r}")
+            odd = sorted(stored_budgets.keys() ^ BUDGETS.keys())
+            if odd:
+                what = "is not a budget" if odd[0] in stored_budgets else "is missing"
+                raise formats.ParseError(f"report field budgets.{odd[0]} {what}")
             budgets = {key: _budget(f"report field budgets.{key}", value)
                        for key, value in stored_budgets.items()}
             kind, options = "verify", {}
             inputs = {"report_digest": stored.get("input_digest")}
             results, code = _replay(stored, budgets)
         else:
-            kind, obj, options = args.live(args, budgets)
+            kind, obj, options = args.live(args)
+            budgets = _overridden(budgets, args)  # after the inputs: a bad input is named first
             inputs, results, code = _run_live(args, kind, obj, options, budgets)
         report = _report([args.cmd] + argv[1:], {"kind": kind, "options": options},
                          inputs, budgets, results, code)

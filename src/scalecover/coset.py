@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+DEFAULT_COSET_ROWS = 100_000
+
 
 class CosetBudgetExceeded(Exception):
     def __init__(self, budget):
@@ -47,7 +49,7 @@ def _inv_col(col: int) -> int:
     return col ^ 1
 
 
-def coset_enumeration(num_gens: int, relators, max_rows: int = 100_000):
+def coset_enumeration(num_gens: int, relators, max_rows: int = DEFAULT_COSET_ROWS):
     """Enumerate cosets of the trivial subgroup of <g1..gn | relators>.
 
     Returns a CosetTable when the enumeration closes (the group is then

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import intlinalg as ila
-from .coset import coset_enumeration
+from .coset import DEFAULT_COSET_ROWS, coset_enumeration
 from .spaces import (
     Chain,
     EndpointMismatch,
@@ -36,7 +36,6 @@ from .spaces import (
     is_chain,
 )
 
-DEFAULT_COSET_ROWS = 100_000
 # the word problem's _simplified stops eliminating once the relators have grown
 # by this many letters; H1 does not depend on it
 TIETZE_LETTER_CAP = 10_000

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,8 @@ import scalecover
 from conftest import identity_map
 from scalecover import actions, cli, formats
 from scalecover.cli import main
+from scalecover.rips import DEFAULT_COSET_ROWS
+from scalecover.towers import DEFAULT_PRODUCT_BOUND
 
 
 def c6_csv():
@@ -726,6 +729,131 @@ class TestBudgetInput:
         code, report = run(capsys, "verify", "--replay", str(out))
         assert code == 3
         assert "budgets" in report["results"]["error"]
+
+
+def _reference_budgets(args):
+    """Budgets as they were resolved before the table cli.BUDGETS: the
+    former default_budgets, then the budget branches of _live_space (for
+    cover) and _live_tower (for tower), which changed the budgets in place."""
+    def env_budget(name, default):
+        value = os.environ.get(name)
+        return cli._budget(name, value) if value else default
+
+    radius = env_budget("SCALECOVER_RADIUS", 8)
+    ident_budget = env_budget("SCALECOVER_IDENT_BUDGET", None)
+    coset_rows = env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS)
+    budgets = {
+        "radius": radius,
+        "ident_budget": coset_rows if ident_budget is None else ident_budget,
+        "coset_rows": coset_rows,
+        "product_bound": env_budget("SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND),
+    }
+    if args.cmd == "cover":
+        if args.radius is not None:
+            budgets["radius"] = cli._budget("--radius", args.radius)
+        if args.coset_rows is not None:
+            budgets["coset_rows"] = cli._budget("--coset-rows", args.coset_rows)
+            budgets["ident_budget"] = budgets["coset_rows"]
+        if args.ident_budget is not None:
+            budgets["ident_budget"] = cli._budget("--ident-budget", args.ident_budget)
+    if args.cmd == "tower" and args.product_bound is not None:
+        budgets["product_bound"] = cli._budget("--product-bound", args.product_bound)
+    return budgets
+
+
+def _outcome_of(resolve, args):
+    """resolve(args), or ("error", its message) for an input error."""
+    try:
+        return resolve(args)
+    except formats.ParseError as exc:
+        return ("error", str(exc))
+
+
+def _expected_budgets(args):
+    """The reference's outcome, but for a bad --coset-rows beside a bad
+    --ident-budget: the table reads the flags in its own order, so that
+    error names --ident-budget, as the reference does without --coset-rows."""
+    bad = ("", "-1")
+    if args.cmd == "cover" and args.coset_rows in bad and args.ident_budget in bad:
+        args = argparse.Namespace(**{**vars(args), "coset_rows": None})
+    return _outcome_of(_reference_budgets, args)
+
+
+# each variable and each budget flag unset, valid, empty or bad; the valid
+# values all differ, so that a budget read from the wrong source shows
+_VARIABLES = {"SCALECOVER_RADIUS": "3", "SCALECOVER_IDENT_BUDGET": "9",
+              "SCALECOVER_COSET_ROWS": "7", "SCALECOVER_PRODUCT_BOUND": "11"}
+_FLAGS = {"cover": {"radius": "4", "ident_budget": "6", "coset_rows": "2"},
+          "tower": {"product_bound": "13"}}
+
+
+def _budget_grid(monkeypatch):
+    """Every (variables, command, flags) of the grid, each yielded with its
+    variables set in the environment and its flags as a Namespace."""
+    for env in itertools.product(*[(None, valid, "", "x") for valid in _VARIABLES.values()]):
+        for name, value in zip(_VARIABLES, env):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        for cmd, flags in _FLAGS.items():
+            for given in itertools.product(*[(None, valid, "", "-1")
+                                             for valid in flags.values()]):
+                yield env, argparse.Namespace(cmd=cmd, **dict(zip(flags, given)))
+
+
+def test_budget_resolution_matches_reference(monkeypatch):
+    """At every point of the grid, the defaults overridden by the variables
+    and then by the flags give the reference's budgets, or its error."""
+    defaults = {name: row[2] for name, row in cli.BUDGETS.items()}
+
+    def resolve(args):
+        return cli._overridden(cli._overridden(defaults), args)
+
+    points = 0
+    for env, args in _budget_grid(monkeypatch):
+        assert _outcome_of(resolve, args) == _expected_budgets(args), (env, args)
+        points += 1
+    assert points == 4 ** 4 * (4 ** 3 + 4)
+
+
+def test_main_resolves_budgets_as_reference(capsys, monkeypatch, tmp_path, c6_csv_file,
+                                            doubling_tower_file):
+    """main reads the budgets as the reference does, at every 61st point of
+    the grid.  Each command fails after its budgets are read (cover on an
+    unknown basepoint, tower on --telescope without 'g'), so its input-error
+    report carries the budgets or, when one is bad, names the variable or
+    flag at fault."""
+    spec = json.loads(Path(doubling_tower_file).read_text())
+    del spec["g"]
+    (tmp_path / "no-g.json").write_text(json.dumps(spec))
+    commands = {"cover": ["cover", c6_csv_file, "--radii", "2,1", "--scale", "1",
+                          "--basepoint", "99"],
+                "tower": ["tower", str(tmp_path / "no-g.json"), "--telescope", "forward"]}
+    for n, (env, args) in enumerate(_budget_grid(monkeypatch)):
+        if n % 61:
+            continue
+        argv = list(commands[args.cmd])
+        for name in _FLAGS[args.cmd]:
+            if getattr(args, name) is not None:
+                argv += [cli.BUDGETS[name][0], getattr(args, name)]
+        code, report = run(capsys, *argv)
+        expected = _expected_budgets(args)
+        assert code == 3
+        if isinstance(expected, tuple):
+            assert report["results"]["error"] == f"ParseError: {expected[1]}", (env, argv)
+        else:
+            assert report["budgets"] == expected, (env, argv)
+            assert "99" in report["results"]["error"] or "'g'" in report["results"]["error"]
+
+
+def test_readme_budget_table_rows_come_from_budgets():
+    """Each row of the README's budget table shows BUDGETS' flag, variable,
+    default and subcommand for its budget."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for name, (flag, variable, default, subcommand, _) in cli.BUDGETS.items():
+        row = f"| `{name}` | `{flag}` | `{variable}` | {default:,} | `{subcommand}` |"
+        assert row in readme, row
 
 
 def test_action_tower_reuses_diagnosis_and_quotient(capsys, tmp_path, monkeypatch):

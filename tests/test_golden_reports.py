@@ -230,6 +230,41 @@ def test_schema_1_quotient_report_replays(capsys, monkeypatch, tmp_path, argv):
         assert code == (0 if identical else 1)
 
 
+
+_SCHEMAS = "'scalecover-report/1' or 'scalecover-report/2'"
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("schema",), None, f"report field schema must be {_SCHEMAS}, got None"),
+    (("schema",), "scalecover-report/9",
+     f"report field schema must be {_SCHEMAS}, got 'scalecover-report/9'"),
+    (("budgets", "bogus"), 5, "report field budgets.bogus is not a budget"),
+    (("budgets",), None, "report field budgets.coset_rows is missing"),
+    (("budgets", "radius"), None, "report field budgets.radius is missing"),
+], ids=["no schema", "schema 9", "extra budget", "no budgets", "no radius"])
+def test_bad_schema_or_budgets_do_not_replay(capsys, monkeypatch, tmp_path, path, value,
+                                             message):
+    """Every golden report, with its schema deleted or unknown, or its
+    budgets not exactly the four of cli.BUDGETS, is an input error on
+    replay.  A value of None deletes the field."""
+    write_inputs(monkeypatch, tmp_path)
+    for argv in sorted(a for a in GOLDEN if a[0] != "verify"):
+        main([*argv, "--out", "report.json"])
+        doc = json.loads((tmp_path / "report.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", "--replay", "edited.json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == report["exit_code"] == 3, argv
+        assert report["results"]["error"] == f"ParseError: {message}", argv
+
 def wrap_8x30():
     """The 8-fold wrap C240 -> C30 at radii (2, 1), labelled as the benchmark
     labels it: the target's points follow the source's."""
