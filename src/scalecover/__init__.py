@@ -18,9 +18,7 @@ from .spaces import (
     Partition,
     chain,
     chain_components,
-    concat_chains,
     from_metric,
-    invert_chain,
     is_chain,
     subspace,
     validate_space,
@@ -59,14 +57,12 @@ from .towers import (
     quotient_tower_reconstruct,
     strong_ml_check,
     telescoping_solve,
-    tower_map_limits,
 )
 from .actions import (
     ActionSpec,
     action_tower_verify,
     close_group,
     diagnose_action,
-    limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
 )
@@ -91,7 +87,6 @@ __all__ = [
     "check_chain_lifting",
     "check_generates",
     "close_group",
-    "concat_chains",
     "critical_scales",
     "decide_e_homotopic",
     "diagnose_action",
@@ -100,11 +95,9 @@ __all__ = [
     "from_metric",
     "h1_at_scale",
     "h1_class",
-    "invert_chain",
     "is_chain",
     "lift_chain",
     "lim1_verdict",
-    "limit_action_verify",
     "presentation_at_scale",
     "quotient_at_scale",
     "quotient_tower_reconstruct",
@@ -114,7 +107,6 @@ __all__ = [
     "strong_ml_check",
     "subspace",
     "telescoping_solve",
-    "tower_map_limits",
     "validate_space",
     "verify_endpoint_ucm",
     "verify_gucm",

@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .quotients import FilteredMap, collapse, verify_gucm
+from .quotients import FilteredMap, collapse
 from .spaces import FilteredSpace, Partition, SpaceError, _owned, breadth_first
-from .towers import SpaceTower, assemble_limit_space
 
 DEFAULT_GROUP_BOUND = 10_000
 
@@ -42,10 +41,6 @@ class NotAPermutation(SpaceError):
 
 
 class GroupTooLarge(SpaceError):
-    pass
-
-
-class InvalidActionTower(SpaceError):
     pass
 
 
@@ -472,110 +467,3 @@ def action_tower_verify(action: ActionSpec) -> ActionTowerReport:
     ok = part_a["injective"] and part_b["injective"] and part_b["entourage_backward"]
     return ActionTowerReport(hypotheses, stages, part_a, part_b, part_c, part_d,
                              "verified" if ok else "discrepancy")
-
-
-@dataclass(frozen=True)
-class ActionTower:
-    """Compatible towers of permutation actions over a tower of spaces."""
-
-    actions: tuple
-    space_bondings: tuple
-    group_bondings: tuple  # dicts sending stage-(i+1) perms to stage-i perms
-
-    def __post_init__(self):
-        n = len(self.actions)
-        if len(self.space_bondings) != n - 1 or len(self.group_bondings) != n - 1:
-            raise InvalidActionTower("one bonding per adjacent pair required")
-        for i in range(n - 1):
-            fine = self.actions[i + 1]
-            coarse = self.actions[i]
-            phi = self.space_bondings[i]
-            psi = self.group_bondings[i]
-            if phi.source != fine.space or phi.target != coarse.space:
-                raise InvalidActionTower(f"space bonding {i} mismatched")
-            coarse_elements = set(coarse.elements)
-            # Every element is a product of generators, so psi is a
-            # homomorphism once psi(g s) = psi(g) psi(s) for each generator s
-            # and psi(identity) = identity; s = identity checks the latter
-            # also for a group with no generator.
-            factors = fine.generators + (fine.identity,)
-            for g in fine.elements:
-                if psi[g] not in coarse_elements:
-                    raise InvalidActionTower(f"group bonding {i} leaves the group")
-                for s in factors:
-                    if psi[_compose(g, s)] != _compose(psi[g], psi[s]):
-                        raise InvalidActionTower(f"group bonding {i} is not a homomorphism")
-                for x in fine.space.points:
-                    if phi(fine.apply(g, x)) != coarse.apply(psi[g], phi(x)):
-                        raise InvalidActionTower(f"bondings {i} are not compatible")
-
-    @property
-    def length(self):
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
-class LimitActionReport:
-    hypotheses: dict
-    conclusions: dict
-    discrepancies: tuple
-    verdict: str
-
-
-def limit_action_verify(tower: ActionTower) -> LimitActionReport:
-    """Assemble the limit action and re-run the stage diagnostics on it.
-
-    Conclusions (neutrality, small-scale bounded orbits, the projection being
-    a generalized uniform covering map) are computed unconditionally; a
-    discrepancy is declared only when the corresponding implication's hypotheses
-    all held, and unmet hypotheses are recorded, never asserted against.
-
-    The group tower is strongly Mittag-Leffler, as every truncated tower is
-    (see ``towers.strong_ml_check``), so that hypothesis is written as True.
-    The limit action is the top action carried to the threads: the bondings
-    are compatible, so g moves the thread of x to the thread of g.x.
-    """
-    spaces = tuple(a.space for a in tower.actions)
-    limit = assemble_limit_space(SpaceTower(spaces, tower.space_bondings))
-
-    # a thread ends at its top point, and each top point has one thread
-    top = tower.actions[-1]
-    tindex = {t[-1]: i for i, t in enumerate(limit.space.points)}
-    elements = tuple(sorted(
-        tuple(tindex[top.apply(g, t[-1])] for t in limit.space.points)
-        for g in top.elements
-    ))
-    limit_action = ActionSpec(limit.space, elements, elements)
-
-    stage_diags = [diagnose_action(a) for a in tower.actions]
-    hypotheses = {
-        # the top stage is a witness for every index, and inclusion forces
-        # equality
-        "group_strong_ml": True,
-        "each_neutral": all(d.all_neutral() for d in stage_diags),
-        "each_ss_bounded_orbits": all(d.has_ss_bounded_orbits() for d in stage_diags),
-        "each_hausdorff": all(sp.hausdorff for sp in spaces),
-    }
-
-    limit_diag = diagnose_action(limit_action)
-    projection = collapse(limit.space, _orbits(limit.space, limit_action.elements))
-
-    conclusions = {
-        "limit_neutral": limit_diag.all_neutral(),
-        "limit_ss_bounded_orbits": limit_diag.has_ss_bounded_orbits(),
-        "projection_gucm": verify_gucm(projection).passed,
-    }
-    discrepancies = []
-    if hypotheses["each_neutral"] and not conclusions["limit_neutral"]:
-        discrepancies.append("neutrality_not_preserved")
-    if hypotheses["each_ss_bounded_orbits"] and not conclusions["limit_ss_bounded_orbits"]:
-        discrepancies.append("bounded_orbits_not_preserved")
-    if all(hypotheses.values()) and not conclusions["projection_gucm"]:
-        discrepancies.append("projection_not_gucm")
-    verdict = (
-        "discrepancy" if discrepancies
-        else ("verified" if all(hypotheses.values()) and all(conclusions.values())
-              else "HypothesisUnmet:"
-              + ",".join(k for k, v in hypotheses.items() if not v))
-    )
-    return LimitActionReport(hypotheses, conclusions, tuple(discrepancies), verdict)

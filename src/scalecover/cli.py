@@ -400,13 +400,13 @@ def _replay(stored, budgets):
     if schema not in (SCHEMA_1, formats.SCHEMA):
         raise formats.ParseError(f"report field schema must be {SCHEMA_1!r} or "
                                  f"{formats.SCHEMA!r}, got {schema!r}")
-    kind = replay["kind"]
+    kind = formats._field(replay, "kind", "report field replay.kind")
     if not isinstance(kind, str) or kind not in COMMANDS:
         raise formats.ParseError(f"cannot replay report kind {kind!r}")
     key, reader, _, runner = COMMANDS[kind]
-    obj = getattr(formats, reader)(inputs[key])
+    obj = getattr(formats, reader)(formats._field(inputs, key, f"report field inputs.{key}"))
     results, *_ = globals()[runner](obj, _replay_options(kind, obj, options), budgets)
-    if stored.get("schema") == SCHEMA_1:
+    if schema == SCHEMA_1:
         results = _schema_1_results(kind, results)
     drift = formats.canonical_dumps(results) != formats.canonical_dumps(stored["results"])
     failures = []

@@ -227,6 +227,13 @@ def _expect(value, kind, what):
     return value
 
 
+def _field(spec, key, what=None):
+    """spec[key], or a ParseError naming the field when it is missing."""
+    if key not in spec:
+        raise ParseError(f"{what or 'field ' + key} is missing")
+    return spec[key]
+
+
 def _numbers(values, what, kinds=frozenset({int, float})):
     """The array, if it holds only JSON numbers of the given types (no bools)."""
     if not set(map(type, _expect(values, list, what))) <= kinds:
@@ -248,7 +255,7 @@ def space_from_spec(spec: dict) -> FilteredSpace:
     if "points" in spec:
         points = [_as_point(p) for p in _expect(spec["points"], list, "points")]
         scales = [[_pair(pair) for pair in _expect(scale, list, "a scale")]
-                  for scale in _expect(spec["scales"], list, "scales")]
+                  for scale in _expect(_field(spec, "scales"), list, "scales")]
         hausdorff = spec.get("hausdorff", False)
         if type(hausdorff) is not bool:
             raise ParseError(f"hausdorff must be true or false, got {hausdorff!r}")
@@ -259,7 +266,7 @@ def space_from_spec(spec: dict) -> FilteredSpace:
         names = spec.get("names")
         if names is not None:
             names = [_as_point(p) for p in _expect(names, list, "names")]
-        return from_metric(matrix, _numbers(spec["radii"], "radii"), names)
+        return from_metric(matrix, _numbers(_field(spec, "radii"), "radii"), names)
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
 
@@ -325,9 +332,9 @@ def map_to_spec(f: FilteredMap) -> dict:
 def map_from_spec(spec: dict) -> FilteredMap:
     if _expect(spec, dict, "a map spec").get("kind") not in (None, "map"):
         raise ParseError(f"expected a map spec, got kind {spec.get('kind')!r}")
-    source = space_from_spec(spec["source"])
-    target = space_from_spec(spec["target"])
-    assignment = _expect(spec["assignment"], list, "assignment")
+    source = space_from_spec(_field(spec, "source"))
+    target = space_from_spec(_field(spec, "target"))
+    assignment = _expect(_field(spec, "assignment"), list, "assignment")
     return FilteredMap(source, target, tuple(_as_point(p) for p in assignment))
 
 
@@ -359,9 +366,9 @@ def action_to_spec(action: ActionSpec) -> dict:
 def action_from_spec(spec: dict) -> ActionSpec:
     if _expect(spec, dict, "an action spec").get("kind") not in (None, "action"):
         raise ParseError(f"expected an action spec, got kind {spec.get('kind')!r}")
-    space = space_from_spec(spec["space"])
+    space = space_from_spec(_field(spec, "space"))
     generators = [[_as_point(p) for p in _expect(g, list, "a generator")]
-                  for g in _expect(spec["generators"], list, "generators")]
+                  for g in _expect(_field(spec, "generators"), list, "generators")]
     return close_group(space, generators)
 
 
@@ -385,8 +392,9 @@ def space_tower_from_spec(spec: dict, base_dir: str = ".") -> SpaceTower:
             return space_from_spec(load_json(os.path.join(base_dir, entry["ref"])))
         return space_from_spec(entry)
 
-    spaces = tuple(resolve(s) for s in _expect(spec["spaces"], list, "spaces"))
-    assignments = _expect(spec["bondings"], list, "bondings")
+    _expect(spec, dict, "a tower spec")
+    spaces = tuple(resolve(s) for s in _expect(_field(spec, "spaces"), list, "spaces"))
+    assignments = _expect(_field(spec, "bondings"), list, "bondings")
     if len(assignments) != len(spaces) - 1:
         raise InvalidTower("need exactly one bonding map per adjacent pair")
     bondings = tuple(
@@ -410,14 +418,15 @@ def abelian_tower_to_spec(tab: TowerAb) -> dict:
 
 def abelian_tower_from_spec(spec: dict) -> TowerAb:
     groups = []
-    for g in _expect(_expect(spec, dict, "a tower spec")["groups"], list, "groups"):
-        rank = _expect(g, dict, "a group")["rank"]
+    for g in _expect(_field(_expect(spec, dict, "a tower spec"), "groups"), list, "groups"):
+        rank = _field(_expect(g, dict, "a group"), "rank")
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
             raise ParseError(f"a group rank must be a nonnegative integer, got {rank!r}")
-        groups.append(AbelianGroupInv(rank, tuple(_numbers(g["torsion"], "torsion", {int}))))
+        torsion = _numbers(_field(g, "torsion"), "torsion", {int})
+        groups.append(AbelianGroupInv(rank, tuple(torsion)))
     matrices = tuple(
         tuple(tuple(_numbers(row, "a matrix row", {int})) for row in _expect(m, list, "a matrix"))
-        for m in _expect(spec["matrices"], list, "matrices")
+        for m in _expect(_field(spec, "matrices"), list, "matrices")
     )
     for m in matrices:
         if len(set(map(len, m))) > 1:

@@ -429,16 +429,3 @@ def chain_components(space: FilteredSpace, k: int) -> Partition:
     return Partition(tuple(
         space.sort_points(breadth_first((p,), space._adjacency[k].__getitem__, parent))
         for p in space.points if p not in parent))
-
-
-def concat_chains(c: Chain, d: Chain) -> Chain:
-    """Concatenation keeping one copy of the shared endpoint."""
-    if c.scale != d.scale:
-        raise ScaleMismatch(f"scales {c.scale} and {d.scale} differ")
-    if c.end != d.start:
-        raise EndpointMismatch(f"chain ends at {c.end!r} but next starts at {d.start!r}")
-    return Chain(c.scale, c.seq + d.seq[1:])
-
-
-def invert_chain(c: Chain) -> Chain:
-    return Chain(c.scale, tuple(reversed(c.seq)))

@@ -15,8 +15,6 @@ from . import intlinalg as ila
 from .quotients import (
     FilteredMap,
     check_approx_uniqueness,
-    check_chain_lifting,
-    check_generates,
     collapse,
     fiber_e_components,
     verify_gucm,
@@ -426,94 +424,3 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
                        "image lattices still shrinking at the declared horizon",
                        {"first_unstable_index": tab.length,
                         "horizon": pattern_horizon})
-
-
-# ---------------------------------------------------------------------------
-# limit maps
-
-
-@dataclass(frozen=True)
-class TowerMapReport:
-    mode: str
-    compatible: bool
-    strong_ml: bool | None
-    hypotheses: dict
-    conclusions: dict
-    discrepancies: tuple
-    verdict: str
-
-
-def tower_map_limits(space_tower: SpaceTower, maps, target_tower: SpaceTower = None,
-                     product_bound: int = DEFAULT_PRODUCT_BOUND) -> TowerMapReport:
-    """Instance verification that limit maps inherit the stage properties.
-
-    Map i goes from stage i to one fixed space or, with a target tower, to
-    its stage i; InvalidTower otherwise.  With a fixed target: compatible
-    maps, generation and chain lifting preserved in the limit; the strong
-    Mittag-Leffler hypothesis holds on every truncated tower (see
-    strong_ml_check) and is written as True.  With a paired target tower:
-    approximate uniqueness (both flavors) preserved.  A discrepancy
-    (hypotheses verified, conclusion refuted) is reported, never silently
-    ignored.
-    """
-    maps = tuple(maps)
-    if len(maps) != space_tower.length:
-        raise InvalidTower("need one map per tower stage")
-    if target_tower is not None and target_tower.length != space_tower.length:
-        raise InvalidTower("towers must have equal length")
-    ends = target_tower.spaces if target_tower is not None else (maps[0].target,) * len(maps)
-    for i, f in enumerate(maps):
-        if f.source != space_tower.spaces[i] or f.target != ends[i]:
-            raise InvalidTower(f"map {i} does not go from stage {i + 1} to its target")
-    limit = assemble_limit_space(space_tower, product_bound)
-    if target_tower is None:
-        mode = "fixed_target"
-        compatible = all(
-            maps[i](space_tower.bondings[i](x)) == maps[i + 1](x)
-            for i in range(space_tower.length - 1)
-            for x in space_tower.spaces[i + 1].points
-        )
-        # every truncated tower is strongly Mittag-Leffler (strong_ml_check)
-        hypotheses = {"strong_ml": True}
-        limit_map = FilteredMap(
-            limit.space, maps[0].target, tuple(maps[0](t[0]) for t in limit.space.points)
-        )
-        checks = (
-            ("generates", "generation", lambda f: check_generates(f).passed),
-            ("chain_lifting", "chain_lifting", lambda f: check_chain_lifting(f).passed),
-        )
-    else:
-        mode = "paired_towers"
-        compatible = all(
-            target_tower.bondings[i](maps[i + 1](x)) == maps[i](space_tower.bondings[i](x))
-            for i in range(space_tower.length - 1)
-            for x in space_tower.spaces[i + 1].points
-        )
-        hypotheses = {}
-        target_limit = assemble_limit_space(target_tower, product_bound)
-        limit_map = FilteredMap(
-            limit.space,
-            target_limit.space,
-            tuple(tuple(maps[i](t[i]) for i in range(space_tower.length))
-                  for t in limit.space.points),
-        )
-        checks = (
-            ("plain_uniqueness", "plain_uniqueness",
-             lambda f: check_approx_uniqueness(f, strong=False).passed),
-            ("strong_uniqueness", "strong_uniqueness",
-             lambda f: check_approx_uniqueness(f, strong=True).passed),
-        )
-    conclusions = {}
-    discrepancies = []
-    for name, label, check in checks:
-        hypotheses[f"each_{name}"] = all(check(f) for f in maps)
-        conclusions[f"limit_{name}"] = check(limit_map)
-        if compatible and hypotheses[f"each_{name}"] and not conclusions[f"limit_{name}"]:
-            discrepancies.append(f"{label}_not_preserved")
-    hyp_ok = compatible and all(hypotheses.values())
-    verdict = (
-        "verified" if hyp_ok and not discrepancies and all(conclusions.values())
-        else ("discrepancy" if discrepancies else "HypothesisUnmet")
-    )
-    return TowerMapReport(mode, compatible, hypotheses.get("strong_ml"), hypotheses,
-                          conclusions, tuple(discrepancies), verdict)

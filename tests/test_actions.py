@@ -1,20 +1,15 @@
 import pytest
 
-from conftest import identity_map
 from scalecover import actions
 from scalecover.actions import (
-    ActionTower,
     GroupTooLarge,
-    InvalidActionTower,
     NotAPermutation,
     action_tower_verify,
     close_group,
     diagnose_action,
-    limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
 )
-from scalecover.quotients import FilteredMap
 from scalecover.spaces import from_metric
 
 
@@ -209,50 +204,3 @@ class TestActionTower:
         report = action_tower_verify(action)
         assert report.verdict.startswith("HypothesisUnmet")
         assert "ss_bounded_orbits" in report.verdict
-
-
-class TestLimitAction:
-    def constant_tower(self, action, n=3):
-        ident_group = {g: g for g in action.elements}
-        return ActionTower(
-            (action,) * n,
-            tuple(identity_map(action.space) for _ in range(n - 1)),
-            tuple(ident_group for _ in range(n - 1)),
-        )
-
-    def test_constant_antipode_tower(self, fix_ant):
-        report = limit_action_verify(self.constant_tower(fix_ant))
-        assert all(report.conclusions.values())
-        assert not report.discrepancies
-        # the (2, 1) hexagon is not hausdorff, so the covering-map implication's
-        # hypotheses are recorded as unmet rather than asserted
-        assert report.verdict.startswith("HypothesisUnmet")
-        assert "each_hausdorff" in report.verdict
-
-    def test_constant_hausdorff_tower_verified(self, fix_ant_h):
-        report = limit_action_verify(self.constant_tower(fix_ant_h))
-        assert report.verdict == "verified"
-        assert all(report.conclusions.values())
-
-    def test_trivial_towers_pass(self, fix_l4):
-        action = close_group(fix_l4, [[0, 1, 2, 3]])
-        report = limit_action_verify(self.constant_tower(action))
-        assert report.verdict == "verified"
-
-
-class TestActionTowerBondings:
-    def test_bonding_respecting_only_the_first_generator_rejected(self):
-        # Two commuting transpositions a, b onto Z/3, fixing the point every
-        # fine point maps to: a -> e, b -> r, ab -> r.  psi(g a) = psi(g) psi(a)
-        # for every g, but psi(b b) = e while psi(b) psi(b) = r^2.
-        discrete = from_metric([[int(i != j) for j in range(4)] for i in range(4)], (0,))
-        fine = close_group(discrete, [[1, 0, 2, 3], [0, 1, 3, 2]])
-        coarse = close_group(discrete, [[0, 2, 3, 1]])
-        a, b = fine.generators
-        r = coarse.generators[0]
-        e, e_coarse = fine.identity, coarse.identity
-        ab = tuple(a[b[i]] for i in range(4))
-        psi = {e: e_coarse, a: e_coarse, b: r, ab: r}
-        phi = FilteredMap.build(discrete, discrete, {x: 0 for x in range(4)})
-        with pytest.raises(InvalidActionTower, match="is not a homomorphism"):
-            ActionTower((coarse, fine), (phi,), (psi,))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import hashlib
 import itertools
@@ -172,7 +173,20 @@ MALFORMED_INPUTS = {
     "overflowing_matrix_entry": ("analyze", '{"matrix": [[0, 1e400], [1e400, 0]], '
                                             '"radii": [1]}'),
     "overflowing_radius": ("analyze", '{"matrix": [[0, 1], [1, 0]], "radii": [-1e400]}'),
+    # a required field left out
+    "no_scales": ("analyze", {"points": [0]}),
+    "no_radii": ("analyze", {"matrix": [[0, 1], [1, 0]]}),
+    "map_without_target": ("map", {"kind": "map", "source": SPACE_SPEC, "assignment": [0, 0]}),
+    "action_without_generators": ("action", {"kind": "action", "space": SPACE_SPEC}),
+    "group_without_torsion": ("tower", {"kind": "abelian_tower", "groups": [{"rank": 1}],
+                                        "matrices": []}),
+    "tower_without_bondings": ("tower", {"kind": "space_tower", "spaces": [SPACE_SPEC]}),
 }
+
+# the field each case above leaves out, which its error names
+MISSING_FIELDS = {"no_scales": "scales", "no_radii": "radii", "map_without_target": "target",
+                  "action_without_generators": "generators",
+                  "group_without_torsion": "torsion", "tower_without_bondings": "bondings"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -183,6 +197,8 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     code, report = run(capsys, cmd, str(path))
     assert code == 3
     assert report["results"]["error"].startswith("ParseError: ")
+    if case in MISSING_FIELDS:
+        assert report["results"]["error"] == f"ParseError: field {MISSING_FIELDS[case]} is missing"
 
 
 BAD_FLAGS = {
@@ -504,6 +520,21 @@ class TestTowerCommand:
         assert code == report["exit_code"] == 3
         assert report["results"]["error"] == (
             "InvalidTower: need exactly one bonding map per adjacent pair")
+
+    def test_replayed_tower_that_is_not_an_object_is_input_error(self, capsys, tmp_path,
+                                                                 fix_l4):
+        spec = {"kind": "space_tower", "spaces": [formats.space_to_spec(fix_l4)] * 2,
+                "bondings": [[0, 1, 2, 3]]}
+        path, out = tmp_path / "spt.json", tmp_path / "report.json"
+        path.write_text(formats.canonical_dumps(spec))
+        assert main(["tower", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        doc["inputs"]["tower"] = 5
+        out.write_text(json.dumps(doc))
+        code, report = run(capsys, "verify", "--replay", str(out))
+        assert code == report["exit_code"] == 3
+        assert report["results"]["error"] == "ParseError: a tower spec must be an object, got int"
 
     def test_space_tower_with_file_references(self, capsys, tmp_path, fix_l4):
         (tmp_path / "l4.json").write_text(
@@ -854,6 +885,22 @@ def test_readme_budget_table_rows_come_from_budgets():
     for name, (flag, variable, default, subcommand, _) in cli.BUDGETS.items():
         row = f"| `{name}` | `{flag}` | `{variable}` | {default:,} | `{subcommand}` |"
         assert row in readme, row
+
+
+def test_readme_library_tour_gives_its_commented_results():
+    """The README's library tour runs as written, and each bare expression
+    in it gives the result its comment states."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(tour).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [scalecover.AbelianGroupInv(rank=1, torsion=()),
+                      scalecover.AbelianGroupInv(rank=0, torsion=()), [(1, 2)], 13, "UCM"]
 
 
 def test_action_tower_reuses_diagnosis_and_quotient(capsys, tmp_path, monkeypatch):

@@ -241,16 +241,21 @@ _SCHEMAS = "'scalecover-report/1' or 'scalecover-report/2'"
     (("budgets", "bogus"), 5, "report field budgets.bogus is not a budget"),
     (("budgets",), None, "report field budgets.coset_rows is missing"),
     (("budgets", "radius"), None, "report field budgets.radius is missing"),
-], ids=["no schema", "schema 9", "extra budget", "no budgets", "no radius"])
+    (("replay", "kind"), None, "report field replay.kind is missing"),
+    (("inputs",), {}, "report field inputs.{key} is missing"),
+], ids=["no schema", "schema 9", "extra budget", "no budgets", "no radius", "no kind",
+        "no inputs"])
 def test_bad_schema_or_budgets_do_not_replay(capsys, monkeypatch, tmp_path, path, value,
                                              message):
-    """Every golden report, with its schema deleted or unknown, or its
-    budgets not exactly the four of cli.BUDGETS, is an input error on
-    replay.  A value of None deletes the field."""
+    """Every golden report, with its schema deleted or unknown, its budgets
+    not exactly the four of cli.BUDGETS, its replay kind deleted or its
+    inputs emptied, is an input error on replay.  A value of None deletes
+    the field; {key} in the message is the report kind's inputs field."""
     write_inputs(monkeypatch, tmp_path)
     for argv in sorted(a for a in GOLDEN if a[0] != "verify"):
         main([*argv, "--out", "report.json"])
         doc = json.loads((tmp_path / "report.json").read_text())
+        expected = message.format(key=cli.COMMANDS[doc["replay"]["kind"]][0])
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -263,7 +268,7 @@ def test_bad_schema_or_budgets_do_not_replay(capsys, monkeypatch, tmp_path, path
         code = main(["verify", "--replay", "edited.json"])
         report = json.loads(capsys.readouterr().out)
         assert code == report["exit_code"] == 3, argv
-        assert report["results"]["error"] == f"ParseError: {message}", argv
+        assert report["results"]["error"] == f"ParseError: {expected}", argv
 
 def wrap_8x30():
     """The 8-fold wrap C240 -> C30 at radii (2, 1), labelled as the benchmark

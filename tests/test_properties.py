@@ -36,11 +36,9 @@ from scalecover.covers import (
 )
 from scalecover import actions
 from scalecover.actions import (
-    ActionTower,
     action_tower_verify,
     close_group,
     diagnose_action,
-    limit_action_verify,
     quotient_at_scale,
     saturate_invariant,
 )
@@ -50,7 +48,6 @@ from scalecover.quotients import (
     check_approx_uniqueness,
     check_chain_lifting,
     check_generates,
-    collapse,
     counterexample_holds,
     factor_and_verify,
     fiber_e_components,
@@ -2408,95 +2405,6 @@ DETOUR_TOWER = SpaceTower((_A, _AB, _A),
 @example(DETOUR_TOWER)
 def test_strong_ml_matches_old_check(tower):
     assert strong_ml_check(tower) == old_strong_ml_check(tower)
-
-
-def old_limit_action_verify(tower):
-    """limit_action_verify as it was: the thread elements chased through the
-    group bondings, the group's strong ML condition searched, and each limit
-    element applied stage by stage.  (report, limit action elements)."""
-    n = tower.length
-    spaces = tuple(a.space for a in tower.actions)
-    limit = assemble_limit_space(SpaceTower(spaces, tower.space_bondings))
-    thread_elements = []
-    for g in tower.actions[-1].elements:
-        stages = [g]
-        for i in range(n - 2, -1, -1):
-            stages.append(tower.group_bondings[i][stages[-1]])
-        thread_elements.append(tuple(reversed(stages)))
-    group_ml = True
-    for alpha in range(n):
-        projected = {te[alpha] for te in thread_elements}
-        for beta in range(alpha, n):
-            image = set(tower.actions[beta].elements)
-            for i in range(beta - 1, alpha - 1, -1):
-                image = {tower.group_bondings[i][g] for g in image}
-            if image <= projected:
-                break
-        else:
-            group_ml = False
-    tindex = {t: i for i, t in enumerate(limit.space.points)}
-    perms = [tuple(tindex[tuple(tower.actions[i].apply(te[i], t[i]) for i in range(n))]
-                   for t in limit.space.points)
-             for te in thread_elements]
-    distinct = tuple(sorted(set(perms)))
-    limit_action = actions.ActionSpec(limit.space, distinct, distinct)
-    stage_diags = [diagnose_action(a) for a in tower.actions]
-    hypotheses = {
-        "group_strong_ml": group_ml,
-        "each_neutral": all(d.all_neutral() for d in stage_diags),
-        "each_ss_bounded_orbits": all(d.has_ss_bounded_orbits() for d in stage_diags),
-        "each_hausdorff": all(sp.hausdorff for sp in spaces),
-    }
-    limit_diag = diagnose_action(limit_action)
-    projection = collapse(limit.space, actions._orbits(limit.space, distinct))
-    conclusions = {
-        "limit_neutral": limit_diag.all_neutral(),
-        "limit_ss_bounded_orbits": limit_diag.has_ss_bounded_orbits(),
-        "projection_gucm": verify_gucm(projection).passed,
-    }
-    discrepancies = []
-    if group_ml and hypotheses["each_neutral"] and not conclusions["limit_neutral"]:
-        discrepancies.append("neutrality_not_preserved")
-    if hypotheses["each_ss_bounded_orbits"] and not conclusions["limit_ss_bounded_orbits"]:
-        discrepancies.append("bounded_orbits_not_preserved")
-    if all(hypotheses.values()) and not conclusions["projection_gucm"]:
-        discrepancies.append("projection_not_gucm")
-    verdict = (
-        "discrepancy" if discrepancies
-        else ("verified" if all(hypotheses.values()) and all(conclusions.values())
-              else "HypothesisUnmet:" + ",".join(k for k, v in hypotheses.items() if not v))
-    )
-    report = actions.LimitActionReport(hypotheses, conclusions, tuple(discrepancies), verdict)
-    return report, distinct
-
-
-@st.composite
-def random_action_tower(draw):
-    """A constant tower of a random action, or the action over one of its
-    scale quotients: the space bonding is the orbit projection, and the group
-    bonding sends g to its coset's induced permutation."""
-    action = draw(random_action())
-    if draw(st.booleans()):
-        n = draw(st.integers(min_value=1, max_value=3))
-        ident = FilteredMap(action.space, action.space, action.space.points)
-        return ActionTower((action,) * n, (ident,) * (n - 1),
-                           ({g: g for g in action.elements},) * (n - 1))
-    q = quotient_at_scale(action, draw(st.integers(min_value=1, max_value=action.space.depth)))
-    coset_perm = {g: perm for coset, perm in zip(q.cosets, q.induced_elements) for g in coset}
-    coarse = close_group(q.space, [[q.space.points[i] for i in coset_perm[s]]
-                                   for s in action.generators])
-    return ActionTower((coarse, action), (q.projection,), (coset_perm,))
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_action_tower())
-def test_limit_action_matches_old_computation(tower):
-    with mock.patch.object(actions, "diagnose_action", wraps=actions.diagnose_action) as diag:
-        report = limit_action_verify(tower)
-    old_report, old_elements = old_limit_action_verify(tower)
-    assert report == old_report
-    # the limit action is the last action diagnosed
-    assert diag.call_args_list[-1].args[0].elements == old_elements
 
 
 @st.composite

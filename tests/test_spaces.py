@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalecover.spaces import (
-    EndpointMismatch,
     HausdorffViolated,
     NonDecreasingRadii,
     NonReflexive,
@@ -12,9 +11,7 @@ from scalecover.spaces import (
     UnknownPoint,
     chain,
     chain_components,
-    concat_chains,
     from_metric,
-    invert_chain,
     is_chain,
     subspace,
     validate_space,
@@ -111,18 +108,6 @@ class TestChains:
         assert len(chain_components(fix_c6, 1)) == 1
         assert chain_components(fix_l4, 2).blocks == ((0,), (1,), (2,), (3,))
 
-    def test_concat_and_invert(self, fix_c6):
-        c = chain(fix_c6, 2, (0, 1))
-        d = chain(fix_c6, 2, (1, 2))
-        assert concat_chains(c, d).seq == (0, 1, 2)
-        assert invert_chain(chain(fix_c6, 2, (0, 1, 2))).seq == (2, 1, 0)
-        with pytest.raises(EndpointMismatch):
-            concat_chains(c, chain(fix_c6, 2, (2, 3)))
-        from scalecover.spaces import ScaleMismatch
-
-        with pytest.raises(ScaleMismatch):
-            concat_chains(c, chain(fix_c6, 1, (1, 3)))
-
     def test_subspace(self, fix_c6):
         sub = subspace(fix_c6, {0, 3})
         assert sub.points == (0, 3)
@@ -163,10 +148,7 @@ def space_and_chain(draw):
 def test_chain_properties(data):
     sp, k, seq = data
     assert is_chain(sp, k, seq)
-    c = chain(sp, k, seq)
-    assert invert_chain(invert_chain(c)) == c
-    loop = concat_chains(c, invert_chain(c))
-    assert is_chain(sp, k, loop.seq)
+    assert chain(sp, k, seq).seq == seq
     # filtration monotonicity: a chain at a fine scale is one at every coarser scale
     for j in range(1, k + 1):
         assert is_chain(sp, j, seq)

@@ -3,7 +3,7 @@ import pytest
 from conftest import identity_map, telescoping_backward_group
 from scalecover.quotients import FilteredMap
 from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import FilteredSpace, from_metric
+from scalecover.spaces import FilteredSpace
 from scalecover.towers import (
     InvalidTower,
     ProductTooLarge,
@@ -14,7 +14,6 @@ from scalecover.towers import (
     quotient_tower_reconstruct,
     strong_ml_check,
     telescoping_solve,
-    tower_map_limits,
 )
 
 Z = AbelianGroupInv(1, ())
@@ -190,50 +189,3 @@ class TestLim1:
         # the first row has the right length, the second has none
         with pytest.raises(InvalidTower, match="ragged"):
             TowerAb((AbelianGroupInv(2, ()), Z), ([[1], []],))
-
-
-class TestTowerMapLimits:
-    def test_constant_tower_with_fix_map(self, fix_map):
-        tower = constant_tower(fix_map.source)
-        report = tower_map_limits(tower, (fix_map,) * 3)
-        assert report.verdict == "verified"
-        assert report.compatible
-        assert all(report.conclusions.values())
-
-    def test_identity_everything(self, fix_l4):
-        tower = constant_tower(fix_l4)
-        report = tower_map_limits(tower, tuple(identity_map(fix_l4) for _ in range(3)))
-        assert report.verdict == "verified"
-
-    def test_paired_towers(self, fix_map):
-        src = constant_tower(fix_map.source)
-        tgt = constant_tower(fix_map.target)
-        report = tower_map_limits(src, (fix_map,) * 3, target_tower=tgt)
-        assert report.verdict == "verified"
-        assert all(report.conclusions.values())
-
-    def test_hypothesis_unmet_recorded(self, fix_c6, constant_map):
-        tower = constant_tower(fix_c6)
-        report = tower_map_limits(
-            tower, (constant_map,) * 3, target_tower=constant_tower(constant_map.target)
-        )
-        assert report.verdict == "HypothesisUnmet"
-        assert not report.discrepancies
-
-    def test_maps_must_start_and_end_at_their_stages(self, fix_c6, fix_map):
-        # the identity of the 4-cycle is not a map from the discrete space on
-        # its points: read as one, its limit map would seem to lose generation
-        # and chain lifting
-        c4 = from_metric([[min(abs(i - j), 4 - abs(i - j)) for j in range(4)]
-                          for i in range(4)], (1,))
-        discrete = from_metric([[int(i != j) for j in range(4)] for i in range(4)], (0,))
-        with pytest.raises(InvalidTower, match="map 0 does not go from stage 1"):
-            tower_map_limits(SpaceTower((discrete,), ()), (identity_map(c4),))
-        # fixed target: every map ends at the first map's target
-        tower = constant_tower(fix_map.source, 2)
-        with pytest.raises(InvalidTower, match="map 1 does not go from stage 2"):
-            tower_map_limits(tower, (fix_map, identity_map(fix_map.source)))
-        # paired towers: map i ends at stage i of the target tower
-        with pytest.raises(InvalidTower, match="map 0 does not go from stage 1"):
-            tower_map_limits(tower, (fix_map,) * 2,
-                             target_tower=constant_tower(fix_c6, 2))
