@@ -4,13 +4,16 @@ Groups are materialized as explicit permutation lists (no stabilizer chains:
 desk-scale instances stay transparent enumerations).  A permutation is a
 tuple of point indices in the space's point order.  Every smallness property
 is decided by finite enumeration over scale pairs, elements and points, with
-replayable witnesses.  A scale subgroup is generated by the elements moving
-some point within a relation.  ``_scale_subgroup`` keeps one record per
-relation on the action (neighbourhoods, those elements, the subgroup and its
-orbit partition), so each is closed and its orbits computed once, and the
-diagnosis, scale quotients and tower all read it.  An invariant entourage is
-the closure of a scale's pairs under a generating set (Seress, *Permutation
-Group Algorithms*, 2003, ch. 2-3).
+replayable witnesses.  A group is closed over only the seeds that enlarge
+it, at most log2 of its order (as in Dimino's algorithm; Butler, LNCS 559,
+1991), and its orbits and cosets are ``spaces.components`` searches over
+those seeds.  A scale subgroup is generated by the elements moving some point
+within a relation.  ``_scale_subgroup`` keeps one record per relation on the
+action (neighbourhoods, the seeds, the subgroup and its orbit partition), so
+each is closed and its orbits computed once, and the diagnosis, scale
+quotients and tower all read it.  An invariant entourage is the closure of a
+scale's pairs under a generating set (Seress, *Permutation Group
+Algorithms*, 2003, ch. 2-3).
 
 The quotient tower computes only what can fail: the injectivity of the
 group and of the space into their threads, faithfulness and proper
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quotients import FilteredMap, collapse
-from .spaces import FilteredSpace, Partition, SpaceError, _owned, breadth_first
+from .spaces import FilteredSpace, Partition, SpaceError, _owned, breadth_first, components
 
 DEFAULT_GROUP_BOUND = 10_000
 
@@ -86,17 +89,20 @@ class ActionSpec:
 
 
 def _closure(gens, n: int, bound: int) -> tuple:
-    """Sorted elements of the group the permutations gens generate on n points.
-
-    A breadth-first search from the identity; GroupTooLarge as soon as it
-    has found more than bound elements.
-    """
-    found = {}
-    for _ in breadth_first((tuple(range(n)),),
-                           lambda h: [_compose(g, h) for g in gens], found):
-        if len(found) > bound:
-            raise GroupTooLarge(f"closure exceeded {bound} elements")
-    return tuple(sorted(found))
+    """The sorted elements of the group the permutations gens generate on n
+    points, and the gens that enlarge it: each is kept when the group of the
+    kept ones, searched breadth first from the identity, does not hold it, so
+    each at least doubles that group.  GroupTooLarge as soon as a search has
+    found more than bound elements, the identity included."""
+    kept, found = [], {}
+    for g in (tuple(range(n)), *gens):
+        if g not in found:
+            kept.append(g)
+            found = {}
+            for _ in breadth_first(kept[:1], lambda h: [_compose(s, h) for s in kept], found):
+                if len(found) > bound:
+                    raise GroupTooLarge(f"closure exceeded {bound} elements")
+    return tuple(sorted(found)), tuple(kept[1:])
 
 
 def close_group(space: FilteredSpace, generators,
@@ -115,7 +121,7 @@ def close_group(space: FilteredSpace, generators,
         if sorted(perm) != list(range(n)):
             raise NotAPermutation(f"generator {raw!r} is not a bijection")
         gens.append(perm)
-    return ActionSpec(space, tuple(gens), _closure(gens, n, bound))
+    return ActionSpec(space, tuple(gens), _closure(gens, n, bound)[0])
 
 
 def _saturate(space: FilteredSpace, gens, k: int) -> frozenset:
@@ -137,23 +143,22 @@ def saturate_invariant(action: ActionSpec, k: int) -> frozenset:
     return _saturate(action.space, action.generators, k)
 
 
-def _orbits(space: FilteredSpace, elements) -> Partition:
-    """The orbits of a group given by all its elements, each sorted, in order
-    of their first points."""
+def _orbits(space: FilteredSpace, gens) -> Partition:
+    """The orbits of the group the permutations gens generate, each sorted,
+    in order of their first points."""
     pts = space.points
-    seen = set()
-    orbits = []
-    for i in range(len(pts)):
-        if i not in seen:
-            orbit = sorted({g[i] for g in elements})
-            seen.update(orbit)
-            orbits.append(tuple(pts[j] for j in orbit))
-    return Partition(tuple(orbits))
+    orbits = components(range(len(pts)), lambda i: [g[i] for g in gens])
+    return Partition(tuple(tuple(pts[i] for i in orbit) for orbit in orbits))
+
+
+def _cosets(elements, gens) -> tuple:
+    """The cosets gN of the group N that gens generate, by right products."""
+    return components(elements, lambda h: [_compose(h, s) for s in gens])
 
 
 class _ScaleSubgroup(NamedTuple):
     near: list  # per point index i, the indices related to i, and i itself
-    seeds: list  # the elements moving some point i into near[i], in element order
+    seeds: tuple  # of the elements moving some point i into near[i], those kept by _closure
     subgroup: tuple  # the sorted elements of the group the seeds generate
     orbits: Partition  # the subgroup's orbits
 
@@ -169,9 +174,9 @@ def _scale_subgroup(action: ActionSpec, pairs: frozenset) -> _ScaleSubgroup:
         i, j = space.index(a), space.index(b)
         near[i].add(j)
         near[j].add(i)
-    seeds = [g for g in action.elements if any(g[i] in near[i] for i in range(len(g)))]
-    subgroup = _closure(seeds, len(near), len(action.elements))
-    return _ScaleSubgroup(near, seeds, subgroup, _orbits(space, subgroup))
+    moving = [g for g in action.elements if any(g[i] in near[i] for i in range(len(g)))]
+    subgroup, seeds = _closure(moving, len(near), len(action.elements))
+    return _ScaleSubgroup(near, seeds, subgroup, _orbits(space, seeds))
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
     indices = range(len(pts))
     record = {k: _scale_subgroup(action, space.scale_pairs(k)) for k in range(1, m + 1)}
     closed = {k: r.near for k, r in record.items()}
-    orbit_of = _orbits(space, action.elements).block_of
+    orbit_of = _orbits(space, action.generators).block_of
     orbits = [set(map(space.index, orbit_of(p))) for p in pts]
     moved_nbhd = {
         k: [set().union(*(orbits[z] for z in closed[k][i])) for i in indices]
@@ -242,11 +247,10 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         for e in range(1, m + 1)
     }
 
-    # the first element other than the identity that moves a point within k
+    # the first element other than the identity moving a point within k: the first seed
     upd_per_scale = {
         k: next(({"g": action.perm_of_points(g), "x": pts[i]}
-                 for g in record[k].seeds if g != action.identity
-                 for i in indices if g[i] in closed[k][i]), None)
+                 for g in record[k].seeds for i in indices if g[i] in closed[k][i]), None)
         for k in range(1, m + 1)
     }
     qualifying = tuple(k for k in range(1, m + 1) if upd_per_scale[k] is None)
@@ -341,40 +345,25 @@ def quotient_at_scale(action: ActionSpec, k: int) -> QuotientAction:
     # moves h x within it: the generators are closed under conjugation and
     # the subgroup they generate is normal.  At an invariant scale this is
     # the record diagnose_action read.
-    near, _, sub, blocks = _scale_subgroup(action, pairs)
+    near, seeds, sub, blocks = _scale_subgroup(action, pairs)
     projection = collapse(space, blocks)
     qpoints = blocks.blocks
     qindex = {b: i for i, b in enumerate(qpoints)}
-
-    cosets = []
-    assigned = set()
-    for g in action.elements:
-        if g in assigned:
-            continue
-        coset = tuple(sorted(_compose(g, s) for s in sub))
-        assigned.update(coset)
-        cosets.append(coset)
-    cosets = tuple(sorted(cosets))
+    cosets = _cosets(action.elements, seeds)
     induced = tuple(
         tuple(qindex[blocks.block_of(action.apply(coset[0], block[0]))] for block in qpoints)
         for coset in cosets
     )
 
     # g fixes every orbit exactly when its coset induces the identity, and the
-    # subgroup's own coset always does: the stabilizer of the orbits is the
-    # subgroup exactly when no other coset does.
-    identity_perm = tuple(range(len(qpoints)))
-    identity_coset = next(i for i, c in enumerate(cosets) if action.identity in c)
-    stabilizer_is_subgroup = not any(
-        perm == identity_perm for i, perm in enumerate(induced) if i != identity_coset)
+    # subgroup's own coset, the first, always does: the stabilizer of the
+    # orbits is the subgroup exactly when no other coset does.
+    stabilizer_is_subgroup = tuple(range(len(qpoints))) not in induced[1:]
 
     block_at = [qindex[blocks.block_of(p)] for p in space.points]
     pushed = {(block_at[i], block_at[j]) for i, near_i in enumerate(near) for j in near_i}
-    upd = not any(
-        (bi, perm[bi]) in pushed
-        for i, perm in enumerate(induced) if i != identity_coset
-        for bi in range(len(qpoints))
-    )
+    upd = not any((bi, perm[bi]) in pushed
+                  for perm in induced[1:] for bi in range(len(qpoints)))
     return QuotientAction(
         k, was_saturated, sub, projection.target, projection, cosets, induced,
         True, stabilizer_is_subgroup, upd, stabilizer_is_subgroup,

@@ -32,8 +32,8 @@ class CosetTable:
     def order(self) -> int:
         return len(self.table)
 
-    def trace(self, word, start: int = 0) -> int:
-        c = start
+    def trace(self, word) -> int:
+        c = 0  # the subgroup's own coset
         for letter in word:
             col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
             c = self.table[c][col]

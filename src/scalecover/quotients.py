@@ -22,6 +22,7 @@ from .spaces import (
     UnknownPoint,
     _owned,
     breadth_first,
+    components,
     is_chain,
 )
 
@@ -343,9 +344,7 @@ def fiber_e_components(f: FilteredMap, k: int) -> Partition:
         fx = f(x)
         return [y for y in source.neighbors(k, x) if f(y) == fx]
 
-    parent = {}
-    return Partition(tuple(source.sort_points(breadth_first((x,), fiber_steps, parent))
-                           for x in source.points if x not in parent))
+    return Partition(components(source.points, fiber_steps, source.index))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .spaces import (
 # the word problem's _simplified stops eliminating once the relators have grown
 # by this many letters; H1 does not depend on it
 TIETZE_LETTER_CAP = 10_000
+_REWRITE_STEPS = 10_000  # the most rule applications _rewrite makes to one word
 
 
 class OutsideComponent(SpaceError):
@@ -595,11 +596,11 @@ def _rewriting_rules(pres: GroupPresentation) -> tuple:
     return tuple(sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0])))
 
 
-def _rewrite(word, rules, max_steps=10_000):
+def _rewrite(word, rules):
     word = free_reduce(word)
     steps = 0
     changed = True
-    while changed and steps < max_steps:
+    while changed and steps < _REWRITE_STEPS:
         changed = False
         for head, rep in rules:
             n = len(head)

@@ -13,11 +13,12 @@ as in f(E[x]) <= F[f(x)]; anything whose first hit reaches a report walks the
 ordered neighbours, so set order never decides it.
 
 Every chain search in the package runs on one engine, ``breadth_first``:
-chain components and spanning forests grow one tree per call over a shared
-parent dict, fiber components search only the steps whose ends have equal
-images, the approximate-uniqueness fixpoint searches pairs of points from the
-whole diagonal at once, and group closure searches permutations from the
-identity.
+spanning forests grow one tree per call over a shared parent dict, the
+approximate-uniqueness fixpoint searches pairs of points from the whole
+diagonal at once, and group closure searches permutations from the identity.
+Every partition is a ``components`` search on it: chain components, fiber
+components (along the steps whose ends have equal images), and orbits and
+cosets (along the generators).
 """
 
 from __future__ import annotations
@@ -419,13 +420,19 @@ def _owned(fn):
     return memoized
 
 
+def components(nodes, successors, key=None) -> tuple:
+    """The blocks ``breadth_first`` reaches from each of nodes not yet reached,
+    in node order, each sorted by key: a partition when reaching is symmetric."""
+    parent = {}
+    return tuple(tuple(sorted(breadth_first((x,), successors, parent), key=key))
+                 for x in nodes if x not in parent)
+
+
 def chain_components(space: FilteredSpace, k: int) -> Partition:
     """Connected components of the scale-k closeness graph.
 
     The space is chain connected at scale k exactly when there is one block.
     """
     space.check_scale(k)
-    parent = {}
-    return Partition(tuple(
-        space.sort_points(breadth_first((p,), space._adjacency[k].__getitem__, parent))
-        for p in space.points if p not in parent))
+    return Partition(components(space.points, space._adjacency[k].__getitem__,
+                                space._index.__getitem__))

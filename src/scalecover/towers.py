@@ -23,6 +23,7 @@ from .rips import AbelianGroupInv
 from .spaces import FilteredSpace, SpaceError
 
 DEFAULT_PRODUCT_BOUND = 200_000
+_PATTERN_HORIZON = 64  # powers of a repeated bonding compared before giving up
 
 STABILIZATIONS = ("none", "bijective_beyond", "pattern_repeats")
 
@@ -374,7 +375,7 @@ class Lim1Verdict:
         return not self.trivial
 
 
-def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
+def lim1_verdict(tab: TowerAb) -> Lim1Verdict:
     """Certified lim1 triviality, or an honest Undetermined.
 
     Surjective bondings certify triviality outright.  Otherwise a declared
@@ -413,7 +414,7 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
     # the rank, and the index of each in its saturation as their product.
     power = ila.eye(rows)
     previous = ila.invariant_factors(ila.with_relation_columns(power, relations))
-    for t in range(1, pattern_horizon + 1):
+    for t in range(1, _PATTERN_HORIZON + 1):
         power = ila.matmul([list(r) for r in last], power)
         form = ila.invariant_factors(ila.with_relation_columns(power, relations))
         if form == previous:
@@ -423,4 +424,4 @@ def lim1_verdict(tab: TowerAb, pattern_horizon: int = 64) -> Lim1Verdict:
     return Lim1Verdict(False, None,
                        "image lattices still shrinking at the declared horizon",
                        {"first_unstable_index": tab.length,
-                        "horizon": pattern_horizon})
+                        "horizon": _PATTERN_HORIZON})

@@ -1500,16 +1500,22 @@ def test_action_tower_part_b_matches_all_pairs_loops(action):
 
 def old_scale_subgroup(action, pairs):
     """A relation's record as diagnose_action and quotient_at_scale each built
-    it: the indices near each point index, the elements moving some point near
-    itself (in element order), the subgroup they generate, closed by the
-    hand-written loop, and its orbits in order of their first points."""
+    it: the indices near each point index, of the elements moving some point
+    near itself (in element order) those the earlier ones do not generate,
+    the subgroup they generate, closed by the hand-written loop, and its
+    orbits in order of their first points."""
     space, n = action.space, len(action.space.points)
     near = [{i} for i in range(n)]
     for a, b in pairs:
         i, j = space.index(a), space.index(b)
         near[i].add(j)
         near[j].add(i)
-    seeds = [g for g in action.elements if any(g[i] in near[i] for i in range(n))]
+    seeds = []
+    for g in action.elements:
+        if any(g[i] in near[i] for i in range(n)) \
+                and g not in _old_closure(seeds, n, len(action.elements)):
+            seeds.append(g)
+    seeds = tuple(seeds)
     sub = _old_closure(seeds, n, len(action.elements))
     orbits = [space.sort_points({space.points[g[i]] for g in sub}) for i in range(n)]
     return near, seeds, sub, tuple(o for i, o in enumerate(orbits) if o[0] == space.points[i])
@@ -2247,6 +2253,10 @@ def _closure_outcome(closure, gens, n, bound):
         return ("GroupTooLarge", str(exc))
 
 
+def _closure_elements(gens, n, bound):
+    return actions._closure(gens, n, bound)[0]
+
+
 @st.composite
 def permutation_generators(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -2255,13 +2265,96 @@ def permutation_generators(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(permutation_generators())
+@example((1, []))
+@example((3, [(0, 1, 2)]))
 def test_group_closure_matches_hand_written_loop(drawn):
-    """Elements, or GroupTooLarge, at bounds around the group order."""
+    """Elements, or GroupTooLarge, at bounds around the group order, and
+    GroupTooLarge at bound 0 even for the trivial group, whose identity is
+    one element more than 0 (the hand-written loop counted only new ones)."""
     n, gens = drawn
     order = len(_old_closure(gens, n, math.factorial(n)))
     for bound in range(max(1, order - 2), order + 2):
-        assert _closure_outcome(actions._closure, gens, n, bound) \
+        assert _closure_outcome(_closure_elements, gens, n, bound) \
             == _closure_outcome(_old_closure, gens, n, bound)
+    assert _closure_outcome(_closure_elements, gens, n, 0) \
+        == ("GroupTooLarge", "closure exceeded 0 elements")
+
+
+def _old_orbits(space, elements):
+    """The orbits as the scan over all of a group's elements found them."""
+    pts = space.points
+    seen = set()
+    orbits = []
+    for i in range(len(pts)):
+        if i not in seen:
+            orbit = sorted({g[i] for g in elements})
+            seen.update(orbit)
+            orbits.append(tuple(pts[j] for j in orbit))
+    return tuple(orbits)
+
+
+def _old_cosets(elements, sub):
+    """The cosets g.sub as the loop over all elements found them, sorted."""
+    cosets = []
+    assigned = set()
+    for g in elements:
+        if g in assigned:
+            continue
+        coset = tuple(sorted(actions._compose(g, s) for s in sub))
+        assigned.update(coset)
+        cosets.append(coset)
+    return tuple(sorted(cosets))
+
+
+def _path_symmetric_group(n, generators):
+    """The symmetric group on the path 0 - 1 - ... - n-1 (discrete at scale 2),
+    given by generators that repeat, compose or equal one another."""
+    path = frozenset((i, i + 1) for i in range(n - 1))
+    return close_group(FilteredSpace(tuple(range(n)), (path, frozenset()), hausdorff=True),
+                       generators)
+
+
+# S4 and S5 from a transposition and an n-cycle, with the identity, repeats
+# and products of those mixed in
+S4_REDUNDANT = _path_symmetric_group(4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0),
+                                         (2, 3, 0, 1), (0, 2, 1, 3)])
+S5_REDUNDANT = _path_symmetric_group(5, [(1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (0, 1, 2, 3, 4),
+                                         (1, 0, 2, 3, 4), (3, 4, 0, 1, 2), (0, 1, 3, 2, 4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_action())
+@example(S4_REDUNDANT)
+@example(S5_REDUNDANT)
+def test_component_searches_match_element_lists(action):
+    """Groups closed over the seeds that enlarge them, and orbits and cosets
+    from the one component search over those seeds, against the element-list
+    code: the closure over every seed, the orbit scan over every element and
+    the coset loop over every element with its sort.  The kept seeds
+    regenerate their group, at most log2 of its order of them; cosets are
+    also checked for cyclic subgroups, which need not be normal."""
+    space, n, order = action.space, len(action.space.points), len(action.elements)
+    elements, kept = actions._closure(action.generators, n, order)
+    assert elements == action.elements == _old_closure(action.generators, n, order)
+    assert actions._orbits(space, action.generators).blocks \
+        == _old_orbits(space, action.elements)
+    groups = [(kept, elements)]
+    for k in range(1, space.depth + 1):
+        for pairs in (space.scale_pairs(k), saturate_invariant(action, k)):
+            record = actions._scale_subgroup(action, pairs)
+            moving = [g for g in action.elements
+                      if any(g[i] in record.near[i] for i in range(n))]
+            assert record.subgroup == _old_closure(moving, n, order)
+            assert record.orbits.blocks == _old_orbits(space, record.subgroup)
+            groups.append((record.seeds, record.subgroup))
+        quotient = quotient_at_scale(action, k)
+        assert quotient.cosets == _old_cosets(action.elements, quotient.subgroup)
+    for seeds, group in groups:
+        assert _old_closure(seeds, n, order) == group
+        assert 2 ** len(seeds) <= len(group)
+    for g in set(action.generators) | set(kept):
+        assert actions._cosets(action.elements, (g,)) \
+            == _old_cosets(action.elements, _old_closure([g], n, order))
 
 
 # The ASCII decimal grammar, written out independently of parse_number.
@@ -2446,7 +2539,8 @@ def _first_repeated_power(matrix, relations, horizon):
     return None
 
 
-LIM1_HORIZON = 12
+# the powers lim1_verdict compares, as its reports record them
+LIM1_HORIZON = 64
 
 
 @settings(max_examples=200, deadline=None)
@@ -2461,7 +2555,7 @@ def test_lim1_matches_hermite_lattice_rule(drawn):
     repeats, and is undetermined when none does up to the horizon."""
     group, matrix = drawn
     t = _first_repeated_power(matrix, list(group.torsion) + [0] * group.rank, LIM1_HORIZON)
-    verdict = lim1_verdict(TowerAb((group, group), (matrix,), "pattern_repeats"), LIM1_HORIZON)
+    verdict = lim1_verdict(TowerAb((group, group), (matrix,), "pattern_repeats"))
     if t == 1:
         assert (verdict.trivial, verdict.certificate) == (True, "surjectivity")
     elif t is not None:
