@@ -1,5 +1,8 @@
 """Basepointed covers at a scale, built breadth-first under explicit budgets.
 
+The cover grows in layers of vertex ids: the vertices one round creates get
+the next id range, and the next round resolves the slots of that range only.
+
 A vertex of the cover is a homotopy class of scale-k chains from the
 basepoint, held as its breadth-first-minimal reduced representative.  A new
 chain is compared only with the vertices in its bucket: those with the same
@@ -35,7 +38,7 @@ from .spaces import (
     EndpointMismatch,
     FilteredSpace,
     SpaceError,
-    is_chain,
+    chain,
 )
 
 
@@ -155,11 +158,11 @@ def _extend_reduced(space: FilteredSpace, k: int, rep: tuple, y) -> tuple:
     return tuple(seq)
 
 
-def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -> int:
+def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -> None:
     """Fill edges[vid][y], creating a vertex for a genuinely new class.
 
     With allow_create False the slot is left unexplored when the extension
-    does not identify with a known class; returns whether a class was created.
+    does not identify with a known class.
 
     The extension is reduced by ``_extend_reduced``.  A class found again
     keeps the smaller representative by ``(len, point indices)``; the swap
@@ -174,10 +177,9 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
     word = _chain_letters(cover.presentation, candidate)
     bucket = cover._bucket(y, word)
     target = _identify(cover, candidate, word, bucket)
-    created = target is None
-    if created:
+    if target is None:
         if not allow_create:
-            return False
+            return
         target = cover._add_vertex(candidate, word, bucket)
     elif len(candidate) <= len(cover.reps[target]):
         key = cover._order_key(candidate)
@@ -186,50 +188,36 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
             cover.words[target] = word
             cover._keys[target] = key
     cover.edges[vid][y] = target
-    return created
 
 
 def build_cover(space: FilteredSpace, k: int, basepoint, radius_budget: int,
                 ident_budget: int = DEFAULT_COSET_ROWS) -> PartialCover:
-    """Breadth-first cover construction, stopping at the radius budget.
+    """Breadth-first cover construction in layers of vertex ids, stopping at
+    the radius budget.
 
-    Each round resolves every currently unexplored vertex-successor slot; the
-    cover is complete once a round adds no new class and nothing is left
-    unexplored.  Deterministic given the budgets.
+    Vertex ids are given in creation order, so the vertices a round creates
+    form the next layer, an id range, and only its slots are unexplored.
+    Round r resolves the slots of layer r - 1, the basepoint's being layer 0;
+    the cover is complete once a layer has no slots, as after a round that
+    creates no vertex.  Deterministic given the budgets.
     """
     space.check_scale(k)
     space.index(basepoint)
     cover = PartialCover(space, k, basepoint, ident_budget)
-    rounds = 0
-
-    def unresolved_slots():
-        return [
-            (vid, y)
-            for vid in range(cover.num_vertices)
-            for y in cover.edges[vid]
-            if cover.edges[vid][y] is None
-        ]
-
-    while rounds < radius_budget:
-        unresolved = unresolved_slots()
-        if not unresolved:
-            cover.complete = True
-            break
-        new_classes = 0
-        for vid, y in unresolved:
-            if cover.edges[vid][y] is None:
-                new_classes += _resolve_slot(cover, vid, y)
-        rounds += 1
-        cover.frontier_radius = rounds
-        if new_classes == 0:
-            cover.complete = True
-            break
-    if not cover.complete:
-        # closure pass: the cover is also complete when every frontier
-        # extension identifies with a known class; no vertex is created here
-        for vid, y in unresolved_slots():
-            _resolve_slot(cover, vid, y, allow_create=False)
-        cover.complete = not unresolved_slots()
+    layer = range(1)
+    while any(cover.edges[vid] for vid in layer):
+        # at the radius budget, a closure pass: the cover is also complete
+        # when every frontier extension identifies with a known class
+        closing = cover.frontier_radius >= radius_budget
+        for vid in layer:
+            for y in cover.edges[vid]:
+                _resolve_slot(cover, vid, y, allow_create=not closing)
+        if closing:
+            cover.complete = all(None not in cover.edges[vid].values() for vid in layer)
+            return cover
+        cover.frontier_radius += 1
+        layer = range(layer.stop, cover.num_vertices)
+    cover.complete = True
     return cover
 
 
@@ -328,14 +316,10 @@ def lift_chain(cover: PartialCover, start_vertex: int, downstairs,
     positive extend_budget, unexplored slots along the way are resolved on
     demand; otherwise hitting one raises BudgetExhausted.
     """
-    if isinstance(downstairs, Chain):
-        j, seq = downstairs.scale, downstairs.seq
-    else:
-        j, seq = cover.scale, tuple(downstairs)
+    j = downstairs.scale if isinstance(downstairs, Chain) else cover.scale
     if j < cover.scale:
         raise BadScalePair(f"chain scale {j} is coarser than cover scale {cover.scale}")
-    if not is_chain(cover.space, j, seq):
-        raise SpaceError(f"not a chain at scale {j}: {seq!r}")
+    seq = chain(cover.space, j, downstairs).seq
     if seq[0] != cover.endpoints[start_vertex]:
         raise EndpointMismatch(
             f"chain starts at {seq[0]!r}, vertex ends at {cover.endpoints[start_vertex]!r}"

@@ -29,11 +29,10 @@ from .spaces import (
     Chain,
     EndpointMismatch,
     FilteredSpace,
-    ScaleMismatch,
     SpaceError,
     _owned,
     breadth_first,
-    is_chain,
+    chain,
 )
 
 # the word problem's _simplified stops eliminating once the relators have grown
@@ -208,21 +207,14 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     return pres
 
 
-def chain_word(pres: GroupPresentation, chain) -> tuple:
+def chain_word(pres: GroupPresentation, c) -> tuple:
     """Reduced word of signed generator letters of a chain, read against the
     presentation's spanning tree.
 
     For loops at the basepoint, equal words imply homotopic chains at the
     presentation's scale.
     """
-    if isinstance(chain, Chain):
-        if chain.scale != pres.scale:
-            raise ScaleMismatch(f"chain at scale {chain.scale}, presentation at {pres.scale}")
-        seq = chain.seq
-    else:
-        seq = tuple(chain)
-    if not is_chain(pres.space, pres.scale, seq):
-        raise SpaceError(f"not a chain at scale {pres.scale}: {seq!r}")
+    seq = chain(pres.space, pres.scale, c).seq
     for p in seq:
         if p not in pres._members:
             raise OutsideComponent(f"point {p!r} is outside the basepoint's component")
@@ -433,21 +425,14 @@ def h1_pushforward(source: GroupPresentation, target: GroupPresentation) -> tupl
 # chain reduction
 
 
-def reduce_chain(space: FilteredSpace, k: int, chain) -> Chain:
+def reduce_chain(space: FilteredSpace, k: int, c) -> Chain:
     """Greedy homotopy reduction: drop interior points spanned at scale k.
 
     Each deletion is a homotopy across a triangle or a backtrack, so the
     result is homotopic to the input at scale k and never longer; on return
     no interior point is removable.
     """
-    if isinstance(chain, Chain):
-        if chain.scale != k:
-            raise ScaleMismatch(f"chain at scale {chain.scale}, asked at {k}")
-        seq = list(chain.seq)
-    else:
-        seq = list(chain)
-    if not is_chain(space, k, seq):
-        raise SpaceError(f"not a chain at scale {k}: {tuple(seq)!r}")
+    seq = list(chain(space, k, c).seq)
     changed = True
     while changed:
         changed = False
@@ -707,20 +692,10 @@ def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
     The chains must share both endpoints.  Yes and No answers are exact; an
     Unknown names the exhausted budget.
     """
-    cseq = tuple(c.seq) if isinstance(c, Chain) else tuple(c)
-    dseq = tuple(d.seq) if isinstance(d, Chain) else tuple(d)
-    for obj in (c, d):
-        if isinstance(obj, Chain) and obj.scale != k:
-            raise ScaleMismatch(f"chain at scale {obj.scale}, asked at {k}")
-    for seq in (cseq, dseq):
-        if not is_chain(space, k, seq):
-            raise SpaceError(f"not a chain at scale {k}: {seq!r}")
-    if cseq[0] != dseq[0] or cseq[-1] != dseq[-1]:
-        raise EndpointMismatch(
-            f"chains run {cseq[0]!r}->{cseq[-1]!r} and {dseq[0]!r}->{dseq[-1]!r}"
-        )
-    pres = presentation_at_scale(space, k, cseq[0])
-    word = free_reduce(
-        chain_word(pres, Chain(k, cseq)) + invert_word(chain_word(pres, Chain(k, dseq)))
-    )
+    c, d = chain(space, k, c), chain(space, k, d)
+    if c.start != d.start or c.end != d.end:
+        raise EndpointMismatch(f"chains run {c.start!r}->{c.end!r} and {d.start!r}->{d.end!r}")
+    # both chains start at the basepoint, so both lie in its component
+    pres = presentation_at_scale(space, k, c.start)
+    word = free_reduce(_chain_letters(pres, c.seq) + invert_word(_chain_letters(pres, d.seq)))
     return _word_trivial(pres, word, coset_budget)

@@ -12,6 +12,9 @@ in point order.  Relation questions are asked per point against that index,
 as in f(E[x]) <= F[f(x)]; anything whose first hit reaches a report walks the
 ordered neighbours, so set order never decides it.
 
+``chain`` is the one chain check: the functions that take a chain, as a
+point sequence or a ``Chain``, validate it there; ``is_chain`` is its bool.
+
 Every chain search in the package runs on one engine, ``breadth_first``:
 spanning forests grow one tree per call over a shared parent dict, the
 approximate-uniqueness fixpoint searches pairs of points from the whole
@@ -286,9 +289,9 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
     """Threshold a distance matrix at strictly decreasing radii.
 
     Scale k relates x and y when d(x, y) <= r_k (closed entourages).  The
-    hausdorff flag is set exactly when the finest radius lies below the
-    smallest positive distance.  The matrix is checked a row at a time, and
-    walked entry by entry only to name the first bad entry.
+    space is Hausdorff exactly when its finest scale is the diagonal, so not
+    when two distinct points are at distance 0.  The matrix is checked a row
+    at a time, and walked entry by entry only to name the first bad entry.
     """
     n = len(matrix)
     try:  # != (unlike tuple equality) refuses a NaN object at [i][j] and [j][i]
@@ -329,17 +332,12 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
     # finest[k] holds the pairs whose finest scale is k: d <= r_k, not d <= r_(k+1)
     ascending, depth = radii[::-1], len(radii)
     finest = [[] for _ in range(depth + 1)]
-    minima = []
     for i, row in enumerate(matrix):
-        later = row[i + 1:]
-        minima.append(min(filter(None, later), default=0))  # no entry is < 0 or NaN here
-        for j in compress(range(i + 1, n), map(le, later, repeat(radii[0]))):
+        for j in compress(range(i + 1, n), map(le, row[i + 1:], repeat(radii[0]))):
             finest[depth - bisect_left(ascending, row[j])].append((points[i], points[j]))
     # scale k is the union of finest[depth], ..., finest[k]
     scales = tuple(accumulate(finest[:0:-1], frozenset.union, initial=frozenset()))[:0:-1]
-    min_positive = min(filter(None, minima), default=None)
-    hausdorff = min_positive is None or radii[-1] < min_positive
-    return FilteredSpace(points, scales, hausdorff)
+    return FilteredSpace(points, scales, hausdorff=not scales[-1])
 
 
 def subspace(space: FilteredSpace, keep: Iterable) -> FilteredSpace:
@@ -366,11 +364,20 @@ def is_chain(space: FilteredSpace, k: int, seq: Sequence) -> bool:
     return all(b in space.closed(k, a) for a, b in zip(seq, seq[1:]))
 
 
-def chain(space: FilteredSpace, k: int, seq: Sequence) -> Chain:
-    """Validated Chain constructor."""
+def chain(space: FilteredSpace, k: int, seq) -> Chain:
+    """The one chain check: seq, a point sequence or a Chain, as a scale-k Chain.
+
+    Raises ScaleMismatch for a Chain at another scale, and SpaceError unless
+    seq is a nonempty chain at scale k.
+    """
+    if isinstance(seq, Chain):
+        if seq.scale != k:
+            raise ScaleMismatch(f"chain at scale {seq.scale}, asked at {k}")
+        seq = seq.seq
+    seq = tuple(seq)
     if not is_chain(space, k, seq):
-        raise SpaceError(f"not a chain at scale {k}: {tuple(seq)!r}")
-    return Chain(k, tuple(seq))
+        raise SpaceError(f"not a chain at scale {k}: {seq!r}")
+    return Chain(k, seq)
 
 
 def breadth_first(sources, successors, parent: dict):

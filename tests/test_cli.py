@@ -339,6 +339,17 @@ def test_radii_on_a_json_spec_is_input_error(capsys, tmp_path, argv):
 
 
 class TestAnalyze:
+    def test_zero_distance_points_replay(self, capsys, tmp_path):
+        # points 0 and 1 at distance 0 share the finest scale: not Hausdorff
+        path = tmp_path / "zero.csv"
+        path.write_text("0,0,2\n0,0,2\n2,2,0\n")
+        out = tmp_path / "zero.json"
+        code, _ = run(capsys, "analyze", str(path), "--radii", "3,1", "--out", str(out))
+        assert code == 0
+        code, replay = run(capsys, "verify", "--replay", str(out))
+        assert code == 0
+        assert replay["results"]["results_identical"] is True
+
     def test_c6_barcode(self, capsys, c6_csv_file, tmp_path):
         barcode = tmp_path / "barcode.csv"
         code, report = run(

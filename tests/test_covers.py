@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from scalecover.covers import (
@@ -12,8 +14,21 @@ from scalecover.covers import (
     verify_endpoint_ucm,
 )
 from scalecover.quotients import FilteredMap, verify_gucm
-from scalecover.rips import AbelianGroupInv
-from scalecover.spaces import Chain, FilteredSpace, from_metric, subspace
+from scalecover.rips import (
+    AbelianGroupInv,
+    chain_word,
+    decide_e_homotopic,
+    presentation_at_scale,
+    reduce_chain,
+)
+from scalecover.spaces import (
+    Chain,
+    FilteredSpace,
+    ScaleMismatch,
+    SpaceError,
+    from_metric,
+    subspace,
+)
 from test_properties import fhat
 
 
@@ -53,6 +68,83 @@ class TestBuildCover:
         a = build_cover(fix_c6, 2, 0, 4)
         b = build_cover(fix_c6, 2, 0, 4)
         assert a.reps == b.reps and a.edges == b.edges
+
+
+# two 4-cycles sharing point 0: no triangles at scale 1, so pi1 is free of
+# rank 2 and the cover of point 0 is a tree
+FIGURE_EIGHT_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6))
+FIGURE_EIGHT = FilteredSpace(tuple(range(7)), (frozenset(FIGURE_EIGHT_EDGES),))
+
+
+def non_backtracking_walks(edges, start, radius):
+    """The number of walks from start of length at most radius that never
+    step straight back along the edge they came by."""
+    nbrs = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    total, ends = 1, Counter({(None, start): 1})  # (previous, current) -> walks
+    for _ in range(radius):
+        steps = Counter()
+        for (prev, cur), n in ends.items():
+            for y in nbrs[cur]:
+                if y != prev:
+                    steps[cur, y] += n
+        ends = steps
+        total += sum(ends.values())
+    return total
+
+
+def test_walk_counts():
+    assert [non_backtracking_walks(FIGURE_EIGHT_EDGES, 0, r) for r in (6, 8, 10, 12, 14)] == [
+        41, 65, 137, 209, 425]
+
+
+@pytest.mark.parametrize("radius", range(15))
+def test_figure_eight_cover_is_the_walk_tree(radius):
+    """Round r creates the lifts at distance r, and the tree never closes."""
+    cover = build_cover(FIGURE_EIGHT, 1, 0, radius)
+    assert cover.num_vertices == non_backtracking_walks(FIGURE_EIGHT_EDGES, 0, radius)
+    assert not cover.complete
+    assert cover.frontier_radius == radius
+
+
+@pytest.mark.parametrize("radius", [0, 3])
+def test_isolated_basepoint_cover_is_complete(radius):
+    space = FilteredSpace((0, 1, 2), (frozenset({(1, 2)}),))
+    cover = build_cover(space, 1, 0, radius)
+    assert (cover.num_vertices, cover.complete, cover.frontier_radius) == (1, True, 0)
+
+
+def _chain_check_calls(fix_c6):
+    """Each function that takes a chain, called on a given chain at scale 2."""
+    cover = build_cover(fix_c6, 2, 0, 2)
+    return {
+        "chain_word": lambda c: chain_word(presentation_at_scale(fix_c6, 2, 0), c),
+        "reduce_chain": lambda c: reduce_chain(fix_c6, 2, c),
+        "decide_e_homotopic": lambda c: decide_e_homotopic(fix_c6, 2, c, (0, 1, 2)),
+        "lift_chain": lambda c: lift_chain(cover, 0, c),
+    }
+
+
+@pytest.mark.parametrize("name,bad,error", [
+    ("chain_word", Chain(1, (0, 1, 2)), ScaleMismatch),
+    ("chain_word", (0, 2), SpaceError),
+    ("reduce_chain", Chain(1, (0, 1, 2)), ScaleMismatch),
+    ("reduce_chain", (0, 2), SpaceError),
+    ("decide_e_homotopic", Chain(1, (0, 1, 2)), ScaleMismatch),
+    ("decide_e_homotopic", (0, 2), SpaceError),
+    ("lift_chain", Chain(1, (0, 1, 2)), BadScalePair),
+    ("lift_chain", (0, 2), SpaceError),
+])
+def test_chain_checks_raise_as_before(fix_c6, name, bad, error):
+    """A Chain at a coarser scale than asked, and a sequence that is not a
+    scale-2 chain, raise exactly these types; the good chain passes."""
+    call = _chain_check_calls(fix_c6)[name]
+    with pytest.raises(SpaceError) as raised:
+        call(bad)
+    assert type(raised.value) is error
+    call(Chain(2, (0, 1, 2)))
 
 
 class TestEndpointMap:

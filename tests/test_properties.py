@@ -2662,9 +2662,7 @@ def _old_from_metric(matrix, radii, points=None):
                 if matrix[i][j] <= r:
                     pairs.add((points[i], points[j]))
         scales.append(frozenset(pairs))
-    positive = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
-    min_positive = min((d for d in positive if d > 0), default=None)
-    hausdorff = min_positive is None or radii[-1] < min_positive
+    hausdorff = not scales[-1]  # the finest scale is the diagonal
     return FilteredSpace(points, tuple(scales), hausdorff)
 
 
