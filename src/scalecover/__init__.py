@@ -18,6 +18,7 @@ from .spaces import (
     Partition,
     chain,
     chain_components,
+    from_finest,
     from_metric,
     is_chain,
     subspace,
@@ -92,6 +93,7 @@ __all__ = [
     "diagnose_action",
     "factor_and_verify",
     "fiber_e_components",
+    "from_finest",
     "from_metric",
     "h1_at_scale",
     "h1_class",

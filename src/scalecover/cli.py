@@ -22,7 +22,7 @@ which gives both their text, indented for the report, and their
 ``input_digest``.  Integer flags and budgets are read in ASCII decimal only.
 ``verify --replay`` checks a stored report's options as their flags were
 checked, and its budgets against BUDGETS, before it runs them; it replays
-reports of schema 1 and 2, comparing schema 1 results in the shape it wrote.
+reports of schemas 1 to 3, comparing schema 1 results in the shape it wrote.
 """
 
 from __future__ import annotations
@@ -365,8 +365,11 @@ def _replay_options(kind, obj, options):
 
 # Schema 1 also wrote a quotient report's blocks as fiber_components, and the
 # factorization's quotient with whole spaces and maps; schema 2 writes that
-# quotient as its blocks and g's images.
+# quotient as its blocks and g's images.  Schema 3 changes only the layout
+# and the inputs' space specs, which are read in either form, so schema-2
+# and schema-3 results compare alike.
 SCHEMA_1 = "scalecover-report/1"
+SCHEMAS = (SCHEMA_1, "scalecover-report/2", formats.SCHEMA)
 _SCHEMA_1_QUOTIENT = ("base", "blocks", "g", "hypothesis_met", "q", "q_chain_lifting",
                       "scale", "singleton_property", "space")
 
@@ -397,9 +400,9 @@ def _replay(stored, budgets):
     inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
     formats._expect(stored.get("results"), dict, "report field results")
     schema = stored.get("schema")
-    if schema not in (SCHEMA_1, formats.SCHEMA):
-        raise formats.ParseError(f"report field schema must be {SCHEMA_1!r} or "
-                                 f"{formats.SCHEMA!r}, got {schema!r}")
+    if schema not in SCHEMAS:
+        raise formats.ParseError(f"report field schema must be one of "
+                                 f"{', '.join(map(repr, SCHEMAS))}, got {schema!r}")
     kind = formats._field(replay, "kind", "report field replay.kind")
     if not isinstance(kind, str) or kind not in COMMANDS:
         raise formats.ParseError(f"cannot replay report kind {kind!r}")

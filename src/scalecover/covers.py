@@ -344,16 +344,21 @@ def lift_chain(cover: PartialCover, start_vertex: int, downstairs,
     return lift
 
 
+def _dot_quoted(text: str) -> str:
+    """text as a DOT quoted string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cover_to_dot(cover: PartialCover) -> str:
     """Graphviz rendering with canonical representatives as labels."""
     lines = ["digraph cover {"]
     for vid in range(cover.num_vertices):
-        label = ",".join(str(p) for p in cover.reps[vid])
+        label = _dot_quoted(",".join(str(p) for p in cover.reps[vid]))
         shape = ' shape="doublecircle"' if vid == 0 else ""
-        lines.append(f'  v{vid} [label="{label}"{shape}];')
+        lines.append(f"  v{vid} [label={label}{shape}];")
     for vid in range(cover.num_vertices):
         for y, target in cover.edges[vid].items():
             if target is not None:
-                lines.append(f'  v{vid} -> v{target} [label="{y}"];')
+                lines.append(f"  v{vid} -> v{target} [label={_dot_quoted(str(y))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,17 +1,25 @@
 """File formats and canonical serialization.
 
-All structured input and output is JSON with sorted keys, two-space indent
-and a trailing newline, so serialize(parse(file)) is byte-identical for
-canonical files.  Reports are written by a small recursive writer whose bytes
-equal ``json.dumps(to_jsonable(value), sort_keys=True, indent=2,
-ensure_ascii=True)``; it walks the result objects in one pass and writes
-floats as ``json.dumps`` does.
+All structured output is JSON with sorted keys, two-space indent, ASCII
+escapes and a trailing newline, and every array whose members are all JSON
+scalars (strings, numbers, booleans, null) stands on one line as
+``[a, b, c]``; every other array and every object has one member per line.
+Reports are written by a small recursive writer that walks the result
+objects in one pass and writes what ``to_jsonable`` makes of them, floats
+as ``json.dumps`` writes them.  Canonical files are byte-identical after
+serialize(parse(file)).
 JSON input may not hold the non-finite constants NaN, Infinity or -Infinity,
 which are not JSON, nor numbers such as 1e400 that overflow to them.
 Distance matrices come in as headerless CSV; its cells and the CLI's
 ``--radii`` go through one number reader, ``parse_number``, which accepts
 ASCII decimal numbers only and refuses non-finite values.  Parse errors
 carry the position that failed.
+
+A space is written as its points, its depth and one ``[a, b, k]`` per
+unordered pair of distinct points related at some scale, k being the
+finest scale that relates them (``space_to_spec``).  ``space_from_spec``
+reads that form, explicit per-scale pair lists (``scales``) and distance
+matrices (``matrix`` with ``radii``).
 """
 
 from __future__ import annotations
@@ -21,15 +29,16 @@ import functools
 import hashlib
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .actions import ActionSpec, close_group
 from .quotients import FilteredMap
 from .rips import AbelianGroupInv
-from .spaces import FilteredSpace, from_metric, validate_space
+from .spaces import FilteredSpace, from_finest, from_metric, validate_space
 from .towers import InvalidTower, SpaceTower, TowerAb
 
-SCHEMA = "scalecover-report/2"
+SCHEMA = "scalecover-report/3"
 
 
 class ParseError(ValueError):
@@ -105,12 +114,38 @@ _SCALAR_TEXT = {
 }
 
 
+_CONTAINERS = (list, tuple, dict, set, frozenset)
+_INTS = frozenset({int})
+
+
+def _leaf_line(values):
+    """The one-line text of ``values``, an array, when each member is
+    written as a JSON scalar (to_jsonable makes it a str, int, float, bool or
+    None), else None."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        if kinds == _INTS:  # repr writes a list of ints as JSON does
+            return repr(values if type(values) is list else list(values))
+        return "[" + ", ".join([_SCALAR_TEXT[type(v)](v) for v in values]) + "]"
+    if not kinds.isdisjoint(_CONTAINERS):
+        return None
+    texts = []
+    for v in values:  # subclasses of the scalars, and str() of anything else
+        if _public_fields(type(v)) is not None or isinstance(v, _CONTAINERS):
+            return None
+        piece = []
+        _write(v, piece, "")
+        texts.append(piece[0])
+    return "[" + ", ".join(texts) + "]"
+
+
 def _write(value, out: list, newline: str) -> None:
-    """Append the indent-2 JSON text of ``to_jsonable(value)`` to ``out``.
+    """Append the canonical JSON text of ``to_jsonable(value)`` to ``out``.
 
     ``newline`` is a newline plus the indentation of the line ``value``
-    starts on.  Each key and each scalar list member is appended together
-    with the separator before it, so few pieces are made.
+    starts on.  An array of scalars is appended as one line; each key and
+    each scalar member of any other array is appended together with the
+    separator before it, so few pieces are made.
     """
     cls = type(value)
     if cls is dict:
@@ -131,6 +166,10 @@ def _write(value, out: list, newline: str) -> None:
     elif cls is list or cls is tuple:
         if not value:
             out.append("[]")
+            return
+        line = _leaf_line(value)
+        if line is not None:
+            out.append(line)
             return
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
@@ -157,9 +196,8 @@ def _write(value, out: list, newline: str) -> None:
 
 def canonical_dumps(obj) -> str:
     """The canonical report text of ``obj``: ``to_jsonable(obj)`` as JSON
-    with sorted keys, two-space indent, ASCII escapes and a trailing newline,
-    byte-identical to ``json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=True) + "\\n"``."""
+    with sorted keys, two-space indent, ASCII escapes, each array of scalars
+    on one line, and a trailing newline."""
     out = []
     _write(obj, out, "\n")
     out.append("\n")
@@ -188,14 +226,15 @@ def written_field(obj):
 
 
 def space_to_spec(space: FilteredSpace) -> dict:
-    scales = [
-        [[x, y] for x in space.points for y in space.sort_points(space.closed(k, x))]
-        for k in range(1, space.depth + 1)
-    ]
+    """The space as its points, its depth and one ``[a, b, k]`` per related
+    pair of distinct points, k the finest scale relating them, listed in
+    point order with a before b."""
+    finest = {pair: k for k, pairs in enumerate(space.scales, start=1) for pair in pairs}
     return {
         "kind": "space",
         "points": list(space.points),
-        "scales": scales,
+        "depth": space.depth,
+        "pairs": [[a, b, finest[a, b]] for a, b in space.sorted_pairs(1)],
         "hausdorff": space.hausdorff,
     }
 
@@ -217,6 +256,14 @@ def _point(value):
     if isinstance(value, list):
         return tuple(_point(v) for v in value)
     raise ParseError(f"a point must be a JSON scalar or array, got {value!r}")
+
+
+def _points(values, what) -> list:
+    """An array of points: the array itself when it holds only JSON scalars
+    (each its own point), else each member read by ``_as_point``."""
+    if set(map(type, _expect(values, list, what))) <= _POINT_TYPES:
+        return values
+    return [_as_point(p) for p in values]
 
 
 def _expect(value, kind, what):
@@ -249,23 +296,60 @@ def _pair(value):
     return _as_point(value[0]), _as_point(value[1])
 
 
+def _scale(value):
+    """A scale's pairs of points: the array itself when it holds only arrays
+    of two JSON scalars (each its own point), else each entry read by
+    ``_pair``, which names the first bad one."""
+    scale = _expect(value, list, "a scale")
+    if (set(map(type, scale)) <= {list} and set(map(len, scale)) <= {2}
+            and set(map(type, chain.from_iterable(scale))) <= _POINT_TYPES):
+        return scale
+    return [_pair(pair) for pair in scale]
+
+
+def _finest_pairs(spec):
+    """The depth and the (a, b, k) triples of a space spec's pairs form."""
+    depth = _field(spec, "depth")
+    if type(depth) is not int or depth < 1:
+        raise ParseError(f"depth must be a positive integer, got {depth!r}")
+    triples = []
+    for entry in _expect(_field(spec, "pairs"), list, "pairs"):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"a pair must be an array [a, b, k], got {entry!r}")
+        a, b, k = entry
+        if type(k) is not int or not 1 <= k <= depth:
+            raise ParseError(f"the finest scale of a pair must be an integer in 1..{depth}, "
+                             f"got {entry!r}")
+        triples.append((_as_point(a), _as_point(b), k))
+    return depth, triples
+
+
+def _hausdorff(spec):
+    hausdorff = spec.get("hausdorff", False)
+    if type(hausdorff) is not bool:
+        raise ParseError(f"hausdorff must be true or false, got {hausdorff!r}")
+    return hausdorff
+
+
 def space_from_spec(spec: dict) -> FilteredSpace:
+    """A space from its points with either its pairs form (``depth`` and
+    ``pairs``, as ``space_to_spec`` writes) or explicit per-scale pair lists
+    (``scales``), or from a distance matrix with ``radii``."""
     if _expect(spec, dict, "a space spec").get("kind") not in (None, "space"):
         raise ParseError(f"expected a space spec, got kind {spec.get('kind')!r}")
     if "points" in spec:
-        points = [_as_point(p) for p in _expect(spec["points"], list, "points")]
-        scales = [[_pair(pair) for pair in _expect(scale, list, "a scale")]
-                  for scale in _expect(_field(spec, "scales"), list, "scales")]
-        hausdorff = spec.get("hausdorff", False)
-        if type(hausdorff) is not bool:
-            raise ParseError(f"hausdorff must be true or false, got {hausdorff!r}")
-        return validate_space(points, scales, hausdorff)
+        points = _points(spec["points"], "points")
+        if "pairs" in spec:
+            depth, triples = _finest_pairs(spec)
+            return from_finest(points, depth, triples, _hausdorff(spec))
+        scales = [_scale(scale) for scale in _expect(_field(spec, "scales"), list, "scales")]
+        return validate_space(points, scales, _hausdorff(spec))
     if "matrix" in spec:
         matrix = [_numbers(row, "a matrix row")
                   for row in _expect(spec["matrix"], list, "matrix")]
         names = spec.get("names")
         if names is not None:
-            names = [_as_point(p) for p in _expect(names, list, "names")]
+            names = _points(names, "names")
         return from_metric(matrix, _numbers(_field(spec, "radii"), "radii"), names)
     raise ParseError("space spec needs either points/scales or matrix/radii")
 
@@ -334,8 +418,8 @@ def map_from_spec(spec: dict) -> FilteredMap:
         raise ParseError(f"expected a map spec, got kind {spec.get('kind')!r}")
     source = space_from_spec(_field(spec, "source"))
     target = space_from_spec(_field(spec, "target"))
-    assignment = _expect(_field(spec, "assignment"), list, "assignment")
-    return FilteredMap(source, target, tuple(_as_point(p) for p in assignment))
+    assignment = _points(_field(spec, "assignment"), "assignment")
+    return FilteredMap(source, target, tuple(assignment))
 
 
 def counterexample_from_spec(spec, what: str) -> dict:
@@ -367,7 +451,7 @@ def action_from_spec(spec: dict) -> ActionSpec:
     if _expect(spec, dict, "an action spec").get("kind") not in (None, "action"):
         raise ParseError(f"expected an action spec, got kind {spec.get('kind')!r}")
     space = space_from_spec(_field(spec, "space"))
-    generators = [[_as_point(p) for p in _expect(g, list, "a generator")]
+    generators = [_points(g, "a generator")
                   for g in _expect(_field(spec, "generators"), list, "generators")]
     return close_group(space, generators)
 
@@ -399,7 +483,7 @@ def space_tower_from_spec(spec: dict, base_dir: str = ".") -> SpaceTower:
         raise InvalidTower("need exactly one bonding map per adjacent pair")
     bondings = tuple(
         FilteredMap(spaces[i + 1], spaces[i],
-                    tuple(_as_point(p) for p in _expect(assignment, list, "a bonding")))
+                    tuple(_points(assignment, "a bonding")))
         for i, assignment in enumerate(assignments)
     )
     return SpaceTower(spaces, bondings, spec.get("stabilization", "none"))

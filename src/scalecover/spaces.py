@@ -6,7 +6,7 @@ symmetric reflexive relations E_1 >= E_2 >= ... >= E_m, each one recording
 scale, so a larger index always means a finer relation.  All values are
 immutable after construction and every operation here is a pure function.
 
-A space is indexed once, when it is built: for each scale k and point x it
+A space indexes a scale when the scale is first read: for each point x it
 holds the closed neighbourhood E_k[x] as a frozenset and the neighbours of x
 in point order.  Relation questions are asked per point against that index,
 as in f(E[x]) <= F[f(x)]; anything whose first hit reaches a report walks the
@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import wraps
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain as _chain, compress, repeat
 from operator import le, ne
 from typing import Iterable, Sequence
 
@@ -106,11 +106,12 @@ class FilteredSpace:
     order, when a scale is not contained in the one before it, so every
     space's scales nest.
 
-    Construction indexes every scale by point: ``closed(k, x)`` is the closed
-    neighbourhood E_k[x] as a frozenset, for membership tests, and
-    ``neighbors(k, x)`` the points other than x in it, in point order, for
-    iteration whose order can reach a report.  ``related`` is one lookup in
-    the first.
+    A scale is indexed by point the first time it is read: ``closed(k, x)``
+    is the closed neighbourhood E_k[x] as a frozenset, for membership tests,
+    and ``neighbors(k, x)`` the points other than x in it, in point order,
+    for iteration whose order can reach a report.  ``related`` is one lookup
+    in the first.  The index lives on the space, so a scale that is never
+    read, such as every scale of a tower's limit space, is never indexed.
     """
 
     points: tuple
@@ -124,17 +125,34 @@ class FilteredSpace:
                 raise NotNested(k, min(fine - coarse,
                                        key=lambda ab: (index[ab[0]], index[ab[1]])))
         object.__setattr__(self, "_index", index)
-        closed, adjacency = {}, {}
-        for k, pairs in enumerate(self.scales, start=1):
-            nbrs = {p: set() for p in self.points}
-            for a, b in pairs:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            adjacency[k] = {p: tuple(sorted(ys, key=index.__getitem__))
-                            for p, ys in nbrs.items()}
-            closed[k] = {p: frozenset(ys | {p}) for p, ys in nbrs.items()}
-        object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_closed", {})
+        object.__setattr__(self, "_adjacency", {})
+
+    def _scale_index(self, k):
+        """Scale k's closed neighbourhoods and ordered neighbours by point,
+        built on first use; BadScale for a scale out of range."""
+        try:
+            return self._closed[k], self._adjacency[k]
+        except KeyError:
+            self.check_scale(k)
+        index = self._index
+        nbrs = {p: set() for p in self.points}
+        for a, b in self.scales[k - 1]:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        adjacency = {p: tuple(sorted(ys, key=index.__getitem__)) for p, ys in nbrs.items()}
+        closed = {p: frozenset(ys | {p}) for p, ys in nbrs.items()}
+        self._closed[k], self._adjacency[k] = closed, adjacency
+        return closed, adjacency
+
+    def _missed(self, k, x):
+        """(E_k[x], the neighbours of x) after a lookup missed: scale k is
+        indexed unless it already is, and BadScale comes before UnknownPoint."""
+        closed, adjacency = self._scale_index(k)
+        try:
+            return closed[x], adjacency[x]
+        except KeyError:
+            raise UnknownPoint(x) from None
 
     @property
     def depth(self) -> int:
@@ -163,8 +181,7 @@ class FilteredSpace:
         try:
             return self._closed[k][x]
         except KeyError:
-            self.check_scale(k)
-            raise UnknownPoint(x) from None
+            return self._missed(k, x)[0]
 
     def related(self, k: int, x, y) -> bool:
         if y in self.closed(k, x):
@@ -177,8 +194,7 @@ class FilteredSpace:
         try:
             return self._adjacency[k][x]
         except KeyError:
-            self.check_scale(k)
-            raise UnknownPoint(x) from None
+            return self._missed(k, x)[1]
 
     def scale_pairs(self, k: int) -> frozenset:
         self.check_scale(k)
@@ -240,26 +256,24 @@ class Partition:
 
 
 def _normalize_scale(points, index, raw_pairs, k):
-    """Strict symmetry/reflexivity check of an ordered pair list for scale k."""
-    listed = set()
-    for a, b in raw_pairs:
-        if a not in index:
-            raise UnknownPoint(a)
-        if b not in index:
-            raise UnknownPoint(b)
-        listed.add((a, b))
-    for a, b in sorted(listed, key=lambda ab: (index[ab[0]], index[ab[1]])):
-        if a != b and (b, a) not in listed:
-            raise NonSymmetric(k, (a, b))
-    for p in points:
-        if (p, p) not in listed:
-            raise NonReflexive(k, p)
-    normalized = set()
-    for a, b in listed:
-        if a != b:
-            ia, ib = index[a], index[b]
-            normalized.add((a, b) if ia < ib else (b, a))
-    return frozenset(normalized)
+    """Strict symmetry/reflexivity check of an ordered pair list for scale k,
+    in bulk.  The pairs are walked one by one only to name the first unknown
+    point in list order, and searched only to name the first pair without a
+    mirror in point order."""
+    listed = set(map(tuple, raw_pairs))
+    if not index.keys() >= set(_chain.from_iterable(listed)):
+        for a, b in raw_pairs:
+            if a not in index:
+                raise UnknownPoint(a)
+            if b not in index:
+                raise UnknownPoint(b)
+    mirrors = {(b, a) for a, b in listed}
+    if mirrors != listed:
+        raise NonSymmetric(k, min(((a, b) for b, a in mirrors - listed),
+                                  key=lambda ab: (index[ab[0]], index[ab[1]])))
+    if not listed.issuperset(zip(points, points)):
+        raise NonReflexive(k, next(p for p in points if (p, p) not in listed))
+    return frozenset((a, b) for a, b in listed if index[a] < index[b])
 
 
 def validate_space(points: Sequence, scales: Sequence, hausdorff: bool = False) -> FilteredSpace:
@@ -335,9 +349,50 @@ def from_metric(matrix: Sequence[Sequence], radii: Sequence, points: Sequence = 
     for i, row in enumerate(matrix):
         for j in compress(range(i + 1, n), map(le, row[i + 1:], repeat(radii[0]))):
             finest[depth - bisect_left(ascending, row[j])].append((points[i], points[j]))
-    # scale k is the union of finest[depth], ..., finest[k]
-    scales = tuple(accumulate(finest[:0:-1], frozenset.union, initial=frozenset()))[:0:-1]
+    scales = _nested(finest)
     return FilteredSpace(points, scales, hausdorff=not scales[-1])
+
+
+def _nested(finest) -> tuple:
+    """Scales 1..m from finest[k], the pairs whose finest scale is k (finest[0]
+    is unused): scale k is the union of finest[m], ..., finest[k]."""
+    return tuple(accumulate(finest[:0:-1], frozenset.union, initial=frozenset()))[:0:-1]
+
+
+def from_finest(points: Sequence, depth: int, pairs: Iterable,
+                hausdorff: bool = False) -> FilteredSpace:
+    """Build a FilteredSpace of the given depth from each related pair's
+    finest scale.
+
+    ``pairs`` holds one (a, b, k), 1 <= k <= depth, per unordered pair of
+    distinct points related at some scale: a and b are related at scales
+    1..k, so the scales nest by construction, and a pair that is not listed
+    is related at no scale.  Raises SpaceError for duplicate points, a point paired with
+    itself or a pair listed twice (in either order), UnknownPoint, and
+    HausdorffViolated when the flag is set and a pair reaches scale depth.
+    """
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise SpaceError("duplicate point identifiers")
+    index = {p: i for i, p in enumerate(points)}
+    finest = [[] for _ in range(depth + 1)]
+    seen = set()
+    for a, b, k in pairs:
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            raise UnknownPoint(b if a in index else a) from None
+        if i == j:
+            raise SpaceError(f"pair {(a, b)!r} relates a point to itself")
+        pair = (points[i], points[j]) if i < j else (points[j], points[i])
+        if pair in seen:
+            raise SpaceError(f"pair {pair!r} is listed twice")
+        seen.add(pair)
+        finest[k].append(pair)
+    space = FilteredSpace(points, _nested(finest), hausdorff)
+    if hausdorff and finest[depth]:
+        raise HausdorffViolated(space.sorted_pairs(depth)[0])
+    return space
 
 
 def subspace(space: FilteredSpace, keep: Iterable) -> FilteredSpace:
@@ -440,6 +495,5 @@ def chain_components(space: FilteredSpace, k: int) -> Partition:
 
     The space is chain connected at scale k exactly when there is one block.
     """
-    space.check_scale(k)
-    return Partition(components(space.points, space._adjacency[k].__getitem__,
+    return Partition(components(space.points, space._scale_index(k)[1].__getitem__,
                                 space._index.__getitem__))

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalecover
 from conftest import identity_map
+from reference_writer import reference_dumps
 from scalecover import actions, cli, formats
 from scalecover.cli import main
 from scalecover.rips import DEFAULT_COSET_ROWS
@@ -199,6 +200,72 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     assert report["results"]["error"].startswith("ParseError: ")
     if case in MISSING_FIELDS:
         assert report["results"]["error"] == f"ParseError: field {MISSING_FIELDS[case]} is missing"
+
+
+PAIRS_SPEC = {"kind": "space", "points": [0, 1, 2], "depth": 2,
+              "pairs": [[0, 1, 2], [1, 2, 1]], "hausdorff": False}
+
+# each way a space spec of the pairs form can be bad, and the error it names
+BAD_PAIRS_SPECS = {
+    "duplicate_points": ({"points": [0, 1, 0]},
+                         "SpaceError: duplicate point identifiers"),
+    "no_depth": ({"depth": None}, "ParseError: field depth is missing"),
+    "depth_zero": ({"depth": 0}, "ParseError: depth must be a positive integer, got 0"),
+    "depth_true": ({"depth": True}, "ParseError: depth must be a positive integer, got True"),
+    "depth_float": ({"depth": 2.0}, "ParseError: depth must be a positive integer, got 2.0"),
+    "depth_text": ({"depth": "2"}, "ParseError: depth must be a positive integer, got '2'"),
+    "pairs_not_array": ({"pairs": 5}, "ParseError: pairs must be an array, got int"),
+    "entry_not_array": ({"pairs": [[0, 1, 1], 7]},
+                        "ParseError: a pair must be an array [a, b, k], got 7"),
+    "entry_of_two": ({"pairs": [[0, 1]]},
+                     "ParseError: a pair must be an array [a, b, k], got [0, 1]"),
+    "entry_of_four": ({"pairs": [[0, 1, 1, 1]]},
+                      "ParseError: a pair must be an array [a, b, k], got [0, 1, 1, 1]"),
+    "scale_zero": ({"pairs": [[0, 1, 0]]}, "ParseError: the finest scale of a pair must "
+                                           "be an integer in 1..2, got [0, 1, 0]"),
+    "scale_above_depth": ({"pairs": [[0, 1, 3]]}, "ParseError: the finest scale of a pair "
+                                                  "must be an integer in 1..2, got [0, 1, 3]"),
+    "scale_float": ({"pairs": [[0, 1, 1.0]]}, "ParseError: the finest scale of a pair must "
+                                              "be an integer in 1..2, got [0, 1, 1.0]"),
+    "scale_true": ({"pairs": [[0, 1, True]]}, "ParseError: the finest scale of a pair must "
+                                              "be an integer in 1..2, got [0, 1, True]"),
+    "point_with_itself": ({"pairs": [[0, 1, 1], [2, 2, 1]]},
+                          "SpaceError: pair (2, 2) relates a point to itself"),
+    "unknown_first_point": ({"pairs": [[7, 1, 1]]}, "UnknownPoint: unknown point 7"),
+    "unknown_second_point": ({"pairs": [[0, 8, 1]]}, "UnknownPoint: unknown point 8"),
+    "listed_twice": ({"pairs": [[0, 1, 2], [1, 2, 1], [0, 1, 2]]},
+                     "SpaceError: pair (0, 1) is listed twice"),
+    "listed_twice_reversed": ({"pairs": [[0, 1, 2], [1, 0, 1]]},
+                              "SpaceError: pair (0, 1) is listed twice"),
+    "hausdorff_with_finest_pair": ({"hausdorff": True}, "HausdorffViolated: hausdorff flag "
+                                   "set but finest scale is not the diagonal ((0, 1))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAIRS_SPECS))
+def test_bad_pairs_spec_is_input_error(capsys, tmp_path, case):
+    """Each bad space spec of the pairs form exits 3 with an error report
+    naming what failed; a value of None deletes the field."""
+    edit, error = BAD_PAIRS_SPECS[case]
+    spec = {key: value for key, value in {**PAIRS_SPEC, **edit}.items() if value is not None}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, "analyze", str(path))
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"] == error
+
+
+def test_pairs_spec_reads_as_its_scales(capsys, tmp_path):
+    """Scale k of a pairs spec holds the pairs whose finest scale is k or
+    finer, and the spec as read is written back byte for byte."""
+    space = formats.space_from_spec(PAIRS_SPEC)
+    assert space.scales == (frozenset({(0, 1), (1, 2)}), frozenset({(0, 1)}))
+    assert formats.space_to_spec(space) == PAIRS_SPEC
+    path = tmp_path / "space.json"
+    path.write_text(formats.canonical_dumps(PAIRS_SPEC))
+    code, report = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert report["inputs"]["space"] == PAIRS_SPEC
 
 
 BAD_FLAGS = {
@@ -992,12 +1059,11 @@ _values = st.recursive(
 def test_input_digest_hashes_inputs_as_their_own_document(inputs):
     report = cli._report(["analyze"], {"kind": "analyze", "options": {}}, inputs, {}, {}, 0)
     text = formats.canonical_dumps(report)
-    alone = json.dumps(formats.to_jsonable(inputs), sort_keys=True, indent=2,
-                       ensure_ascii=True) + "\n"
+    alone = reference_dumps(formats.to_jsonable(inputs))
     parsed = json.loads(text)
     assert parsed["input_digest"] == "sha256:" + hashlib.sha256(alone.encode()).hexdigest()
     assert parsed["inputs"] == json.loads(alone)
-    assert text == json.dumps(parsed, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert text == reference_dumps(parsed)
 
 
 def _seven_subparsers(argv):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -377,3 +378,31 @@ class TestExports:
         assert dot.startswith("digraph cover {")
         assert 'label="0,1,2"' in dot
         assert cover_to_dot(cover) == dot
+
+    def test_dot_labels_are_quoted_strings(self):
+        """Every label of a cover of points named with quotes and
+        backslashes is one well-formed DOT quoted string, which unescapes to
+        the vertex's representative or the edge's point."""
+        names = ['a"b', "c\\d", "e", '"', "\\", "f,g"]
+        space = from_metric([[min(abs(i - j), 6 - abs(i - j)) for j in range(6)]
+                             for i in range(6)], (2, 1), names)
+        cover = build_cover(space, 2, 'a"b', 3)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node = re.compile(rf'  v(\d+) \[label={quoted}( shape="doublecircle")?\];')
+        edge = re.compile(rf'  v(\d+) -> v(\d+) \[label={quoted}\];')
+        lines = cover_to_dot(cover).splitlines()
+        assert lines[0] == "digraph cover {" and lines[-1] == "}"
+        nodes, edges = [], []
+        for line in lines[1:-1]:
+            if found := node.fullmatch(line):
+                vid, label, shape = found.groups()
+                nodes.append((int(vid), re.sub(r"\\(.)", r"\1", label), shape is not None))
+            else:
+                found = edge.fullmatch(line)
+                assert found, line
+                vid, target, label = found.groups()
+                edges.append((int(vid), int(target), re.sub(r"\\(.)", r"\1", label)))
+        assert nodes == [(vid, ",".join(cover.reps[vid]), vid == 0)
+                         for vid in range(cover.num_vertices)]
+        assert edges == [(vid, target, y) for vid in range(cover.num_vertices)
+                         for y, target in cover.edges[vid].items() if target is not None]

@@ -8,12 +8,18 @@ a changed report: either a regression, or a deliberate change that must
 record its new digest here and say why.  Every success case must also
 replay: ``verify --replay`` of its report re-derives the same results.
 
-Every digest was re-recorded for ``scalecover-report/2``: each report's
-``schema`` line changed, and the two quotient reports also dropped
-``results.fiber_components`` and write ``factorization.quotient`` as its
-blocks and g's images instead of whole spaces and maps.  Nothing else in any
-report changed.  The two schema-1 quotient reports are kept as
-``SCHEMA_1_GOLDEN``, rebuilt by ``schema_1_report`` and replayed.
+Every digest was re-recorded for ``scalecover-report/3``: each report's
+``schema`` line changed, every array of JSON scalars now stands on one
+line, and the input spaces are written by each related pair's finest scale
+(``depth`` and ``pairs``) instead of every scale's closed neighbourhoods, so
+``input_digest`` changed with them.  Nothing else changed:
+``schema_2_report`` rebuilds each report as schema 2 wrote it, and its
+digest is the schema-2 one, kept as ``SCHEMA_2_GOLDEN``.  Schema 2 had
+changed each ``schema`` line from schema 1, and the two quotient reports
+also dropped ``results.fiber_components`` and wrote
+``factorization.quotient`` as its blocks and g's images instead of whole
+spaces and maps.  Their schema-1 digests are kept as ``SCHEMA_1_GOLDEN``,
+rebuilt by ``schema_1_report``.  Every rebuilt report replays.
 """
 
 import contextlib
@@ -109,10 +115,47 @@ INPUTS = {
 
 GOLDEN = {
     ("analyze", "c6.json"):
+        "b0ffd4ff37e108b3d79342bffe7fe5bfcf49256dd250d437bf70700c9de8cc4d",
+    ("analyze", "tri.csv", "--radii", "2.5,1.5"):
+        "5f8e43826e877028d29e19a30fbd1b39f9537964b5ad1ba2544133a5f79b6d31",
+    # a complete, identified cover: its verdict is UCM with witnesses (1, 2)
+    ("cover", "c6.json", "--scale", "1", "--basepoint", "0", "--radius", "6"):
+        "4f15ee3967c719ed55707ed94c1b3af83472377b9364c868464df2f82ecf5f9a",
+    ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
+        "eae0dd2f22fe57712bb18171b8b67e4ba180d97ff56fbc0d56821e4c19c46530",
+    ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
+        "8ab12df014d313b6a730a23e8584d0de50151532a7cc3a363ba68aadc9b86f6e",
+    ("action", "s3.json", "--quotient-scale", "3", "--tower"):
+        "821f61fd2c2266516d58b830979e73aec1300c59e73b3dc9f07d4b963bff87da",
+    ("action", "swap.json", "--quotient-scale", "1", "--tower"):
+        "97a94fdadea72d31bdd5b1ca347238c8563e4c69fad442812173c7245d9a3ed2",
+    ("map", "wrap.json"):
+        "7a314e562bec8c34d06e3589592b5d877856e9064cf1d25863b1716055098323",
+    ("quotient", "wrap.json", "--scale", "1"):
+        "d4ce03001ef0f6e34272e79503863203170bbd30ac0eed39eb869236b26697c4",
+    # the quotient at the source depth is also the factorization's
+    ("quotient", "wrap.json", "--scale", "2"):
+        "dad1d029092d279103da672530ae1b94b492953582c7120407bdaf9a38980257",
+    ("tower", "discrete.json"):
+        "38d1ce9347774d3e13cf79635cad7caad0ca6077dd827e65f589d86cb3e5c288",
+    ("tower", "detour.json"):
+        "145ba1e22a1e09f5fd066a088e78e62b8b3af9bdd612850dcf90df07bf244da9",
+    ("tower", "abelian.json", "--telescope", "backward"):
+        "b8f8f46e0e88db36f6e70a99d1851041f8375dfea37b6e341fa86279b9b68eb2",
+    ("tower", "z4.json"):
+        "5137fb4d63cf121cbc16b519397011b32dab5a5723447b21ea5228fa152a51c6",
+    ("verify", "--replay", "tampered.json"):
+        "6323f8fc50909d08f6627501b75b5a02a6b0c78bae549eba49aea992c55b49ec",
+}
+
+
+# The digests of every golden under scalecover-report/2, which the reports
+# rebuilt by schema_2_report must hash to.
+SCHEMA_2_GOLDEN = {
+    ("analyze", "c6.json"):
         "6a855f40aafc50025fab47d5d7b7469d5cd40ef46f1b0b1b7a2a722ea2556d1d",
     ("analyze", "tri.csv", "--radii", "2.5,1.5"):
         "10ccb90c5a9b11b2540aa95f67e8c954b9b2f676e52586fa0059d5d4c1fb6c1b",
-    # a complete, identified cover: its verdict is UCM with witnesses (1, 2)
     ("cover", "c6.json", "--scale", "1", "--basepoint", "0", "--radius", "6"):
         "de76f92fc4e38c8bcd84362035d5253501e885d170426e0ca5c2ce27f97c522d",
     ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
@@ -127,7 +170,6 @@ GOLDEN = {
         "c87fa983d5fd702ea41b4c93b2c049a1cfbca6263edb0b832bd4a4d835241175",
     ("quotient", "wrap.json", "--scale", "1"):
         "2ae9af620d92aa6052c547983f947125c5e322b952b424a531fe64f3c3d02da2",
-    # the quotient at the source depth is also the factorization's
     ("quotient", "wrap.json", "--scale", "2"):
         "713c29d11a830590752cf1c2864b3812be20044382e9ebf1e93f2a8023a9be8b",
     ("tower", "discrete.json"):
@@ -152,16 +194,53 @@ SCHEMA_1_GOLDEN = {
 }
 
 
-def schema_1_report(argv) -> str:
-    """The scalecover-report/1 text of a quotient command, run in the current
-    directory and rebuilt from library objects as schema 1 wrote it: the
-    blocks once more as ``fiber_components``, and the factorization's
-    quotient with its map, space, collapse and induced map (``base``,
-    ``space``, ``q``, ``g``) written whole."""
+def indent_2(doc) -> str:
+    """doc in the layout of schemas 1 and 2: every array member on its own line."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def scales_spec(space) -> dict:
+    """A space spec as schemas 1 and 2 wrote it: every scale's closed
+    neighbourhoods as ordered pairs, the diagonal and both orders included."""
+    scales = [[[x, y] for x in space.points for y in space.sort_points(space.closed(k, x))]
+              for k in range(1, space.depth + 1)]
+    return formats.to_jsonable({"kind": "space", "points": list(space.points),
+                                "scales": scales, "hausdorff": space.hausdorff})
+
+
+def scales_form(node):
+    """node with each space spec of the pairs form rewritten as scales_spec."""
+    if isinstance(node, dict):
+        if node.get("kind") == "space" and "pairs" in node:
+            return scales_spec(formats.space_from_spec(node))
+        return {key: scales_form(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [scales_form(value) for value in node]
+    return node
+
+
+def schema_2_report(argv) -> str:
+    """The scalecover-report/2 text of a command, run in the current
+    directory: its schema-3 report with the schema-2 schema line, its input
+    spaces in the scales form, its input_digest taken of those inputs, and
+    the whole written in the indent-2 layout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(list(argv))
     report = json.loads(out.getvalue())
+    inputs = scales_form(report["inputs"])
+    report.update(schema="scalecover-report/2", inputs=inputs,
+                  input_digest="sha256:" + hashlib.sha256(indent_2(inputs).encode()).hexdigest())
+    return indent_2(report)
+
+
+def schema_1_report(argv) -> str:
+    """The scalecover-report/1 text of a quotient command, run in the current
+    directory and rebuilt from its schema-2 text and library objects as
+    schema 1 wrote it: the blocks once more as ``fiber_components``, and the
+    factorization's quotient with its map, space, collapse and induced map
+    (``base``, ``space``, ``q``, ``g``) written whole."""
+    report = json.loads(schema_2_report(argv))
     f = formats.map_from_spec(report["inputs"]["map"])
     results, _ = cli.run_quotient(f, report["replay"]["options"], report["budgets"])
     factorization = results["factorization"]
@@ -176,7 +255,7 @@ def schema_1_report(argv) -> str:
                "factorization": old}
     report["schema"] = "scalecover-report/1"
     report["results"] = json.loads(formats.canonical_dumps(results))
-    return formats.canonical_dumps(report)
+    return indent_2(report)
 
 
 def write_inputs(monkeypatch, tmp_path):
@@ -198,6 +277,25 @@ def test_report_bytes_match_golden(capsys, monkeypatch, tmp_path, argv):
 def test_golden_report_replays(capsys, monkeypatch, tmp_path, argv):
     write_inputs(monkeypatch, tmp_path)
     main([*argv, "--out", "report.json"])
+    capsys.readouterr()
+    code = main(["verify", "--replay", "report.json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert results["results_identical"] is True
+    assert results["counterexample_failures"] == []
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_schema_2_rebuild_matches_its_golden(capsys, monkeypatch, tmp_path, argv):
+    """Every byte a schema-3 report changed is the layout, the space specs
+    of its inputs or the schema line: rebuilt in the schema-2 form, the
+    report is the one schema 2 wrote, and it replays."""
+    write_inputs(monkeypatch, tmp_path)
+    text = schema_2_report(argv)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_2_GOLDEN[argv]
+    if argv[0] == "verify":
+        return
+    (tmp_path / "report.json").write_text(text)
     capsys.readouterr()
     code = main(["verify", "--replay", "report.json"])
     results = json.loads(capsys.readouterr().out)["results"]
@@ -231,7 +329,7 @@ def test_schema_1_quotient_report_replays(capsys, monkeypatch, tmp_path, argv):
 
 
 
-_SCHEMAS = "'scalecover-report/1' or 'scalecover-report/2'"
+_SCHEMAS = "one of 'scalecover-report/1', 'scalecover-report/2', 'scalecover-report/3'"
 
 
 @pytest.mark.parametrize("path,value,message", [
@@ -283,13 +381,18 @@ def wrap_8x30():
                          + [("quotient", "wrap8x30.json", "--scale", "1")], ids=" ".join)
 def test_quotient_results_no_longer_than_inputs(capsys, monkeypatch, tmp_path, argv):
     """A quotient report is linear in its input: its written results are no
-    longer than its written inputs."""
+    longer than its written inputs.  On the golden C16 -> C8 wrap the bound
+    is the inputs as schema 2 wrote them, in the scales form and the indent-2
+    layout; on the 8x30 wrap it is the inputs as the report writes them."""
     write_inputs(monkeypatch, tmp_path)
     (tmp_path / "wrap8x30.json").write_text(json.dumps(wrap_8x30()))
     assert main(list(argv)) == 0
     report = json.loads(capsys.readouterr().out)
-    written = {key: len(formats.canonical_dumps(report[key])) for key in ("inputs", "results")}
-    assert written["results"] <= written["inputs"]
+    results = len(formats.canonical_dumps(report["results"]))
+    if argv[1] == "wrap8x30.json":
+        assert results <= len(formats.canonical_dumps(report["inputs"]))
+    else:
+        assert results <= len(indent_2(json.loads(schema_2_report(argv))["inputs"]))
 
 
 def test_rotation_closes_each_group_once(capsys, monkeypatch, tmp_path):

@@ -7,11 +7,14 @@ import enum
 import fractions
 import hashlib
 import heapq
+import io
 import itertools
 import json
 import math
+import os
 import random
 import re
+import tempfile
 import types
 from unittest import mock
 
@@ -23,8 +26,10 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space, telescoping_backward_group
+from reference_writer import reference_dumps
+from test_golden_reports import scales_spec
 from test_acceptance import cyclic_cover_map, double_cover_map, raw_random_map, relabel_map
-from scalecover import covers, formats, rips
+from scalecover import cli, covers, formats, rips, spaces
 from scalecover import intlinalg as ila
 from scalecover.covers import (
     BadScalePair,
@@ -66,10 +71,14 @@ from scalecover.spaces import (
     Chain,
     FilteredSpace,
     NonDecreasingRadii,
+    NonReflexive,
+    NonSymmetric,
     NotNested,
     Partition,
     SpaceError,
+    UnknownPoint,
     chain_components,
+    from_finest,
     from_metric,
     is_chain,
     subspace,
@@ -2025,8 +2034,9 @@ JSON_TREES = st.recursive(
 @example({"b": [], "a": {}, "é\x00\u2028\U0001f600": [True, False, None, -0.0, 1e300]})
 @example([[], {}, [[]], [{}], 5e-324, 2 ** 70, "\\\"\x7f"])
 def test_writer_matches_json_dumps(tree):
-    assert formats.canonical_dumps(tree) == (
-        json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+    """The writer's bytes equal the reference writer's: the indent-2 text of
+    json.dumps with each array of scalars on one line."""
+    assert formats.canonical_dumps(tree) == reference_dumps(tree)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -2082,12 +2092,12 @@ def result_values(draw, depth=3, hashable=False):
           True: fractions.Fraction(1, 3)})
 def test_to_jsonable_matches_reference(value):
     """Equal as Python values and as types, order included (repr tells
-    True from 1 and a key order from another), and written as the old
-    ``json.dumps`` path wrote them, subclasses of int and str included."""
+    True from 1 and a key order from another), and written as the
+    reference writer writes the reference conversion, subclasses of int and
+    str included."""
     expected = _reference_to_jsonable(value)
     assert repr(formats.to_jsonable(value)) == repr(expected)
-    assert formats.canonical_dumps(value) == (
-        json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+    assert formats.canonical_dumps(value) == reference_dumps(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -2571,8 +2581,7 @@ def test_lim1_matches_hermite_lattice_rule(drawn):
 
 
 def _reference_dumps(value):
-    return json.dumps(_reference_to_jsonable(value), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    return reference_dumps(_reference_to_jsonable(value))
 
 
 def test_shared_instance_written_at_every_depth():
@@ -2768,3 +2777,244 @@ def test_parse_distance_csv_matches_old_reader(rows):
     old = _outcome(_old_parse_distance_csv, text)
     new = _outcome(formats.parse_distance_csv, text)
     assert repr(new) == repr(old)
+
+
+# ---------------------------------------------------------------------------
+# space specs: the pairs form, the scales form and the matrix form
+
+
+_LABELS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, "a", "b", 'q"', "\\", "é"])
+_ANY_LABELS = (_LABELS | st.none() | st.floats(-2, 2, allow_nan=False)
+               | st.tuples(st.integers(0, 2), st.text("ab", max_size=2))
+               | st.tuples(st.tuples(st.integers(0, 1))))
+
+
+@st.composite
+def finest_space(draw, labels=_LABELS):
+    """Up to six points and three scales, each pair related up to a random
+    finest scale or at none, listed in a random order; the Hausdorff flag is
+    random wherever the finest scale is the diagonal."""
+    points = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    depth = draw(st.integers(1, 3))
+    triples = []
+    for a, b in itertools.combinations(points, 2):
+        k = draw(st.integers(0, depth))
+        if k:
+            triples.append((a, b, k) if draw(st.booleans()) else (b, a, k))
+    triples = draw(st.permutations(triples))
+    hausdorff = all(k < depth for _, _, k in triples) and draw(st.booleans())
+    return from_finest(points, depth, triples, hausdorff)
+
+
+def matrix_spec(space):
+    """A distance matrix thresholded at radii depth, ..., 1 to the space: a
+    pair whose finest scale is k lies at distance depth + 1 - k, and an
+    unrelated pair at depth + 1."""
+    m = space.depth
+    finest = {pair: k for k, pairs in enumerate(space.scales, start=1) for pair in pairs}
+    matrix = [[0 if x == y else m + 1 - finest.get(space.pair(x, y), 0) for y in space.points]
+              for x in space.points]
+    return {"kind": "space", "matrix": matrix, "radii": list(range(m, 0, -1)),
+            "names": list(space.points)}
+
+
+def _cli_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(finest_space(), st.data())
+def test_space_spec_forms_give_identical_reports(space, data):
+    """The pairs, scales and matrix specs of one space read as that space,
+    and give byte-identical analyze and cover reports, inputs included.  The
+    matrix form is Hausdorff exactly when the finest scale is the diagonal,
+    so it takes part only for such spaces."""
+    specs = [formats.space_to_spec(space), scales_spec(space)]
+    if space.hausdorff == (not space.scales[-1]):
+        specs.append(matrix_spec(space))
+    k = data.draw(st.integers(1, space.depth))
+    base = str(data.draw(st.sampled_from(space.points)))
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        for spec in specs:
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            assert formats.space_from_spec(formats.load_json(path)) == space
+            reports.append((_cli_text("analyze", path),
+                            _cli_text("cover", path, "--scale", str(k), "--basepoint", base,
+                                      "--radius", "2")))
+    assert json.loads(reports[0][0])["inputs"]["space"] == json.loads(
+        formats.canonical_dumps(specs[0]))
+    assert all(r == reports[0] for r in reports)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finest_space(_ANY_LABELS))
+def test_pairs_spec_round_trips(space):
+    """space_from_spec(space_to_spec(s)) == s through JSON text, flag
+    included; the spec lists each related pair once, in point order with a
+    before b, at the finest scale that relates it."""
+    spec = formats.space_to_spec(space)
+    text = formats.canonical_dumps(spec)
+    again = formats.space_from_spec(json.loads(text))
+    assert again == space and again.hausdorff == space.hausdorff
+    assert formats.canonical_dumps(formats.space_to_spec(again)) == text
+    listed = [(a, b) for a, b, _ in spec["pairs"]]
+    assert listed == space.sorted_pairs(1)
+    for a, b, k in spec["pairs"]:
+        assert [space.related(j, a, b) for j in range(1, space.depth + 1)] == (
+            [True] * k + [False] * (space.depth - k))
+
+
+# ---------------------------------------------------------------------------
+# explicit scales read in bulk, against the per-pair reader they replaced
+
+
+def _old_normalize_scale(points, index, raw_pairs, k):
+    listed = set()
+    for a, b in raw_pairs:
+        if a not in index:
+            raise UnknownPoint(a)
+        if b not in index:
+            raise UnknownPoint(b)
+        listed.add((a, b))
+    for a, b in sorted(listed, key=lambda ab: (index[ab[0]], index[ab[1]])):
+        if a != b and (b, a) not in listed:
+            raise NonSymmetric(k, (a, b))
+    for p in points:
+        if (p, p) not in listed:
+            raise NonReflexive(k, p)
+    normalized = set()
+    for a, b in listed:
+        if a != b:
+            ia, ib = index[a], index[b]
+            normalized.add((a, b) if ia < ib else (b, a))
+    return frozenset(normalized)
+
+
+def _old_read_scales(spec):
+    """space_from_spec on a scales spec as it was: each entry read by _pair,
+    each scale checked pair by pair."""
+    points = tuple(formats._as_point(p) for p in formats._expect(spec["points"], list, "points"))
+    scales = [[formats._pair(pair) for pair in formats._expect(scale, list, "a scale")]
+              for scale in formats._expect(spec["scales"], list, "scales")]
+    if len(set(points)) != len(points):
+        raise SpaceError("duplicate point identifiers")
+    if not scales:
+        raise SpaceError("at least one scale is required")
+    index = {p: i for i, p in enumerate(points)}
+    normalized = [_old_normalize_scale(points, index, raw, k)
+                  for k, raw in enumerate(scales, start=1)]
+    return FilteredSpace(points, tuple(normalized), False)
+
+
+_SCALE_ENTRIES = (st.tuples(st.integers(0, 4), st.integers(0, 4)).map(list)
+                  | st.sampled_from([[0], [0, 1, 2], 3, [[0], 1], [0, {"a": 1}], [9, 0],
+                                     [0, "0"], ["x", "x"]]))
+
+
+@st.composite
+def scales_spec_input(draw):
+    """A scales spec over points 0..n-1, mostly well formed: each scale
+    symmetric and reflexive, or with a few entries dropped and added."""
+    n = draw(st.integers(1, 4))
+    points = list(range(n))
+    scales = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = [[a, b] for a in points for b in points
+                 if a == b or draw(st.integers(0, 3)) == 0]
+        pairs += [[b, a] for a, b in pairs if [b, a] not in pairs]
+        pairs = draw(st.permutations(pairs))
+        if draw(st.integers(0, 2)) == 0:
+            pairs = pairs[draw(st.integers(0, 3)):] + draw(st.lists(_SCALE_ENTRIES, max_size=2))
+        scales.append(pairs)
+    return {"points": points, "scales": scales}
+
+
+@settings(max_examples=400, deadline=None)
+@given(scales_spec_input())
+@example({"points": [0, 1], "scales": [[[0, 0], [1, 1], [1, 0]]]})
+@example({"points": [0, 1], "scales": [[[0, 0], [7, 1], [1, 8]]]})
+@example({"points": [0, 1, 2], "scales": [[[0, 0], [1, 1], [2, 1], [0, 2]]]})
+@example({"points": [0, 1, 2], "scales": [[[0, 0], [1, 1], [2, 2], [1, 0], [0, 2]]]})
+@example({"points": [0, 1], "scales": [[[0, 0], [0, 1], [1, 0]]]})
+@example({"points": [0, 1, 2], "scales": [[[1, 1]]]})
+def test_explicit_scales_read_as_before(spec):
+    """The same space, or the same exception and text, as the per-pair
+    reader; nesting is FilteredSpace's check in both."""
+    old = _outcome(_old_read_scales, spec)
+    new = _outcome(formats.space_from_spec, spec)
+    if old[0] == "raised":
+        assert new == old
+    else:
+        assert new[0] == "returned" and new[1] == old[1]
+
+
+# ---------------------------------------------------------------------------
+# each scale indexed on first use, against the index built for every scale
+
+
+def _eager_index(space):
+    """The index FilteredSpace built for every scale on construction."""
+    closed, adjacency = {}, {}
+    for k, pairs in enumerate(space.scales, start=1):
+        nbrs = {p: set() for p in space.points}
+        for a, b in pairs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        adjacency[k] = {p: tuple(sorted(ys, key=space.index)) for p, ys in nbrs.items()}
+        closed[k] = {p: frozenset(ys | {p}) for p, ys in nbrs.items()}
+    return closed, adjacency
+
+
+def _eager_queries(space):
+    """closed, neighbors, related and chain_components as they read the eager index."""
+    closed, adjacency = _eager_index(space)
+
+    def lookup(table, k, x):
+        try:
+            return table[k][x]
+        except KeyError:
+            space.check_scale(k)
+            raise UnknownPoint(x) from None
+
+    def related(k, x, y):
+        if y in lookup(closed, k, x):
+            return True
+        space.index(y)
+        return False
+
+    def components(k, x, y):
+        space.check_scale(k)
+        return Partition(spaces.components(space.points, adjacency[k].__getitem__,
+                                           space.index))
+
+    return {"closed": lambda k, x, y: lookup(closed, k, x),
+            "neighbors": lambda k, x, y: lookup(adjacency, k, x),
+            "related": related, "chain_components": components}
+
+
+@settings(max_examples=200, deadline=None)
+@given(filtered_space(), st.data())
+def test_lazy_index_answers_as_the_eager_one(space, data):
+    """On a fresh space, queries at scales never read and already read, at
+    scales out of range and at unknown points, return what the eager index
+    returned, or raise the same exception: BadScale before UnknownPoint."""
+    fresh = FilteredSpace(space.points, space.scales, space.hausdorff)
+    assert fresh._closed == {} == fresh._adjacency
+    old = _eager_queries(space)
+    new = {"closed": lambda k, x, y: fresh.closed(k, x),
+           "neighbors": lambda k, x, y: fresh.neighbors(k, x), "related": fresh.related,
+           "chain_components": lambda k, x, y: chain_components(fresh, k)}
+    names = sorted(old)
+    point = st.sampled_from(list(space.points) + ["nowhere"])
+    for _ in range(data.draw(st.integers(1, 12))):
+        name = data.draw(st.sampled_from(names))
+        k = data.draw(st.integers(0, space.depth + 1))
+        x, y = data.draw(point), data.draw(point)
+        assert _outcome(new[name], k, x, y) == _outcome(old[name], k, x, y)
+    assert set(fresh._closed) <= set(range(1, space.depth + 1))

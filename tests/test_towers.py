@@ -1,10 +1,12 @@
 import pytest
 
 from conftest import identity_map, telescoping_backward_group
+from scalecover import cli
 from scalecover.quotients import FilteredMap
 from scalecover.rips import AbelianGroupInv
 from scalecover.spaces import FilteredSpace
 from scalecover.towers import (
+    DEFAULT_PRODUCT_BOUND,
     InvalidTower,
     ProductTooLarge,
     SpaceTower,
@@ -61,6 +63,24 @@ class TestLimitSpace:
     def test_product_guard(self, fix_c6):
         with pytest.raises(ProductTooLarge):
             assemble_limit_space(constant_tower(fix_c6), product_bound=5)
+
+
+    def test_limit_space_builds_no_index(self, fix_c6, monkeypatch):
+        """A tower command reads its limit space's points, depth and flag but
+        no relation, so the limit space indexes none of its scales."""
+        built = []
+
+        def assemble(*args):
+            built.append(assemble_limit_space(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "assemble_limit_space", assemble)
+        budgets = {"product_bound": DEFAULT_PRODUCT_BOUND}
+        results, code = cli.run_space_tower(constant_tower(fix_c6), {}, budgets)
+        (limit,) = built
+        assert code == 0 and results["limit_depth"] == 2
+        assert limit.space.scales[0]
+        assert limit.space._closed == {} == limit.space._adjacency
 
 
 class TestStrongMl:
