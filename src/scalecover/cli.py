@@ -21,13 +21,16 @@ Its ``inputs`` are written once before that, by ``formats.written_field``,
 which gives both their text, indented for the report, and their
 ``input_digest``.  Integer flags and budgets are read in ASCII decimal only.
 ``verify --replay`` checks a stored report's options as their flags were
-checked, and its budgets against BUDGETS, before it runs them; it replays
-reports of schemas 1 to 3, comparing schema 1 results in the shape it wrote.
+checked, its budgets against BUDGETS (schemas 1 to 3 also carry coset_rows)
+and its input_digest against its inputs, before it runs them; it replays
+reports of schemas 1 to 4, comparing schema 1 results in the shape it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 
@@ -88,29 +91,34 @@ def _budget(name, raw):
     raise formats.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
 
 
-# budget -> (flag, variable, default, subcommand taking the flag, flag help).  Variables beat
-# defaults and flags beat both; a source's coset_rows is its ident_budget unless it gives that.
+# budget -> (flag, variable, default, subcommand taking the flag, flag help).  Variables
+# beat defaults and flags beat both.
 BUDGETS = {
     "radius": ("--radius", "SCALECOVER_RADIUS", 8, "cover", None),
     "ident_budget": ("--ident-budget", "SCALECOVER_IDENT_BUDGET", DEFAULT_COSET_ROWS,
-                     "cover", None),
-    "coset_rows": ("--coset-rows", "SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS, "cover",
-                   "row budget for the identification enumerations"),
+                     "cover", "row budget for the identification enumerations"),
     "product_bound": ("--product-bound", "SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND,
                       "tower", None),
 }
 
 
 def _overridden(budgets, args=None):
-    """budgets overridden by the variables (an empty one is unset), or by args' flags."""
-    given = {}
-    for name, (flag, variable, *_) in BUDGETS.items():
-        raw = os.environ.get(variable) or None if args is None else getattr(args, name, None)
-        if raw is not None:
-            given[name] = _budget(variable if args is None else flag, raw)
-    if "coset_rows" in given:
-        given.setdefault("ident_budget", given["coset_rows"])
-    return {**budgets, **given}
+    """budgets overridden by the variables (an empty one is unset), or by args' flags.
+
+    A set SCALECOVER_* variable that names no budget is an input error, so that
+    a misspelt or retired one is never ignored."""
+    if args is None:
+        # os.environ decodes what it yields: read only the values of matching keys
+        given = {v: os.environ[v] for v in os.environ if v.startswith("SCALECOVER_")}
+        sources = {name: (row[1], given.pop(row[1], None) or None)
+                   for name, row in BUDGETS.items()}
+        unknown = sorted(v for v, raw in given.items() if raw)
+        if unknown:
+            raise formats.ParseError(f"{unknown[0]} names no budget")
+    else:
+        sources = {name: (row[0], getattr(args, name, None)) for name, row in BUDGETS.items()}
+    return {**budgets, **{name: _budget(*source) for name, source in sources.items()
+                          if source[1] is not None}}
 
 
 def _load_space(path, radii):
@@ -367,9 +375,11 @@ def _replay_options(kind, obj, options):
 # factorization's quotient with whole spaces and maps; schema 2 writes that
 # quotient as its blocks and g's images.  Schema 3 changes only the layout
 # and the inputs' space specs, which are read in either form, so schema-2
-# and schema-3 results compare alike.
+# and schema-3 results compare alike.  Schema 4 drops the budget coset_rows,
+# which bounded nothing of its own.  Schemas 1 and 2 wrote every array member
+# on its own line, and their input_digest hashes the inputs in that layout.
 SCHEMA_1 = "scalecover-report/1"
-SCHEMAS = (SCHEMA_1, "scalecover-report/2", formats.SCHEMA)
+SCHEMAS = (SCHEMA_1, "scalecover-report/2", "scalecover-report/3", formats.SCHEMA)
 _SCHEMA_1_QUOTIENT = ("base", "blocks", "g", "hypothesis_met", "q", "q_chain_lifting",
                       "scale", "singleton_property", "space")
 
@@ -392,6 +402,36 @@ def _schema_1_results(kind, results):
             "factorization": factorization}
 
 
+def _stored_budgets(stored):
+    """A stored report's budgets, once its schema is known: exactly the rows
+    of BUDGETS, and for schemas 1 to 3 coset_rows besides, checked like the
+    others and dropped, since the stored ident_budget bounded those runs."""
+    schema = stored.get("schema")
+    if schema not in SCHEMAS:
+        raise formats.ParseError(f"report field schema must be one of "
+                                 f"{', '.join(map(repr, SCHEMAS))}, got {schema!r}")
+    budgets = stored.get("budgets", {})
+    if not isinstance(budgets, dict):
+        raise formats.ParseError(f"report field budgets must be an object, got {budgets!r}")
+    names = BUDGETS.keys() if schema == formats.SCHEMA else {*BUDGETS, "coset_rows"}
+    odd = sorted(budgets.keys() ^ names)
+    if odd:
+        what = "is not a budget" if odd[0] in budgets else "is missing"
+        raise formats.ParseError(f"report field budgets.{odd[0]} {what}")
+    budgets = {key: _budget(f"report field budgets.{key}", value)
+               for key, value in budgets.items()}
+    budgets.pop("coset_rows", None)
+    return budgets
+
+
+def _input_digest(schema, inputs):
+    """The input_digest that a report of the schema wrote for its inputs."""
+    if schema in SCHEMAS[:2]:
+        text = json.dumps(inputs, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    return formats.written_field(inputs)[1]
+
+
 def _replay(stored, budgets):
     """Re-run a stored report from its recorded inputs and re-check the
     counterexamples that have a checker; (results, exit code)."""
@@ -399,15 +439,15 @@ def _replay(stored, budgets):
     options = formats._expect(replay.get("options"), dict, "report field replay.options")
     inputs = formats._expect(stored.get("inputs"), dict, "report field inputs")
     formats._expect(stored.get("results"), dict, "report field results")
-    schema = stored.get("schema")
-    if schema not in SCHEMAS:
-        raise formats.ParseError(f"report field schema must be one of "
-                                 f"{', '.join(map(repr, SCHEMAS))}, got {schema!r}")
     kind = formats._field(replay, "kind", "report field replay.kind")
     if not isinstance(kind, str) or kind not in COMMANDS:
         raise formats.ParseError(f"cannot replay report kind {kind!r}")
     key, reader, _, runner = COMMANDS[kind]
     obj = getattr(formats, reader)(formats._field(inputs, key, f"report field inputs.{key}"))
+    schema = stored["schema"]
+    if stored.get("input_digest") != _input_digest(schema, inputs):
+        raise formats.ParseError("report field input_digest is not the digest of "
+                                 "report field inputs")
     results, *_ = globals()[runner](obj, _replay_options(kind, obj, options), budgets)
     if schema == SCHEMA_1:
         results = _schema_1_results(kind, results)
@@ -540,16 +580,7 @@ def main(argv=None) -> int:
         budgets = _overridden({name: row[2] for name, row in BUDGETS.items()})
         if args.cmd == "verify":
             stored = formats.load_json(args.replay)
-            stored_budgets = stored.get("budgets", {})
-            if not isinstance(stored_budgets, dict):
-                raise formats.ParseError(
-                    f"report field budgets must be an object, got {stored_budgets!r}")
-            odd = sorted(stored_budgets.keys() ^ BUDGETS.keys())
-            if odd:
-                what = "is not a budget" if odd[0] in stored_budgets else "is missing"
-                raise formats.ParseError(f"report field budgets.{odd[0]} {what}")
-            budgets = {key: _budget(f"report field budgets.{key}", value)
-                       for key, value in stored_budgets.items()}
+            budgets = _stored_budgets(stored)
             kind, options = "verify", {}
             inputs = {"report_digest": stored.get("input_digest")}
             results, code = _replay(stored, budgets)

@@ -22,7 +22,11 @@ class CosetBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed multiplication table on cosets of the trivial subgroup."""
+    """Completed multiplication table on cosets of the trivial subgroup.
+
+    Coset 0 is the subgroup, and ``table[c][2 * (g - 1)]`` and
+    ``table[c][2 * (g - 1) + 1]`` are c times generator g and its inverse.
+    """
 
     num_gens: int
     table: tuple
@@ -31,13 +35,6 @@ class CosetTable:
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def trace(self, word) -> int:
-        c = 0  # the subgroup's own coset
-        for letter in word:
-            col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-            c = self.table[c][col]
-        return c
 
 
 def _col(letter: int) -> int:

@@ -9,8 +9,9 @@ chain is compared only with the vertices in its bucket: those with the same
 endpoint and the same H1 class of their word, which a dict indexes.  Any
 other vertex differs in H1, so it is certified distinct without a word
 problem.  Within the bucket, chains are identified by reduced-word equality,
-then by the word problem of the Tietze-reduced presentation (rewriting, coset
-enumeration); an Unknown outcome marks the cover identification-incomplete
+then by the word problem of the Tietze-reduced presentation (rewriting, then a
+free-product normal form over a coset table); an Unknown outcome, which names
+the exhausted ident_budget, marks the cover identification-incomplete
 and downstream verifiers refuse to conclude rather than guess.  A complete,
 fully identified cover is a uniform covering map by construction, so its
 verdict is read off the cover, not re-derived from its edges.
@@ -243,7 +244,7 @@ def verify_endpoint_ucm(cover: PartialCover) -> UcmReport:
     """
     if cover.identification_incomplete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
-                         "identification budget exhausted; classes undetermined")
+                         "ident_budget exhausted; classes undetermined")
     if not cover.complete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "radius budget exhausted before completion")

@@ -19,7 +19,7 @@ A space is written as its points, its depth and one ``[a, b, k]`` per
 unordered pair of distinct points related at some scale, k being the
 finest scale that relates them (``space_to_spec``).  ``space_from_spec``
 reads that form, explicit per-scale pair lists (``scales``) and distance
-matrices (``matrix`` with ``radii``).
+matrices (``matrix`` with ``radii``), and refuses a spec of two forms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .rips import AbelianGroupInv
 from .spaces import FilteredSpace, from_finest, from_metric, validate_space
 from .towers import InvalidTower, SpaceTower, TowerAb
 
-SCHEMA = "scalecover-report/3"
+SCHEMA = "scalecover-report/4"
 
 
 class ParseError(ValueError):
@@ -334,9 +334,14 @@ def _hausdorff(spec):
 def space_from_spec(spec: dict) -> FilteredSpace:
     """A space from its points with either its pairs form (``depth`` and
     ``pairs``, as ``space_to_spec`` writes) or explicit per-scale pair lists
-    (``scales``), or from a distance matrix with ``radii``."""
+    (``scales``), or from a distance matrix with ``radii``.  A spec holds at
+    most one of ``pairs``, ``scales`` and ``matrix``."""
     if _expect(spec, dict, "a space spec").get("kind") not in (None, "space"):
         raise ParseError(f"expected a space spec, got kind {spec.get('kind')!r}")
+    forms = [form for form in ("pairs", "scales", "matrix") if form in spec]
+    if len(forms) > 1:
+        raise ParseError(f"a space spec holds one of pairs, scales and matrix, "
+                         f"got {', '.join(forms)}")
     if "points" in spec:
         points = _points(spec["points"], "points")
         if "pairs" in spec:

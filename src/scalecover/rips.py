@@ -10,9 +10,15 @@ from the abelianized relators as sparse rows: unit pivots eliminate
 generators, only the core they leave goes through a Smith form, and a word's
 H1 coordinates are the sums of its letters' coordinates.  A Tietze reduction
 of the relator words, whose substitution is expanded once at the end, serves
-only the word problem, which is attacked in a fixed order (free reduction,
-integral abelianization, bounded rewriting, coset enumeration); the answer
-is a certified Yes/No or an honest Unknown, and nothing is ever guessed.
+only the word problem, which is decided in a fixed order: free reduction, the
+relator-free free group, H1 separation, Tietze reduction with bounded
+rewriting, and the projection onto the free factor F of the surviving
+generators that no residual relator holds.  The group is then F * G, G
+presented by the residual relators, and what is left is one free-product
+normal form whose G syllables are multiplied in G's coset table (Lyndon and
+Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a certified
+Yes/No, or an Unknown when the enumeration runs out of its ident_budget;
+nothing is ever guessed.
 """
 
 from __future__ import annotations
@@ -604,6 +610,9 @@ def _rewrite(word, rules):
 
 @_owned
 def _coset_table(pres: GroupPresentation, budget: int):
+    """(renumber, table) for G, the group of the residual relators: its
+    generators, their letters, numbered from 1, and its coset table, or None
+    when the enumeration runs out of the budget."""
     _, rels = _simplified(pres)
     live = sorted({abs(l) for r in rels for l in r})
     renumber = {g: i + 1 for i, g in enumerate(live)}
@@ -649,40 +658,39 @@ def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
     rewritten = _rewrite(_expand(pres, word), _rewriting_rules(pres))
     if not rewritten:
         return HomotopyDecision("yes", "relator_rewriting")
-    _, rels = _simplified(pres)
-    if not rels:
-        return HomotopyDecision(
-            "no", "free_group", {"reduced_word": list(rewritten)}
-        )
-    relator_gens = {abs(l) for r in rels for l in r}
+    relator_gens = {abs(l) for r in _simplified(pres)[1] for l in r}
     free_part = free_reduce([l for l in rewritten if abs(l) not in relator_gens])
     if free_part:
-        # generators outside every relator split off as a free factor
+        # the projection onto the free factor, which kills the relator letters
         return HomotopyDecision(
             "no", "free_factor", {"reduced_word": list(free_part)}
         )
-    bound_part = free_reduce([l for l in rewritten if abs(l) in relator_gens])
     packed = _coset_table(pres, coset_budget)
-    if packed is not None:
-        renumber, table = packed
-        traced = tuple(renumber[abs(l)] * (1 if l > 0 else -1) for l in bound_part)
-        target = table.trace(traced)
-        if target != 0:
-            return HomotopyDecision(
-                "no",
-                "coset_enumeration",
-                {"coset": target, "group_order": table.order},
-            )
-        if bound_part == rewritten:
-            return HomotopyDecision("yes", "coset_enumeration")
+    if packed is None:
         return HomotopyDecision(
-            "unknown",
-            "mixed_free_product",
-            {"reduced_word": list(rewritten)},
+            "unknown", "budget", {"exhausted": "ident_budget", "budget": coset_budget}
         )
-    return HomotopyDecision(
-        "unknown", "budget", {"exhausted": "coset_rows", "budget": coset_budget}
-    )
+    # the normal form in F * G: free letters, and G elements as cosets of the
+    # trivial subgroup (one-tuples), multiplied by the table's columns
+    renumber, table = packed
+    stack = []
+    for letter in rewritten:
+        g = renumber.get(abs(letter))
+        if g is None:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+            continue
+        c = stack.pop()[0] if stack and type(stack[-1]) is tuple else 0
+        c = table.table[c][2 * (g - 1) + (letter < 0)]
+        if c:
+            stack.append((c,))
+    if not stack:
+        return HomotopyDecision("yes", "coset_enumeration")
+    return HomotopyDecision("no", "coset_enumeration", {
+        "normal_form": [s if type(s) is int else {"coset": s[0]} for s in stack],
+        "group_order": table.order})
 
 
 def decide_e_homotopic(space: FilteredSpace, k: int, c, d,

@@ -255,6 +255,29 @@ def test_bad_pairs_spec_is_input_error(capsys, tmp_path, case):
     assert report["results"]["error"] == error
 
 
+# a valid space spec of each form
+_FORMS = {"pairs": {"points": [0, 1], "depth": 1, "pairs": []},
+          "scales": {"points": [0, 1], "scales": [[[0, 0], [1, 1]]]},
+          "matrix": {"matrix": [[0, 1], [1, 0]], "radii": [1]}}
+
+
+@pytest.mark.parametrize("forms", [("pairs", "scales"), ("pairs", "matrix"),
+                                   ("scales", "matrix"), ("pairs", "scales", "matrix")],
+                         ids="+".join)
+def test_space_spec_of_two_forms_is_input_error(capsys, tmp_path, forms):
+    """A space spec is read in one form: the fields of two or three valid
+    specs of different forms, merged, exit 3 naming the forms found."""
+    for form in forms:
+        assert formats.space_from_spec(_FORMS[form]).points == (0, 1)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({key: value for form in forms
+                                for key, value in _FORMS[form].items()}))
+    code, report = run(capsys, "analyze", str(path))
+    assert code == report["exit_code"] == 3
+    assert report["results"]["error"] == ("ParseError: a space spec holds one of pairs, "
+                                          f"scales and matrix, got {', '.join(forms)}")
+
+
 def test_pairs_spec_reads_as_its_scales(capsys, tmp_path):
     """Scale k of a pairs spec holds the pairs whose finest scale is k or
     finer, and the spec as read is written back byte for byte."""
@@ -764,6 +787,8 @@ class TestDeterminismAndReplay:
 
 
 class TestBudgetInput:
+    # SCALECOVER_COSET_ROWS and --coset-rows name no budget: set to any value,
+    # they are input errors that name them
     @pytest.mark.parametrize("value", ["abc", "-3", "1_2", "\u0663"])
     @pytest.mark.parametrize("name", ["SCALECOVER_RADIUS", "SCALECOVER_IDENT_BUDGET",
                                       "SCALECOVER_COSET_ROWS", "SCALECOVER_PRODUCT_BOUND"])
@@ -790,18 +815,25 @@ class TestBudgetInput:
         assert code == 3
         assert "--product-bound" in report["results"]["error"]
 
-    @pytest.mark.parametrize("env,expected", [
-        ({"SCALECOVER_COSET_ROWS": "7"}, 7),
-        ({"SCALECOVER_COSET_ROWS": "7", "SCALECOVER_IDENT_BUDGET": "9"}, 9),
-    ])
-    def test_coset_rows_env_sets_ident_budget(self, capsys, c6_csv_file, monkeypatch,
-                                              env, expected):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        _, report = run(capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",
-                        "--basepoint", "0")
-        assert report["budgets"]["ident_budget"] == expected
-        assert report["budgets"]["coset_rows"] == 7
+    @pytest.mark.parametrize("env,flags,name", [
+        ({"SCALECOVER_COSET_ROWS": "7"}, (), "SCALECOVER_COSET_ROWS"),
+        ({"SCALECOVER_COSET_ROWS": "7", "SCALECOVER_IDENT_BUDGET": "9"}, (),
+         "SCALECOVER_COSET_ROWS"),
+        ({}, ("--coset-rows", "5"), "--coset-rows"),
+        ({}, ("--ident-budget", "9", "--coset-rows", "5"), "--coset-rows"),
+    ], ids=["variable", "variable beside ident_budget", "flag", "flag beside ident_budget"])
+    def test_coset_rows_is_no_budget(self, capsys, c6_csv_file, monkeypatch, env, flags,
+                                     name):
+        """The identification enumerations have one budget, ident_budget: the
+        retired coset_rows, which only ever gave it, is an input error in the
+        environment and on the command line, beside ident_budget too."""
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        code, report = run(capsys, "cover", c6_csv_file, "--radii", "2,1", "--scale", "2",
+                           "--basepoint", "0", *flags)
+        assert code == 3
+        assert name in report["results"]["error"]
+        assert "coset_rows" not in report["budgets"]
 
     def test_zero_budget_is_accepted(self, capsys, c6_csv_file):
         code, report = run(
@@ -811,6 +843,7 @@ class TestBudgetInput:
         assert code == 2
         assert report["budgets"]["radius"] == 0
 
+    # a schema-4 report that carries coset_rows, whatever its value, does not replay
     @pytest.mark.parametrize("field,value", [("radius", "abc"), ("radius", -3),
                                              ("ident_budget", 2.5), ("coset_rows", None)])
     def test_bad_replayed_budget_is_input_error(self, capsys, c6_csv_file, tmp_path,
@@ -841,28 +874,26 @@ class TestBudgetInput:
 
 
 def _reference_budgets(args):
-    """Budgets as they were resolved before the table cli.BUDGETS: the
-    former default_budgets, then the budget branches of _live_space (for
-    cover) and _live_tower (for tower), which changed the budgets in place."""
+    """Budgets as they were resolved before the table cli.BUDGETS, less the
+    retired coset_rows: the former default_budgets, then the budget branches
+    of _live_space (for cover) and _live_tower (for tower), which changed the
+    budgets in place.  A set SCALECOVER_COSET_ROWS is an input error before
+    any budget is read."""
+    if os.environ.get("SCALECOVER_COSET_ROWS"):
+        raise formats.ParseError("SCALECOVER_COSET_ROWS names no budget")
+
     def env_budget(name, default):
         value = os.environ.get(name)
         return cli._budget(name, value) if value else default
 
-    radius = env_budget("SCALECOVER_RADIUS", 8)
-    ident_budget = env_budget("SCALECOVER_IDENT_BUDGET", None)
-    coset_rows = env_budget("SCALECOVER_COSET_ROWS", DEFAULT_COSET_ROWS)
     budgets = {
-        "radius": radius,
-        "ident_budget": coset_rows if ident_budget is None else ident_budget,
-        "coset_rows": coset_rows,
+        "radius": env_budget("SCALECOVER_RADIUS", 8),
+        "ident_budget": env_budget("SCALECOVER_IDENT_BUDGET", DEFAULT_COSET_ROWS),
         "product_bound": env_budget("SCALECOVER_PRODUCT_BOUND", DEFAULT_PRODUCT_BOUND),
     }
     if args.cmd == "cover":
         if args.radius is not None:
             budgets["radius"] = cli._budget("--radius", args.radius)
-        if args.coset_rows is not None:
-            budgets["coset_rows"] = cli._budget("--coset-rows", args.coset_rows)
-            budgets["ident_budget"] = budgets["coset_rows"]
         if args.ident_budget is not None:
             budgets["ident_budget"] = cli._budget("--ident-budget", args.ident_budget)
     if args.cmd == "tower" and args.product_bound is not None:
@@ -878,21 +909,12 @@ def _outcome_of(resolve, args):
         return ("error", str(exc))
 
 
-def _expected_budgets(args):
-    """The reference's outcome, but for a bad --coset-rows beside a bad
-    --ident-budget: the table reads the flags in its own order, so that
-    error names --ident-budget, as the reference does without --coset-rows."""
-    bad = ("", "-1")
-    if args.cmd == "cover" and args.coset_rows in bad and args.ident_budget in bad:
-        args = argparse.Namespace(**{**vars(args), "coset_rows": None})
-    return _outcome_of(_reference_budgets, args)
-
-
 # each variable and each budget flag unset, valid, empty or bad; the valid
-# values all differ, so that a budget read from the wrong source shows
+# values all differ, so that a budget read from the wrong source shows, and
+# SCALECOVER_COSET_ROWS, set, names no budget
 _VARIABLES = {"SCALECOVER_RADIUS": "3", "SCALECOVER_IDENT_BUDGET": "9",
               "SCALECOVER_COSET_ROWS": "7", "SCALECOVER_PRODUCT_BOUND": "11"}
-_FLAGS = {"cover": {"radius": "4", "ident_budget": "6", "coset_rows": "2"},
+_FLAGS = {"cover": {"radius": "4", "ident_budget": "6"},
           "tower": {"product_bound": "13"}}
 
 
@@ -921,9 +943,9 @@ def test_budget_resolution_matches_reference(monkeypatch):
 
     points = 0
     for env, args in _budget_grid(monkeypatch):
-        assert _outcome_of(resolve, args) == _expected_budgets(args), (env, args)
+        assert _outcome_of(resolve, args) == _outcome_of(_reference_budgets, args), (env, args)
         points += 1
-    assert points == 4 ** 4 * (4 ** 3 + 4)
+    assert points == 4 ** 4 * (4 ** 2 + 4)
 
 
 def test_main_resolves_budgets_as_reference(capsys, monkeypatch, tmp_path, c6_csv_file,
@@ -947,7 +969,7 @@ def test_main_resolves_budgets_as_reference(capsys, monkeypatch, tmp_path, c6_cs
             if getattr(args, name) is not None:
                 argv += [cli.BUDGETS[name][0], getattr(args, name)]
         code, report = run(capsys, *argv)
-        expected = _expected_budgets(args)
+        expected = _outcome_of(_reference_budgets, args)
         assert code == 3
         if isinstance(expected, tuple):
             assert report["results"]["error"] == f"ParseError: {expected[1]}", (env, argv)
@@ -1090,8 +1112,7 @@ def _seven_subparsers(argv):
     p.add_argument("--scale", type=cli._int_flag, required=True)
     p.add_argument("--basepoint", required=True)
     p.add_argument("--radius")
-    p.add_argument("--ident-budget", dest="ident_budget")
-    p.add_argument("--coset-rows", dest="coset_rows",
+    p.add_argument("--ident-budget", dest="ident_budget",
                    help="row budget for the identification enumerations")
     p.add_argument("--dot", help="write the cover graph here")
     p.add_argument("--out")
@@ -1153,7 +1174,7 @@ def test_one_subparser_answers_as_seven(capsys, monkeypatch, tmp_path, c6_csv_fi
         ["analyze", *csv],
         ["analyze", *csv, "--barcode", str(tmp_path / "barcode.csv")],
         ["cover", *csv, "--scale", "1", "--basepoint", "0", "--radius", "6",
-         "--coset-rows", "500", "--ident-budget", "400", "--dot", str(tmp_path / "c.dot")],
+         "--ident-budget", "400", "--dot", str(tmp_path / "c.dot")],
         ["map", map_file],
         ["quotient", map_file, "--scale", "1"],
         ["tower", doubling_tower_file, "--lim1", "--telescope", "forward",
@@ -1167,6 +1188,7 @@ def test_one_subparser_answers_as_seven(capsys, monkeypatch, tmp_path, c6_csv_fi
         ["analyze"],
         ["cover", *csv, "--scale", "1"],
         ["cover", *csv, "--scale", "abc", "--basepoint", "0"],
+        ["cover", *csv, "--scale", "1", "--basepoint", "0", "--coset-rows", "500"],
         ["quotient", map_file, "--scale", "1.5"],
         ["tower", doubling_tower_file, "--telescope", "sideways"],
         ["verify"],

@@ -4,26 +4,34 @@ from sympy.combinatorics.free_groups import free_group
 from scalecover.coset import coset_enumeration
 
 
+def trace(table, word) -> int:
+    """The coset that word reaches from coset 0 through the table's columns."""
+    c = 0
+    for letter in word:
+        c = table.table[c][2 * (abs(letter) - 1) + (letter < 0)]
+    return c
+
+
 def test_trivial_group():
     table = coset_enumeration(1, [(1,)])
     assert table.order == 1
-    assert table.trace((1, 1, -1)) == 0
+    assert trace(table, (1, 1, -1)) == 0
 
 
 def test_cyclic_groups():
     for n in (2, 3, 5, 12):
         table = coset_enumeration(1, [(1,) * n])
         assert table.order == n
-        assert table.trace((1,) * n) == 0
-        assert table.trace((1,)) != 0
+        assert trace(table, (1,) * n) == 0
+        assert trace(table, (1,)) != 0
 
 
 def test_symmetric_group_s3():
     # <a, b | a^2, b^2, (ab)^3>
     table = coset_enumeration(2, [(1, 1), (2, 2), (1, 2) * 3])
     assert table.order == 6
-    assert table.trace((1, 2, 1, 2, 1, 2)) == 0
-    assert table.trace((1, 2)) != 0
+    assert trace(table, (1, 2, 1, 2, 1, 2)) == 0
+    assert trace(table, (1, 2)) != 0
 
 
 def test_quaternion_group():

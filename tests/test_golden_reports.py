@@ -8,13 +8,20 @@ a changed report: either a regression, or a deliberate change that must
 record its new digest here and say why.  Every success case must also
 replay: ``verify --replay`` of its report re-derives the same results.
 
-Every digest was re-recorded for ``scalecover-report/3``: each report's
-``schema`` line changed, every array of JSON scalars now stands on one
-line, and the input spaces are written by each related pair's finest scale
-(``depth`` and ``pairs``) instead of every scale's closed neighbourhoods, so
-``input_digest`` changed with them.  Nothing else changed:
-``schema_2_report`` rebuilds each report as schema 2 wrote it, and its
-digest is the schema-2 one, kept as ``SCHEMA_2_GOLDEN``.  Schema 2 had
+Every digest was re-recorded for ``scalecover-report/4``: each report's
+``schema`` line changed, and its ``budgets`` block lost ``coset_rows``,
+which bounded nothing of its own and only ever gave ``ident_budget`` its
+value.  Nothing else changed: ``schema_3_report`` puts both back, and the
+digest of each rebuilt report is the schema-3 one, kept as
+``SCHEMA_3_GOLDEN``.  The two ``rp2s1.json`` goldens are new with schema 4.
+
+Schema 3 had changed each ``schema`` line, every array of JSON scalars
+came to stand on one line, and the input spaces came to be written by each
+related pair's finest scale (``depth`` and ``pairs``) instead of every
+scale's closed neighbourhoods, so ``input_digest`` changed with them.
+``schema_2_report`` rebuilds each report as schema 2 wrote it, from its
+schema-3 rebuild, and its digest is the schema-2 one, kept as
+``SCHEMA_2_GOLDEN``.  Schema 2 had
 changed each ``schema`` line from schema 1, and the two quotient reports
 also dropped ``results.fiber_components`` and wrote
 ``factorization.quotient`` as its blocks and g's images instead of whole
@@ -32,6 +39,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import rp2_subdivision_space
 from scalecover import actions, cli, formats, quotients, rips
 from scalecover.cli import main
 
@@ -63,6 +71,19 @@ def s3_cayley():
     left = [[index[compose(g, x)] for x in elements] for g in gens]
     return {"kind": "action", "space": {"matrix": matrix, "radii": [2, 1, 0]},
             "generators": left}
+
+
+def rp2_wedge_circle():
+    """The RP^2 subdivision of conftest with a 4-cycle wedged at its point
+    ("v", 1): its points numbered in order, 0 being ("v", 1), and the cycle
+    0, 31, 32, 33.  pi_1 is Z * Z/2, so words with letters of both factors
+    reach the free-product normal form."""
+    rp2 = rp2_subdivision_space()
+    index = {p: i for i, p in enumerate(rp2.points)}
+    pairs = {tuple(sorted((index[a], index[b]))) for a, b in rp2.sorted_pairs(1)}
+    pairs |= {(0, 31), (31, 32), (32, 33), (0, 33)}
+    return {"points": list(range(34)), "depth": 1,
+            "pairs": [[a, b, 1] for a, b in sorted(pairs)]}
 
 
 def discrete(n):
@@ -106,14 +127,64 @@ INPUTS = {
     # t = 0..3, so they first repeat at power 3; their ranks agree from power 1
     "z4.json": {"kind": "abelian_tower", "groups": [{"rank": 0, "torsion": [4]}] * 3,
                 "matrices": [[[2]], [[2]]], "stabilization": "pattern_repeats"},
-    # a tampered report: the stored budgets are read before the bad replay
-    # field is found, so the error report carries radius 4, not the default
-    "tampered.json": {"budgets": {"coset_rows": 100000, "ident_budget": 100000,
+    "rp2s1.json": rp2_wedge_circle(),
+    # a tampered schema-3 report: the stored budgets are read, and coset_rows
+    # dropped, before the bad replay field is found, so the error report
+    # carries radius 4, not the default
+    "tampered.json": {"schema": "scalecover-report/3",
+                      "budgets": {"coset_rows": 100000, "ident_budget": 100000,
                                   "product_bound": 200000, "radius": 4},
                       "replay": 5, "inputs": {}, "results": {}},
 }
 
 GOLDEN = {
+    ("analyze", "c6.json"):
+        "c2cd1f1cf8f9734501ff8e4ac3c487126ff564297b669a808753049ca13e5af8",
+    ("analyze", "tri.csv", "--radii", "2.5,1.5"):
+        "9688093b4f4f7aaba80ea2a08dd26c6640625be205374552e73f78889b56b9e4",
+    # a complete, identified cover: its verdict is UCM with witnesses (1, 2)
+    ("cover", "c6.json", "--scale", "1", "--basepoint", "0", "--radius", "6"):
+        "9ab78326967804ab44884daa2a231e7d85c3f25d89181c61820960b85c80bb44",
+    ("cover", "c6.json", "--scale", "2", "--basepoint", "0", "--radius", "6"):
+        "b9698e2490b983886b8daf788d17f06b01a799602f5676c76f78d35e07367c63",
+    ("action", "rotation.json", "--quotient-scale", "2", "--tower"):
+        "e68616fc73a997701e01fed20a1e0cf5cab1d80b5a6c24f49976a86222820c1f",
+    ("action", "s3.json", "--quotient-scale", "3", "--tower"):
+        "91508bf537294f7583d8c99f17f4178e17bfb9501c69bab6651d3642fbb1f573",
+    ("action", "swap.json", "--quotient-scale", "1", "--tower"):
+        "75b362242bbaae4a51814351c39f7540250f4d30a1e3ec50888ba250d0e55dfb",
+    ("map", "wrap.json"):
+        "b9396d892767d6f54f1e760e9496aa520c7c3585489a30b0b718ce26565ea181",
+    ("quotient", "wrap.json", "--scale", "1"):
+        "aa772436ee35d0b5545650261abe141bb3de7d8cad19a9af884290e6f877a4e5",
+    # the quotient at the source depth is also the factorization's
+    ("quotient", "wrap.json", "--scale", "2"):
+        "858eef298abef89b5a730ef72dbf696fb9a5d6cd1ea4b81f1877cd04fa646c85",
+    ("tower", "discrete.json"):
+        "27805f3a18e3a05194f8f9979a8485d13d5becdbff0567c18741f85a7df0a666",
+    ("tower", "detour.json"):
+        "771c45b721166f3eda0ac1cd86174b4ebcd4b1a5b04dcefc79794264ff8f664d",
+    ("tower", "abelian.json", "--telescope", "backward"):
+        "a4317e013dbbed792ea3efecc32a4181b1c97741f262c125ea097b4bc923350d",
+    ("tower", "z4.json"):
+        "7ad5c0dc6ca4488a1a6f79cf0d578396d7aedb9b31b03a41592fa2aaa5be90b5",
+    ("verify", "--replay", "tampered.json"):
+        "5c5887b9e3180e9b3a2f1f64866c2ea541c42d0d54c5f3deffc41247870586e9",
+    # pi_1 = Z * Z/2: every pair is decided, none is left Unknown, and the
+    # radius ends the build
+    ("cover", "rp2s1.json", "--scale", "1", "--basepoint", "0", "--radius", "10"):
+        "8b26b55b5b7389f59454e8dbe471be91707892f2bb3d8f2f2248af0418dc4c55",
+    # an enumeration of at most one row closes for no group but the trivial
+    # one: each undecided pair names ident_budget, whose value the report records
+    ("cover", "rp2s1.json", "--scale", "1", "--basepoint", "0", "--radius", "10",
+     "--ident-budget", "1"):
+        "7db89475cc5a20c256fdcd9846d673bfbc1254d7399fc9920a03dd81dd52cff2",
+}
+
+
+# The digests of every golden under scalecover-report/3, which the reports
+# rebuilt by schema_3_report must hash to.
+SCHEMA_3_GOLDEN = {
     ("analyze", "c6.json"):
         "b0ffd4ff37e108b3d79342bffe7fe5bfcf49256dd250d437bf70700c9de8cc4d",
     ("analyze", "tri.csv", "--radii", "2.5,1.5"):
@@ -219,15 +290,26 @@ def scales_form(node):
     return node
 
 
+def schema_3_report(argv) -> str:
+    """The scalecover-report/3 text of a command, run in the current
+    directory: its report with the schema-3 schema line and the budget
+    coset_rows, which schema 3 recorded beside ident_budget and which gave
+    ident_budget its value, put back."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    report = json.loads(out.getvalue())
+    report["schema"] = "scalecover-report/3"
+    report["budgets"]["coset_rows"] = report["budgets"]["ident_budget"]
+    return formats.canonical_dumps(report)
+
+
 def schema_2_report(argv) -> str:
     """The scalecover-report/2 text of a command, run in the current
     directory: its schema-3 report with the schema-2 schema line, its input
     spaces in the scales form, its input_digest taken of those inputs, and
     the whole written in the indent-2 layout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(list(argv))
-    report = json.loads(out.getvalue())
+    report = json.loads(schema_3_report(argv))
     inputs = scales_form(report["inputs"])
     report.update(schema="scalecover-report/2", inputs=inputs,
                   input_digest="sha256:" + hashlib.sha256(indent_2(inputs).encode()).hexdigest())
@@ -285,14 +367,8 @@ def test_golden_report_replays(capsys, monkeypatch, tmp_path, argv):
     assert results["counterexample_failures"] == []
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
-def test_schema_2_rebuild_matches_its_golden(capsys, monkeypatch, tmp_path, argv):
-    """Every byte a schema-3 report changed is the layout, the space specs
-    of its inputs or the schema line: rebuilt in the schema-2 form, the
-    report is the one schema 2 wrote, and it replays."""
-    write_inputs(monkeypatch, tmp_path)
-    text = schema_2_report(argv)
-    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_2_GOLDEN[argv]
+def assert_rebuild_replays(capsys, tmp_path, argv, text):
+    """text, the rebuilt report of argv, replays with identical results."""
     if argv[0] == "verify":
         return
     (tmp_path / "report.json").write_text(text)
@@ -302,6 +378,28 @@ def test_schema_2_rebuild_matches_its_golden(capsys, monkeypatch, tmp_path, argv
     assert code == 0
     assert results["results_identical"] is True
     assert results["counterexample_failures"] == []
+
+
+@pytest.mark.parametrize("argv", sorted(SCHEMA_3_GOLDEN), ids=" ".join)
+def test_schema_3_rebuild_matches_its_golden(capsys, monkeypatch, tmp_path, argv):
+    """Every byte a schema-4 report changed is the schema line and the
+    budget coset_rows: rebuilt with both, the report is the one schema 3
+    wrote, and it replays."""
+    write_inputs(monkeypatch, tmp_path)
+    text = schema_3_report(argv)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_GOLDEN[argv]
+    assert_rebuild_replays(capsys, tmp_path, argv, text)
+
+
+@pytest.mark.parametrize("argv", sorted(SCHEMA_2_GOLDEN), ids=" ".join)
+def test_schema_2_rebuild_matches_its_golden(capsys, monkeypatch, tmp_path, argv):
+    """Every byte a schema-3 report changed is the layout, the space specs
+    of its inputs or the schema line: rebuilt in the schema-2 form, the
+    report is the one schema 2 wrote, and it replays."""
+    write_inputs(monkeypatch, tmp_path)
+    text = schema_2_report(argv)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_2_GOLDEN[argv]
+    assert_rebuild_replays(capsys, tmp_path, argv, text)
 
 
 @pytest.mark.parametrize("argv", sorted(SCHEMA_1_GOLDEN), ids=" ".join)
@@ -329,7 +427,8 @@ def test_schema_1_quotient_report_replays(capsys, monkeypatch, tmp_path, argv):
 
 
 
-_SCHEMAS = "one of 'scalecover-report/1', 'scalecover-report/2', 'scalecover-report/3'"
+_SCHEMAS = ("one of 'scalecover-report/1', 'scalecover-report/2', 'scalecover-report/3', "
+            "'scalecover-report/4'")
 
 
 @pytest.mark.parametrize("path,value,message", [
@@ -337,17 +436,23 @@ _SCHEMAS = "one of 'scalecover-report/1', 'scalecover-report/2', 'scalecover-rep
     (("schema",), "scalecover-report/9",
      f"report field schema must be {_SCHEMAS}, got 'scalecover-report/9'"),
     (("budgets", "bogus"), 5, "report field budgets.bogus is not a budget"),
-    (("budgets",), None, "report field budgets.coset_rows is missing"),
+    (("budgets",), None, "report field budgets.ident_budget is missing"),
     (("budgets", "radius"), None, "report field budgets.radius is missing"),
+    (("budgets", "coset_rows"), 100000, "report field budgets.coset_rows is not a budget"),
+    (("schema",), "scalecover-report/3", "report field budgets.coset_rows is missing"),
     (("replay", "kind"), None, "report field replay.kind is missing"),
     (("inputs",), {}, "report field inputs.{key} is missing"),
-], ids=["no schema", "schema 9", "extra budget", "no budgets", "no radius", "no kind",
-        "no inputs"])
+    (("input_digest",), "sha256:" + "0" * 64,
+     "report field input_digest is not the digest of report field inputs"),
+], ids=["no schema", "schema 9", "extra budget", "no budgets", "no radius",
+        "schema 4 with coset_rows", "schema 3 without coset_rows", "no kind", "no inputs",
+        "zeroed digest"])
 def test_bad_schema_or_budgets_do_not_replay(capsys, monkeypatch, tmp_path, path, value,
                                              message):
     """Every golden report, with its schema deleted or unknown, its budgets
-    not exactly the four of cli.BUDGETS, its replay kind deleted or its
-    inputs emptied, is an input error on replay.  A value of None deletes
+    not exactly the three rows of cli.BUDGETS (and coset_rows, under schemas
+    1 to 3), its replay kind deleted, its inputs emptied or its input_digest
+    zeroed, is an input error on replay.  A value of None deletes
     the field; {key} in the message is the report kind's inputs field."""
     write_inputs(monkeypatch, tmp_path)
     for argv in sorted(a for a in GOLDEN if a[0] != "verify"):
@@ -367,6 +472,32 @@ def test_bad_schema_or_budgets_do_not_replay(capsys, monkeypatch, tmp_path, path
         report = json.loads(capsys.readouterr().out)
         assert code == report["exit_code"] == 3, argv
         assert report["results"]["error"] == f"ParseError: {expected}", argv
+
+@pytest.mark.parametrize("budget,unknown", [((), 0), (("--ident-budget", "1"), 24)],
+                         ids=["default budgets", "ident budget 1"])
+def test_rp2_wedge_circle_unknowns_name_ident_budget(capsys, monkeypatch, tmp_path, budget,
+                                                      unknown):
+    """RP^2 v S^1 at radius 10: with the default budgets the normal form
+    decides every pair, and the radius alone leaves the cover inconclusive.
+    With an ident_budget of one row, the pairs that need the table are
+    Unknown, each naming ident_budget with the value the report records."""
+    write_inputs(monkeypatch, tmp_path)
+    argv = ["cover", "rp2s1.json", "--scale", "1", "--basepoint", "0", "--radius", "10",
+            *budget]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["num_vertices"] == 252
+    assert len(results["unknown_pairs"]) == unknown
+    assert results["identification_incomplete"] is bool(unknown)
+    ident_budget = report["budgets"]["ident_budget"]
+    assert ident_budget == (1 if budget else rips.DEFAULT_COSET_ROWS)
+    for pair in results["unknown_pairs"]:
+        assert pair["reason"] == {"exhausted": "ident_budget", "budget": ident_budget}
+    assert results["ucm"]["reason"] == ("ident_budget exhausted; classes undetermined"
+                                        if unknown else
+                                        "radius budget exhausted before completion")
+
 
 def wrap_8x30():
     """The 8-fold wrap C240 -> C30 at radii (2, 1), labelled as the benchmark

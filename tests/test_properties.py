@@ -786,6 +786,102 @@ def test_decide_yes_is_transitive(fix_c6):
                         assert decide_e_homotopic(fix_c6, k, a, c).is_yes
 
 
+# finite groups G: generators as permutation tuples, relators as positive
+# words over 1..m, and the order of H1(G), onto which each generator maps as 1
+_FINITE_FACTORS = {
+    "Z/2": (((1, 0),), ((1, 1),), 2),
+    "Z/3": (((1, 2, 0),), ((1, 1, 1),), 3),
+    "S3": (((1, 0, 2), (0, 2, 1)), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), 2),
+}
+
+
+@st.composite
+def free_product_words(draw):
+    """(factor name, free rank r, offset, word) over F_r * G: G's m generators
+    are numbered offset + 1 .. offset + m and the free ones around them.
+
+    A word is a product of pieces u x u^-1, x a word in G's letters or a
+    rotated relator, and of a few random words, closed by one more u x u^-1
+    whose x = g^e makes the word's H1(G) part vanish, so that most words get
+    past H1 separation and the free-factor projection."""
+    name = draw(st.sampled_from(sorted(_FINITE_FACTORS)))
+    perms, rels, h1_order = _FINITE_FACTORS[name]
+    r = draw(st.integers(0, 2))
+    offset = draw(st.integers(0, r))
+    n = r + len(perms)
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    g_letter = st.integers(offset + 1, offset + len(perms)).flatmap(
+        lambda g: st.sampled_from((g, -g)))
+
+    def rotated(rel, k):
+        k %= len(rel)
+        return [offset + x for x in rel[k:] + rel[:k]]
+
+    def conjugate(u, x):
+        return u + list(x) + [-y for y in reversed(u)]
+
+    pieces = draw(st.lists(st.one_of(
+        st.builds(conjugate, st.lists(letter, max_size=3),
+                  st.one_of(st.lists(g_letter, min_size=1, max_size=4),
+                            st.builds(rotated, st.sampled_from(rels), st.integers(0, 5)))),
+        st.lists(letter, max_size=3)), max_size=4))
+    word = [x for piece in pieces for x in piece]
+    e = -sum(1 if x > 0 else -1 for x in word if offset < abs(x) <= offset + len(perms))
+    word += conjugate(draw(st.lists(letter, max_size=3)), [offset + 1] * (e % h1_order))
+    return name, r, offset, tuple(word)
+
+
+def _free_product_form(perms, offset, word):
+    """The reduced form in F * G of a word, G's letters read as permutations:
+    free letters, and G's non-identity elements as permutation tuples."""
+    identity = tuple(range(len(perms[0])))
+    out = []
+    for x in word:
+        i = abs(x) - offset - 1
+        if not 0 <= i < len(perms):
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+            continue
+        p = perms[i] if x > 0 else tuple(perms[i].index(j) for j in identity)
+        top = out.pop() if out and type(out[-1]) is tuple else identity
+        product = tuple(p[j] for j in top)  # top first, then p
+        if product != identity:
+            out.append(product)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_product_words())
+@example(("Z/2", 1, 0, (2, 1, -2, 1)))
+@example(("S3", 1, 0, (3, -2, 1, 1, 1, -2, 1, 2, -1, -3)))
+@example(("S3", 2, 1, (1, 2, -1, 3, 2, 3, -1, 2, 3, 1)))
+def test_word_problem_matches_free_product_referee(case):
+    """On F_r * G for G in Z/2, Z/3 and S3, the word problem answers Yes
+    exactly when the referee's free-product reduced form is empty, never
+    Unknown; a normal-form No has the referee's free letters, and G syllables
+    where the referee has them, whose cosets name its permutations one to one."""
+    name, r, offset, word = case
+    perms, rels, _ = _FINITE_FACTORS[name]
+    relators = [[offset + x for x in rel] for rel in rels]
+    pres = _bare_presentation(r + len(perms), relators)
+    decision = rips._word_trivial(pres, word, rips.DEFAULT_COSET_ROWS)
+    form = _free_product_form(perms, offset, word)
+    assert decision.verdict == ("no" if form else "yes"), (case, decision)
+    if decision.method == "coset_enumeration" and decision.is_no:
+        normal_form = decision.witness["normal_form"]
+        assert len(normal_form) == len(form)
+        named = {}
+        for ours, theirs in zip(normal_form, form):
+            if type(theirs) is int:
+                assert ours == theirs
+            else:
+                assert named.setdefault(ours["coset"], theirs) == theirs
+        assert len(set(named.values())) == len(named)
+        assert decision.witness["group_order"] == {"Z/2": 2, "Z/3": 3, "S3": 6}[name]
+
+
 def test_rp2_torsion_class_addition(rp2_space):
     essential = (("v", 1), ("e", 1, 2), ("v", 2), ("e", 2, 3), ("v", 3),
                  ("e", 1, 3), ("v", 1))
@@ -809,7 +905,7 @@ def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
         if decision.is_yes and word:
             state["hits"] += 1
             return HomotopyDecision("unknown", "budget",
-                                    {"exhausted": "coset_rows", "budget": budget})
+                                    {"exhausted": "ident_budget", "budget": budget})
         return decision
 
     monkeypatch.setattr(covers, "_word_trivial", flaky)
@@ -819,7 +915,7 @@ def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
     assert cover.unknown_pairs
     report = verify_endpoint_ucm(cover)
     assert report.verdict == "Inconclusive"
-    assert "identification" in report.reason
+    assert report.reason == "ident_budget exhausted; classes undetermined"
 
 
 def _flaky_word_trivial(modulus):
@@ -829,7 +925,7 @@ def _flaky_word_trivial(modulus):
         decision = rips._word_trivial(pres, word, budget)
         if modulus and decision.is_yes and word and len(word) % modulus == 0:
             return rips.HomotopyDecision("unknown", "budget",
-                                         {"exhausted": "coset_rows", "budget": budget})
+                                         {"exhausted": "ident_budget", "budget": budget})
         return decision
 
     return word_trivial
@@ -1308,11 +1404,12 @@ def fhat(cover, j):
 
 def old_verify_endpoint_ucm(cover):
     """verify_endpoint_ucm as it was: generation, one-step lifting and
-    transversality swept over fhat at every scale from the cover's on."""
+    transversality swept over fhat at every scale from the cover's on, with
+    the identification reason renamed after the budget it names."""
     space, k = cover.space, cover.scale
     if cover.identification_incomplete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
-                         "identification budget exhausted; classes undetermined")
+                         "ident_budget exhausted; classes undetermined")
     if not cover.complete:
         return UcmReport(False, (), False, (), None, "Inconclusive",
                          "radius budget exhausted before completion")
