@@ -4,17 +4,39 @@ The cover grows in layers of vertex ids: the vertices one round creates get
 the next id range, and the next round resolves the slots of that range only.
 
 A vertex of the cover is a homotopy class of scale-k chains from the
-basepoint, held as its breadth-first-minimal reduced representative.  A new
-chain is compared only with the vertices in its bucket: those with the same
-endpoint and the same H1 class of their word, which a dict indexes.  Any
-other vertex differs in H1, so it is certified distinct without a word
-problem.  Within the bucket, chains are identified by reduced-word equality,
-then by the word problem of the Tietze-reduced presentation (rewriting, then a
-free-product normal form over a coset table); an Unknown outcome, which names
-the exhausted ident_budget, marks the cover identification-incomplete
-and downstream verifiers refuse to conclude rather than guess.  A complete,
-fully identified cover is a uniform covering map by construction, so its
-verdict is read off the cover, not re-derived from its edges.
+basepoint, held as a reduced representative.  The representatives form a
+tree: vertex v was created by the slot of its parent u for the point y, and
+its representative is u's plus y.  A new chain is compared only with the
+vertices in its bucket: those with the same endpoint and the same H1 class
+of their word, which a dict indexes.  Any other vertex differs in H1, so it
+is certified distinct without a word problem.  Within the bucket, chains
+are identified by reduced-word equality, then by the word problem of the
+Tietze-reduced presentation (rewriting, then a free-product normal form over
+a coset table); an Unknown outcome, which names the exhausted ident_budget,
+marks the cover identification-incomplete and downstream verifiers refuse to
+conclude rather than guess.  A complete, fully identified cover is a uniform
+covering map by construction, so its verdict is read off the cover, not
+re-derived from its edges.
+
+Why a slot may read its ancestor's slot, and why a vertex never needs a
+smaller representative than the first one found:
+
+1. Round r + 1 creates vertices only from unshortened extensions
+   ``reps[v] + (y,)`` of layer r, taken in (v, y) order.  So layer r holds
+   the representatives of length r + 1, and within a layer the ids follow
+   the lexicographic order of point indices.
+2. A shortened extension of ``reps[v]`` by y is ``reps[u] + (y,)`` for an
+   ancestor u, or ``reps[u]`` itself.  Slot (u, y) resolved that same chain
+   in an earlier round.  Identifying it again would scan the same bucket
+   prefix in id order and return the same vertex, because every later
+   vertex has a larger id.
+3. So a chain that identifies with an existing vertex t is either longer
+   than ``reps[t]``, or of equal length and lexicographically later:
+   within ``build_cover``, ``reps[t]`` is the smallest chain of its class
+   by (length, point indices) among those examined.
+
+Only ``lift_chain`` with a positive extension budget creates vertices out of
+layer order; there a vertex keeps the first representative found.
 """
 
 from __future__ import annotations
@@ -59,10 +81,16 @@ class PartialCover:
     to the successor point y, or None while unexplored.  Mutated only during
     construction and on-demand lifting; treat as read-only afterwards.
 
-    Every representative is reduced: no interior point is spanned by its
+    ``parents[v]`` is the vertex whose slot created v (None for vertex 0),
+    and ``reps[v] == reps[parents[v]] + (endpoints[v],)``: the
+    representatives are closed under prefixes, so a reduced extension is
+    found by walking up the tree (see ``_resolve_slot``).  Every
+    representative is reduced: no interior point is spanned by its
     neighbours at scale k, and no point repeats its predecessor.  Besides the
-    fields, the cover keeps each vertex's ``(len, point indices)`` order key
-    and lists the vertex ids of each (endpoint, H1 class) bucket in id order.
+    fields, the cover lists the vertex ids of each (endpoint, H1 class)
+    bucket in id order.  A vertex keeps the representative it was created
+    with; the module docstring shows why no later chain of its class is
+    smaller within ``build_cover``.
     """
 
     space: FilteredSpace
@@ -73,6 +101,7 @@ class PartialCover:
     reps: list = field(default_factory=list, init=False)
     words: list = field(default_factory=list, init=False)
     endpoints: list = field(default_factory=list, init=False)
+    parents: list = field(default_factory=list, init=False)
     edges: list = field(default_factory=list, init=False)
     frontier_radius: int = 0
     complete: bool = False
@@ -81,16 +110,12 @@ class PartialCover:
 
     def __post_init__(self):
         self.presentation = presentation_at_scale(self.space, self.scale, self.basepoint)
-        self._keys = []
         self._buckets = {}
-        self._add_vertex((self.basepoint,), (), self._bucket(self.basepoint, ()))
+        self._add_vertex(None, (self.basepoint,), (), self._bucket(self.basepoint, ()))
 
     @property
     def num_vertices(self) -> int:
         return len(self.reps)
-
-    def _order_key(self, seq) -> tuple:
-        return len(seq), tuple(map(self.space.index, seq))
 
     def _bucket(self, end, word) -> tuple:
         pres = self.presentation
@@ -100,13 +125,13 @@ class PartialCover:
             return end, word
         return end, _h1_coords(pres, word)
 
-    def _add_vertex(self, seq, word, bucket) -> int:
+    def _add_vertex(self, parent, seq, word, bucket) -> int:
         vid = len(self.reps)
         self.reps.append(seq)
         self.words.append(word)
         self.endpoints.append(seq[-1])
+        self.parents.append(parent)
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
-        self._keys.append(self._order_key(seq))
         self._buckets.setdefault(bucket, []).append(vid)
         return vid
 
@@ -141,53 +166,42 @@ def _identify(cover: PartialCover, seq, word, bucket):
     return None
 
 
-def _extend_reduced(space: FilteredSpace, k: int, rep: tuple, y) -> tuple:
-    """``reduce_chain(space, k, rep + (y,)).seq`` for a reduced chain rep.
-
-    No interior point of rep is removable, so only the tail can change: pop
-    the point before y while y is scale-k close to the one before that, then
-    drop y if it repeats its predecessor.  Raises SpaceError unless y is
-    scale-k close to rep's endpoint.
-    """
-    if y not in space.closed(k, rep[-1]):
-        raise SpaceError(f"not a chain at scale {k}: {rep + (y,)!r}")
-    seq = [*rep, y]
-    while len(seq) >= 3 and y in space.closed(k, seq[-3]):
-        del seq[-2]
-    if len(seq) >= 2 and seq[-2] == y:
-        seq.pop()
-    return tuple(seq)
-
-
 def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -> None:
     """Fill edges[vid][y], creating a vertex for a genuinely new class.
 
     With allow_create False the slot is left unexplored when the extension
-    does not identify with a known class.
+    does not identify with a known class.  Raises SpaceError unless y is
+    scale-k close to endpoints[vid].
 
-    The extension is reduced by ``_extend_reduced``.  A class found again
-    keeps the smaller representative by ``(len, point indices)``; the swap
-    keeps the endpoint and the H1 class, so the vertex's bucket.
+    No interior point of ``reps[vid]`` is removable, so only the tail of
+    ``reps[vid] + (y,)`` reduces: starting at u = vid, u moves to its parent
+    while y is scale-k close to the parent's endpoint.  The reduced extension
+    is then ``reps[u]`` when u ends at y, and otherwise ``reps[u] + (y,)``,
+    which slot (u, y) resolves.  Only a slot that is still unexplored asks
+    for identification, and only edges[vid][y] is filled.  An ancestor's
+    slot is unexplored only when ``lift_chain`` extends a frontier vertex.
 
     The vertex in edges[vid][y] ends at y, a neighbour of endpoints[vid] and
     never that point itself, so no edge joins two lifts of one point.
     """
-    candidate = _extend_reduced(cover.space, cover.scale, cover.reps[vid], y)
-    # _extend_reduced proved the candidate a scale-k chain, and it starts at
-    # the basepoint, so every point of it lies in the basepoint's component
-    word = _chain_letters(cover.presentation, candidate)
-    bucket = cover._bucket(y, word)
-    target = _identify(cover, candidate, word, bucket)
+    space, k = cover.space, cover.scale
+    if y not in space.closed(k, cover.endpoints[vid]):
+        raise SpaceError(f"not a chain at scale {k}: {cover.reps[vid] + (y,)!r}")
+    u = vid
+    while (p := cover.parents[u]) is not None and y in space.closed(k, cover.endpoints[p]):
+        u = p
+    target = u if cover.endpoints[u] == y else cover.edges[u][y]
     if target is None:
-        if not allow_create:
-            return
-        target = cover._add_vertex(candidate, word, bucket)
-    elif len(candidate) <= len(cover.reps[target]):
-        key = cover._order_key(candidate)
-        if key < cover._keys[target]:
-            cover.reps[target] = candidate
-            cover.words[target] = word
-            cover._keys[target] = key
+        # reps[u] + (y,) is a scale-k chain from the basepoint, so every
+        # point of it lies in the basepoint's component
+        candidate = cover.reps[u] + (y,)
+        word = free_reduce(cover.words[u] + _chain_letters(cover.presentation, candidate[-2:]))
+        bucket = cover._bucket(y, word)
+        target = _identify(cover, candidate, word, bucket)
+        if target is None:
+            if not allow_create:
+                return
+            target = cover._add_vertex(u, candidate, word, bucket)
     cover.edges[vid][y] = target
 
 

@@ -334,29 +334,32 @@ def _hausdorff(spec):
 def space_from_spec(spec: dict) -> FilteredSpace:
     """A space from its points with either its pairs form (``depth`` and
     ``pairs``, as ``space_to_spec`` writes) or explicit per-scale pair lists
-    (``scales``), or from a distance matrix with ``radii``.  A spec holds at
-    most one of ``pairs``, ``scales`` and ``matrix``."""
+    (``scales``), or from a distance matrix with ``radii``, whose points are
+    named in ``names``.  A spec holds exactly one of ``pairs``, ``scales``
+    and ``matrix``."""
     if _expect(spec, dict, "a space spec").get("kind") not in (None, "space"):
         raise ParseError(f"expected a space spec, got kind {spec.get('kind')!r}")
     forms = [form for form in ("pairs", "scales", "matrix") if form in spec]
+    if not forms:
+        raise ParseError("a space spec needs one of pairs, scales and matrix")
     if len(forms) > 1:
         raise ParseError(f"a space spec holds one of pairs, scales and matrix, "
                          f"got {', '.join(forms)}")
-    if "points" in spec:
-        points = _points(spec["points"], "points")
-        if "pairs" in spec:
-            depth, triples = _finest_pairs(spec)
-            return from_finest(points, depth, triples, _hausdorff(spec))
-        scales = [_scale(scale) for scale in _expect(_field(spec, "scales"), list, "scales")]
-        return validate_space(points, scales, _hausdorff(spec))
-    if "matrix" in spec:
+    if forms == ["matrix"]:
+        if "points" in spec:
+            raise ParseError("a matrix spec names its points in names, not points")
         matrix = [_numbers(row, "a matrix row")
                   for row in _expect(spec["matrix"], list, "matrix")]
         names = spec.get("names")
         if names is not None:
             names = _points(names, "names")
         return from_metric(matrix, _numbers(_field(spec, "radii"), "radii"), names)
-    raise ParseError("space spec needs either points/scales or matrix/radii")
+    points = _points(_field(spec, "points"), "points")
+    if forms == ["pairs"]:
+        depth, triples = _finest_pairs(spec)
+        return from_finest(points, depth, triples, _hausdorff(spec))
+    scales = [_scale(scale) for scale in _expect(spec["scales"], list, "scales")]
+    return validate_space(points, scales, _hausdorff(spec))
 
 
 # On these characters alone int() and float() read exactly the ASCII decimal

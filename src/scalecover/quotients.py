@@ -54,19 +54,6 @@ class FilteredMap:
         )
         object.__setattr__(self, "_memo", {})
 
-    @classmethod
-    def build(cls, source, target, mapping):
-        if callable(mapping):
-            assignment = tuple(mapping(p) for p in source.points)
-        elif isinstance(mapping, dict):
-            missing = [p for p in source.points if p not in mapping]
-            if missing:
-                raise SpaceError(f"assignment missing points {missing!r}")
-            assignment = tuple(mapping[p] for p in source.points)
-        else:
-            assignment = tuple(mapping)
-        return cls(source, target, assignment)
-
     def __call__(self, x):
         try:
             return self._map[x]

@@ -642,7 +642,7 @@ class HomotopyDecision:
         return self.verdict == "unknown"
 
 
-def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
+def _word_trivial(pres, word, ident_budget) -> HomotopyDecision:
     word = free_reduce(word)
     if not word:
         return HomotopyDecision("yes", "free_reduction")
@@ -665,10 +665,10 @@ def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
         return HomotopyDecision(
             "no", "free_factor", {"reduced_word": list(free_part)}
         )
-    packed = _coset_table(pres, coset_budget)
+    packed = _coset_table(pres, ident_budget)
     if packed is None:
         return HomotopyDecision(
-            "unknown", "budget", {"exhausted": "ident_budget", "budget": coset_budget}
+            "unknown", "budget", {"exhausted": "ident_budget", "budget": ident_budget}
         )
     # the normal form in F * G: free letters, and G elements as cosets of the
     # trivial subgroup (one-tuples), multiplied by the table's columns
@@ -694,7 +694,7 @@ def _word_trivial(pres, word, coset_budget) -> HomotopyDecision:
 
 
 def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
-                       coset_budget: int = DEFAULT_COSET_ROWS) -> HomotopyDecision:
+                       ident_budget: int = DEFAULT_COSET_ROWS) -> HomotopyDecision:
     """Certified three-valued test for scale-k homotopy relative endpoints.
 
     The chains must share both endpoints.  Yes and No answers are exact; an
@@ -706,4 +706,4 @@ def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
     # both chains start at the basepoint, so both lie in its component
     pres = presentation_at_scale(space, k, c.start)
     word = free_reduce(_chain_letters(pres, c.seq) + invert_word(_chain_letters(pres, d.seq)))
-    return _word_trivial(pres, word, coset_budget)
+    return _word_trivial(pres, word, ident_budget)

@@ -112,7 +112,7 @@ def fix_map():
     """The mod-3 projection of the hexagon onto a triangle, both at radii (1)."""
     source = from_metric(c6_matrix(), (1,))
     target = from_metric(c3_matrix(), (1,))
-    return FilteredMap.build(source, target, {i: i % 3 for i in range(6)})
+    return FilteredMap(source, target, tuple(i % 3 for i in range(6)))
 
 
 @pytest.fixture(scope="session")
@@ -122,4 +122,4 @@ def one_point_space():
 
 @pytest.fixture(scope="session")
 def constant_map(fix_c6, one_point_space):
-    return FilteredMap.build(fix_c6, one_point_space, {i: 0 for i in range(6)})
+    return FilteredMap(fix_c6, one_point_space, (0,) * 6)

@@ -159,7 +159,7 @@ def relabel_map(rng, hausdorff=False):
         for pairs in sp.scales
     )
     target = FilteredSpace(sp.points, scales, hausdorff=sp.hausdorff)
-    return FilteredMap.build(sp, target, relabeled)
+    return FilteredMap(sp, target, tuple(perm))
 
 
 def double_cover_map(rng, hausdorff=False):
@@ -176,7 +176,7 @@ def double_cover_map(rng, hausdorff=False):
         for pairs in base.scales
     )
     total = FilteredSpace(points, scales, hausdorff=base.hausdorff)
-    return FilteredMap.build(total, base, lambda ps: ps[0])
+    return FilteredMap(total, base, tuple(ps[0] for ps in points))
 
 
 def cyclic_cover_map(rng, hausdorff=False):
@@ -186,7 +186,7 @@ def cyclic_cover_map(rng, hausdorff=False):
     radii = (1, 0.5) if hausdorff else (1,)
     source = from_metric(d2n, radii)
     target = from_metric(dn, radii)
-    return FilteredMap.build(source, target, lambda i: i % n)
+    return FilteredMap(source, target, tuple(i % n for i in source.points))
 
 
 def raw_random_map(rng, hausdorff=False):

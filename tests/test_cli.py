@@ -182,12 +182,20 @@ MALFORMED_INPUTS = {
     "group_without_torsion": ("tower", {"kind": "abelian_tower", "groups": [{"rank": 1}],
                                         "matrices": []}),
     "tower_without_bondings": ("tower", {"kind": "space_tower", "spaces": [SPACE_SPEC]}),
+    # a matrix spec names its points in names
+    "matrix_with_points": ("analyze", {"points": [0, 1], "matrix": [[0, 1], [1, 0]],
+                                       "radii": [1]}),
 }
 
 # the field each case above leaves out, which its error names
-MISSING_FIELDS = {"no_scales": "scales", "no_radii": "radii", "map_without_target": "target",
+MISSING_FIELDS = {"no_radii": "radii", "map_without_target": "target",
                   "action_without_generators": "generators",
                   "group_without_torsion": "torsion", "tower_without_bondings": "bondings"}
+
+# the form of a space spec is read from pairs, scales or matrix, never from
+# points, and the error names what is wrong with the form
+SPEC_FORM_ERRORS = {"no_scales": "a space spec needs one of pairs, scales and matrix",
+                    "matrix_with_points": "a matrix spec names its points in names, not points"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -200,6 +208,8 @@ def test_malformed_json_is_input_error(capsys, tmp_path, case):
     assert report["results"]["error"].startswith("ParseError: ")
     if case in MISSING_FIELDS:
         assert report["results"]["error"] == f"ParseError: field {MISSING_FIELDS[case]} is missing"
+    if case in SPEC_FORM_ERRORS:
+        assert report["results"]["error"] == f"ParseError: {SPEC_FORM_ERRORS[case]}"
 
 
 PAIRS_SPEC = {"kind": "space", "points": [0, 1, 2], "depth": 2,

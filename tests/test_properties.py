@@ -931,9 +931,11 @@ def _flaky_word_trivial(modulus):
     return word_trivial
 
 
-def _reference_resolve_slot(ref, vid, y, word_trivial, allow_create=True):
-    """_resolve_slot and _identify before buckets: the extension is reduced
-    by reduce_chain, and every vertex with its endpoint is compared."""
+def _reference_resolve_slot(ref, vid, y, word_trivial, swap, allow_create=True):
+    """_resolve_slot and _identify before buckets and trees: the extension is
+    reduced by reduce_chain, and every vertex with its endpoint is compared.
+    With swap, a class found again takes the smaller representative by
+    (length, point indices), as build_cover once did."""
     space, k = ref.space, ref.scale
     candidate = reduce_chain(space, k, ref.reps[vid] + (y,)).seq
     word = rips.chain_word(ref.presentation, Chain(k, candidate))
@@ -960,7 +962,7 @@ def _reference_resolve_slot(ref, vid, y, word_trivial, allow_create=True):
         if not allow_create:
             return False
         target = _reference_add_vertex(ref, candidate)
-    else:
+    elif swap:
         old = ref.reps[target]
         new_key = (len(candidate), tuple(space.index(p) for p in candidate))
         old_key = (len(old), tuple(space.index(p) for p in old))
@@ -980,7 +982,8 @@ def _reference_add_vertex(ref, seq):
 
 
 def _reference_build_cover(space, k, base, radius, word_trivial):
-    """build_cover's breadth-first rounds and closure pass, over the linear scan."""
+    """build_cover's breadth-first rounds and closure pass, over the linear
+    scan, swapping in smaller representatives."""
     ref = types.SimpleNamespace(
         space=space, scale=k, ident_budget=rips.DEFAULT_COSET_ROWS,
         presentation=rips.presentation_at_scale(space, k, base), reps=[], words=[],
@@ -1001,7 +1004,7 @@ def _reference_build_cover(space, k, base, radius, word_trivial):
         new_classes = 0
         for v, y in unresolved:
             if ref.edges[v][y] is None:
-                new_classes += _reference_resolve_slot(ref, v, y, word_trivial)
+                new_classes += _reference_resolve_slot(ref, v, y, word_trivial, True)
         rounds += 1
         ref.frontier_radius = rounds
         if new_classes == 0:
@@ -1009,12 +1012,12 @@ def _reference_build_cover(space, k, base, radius, word_trivial):
             break
     if not ref.complete:
         for v, y in unresolved_slots():
-            _reference_resolve_slot(ref, v, y, word_trivial, allow_create=False)
+            _reference_resolve_slot(ref, v, y, word_trivial, True, allow_create=False)
         ref.complete = not unresolved_slots()
     return ref
 
 
-def _reference_lift(ref, seq, word_trivial):
+def _reference_lift(ref, seq, word_trivial, swap=False):
     """lift_chain from vertex 0 with an extension budget of len(seq)."""
     lift = [0]
     for y in seq[1:]:
@@ -1023,7 +1026,7 @@ def _reference_lift(ref, seq, word_trivial):
             lift.append(cur)
             continue
         if ref.edges[cur][y] is None:
-            _reference_resolve_slot(ref, cur, y, word_trivial)
+            _reference_resolve_slot(ref, cur, y, word_trivial, swap)
         lift.append(ref.edges[cur][y])
     return lift
 
@@ -1032,9 +1035,10 @@ COVER_FIELDS = ("reps", "words", "endpoints", "edges", "complete", "frontier_rad
                 "identification_incomplete", "unknown_pairs")
 
 
-# lifting the walks below swaps a smaller representative into a vertex: on
-# SWAP_WORD its word changes; on SWAP_BETWEEN (5, 4, 3) becomes (5, 0, 3),
-# and the later candidate (5, 2, 3) lies between the two
+# lifting the walks below past the frontier finds a smaller representative
+# of a vertex, which lift_chain does not swap in: on SWAP_WORD the swap would
+# change the vertex's word; on SWAP_BETWEEN it would turn (5, 4, 3) into
+# (5, 0, 3), and the later candidate (5, 2, 3) lies between the two
 SWAP_WORD = FilteredSpace(tuple(range(4)), (frozenset(
     [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),))
 SWAP_BETWEEN = FilteredSpace(tuple(range(7)), (frozenset(
@@ -1068,7 +1072,9 @@ def cover_case(draw):
 def test_bucketed_cover_matches_linear_scan(case):
     """build_cover and lift_chain with on-demand extension give the same
     cover as the linear scan over every same-endpoint vertex with full
-    reduce_chain, also when some Yes answers are forced to Unknown."""
+    reduce_chain, also when some Yes answers are forced to Unknown.  The
+    build equals the scan that swaps in smaller representatives, so
+    build_cover never needs a swap; lift_chain keeps the first one found."""
     sp, k, base, radius, modulus, walk = case
     word_trivial = _flaky_word_trivial(modulus)
     ref = _reference_build_cover(sp, k, base, radius, word_trivial)
@@ -1082,21 +1088,53 @@ def test_bucketed_cover_matches_linear_scan(case):
         assert getattr(cover, name) == getattr(ref, name), name
 
 
+def test_lift_keeps_first_representative():
+    """On the SWAP walks the swapping scan changes a representative that
+    lift_chain keeps: the two rules differ only past the frontier."""
+    for case in ((SWAP_WORD, 1, 3, 0, (3, 2, 0, 0, 1, 0, 2)),
+                 (SWAP_BETWEEN, 1, 5, 1, (5, 4, 3, 0, 3, 2, 3, 3, 4, 5, 2, 6, 2))):
+        sp, k, base, radius, walk = case
+        cover = build_cover(sp, k, base, radius)
+        covers.lift_chain(cover, 0, walk, extend_budget=len(walk))
+        ref = _reference_build_cover(sp, k, base, radius, rips._word_trivial)
+        _reference_lift(ref, walk, rips._word_trivial, swap=True)
+        assert cover.edges == ref.edges
+        assert cover.reps != ref.reps
+
+
 @settings(max_examples=200, deadline=None)
 @given(cover_case())
 @example((KING_TORUS, 1, 0, 0, 0, (0, 1, 2)))
-def test_tail_reduction_matches_reduce_chain(case):
-    """For a reduced rep, extending by any point of the endpoint's closed
-    neighbourhood reduces as reduce_chain does; any other point is refused."""
-    sp, k, _, _, _, walk = case
-    rep = reduce_chain(sp, k, walk).seq
-    for y in sp.points:
-        if y in sp.closed(k, rep[-1]):
-            expected = reduce_chain(sp, k, rep + (y,)).seq
-            assert covers._extend_reduced(sp, k, rep, y) == expected
-        else:
-            with pytest.raises(rips.SpaceError):
-                covers._extend_reduced(sp, k, rep, y)
+# past the frontier at 0: 5 shortens to the unexplored slot (0, 5), so the new
+# vertex's parent is 0, not the vertex (0, 1) the walk stands on
+@example((KING_TORUS, 1, 0, 0, 0, (0, 1, 5)))
+@example((SWAP_BETWEEN, 1, 5, 1, 0, (5, 4, 3, 0, 3, 2, 3, 3, 4, 5, 2, 6, 2)))
+def test_representatives_form_a_tree(case):
+    """Each vertex's representative is its parent's plus its endpoint, and
+    reduced; each resolved slot holds the class of the reduced extension;
+    extending by a point outside the endpoint's closed neighbourhood is
+    refused.  Also for vertices lift_chain creates past the frontier."""
+    sp, k, base, radius, _, walk = case
+    cover = build_cover(sp, k, base, radius)
+    covers.lift_chain(cover, 0, walk, extend_budget=len(walk))
+    pres = cover.presentation
+    assert cover.parents[0] is None
+    for v, rep in enumerate(cover.reps):
+        if v:
+            assert rep == cover.reps[cover.parents[v]] + (cover.endpoints[v],)
+        assert reduce_chain(sp, k, rep).seq == rep
+        for y, t in cover.edges[v].items():
+            if t is None:
+                continue
+            seq = reduce_chain(sp, k, rep + (y,)).seq
+            if seq != cover.reps[t]:
+                word = rips.chain_word(pres, Chain(k, seq))
+                combined = rips.free_reduce(word + rips.invert_word(cover.words[t]))
+                assert rips._word_trivial(pres, combined, cover.ident_budget).is_yes
+        for y in sp.points:
+            if y not in sp.closed(k, cover.endpoints[v]):
+                with pytest.raises(rips.SpaceError):
+                    covers._resolve_slot(cover, v, y)
 
 
 def test_random_fine_scale_covers_are_spaces(fix_l4):

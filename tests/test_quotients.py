@@ -59,7 +59,7 @@ class TestGenerates:
 
     def test_non_surjective_fails(self, fix_c6):
         two = from_metric([[0, 1], [1, 0]], (1,))
-        inc = FilteredMap.build(two, fix_c6, {0: 0, 1: 1})
+        inc = FilteredMap(two, fix_c6, (0, 1))
         res = check_generates(inc)
         assert not res.passed
         assert res.counterexample["kind"] == "image_not_entourage"
@@ -78,7 +78,7 @@ class TestChainLifting:
         allpairs = from_metric([[min(abs(i - j), 6 - abs(i - j)) for j in range(6)]
                                 for i in range(6)], (3,))
         two = validate_space([0, 3], [[(0, 0), (3, 3)]], hausdorff=True)
-        inc = FilteredMap.build(two, allpairs, {0: 0, 3: 3})
+        inc = FilteredMap(two, allpairs, (0, 3))
         res = check_chain_lifting(inc)
         assert not res.passed
         x, y = res.counterexample["from_point"], res.counterexample["step_to"]

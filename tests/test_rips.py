@@ -244,8 +244,8 @@ def test_unknown_is_honest_on_hard_words(fix_l4):
         space=fix_l4, scale=1, basepoint=0, component=(0, 1, 2, 3),
         tree_edges=(), generators=((0, 1), (1, 2)), relators=((1, 1, 2, 2),),
     )
-    decision = _word_trivial(pres, (1, 2, -1, -2), coset_budget=500)
+    decision = _word_trivial(pres, (1, 2, -1, -2), ident_budget=500)
     assert decision.is_unknown
     assert decision.witness == {"exhausted": "ident_budget", "budget": 500}
     # the relator itself is certified trivial by rewriting alone
-    assert _word_trivial(pres, (1, 1, 2, 2), coset_budget=500).is_yes
+    assert _word_trivial(pres, (1, 1, 2, 2), ident_budget=500).is_yes
