@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quotients import FilteredMap, collapse
-from .spaces import FilteredSpace, Partition, SpaceError, _owned, breadth_first, components
+from .spaces import (FilteredSpace, Partition, SpaceError, _owned, breadth_first, coarsest,
+                     components)
 
 DEFAULT_GROUP_BOUND = 10_000
 
@@ -79,10 +80,6 @@ class ActionSpec:
 
     def apply(self, perm, point):
         return self.space.points[perm[self.space.index(point)]]
-
-    @property
-    def identity(self):
-        return tuple(range(len(self.space.points)))
 
     def perm_of_points(self, perm) -> tuple:
         return tuple(self.space.points[perm[i]] for i in range(len(perm)))
@@ -187,9 +184,6 @@ class ActionDiagnosis:
     equicontinuity: dict
     ss_equicontinuity: dict
 
-    def all_neutral(self) -> bool:
-        return all(v is not None for v in self.neutral["witnesses"].values())
-
     def has_ss_bounded_orbits(self) -> bool:
         return all(v is not None for v in self.ss_bounded_orbits["witnesses"].values())
 
@@ -242,8 +236,10 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
                 if witness:
                     break
             neutral_table[(e, f)] = {"holds": not bad, "counterexample": witness}
+    # a pair fails exactly when it has a counterexample: the inverses of the
+    # elements reach every point of G.N_f[x]
     neutral_witness = {
-        e: next((f for f in range(1, m + 1) if neutral_table[(e, f)]["holds"]), None)
+        e: coarsest(range(1, m + 1), lambda f: neutral_table[(e, f)]["counterexample"])[0]
         for e in range(1, m + 1)
     }
 
@@ -260,16 +256,16 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         "counterexamples": {k: v for k, v in upd_per_scale.items() if v is not None},
     }
 
+    def unbounded(e, f):
+        """The first pair of a scale-f orbit that is not e-close, or None."""
+        return next(({"scale_f": f, "orbit_of": orb[0], "pair": [a, b]}
+                     for orb in record[f].orbits.blocks for a in orb for b in orb
+                     if b not in space.closed(e, a)), None)
+
     ssbo = {"witnesses": {}, "counterexamples": {}}
     for e in range(1, m + 1):
         # the coarsest f whose orbits are e-bounded, else the failure at the finest f
-        for f in range(1, m + 1):
-            bad = next(({"scale_f": f, "orbit_of": orb[0], "pair": [a, b]}
-                        for orb in record[f].orbits.blocks for a in orb for b in orb
-                        if b not in space.closed(e, a)), None)
-            if bad is None:
-                break
-        ssbo["witnesses"][e] = None if bad else f
+        ssbo["witnesses"][e], bad = coarsest(range(1, m + 1), lambda f: unbounded(e, f))
         if bad:
             ssbo["counterexamples"][e] = bad
 
@@ -285,11 +281,9 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
         ),
     }
     for e in range(1, m + 1):
-        found = next(
-            (f for f in range(1, m + 1) if saturated[f] <= space.scale_pairs(e)), None
-        )
-        equi["witnesses"][e] = found
-        if found is None:
+        equi["witnesses"][e] = coarsest(
+            range(1, m + 1), lambda f: saturated[f] - space.scale_pairs(e) or None)[0]
+        if equi["witnesses"][e] is None:
             equi["failures"][e] = {
                 "uninvariant_pairs": sorted(
                     map(list, saturated[e] - space.scale_pairs(e))
@@ -297,8 +291,7 @@ def diagnose_action(action: ActionSpec) -> ActionDiagnosis:
             }
 
     ss_equi = {"witnesses": {
-        e: next((f for f in range(1, m + 1) if ss_saturated[f] <= space.scale_pairs(e)),
-                None)
+        e: coarsest(range(1, m + 1), lambda f: ss_saturated[f] - space.scale_pairs(e) or None)[0]
         for e in range(1, m + 1)
     }}
 

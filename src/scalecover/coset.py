@@ -28,7 +28,6 @@ class CosetTable:
     ``table[c][2 * (g - 1) + 1]`` are c times generator g and its inverse.
     """
 
-    num_gens: int
     table: tuple
     rows_defined: int
 
@@ -151,4 +150,4 @@ def coset_enumeration(num_gens: int, relators, max_rows: int = DEFAULT_COSET_ROW
     compact = tuple(
         tuple(renumber[rep(table[c][col])] for col in range(width)) for c in live
     )
-    return CosetTable(num_gens, compact, len(table))
+    return CosetTable(compact, len(table))

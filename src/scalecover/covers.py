@@ -5,8 +5,9 @@ the next id range, and the next round resolves the slots of that range only.
 
 A vertex of the cover is a homotopy class of scale-k chains from the
 basepoint, held as a reduced representative.  The representatives form a
-tree: vertex v was created by the slot of its parent u for the point y, and
-its representative is u's plus y.  A new chain is compared only with the
+tree: vertex v was created by the slot of its parent u for the point y, its
+representative is u's plus y, and its word is u's plus the letter of the
+step to y (none on a tree edge).  A new chain is compared only with the
 vertices in its bucket: those with the same endpoint and the same H1 class
 of their word, which a dict indexes.  Any other vertex differs in H1, so it
 is certified distinct without a word problem.  Within the bucket, chains
@@ -32,11 +33,11 @@ smaller representative than the first one found:
    vertex has a larger id.
 3. So a chain that identifies with an existing vertex t is either longer
    than ``reps[t]``, or of equal length and lexicographically later:
-   within ``build_cover``, ``reps[t]`` is the smallest chain of its class
-   by (length, point indices) among those examined.
+   ``reps[t]`` is the smallest chain of its class by (length, point
+   indices) among those examined.
 
-Only ``lift_chain`` with a positive extension budget creates vertices out of
-layer order; there a vertex keeps the first representative found.
+``build_cover`` is the only creator of vertices, so every cover is built in
+layer order; ``lift_chain`` follows resolved slots only.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class PartialCover:
 
     ``edges[v][y]`` holds the vertex reached from v by the one-step extension
     to the successor point y, or None while unexplored.  Mutated only during
-    construction and on-demand lifting; treat as read-only afterwards.
+    construction; treat as read-only afterwards.
 
     ``parents[v]`` is the vertex whose slot created v (None for vertex 0),
     and ``reps[v] == reps[parents[v]] + (endpoints[v],)``: the
@@ -90,7 +91,7 @@ class PartialCover:
     fields, the cover lists the vertex ids of each (endpoint, H1 class)
     bucket in id order.  A vertex keeps the representative it was created
     with; the module docstring shows why no later chain of its class is
-    smaller within ``build_cover``.
+    smaller.
     """
 
     space: FilteredSpace
@@ -178,8 +179,7 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
     while y is scale-k close to the parent's endpoint.  The reduced extension
     is then ``reps[u]`` when u ends at y, and otherwise ``reps[u] + (y,)``,
     which slot (u, y) resolves.  Only a slot that is still unexplored asks
-    for identification, and only edges[vid][y] is filled.  An ancestor's
-    slot is unexplored only when ``lift_chain`` extends a frontier vertex.
+    for identification, and only edges[vid][y] is filled.
 
     The vertex in edges[vid][y] ends at y, a neighbour of endpoints[vid] and
     never that point itself, so no edge joins two lifts of one point.
@@ -195,7 +195,9 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
         # reps[u] + (y,) is a scale-k chain from the basepoint, so every
         # point of it lies in the basepoint's component
         candidate = cover.reps[u] + (y,)
-        word = free_reduce(cover.words[u] + _chain_letters(cover.presentation, candidate[-2:]))
+        # no reduction: a reduced chain never backtracks, and the walk up the
+        # tree has already removed the one step that could cancel
+        word = cover.words[u] + _chain_letters(cover.presentation, candidate[-2:])
         bucket = cover._bucket(y, word)
         target = _identify(cover, candidate, word, bucket)
         if target is None:
@@ -323,13 +325,12 @@ def critical_scales(space: FilteredSpace) -> list:
     return out
 
 
-def lift_chain(cover: PartialCover, start_vertex: int, downstairs,
-               extend_budget: int = 0) -> list:
+def lift_chain(cover: PartialCover, start_vertex: int, downstairs) -> list:
     """The unique lift of a downstairs chain through the edge table.
 
-    The chain may live at any scale at least as fine as the cover's.  With a
-    positive extend_budget, unexplored slots along the way are resolved on
-    demand; otherwise hitting one raises BudgetExhausted.
+    The chain may live at any scale at least as fine as the cover's.  The
+    lift follows resolved slots only: an unexplored one raises
+    BudgetExhausted.
     """
     j = downstairs.scale if isinstance(downstairs, Chain) else cover.scale
     if j < cover.scale:
@@ -340,7 +341,6 @@ def lift_chain(cover: PartialCover, start_vertex: int, downstairs,
             f"chain starts at {seq[0]!r}, vertex ends at {cover.endpoints[start_vertex]!r}"
         )
     lift = [start_vertex]
-    remaining = extend_budget
     for y in seq[1:]:
         cur = lift[-1]
         if y == cover.endpoints[cur]:
@@ -348,13 +348,7 @@ def lift_chain(cover: PartialCover, start_vertex: int, downstairs,
             continue
         slot = cover.edges[cur][y]
         if slot is None:
-            if remaining <= 0:
-                raise BudgetExhausted(
-                    f"unexplored step {cover.endpoints[cur]!r}->{y!r}; extension budget used up"
-                )
-            remaining -= 1
-            _resolve_slot(cover, cur, y)
-            slot = cover.edges[cur][y]
+            raise BudgetExhausted(f"unexplored step {cover.endpoints[cur]!r}->{y!r}")
         lift.append(slot)
     return lift
 

@@ -2,8 +2,11 @@
 
 Every verifier here is verdict-valued: it returns a result object carrying
 per-scale witnesses on success and a replayable counterexample on failure.
-The two quantifier eliminations that make the checks finite are one-step
-induction for chain lifting and a pair fixpoint for approximate uniqueness.
+Each witness is a ``spaces.coarsest`` search over a condition written once,
+as a function returning its own counterexample or None: continuity,
+pullback, cofinality, one-step lifting and the uniqueness fixpoint.  The two
+quantifier eliminations that make the checks finite are one-step induction
+for chain lifting and a pair fixpoint for approximate uniqueness.
 The fixpoint is a multi-source ``spaces.breadth_first`` search over pairs of
 source points, started from the whole diagonal; fiber components are a
 search over the scale-k steps whose ends have equal images.  Fiber and orbit
@@ -22,6 +25,7 @@ from .spaces import (
     UnknownPoint,
     _owned,
     breadth_first,
+    coarsest,
     components,
     is_chain,
 )
@@ -71,12 +75,8 @@ class FilteredMap:
     @property
     def continuity_witnesses(self) -> tuple:
         """Per target scale, the coarsest source scale mapping into it."""
-        images = [self.image_relation(j) for j in range(1, self.source.depth + 1)]
-        return tuple(
-            next((j for j, img in enumerate(images, start=1)
-                  if all(ys <= self.target.closed(k, a) for a, ys in img.items())), None)
-            for k in range(1, self.target.depth + 1)
-        )
+        return tuple(coarsest(range(1, self.source.depth + 1), lambda j: _escape(self, j, k))[0]
+                     for k in range(1, self.target.depth + 1))
 
     def is_uniformly_continuous(self) -> bool:
         return all(w is not None for w in self.continuity_witnesses)
@@ -93,15 +93,15 @@ class FilteredMap:
         for x, y in zip(self.source.points, self.assignment):
             fibers.setdefault(y, []).append(x)
         source, target = self.source, self.target
-        return tuple(
-            next((k for k in range(1, target.depth + 1)
-                  if all(z in source.closed(e, x)
-                         for x, a in zip(source.points, self.assignment)
-                         for b in target.closed(k, a)
-                         for z in fibers.get(b, ()))),
-                 None)
-            for e in range(1, source.depth + 1)
-        )
+
+        def outside(e, k):
+            """A pair (x, z) of f^-1(F_k) outside E_e, or None."""
+            return next(((x, z) for x, a in zip(source.points, self.assignment)
+                         for b in target.closed(k, a) for z in fibers.get(b, ())
+                         if z not in source.closed(e, x)), None)
+
+        return tuple(coarsest(range(1, target.depth + 1), lambda k: outside(e, k))[0]
+                     for e in range(1, source.depth + 1))
 
 
 def collapse(space: FilteredSpace, blocks: Partition) -> FilteredMap:
@@ -125,6 +125,26 @@ class GenerationResult:
     counterexample: dict | None = None
 
 
+def _escape(f: FilteredMap, j: int, k: int):
+    """[a, b]: the first target point a whose f(E_j)[a] is not in F_k[a], and
+    the least b of the difference, or None when f maps E_j into F_k."""
+    target = f.target
+    for a, image in f.image_relation(j).items():
+        if not image <= target.closed(k, a):
+            return [a, min(image - target.closed(k, a), key=target.index)]
+    return None
+
+
+def _uncovered(f: FilteredMap, j: int, k: int):
+    """[a, b]: the first target point a whose F_k[a] is not in f(E_j)[a], and
+    the least b of the difference, or None when f(E_j) contains F_k."""
+    target, image = f.target, f.image_relation(j)
+    for a in target.points:
+        if not target.closed(k, a) <= image[a]:
+            return [a, min(target.closed(k, a) - image[a], key=target.index)]
+    return None
+
+
 @_owned
 def check_generates(f: FilteredMap) -> GenerationResult:
     """Whether the images of the source scales form a basis for the target.
@@ -134,36 +154,18 @@ def check_generates(f: FilteredMap) -> GenerationResult:
     are entourages and cofinal).
     """
     continuity = f.continuity_witnesses
-    target = f.target
-    images = [f.image_relation(j) for j in range(1, f.source.depth + 1)]
-    cofinal = tuple(
-        next((k for k in range(1, target.depth + 1)
-              if all(target.closed(k, a) <= img[a] for a in target.points)), None)
-        for img in images
-    )
+    searches = [coarsest(range(1, f.target.depth + 1), lambda k: _uncovered(f, j, k))
+                for j in range(1, f.source.depth + 1)]
+    cofinal = tuple(k for k, _ in searches)
     counterexample = None
-    for k, w in enumerate(continuity, start=1):
-        if w is None:
-            counterexample = {"kind": "no_continuity_witness", "target_scale": k}
-            break
-    if counterexample is None:
-        for j, w in enumerate(cofinal, start=1):
-            if w is None:
-                img = images[j - 1]
-                missing = next(
-                    ([a, b] for a in target.points
-                     for b in target.sort_points(target.closed(target.depth, a))
-                     if b not in img[a]),
-                    None,
-                )
-                counterexample = {
-                    "kind": "image_not_entourage",
-                    "source_scale": j,
-                    "missing_pair": missing,
-                }
-                break
-    passed = counterexample is None
-    return GenerationResult(passed, continuity, cofinal, counterexample)
+    if None in continuity:
+        counterexample = {"kind": "no_continuity_witness",
+                          "target_scale": continuity.index(None) + 1}
+    elif None in cofinal:
+        j = cofinal.index(None) + 1
+        counterexample = {"kind": "image_not_entourage", "source_scale": j,
+                          "missing_pair": searches[j - 1][1]}
+    return GenerationResult(counterexample is None, continuity, cofinal, counterexample)
 
 
 @dataclass(frozen=True)
@@ -197,29 +199,16 @@ def check_chain_lifting(f: FilteredMap) -> ChainLiftingResult:
     one-step extensions downstairs always lift to a scale-e step upstairs
     from every point; the coarsest such target scale is the witness.
     """
-    witnesses = []
+    searches = [coarsest(range(1, f.target.depth + 1), lambda k: _one_step_lifts(f, e, k))
+                for e in range(1, f.source.depth + 1)]
+    witnesses = tuple(k for k, _ in searches)
     counterexample = None
-    for e in range(1, f.source.depth + 1):
-        found = None
-        last_failure = None
-        for k in range(1, f.target.depth + 1):
-            failure = _one_step_lifts(f, e, k)
-            if failure is None:
-                found = k
-                break
-            last_failure = failure
-        witnesses.append(found)
-        if found is None and counterexample is None:
-            x, y = last_failure
-            counterexample = {
-                "kind": "unliftable_step",
-                "source_scale": e,
-                "target_scale": f.target.depth,
-                "from_point": x,
-                "step_to": y,
-            }
-    passed = counterexample is None
-    return ChainLiftingResult(passed, tuple(witnesses), counterexample)
+    if None in witnesses:
+        e = witnesses.index(None) + 1
+        x, y = searches[e - 1][1]
+        counterexample = {"kind": "unliftable_step", "source_scale": e,
+                          "target_scale": f.target.depth, "from_point": x, "step_to": y}
+    return ChainLiftingResult(counterexample is None, witnesses, counterexample)
 
 
 @dataclass(frozen=True)
@@ -271,30 +260,19 @@ def check_approx_uniqueness(f: FilteredMap, strong: bool = False) -> ApproxUniqu
     F-closeness.  Witnesses record the coarsest F that works.
     """
     mode = "strong" if strong else "plain"
-    witnesses = []
+    depth = f.source.depth
+    searches = [coarsest(range(e, depth + 1),
+                         lambda j: _uniqueness_condition(f, j, j if strong else e))
+                for e in range(1, depth + 1)]
+    witnesses = tuple(j for j, _ in searches)
     counterexample = None
-    for e in range(1, f.source.depth + 1):
-        found = None
-        last = None
-        for j in range(e, f.source.depth + 1):
-            failure = _uniqueness_condition(f, j, j if strong else e)
-            if failure is None:
-                found = j
-                break
-            last = (j, failure)
-        witnesses.append(found)
-        if found is None and counterexample is None:
-            j, (left, right) = last
-            counterexample = {
-                "kind": "non_close_lifts",
-                "mode": mode,
-                "source_scale": e,
-                "finer_scale": j,
-                "chains": [list(left), list(right)],
-                "violation_index": len(left) - 1,
-            }
-    passed = counterexample is None
-    return ApproxUniquenessResult(passed, mode, tuple(witnesses), counterexample)
+    if None in witnesses:
+        e = witnesses.index(None) + 1
+        left, right = searches[e - 1][1]
+        counterexample = {"kind": "non_close_lifts", "mode": mode, "source_scale": e,
+                          "finer_scale": depth, "chains": [list(left), list(right)],
+                          "violation_index": len(left) - 1}
+    return ApproxUniquenessResult(counterexample is None, mode, witnesses, counterexample)
 
 
 def counterexample_holds(f: FilteredMap, ce: dict) -> bool:

@@ -130,10 +130,11 @@ class GroupPresentation:
     per component, rooted at the component's first point.  Generators are the
     non-tree edges, oriented from the smaller point; relators read each
     triangle boundary through the tree collapse.  ``parent`` maps each point
-    to its tree parent (None at a root).  Words are relative to this specific
-    forest and are not canonical across different forests.  The letter
-    index and the reductions of the relators are memoized on the instance
-    (see ``spaces._owned``), so they live as long as it does.
+    to its tree parent (None at a root), and ``letters`` each directed
+    skeleton edge of the component to its letter (see ``_letter_index``).
+    Words are relative to this specific forest and are not canonical across
+    different forests.  The reductions of the relators are memoized on the
+    instance (see ``spaces._owned``), so they live as long as it does.
     """
 
     space: FilteredSpace
@@ -144,6 +145,7 @@ class GroupPresentation:
     generators: tuple
     relators: tuple
     parent: dict = field(default=None, compare=False, repr=False)
+    letters: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_members", frozenset(self.component))
@@ -169,12 +171,6 @@ def _letter_index(tree_edges, generators) -> dict:
     for g, (a, b) in enumerate(generators, start=1):
         letters[a, b], letters[b, a] = g, -g
     return letters
-
-
-@_owned
-def _letters(pres: GroupPresentation) -> dict:
-    """The presentation's letter index (see ``_letter_index``)."""
-    return _letter_index(pres.tree_edges, pres.generators)
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +203,9 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     # the three sides are distinct edges, so the word is already reduced
     relators = tuple(tuple(filter(None, (letters[a, b], letters[b, c], letters[c, a])))
                      for a, b, c in skeleton.triangles if a in parent)
-    pres = GroupPresentation(space, k, basepoint, space.sort_points(parent),
-                             tuple(tree_edges), tuple(generators), relators, parent)
-    _letters.prime(pres, letters)
-    return pres
+    return GroupPresentation(space, k, basepoint, space.sort_points(parent),
+                             tuple(tree_edges), tuple(generators), relators, parent,
+                             letters)
 
 
 def chain_word(pres: GroupPresentation, c) -> tuple:
@@ -230,7 +225,7 @@ def chain_word(pres: GroupPresentation, c) -> tuple:
 def _chain_letters(pres: GroupPresentation, seq: tuple) -> tuple:
     """``chain_word`` for a point sequence already known to be a chain at the
     presentation's scale inside the basepoint's component."""
-    letters = _letters(pres)
+    letters = pres.letters
     return free_reduce(filter(None, [letters[a, b] for a, b in zip(seq, seq[1:]) if a != b]))
 
 
@@ -251,10 +246,6 @@ class AbelianGroupInv:
                 raise ValueError("torsion coefficients must form a divisibility chain")
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion coefficients must be at least 2")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
 
 def h1_at_scale(space: FilteredSpace, k: int, basepoint=None) -> AbelianGroupInv:
@@ -632,10 +623,6 @@ class HomotopyDecision:
     @property
     def is_yes(self):
         return self.verdict == "yes"
-
-    @property
-    def is_no(self):
-        return self.verdict == "no"
 
     @property
     def is_unknown(self):

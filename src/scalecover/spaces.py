@@ -21,7 +21,12 @@ approximate-uniqueness fixpoint searches pairs of points from the whole
 diagonal at once, and group closure searches permutations from the identity.
 Every partition is a ``components`` search on it: chain components, fiber
 components (along the steps whose ends have equal images), and orbits and
-cosets (along the generators).
+cosets (along the generators).  Every coarsest-scale witness is a
+``coarsest`` search, which reads a condition written once as a function
+returning its own counterexample: the continuity, pullback and cofinality
+witnesses of a map, its chain lifting and approximate uniqueness, an
+action's neutral, bounded-orbit and equicontinuity witnesses, and a tower's
+strong Mittag-Leffler witnesses.
 """
 
 from __future__ import annotations
@@ -465,8 +470,6 @@ def _owned(fn):
     ``quotients.FilteredMap``.  Results are shared and never mutated.  A
     lookup hashes only fn and the extra arguments, never the owner (a
     frozenset keeps its hash once computed), and the results die with it.
-    ``prime(owner, value, *args)`` records a value that the owner's builder
-    computed on the way, so that it is not computed again.
     """
     @wraps(fn)
     def memoized(owner, *args):
@@ -475,10 +478,6 @@ def _owned(fn):
             owner._memo[key] = fn(owner, *args)
         return owner._memo[key]
 
-    def prime(owner, value, *args):
-        owner._memo[(fn, *args)] = value
-
-    memoized.prime = prime
     return memoized
 
 
@@ -488,6 +487,19 @@ def components(nodes, successors, key=None) -> tuple:
     parent = {}
     return tuple(tuple(sorted(breadth_first((x,), successors, parent), key=key))
                  for x in nodes if x not in parent)
+
+
+def coarsest(scales, failure) -> tuple:
+    """(s, None) for the first s of scales with ``failure(s)`` None, or (None,
+    the failure at the last scale) when every scale fails.  ``failure(s)`` is
+    a counterexample to the condition at s, never None itself, or None when
+    the condition holds there."""
+    last = None
+    for s in scales:
+        last = failure(s)
+        if last is None:
+            return s, None
+    return None, last
 
 
 def chain_components(space: FilteredSpace, k: int) -> Partition:

@@ -20,7 +20,7 @@ from .quotients import (
     verify_gucm,
 )
 from .rips import AbelianGroupInv
-from .spaces import FilteredSpace, SpaceError
+from .spaces import FilteredSpace, SpaceError, coarsest
 
 DEFAULT_PRODUCT_BOUND = 200_000
 _PATTERN_HORIZON = 64  # powers of a repeated bonding compared before giving up
@@ -163,8 +163,8 @@ def strong_ml_check(tower: SpaceTower) -> StrongMlReport:
     entries = []
     for alpha in range(1, n + 1):
         projected = set(tower.composite(n, alpha).values())
-        witness = next(beta for beta in range(alpha, n + 1)
-                       if set(tower.composite(beta, alpha).values()) <= projected)
+        witness, _ = coarsest(range(alpha, n + 1), lambda beta: set(
+            tower.composite(beta, alpha).values()) - projected or None)
         entries.append(
             {"index": alpha, "witness": witness, "image_equals_projection": True}
         )
@@ -369,10 +369,6 @@ class Lim1Verdict:
     certificate: str | None
     reason: str | None
     detail: dict
-
-    @property
-    def is_undetermined(self):
-        return not self.trivial
 
 
 def lim1_verdict(tab: TowerAb) -> Lim1Verdict:

@@ -93,7 +93,7 @@ class TestH1:
         assert h1_at_scale(fix_c6, 1) == AbelianGroupInv(0, ())
 
     def test_line_trivial(self, fix_l4):
-        assert h1_at_scale(fix_l4, 1).is_trivial
+        assert h1_at_scale(fix_l4, 1) == AbelianGroupInv(0, ())
 
     def test_presentation_h1_matches_boundary_h1(self, fix_c6, fix_l4):
         # oracle: sympy reduction of the boundary matrices listed from the pairs
@@ -160,7 +160,7 @@ def test_projective_plane_torsion(rp2_space):
 class TestDecide:
     def test_h1_separates_on_hexagon(self, fix_c6):
         res = decide_e_homotopic(fix_c6, 2, (0, 1, 2), (0, 5, 4, 3, 2))
-        assert res.is_no
+        assert res.verdict == "no"
         assert res.witness["reduced_word"] or res.witness  # certified witness attached
 
     def test_simply_connected_coarse_scale(self, fix_c6):

@@ -11,6 +11,7 @@ from scalecover.spaces import (
     UnknownPoint,
     chain,
     chain_components,
+    coarsest,
     from_metric,
     is_chain,
     subspace,
@@ -163,3 +164,13 @@ def test_component_refinement(sp):
         for block in fine.blocks:
             targets = {coarse.block_of(p) for p in block}
             assert len(targets) == 1
+
+
+def test_coarsest_returns_first_passing_scale_or_last_failure():
+    failures = {1: "one", 2: None, 3: None, 4: "four"}
+    assert coarsest(range(1, 5), failures.get) == (2, None)
+    assert coarsest(range(3, 5), failures.get) == (3, None)
+    seen = []
+    assert coarsest((1, 4), lambda s: seen.append(s) or failures[s]) == (None, "four")
+    assert seen == [1, 4]
+    assert coarsest((), failures.get) == (None, None)

@@ -182,7 +182,7 @@ class TestLim1:
         for stab in ("none", "pattern_repeats"):
             tab = TowerAb((Z,) * 3, ([[2]], [[2]]), stabilization=stab)
             verdict = lim1_verdict(tab)
-            assert verdict.is_undetermined
+            assert not verdict.trivial
 
     def test_bijective_beyond_is_ml(self):
         tab = TowerAb((Z, Z), ([[2]],), stabilization="bijective_beyond")
@@ -192,7 +192,7 @@ class TestLim1:
     def test_projection_then_doubling(self):
         tab = TowerAb((Z2, Z, Z), ([[1]], [[2]]), stabilization="pattern_repeats")
         verdict = lim1_verdict(tab)
-        assert verdict.is_undetermined
+        assert not verdict.trivial
         assert verdict.detail["first_unstable_index"] == 3
 
     def test_eventually_stable_pattern(self):
