@@ -8,16 +8,30 @@ basepoint, held as a reduced representative.  The representatives form a
 tree: vertex v was created by the slot of its parent u for the point y, its
 representative is u's plus y, and its word is u's plus the letter of the
 step to y (none on a tree edge).  A new chain is compared only with the
-vertices in its bucket: those with the same endpoint and the same H1 class
-of their word, which a dict indexes.  Any other vertex differs in H1, so it
-is certified distinct without a word problem.  Within the bucket, chains
-are identified by reduced-word equality, then by the word problem of the
-Tietze-reduced presentation (rewriting, then a free-product normal form over
-a coset table); an Unknown outcome, which names the exhausted ident_budget,
-marks the cover identification-incomplete and downstream verifiers refuse to
-conclude rather than guess.  A complete, fully identified cover is a uniform
-covering map by construction, so its verdict is read off the cover, not
-re-derived from its edges.
+vertices in its bucket: those with the same endpoint and the same key, which
+a dict indexes.  Over a free group (no relators) the key is the reduced word,
+so a bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs
+once per cover, and the key is the word's H1 class in the group G presented
+by the residual relators over the surviving generators: v's key is its
+parent's plus the coordinates of one letter's substitution.  Any vertex in
+another bucket differs in H1, so it is certified distinct without a word
+problem.
+
+When G is certified abelian (at most one survivor, or a residual commutator
+for every two survivors: ``rips._commute_pairwise``), a bucket is one class
+and its first vertex is the answer.  Proof: two chains from the basepoint to
+y are homotopic exactly when their combined word is trivial in G, Tietze
+moves keep the group, and an abelian G is its own H1, so the word is trivial
+exactly when its H1 class, the difference of the two keys, is zero.
+Otherwise each vertex also holds its word through the substitution, its
+parent's with one substitution joined on, and chains in a bucket are
+identified by equality of those words, then by the word problem of G
+(rewriting, then a free-product normal form over a coset table); an Unknown
+outcome, which names the exhausted ident_budget, marks the cover
+identification-incomplete and downstream verifiers refuse to conclude rather
+than guess.  A complete, fully identified cover is a uniform covering map by
+construction, so its verdict is read off the cover, not re-derived from its
+edges.
 
 Why a slot may read its ancestor's slot, and why a vertex never needs a
 smaller representative than the first one found:
@@ -47,10 +61,9 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
-    _chain_letters,
-    _h1_coords,
-    _word_trivial,
-    free_reduce,
+    _join,
+    _residual,
+    _residual_trivial,
     h1_pushforward,
     invert_word,
     presentation_at_scale,
@@ -88,10 +101,14 @@ class PartialCover:
     found by walking up the tree (see ``_resolve_slot``).  Every
     representative is reduced: no interior point is spanned by its
     neighbours at scale k, and no point repeats its predecessor.  Besides the
-    fields, the cover lists the vertex ids of each (endpoint, H1 class)
-    bucket in id order.  A vertex keeps the representative it was created
-    with; the module docstring shows why no later chain of its class is
-    smaller.
+    fields, the cover keeps each vertex's bucket key (its reduced word over a
+    free group, else its H1 class in the residual group of word Tietze) and,
+    unless a bucket is one class, its word through the Tietze substitution;
+    it lists the vertex ids of each (endpoint, key) bucket in id order.  A
+    bucket is one class over a free group and when the residual group is
+    certified abelian; the module docstring proves the second.  A vertex
+    keeps the representative it was created with; the module docstring shows
+    why no later chain of its class is smaller.
     """
 
     space: FilteredSpace
@@ -110,51 +127,73 @@ class PartialCover:
     unknown_pairs: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.presentation = presentation_at_scale(self.space, self.scale, self.basepoint)
+        self.presentation = pres = presentation_at_scale(self.space, self.scale, self.basepoint)
+        # without relators the group is free: reduced words are the classes,
+        # and they key the buckets
+        self._residual = _residual(pres) if pres.relators else None
+        self._exact = self._residual is None or self._residual.abelian
+        self._keys = []
+        self._expanded = []
         self._buckets = {}
-        self._add_vertex(None, (self.basepoint,), (), self._bucket(self.basepoint, ()))
+        key = () if self._residual is None else (0,) * len(self._residual.moduli)
+        self._add_vertex(None, (self.basepoint,), (), key, ())
 
     @property
     def num_vertices(self) -> int:
         return len(self.reps)
 
-    def _bucket(self, end, word) -> tuple:
-        pres = self.presentation
-        if not pres.relators:
-            # a free group: reduced words are its classes, and the H1
-            # coordinates would be one exponent sum per generator
-            return end, word
-        return end, _h1_coords(pres, word)
+    def _extend(self, u: int, letter):
+        """(word, key, expanded) of vertex u's representative extended by a
+        step whose letter is given (None on a tree edge): u's plus one letter,
+        its H1 coordinates and its substitution."""
+        if letter is None:
+            return self.words[u], self._keys[u], self._expanded[u]
+        word = self.words[u] + (letter,)
+        res = self._residual
+        if res is None:
+            return word, word, None
+        key = list(self._keys[u])
+        for p, v in res.coords[letter]:
+            d = res.moduli[p]
+            key[p] = (key[p] + v) % d if d else key[p] + v
+        expanded = None if self._exact else _join(self._expanded[u], res.words[letter])
+        return word, tuple(key), expanded
 
-    def _add_vertex(self, parent, seq, word, bucket) -> int:
+    def _add_vertex(self, parent, seq, word, key, expanded) -> int:
         vid = len(self.reps)
         self.reps.append(seq)
         self.words.append(word)
         self.endpoints.append(seq[-1])
         self.parents.append(parent)
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
-        self._buckets.setdefault(bucket, []).append(vid)
+        self._keys.append(key)
+        self._expanded.append(expanded)
+        self._buckets.setdefault((seq[-1], key), []).append(vid)
         return vid
 
 
-def _identify(cover: PartialCover, seq, word, bucket):
+def _identify(cover: PartialCover, seq, key, expanded):
     """Vertex id of an existing class equal to the given chain, or None.
 
     Only the chain's bucket is scanned, in vertex-id order.  H1 coordinates
     are additive, so a vertex in another bucket is one where the word problem
     answers No by H1 separation; never Yes, never Unknown, so skipping it
-    changes neither the first Yes nor the unknown pairs.
+    changes neither the first Yes nor the unknown pairs.  When the bucket is
+    one class (``PartialCover``), its first vertex is the answer.
 
     An Unknown comparison only taints the cover when the candidate is never
     certified equal to another vertex: a later certified match settles the
     earlier undecided pair through the existing vertex separations.
     """
+    mates = cover._buckets.get((seq[-1], key), ())
+    if cover._exact:
+        return mates[0] if mates else None
     pending = []
-    for vid in cover._buckets.get(bucket, ()):
-        if cover.words[vid] == word:
+    for vid in mates:
+        if cover._expanded[vid] == expanded:
             return vid
-        combined = free_reduce(word + invert_word(cover.words[vid]))
-        decision = _word_trivial(cover.presentation, combined, cover.ident_budget)
+        combined = _join(expanded, invert_word(cover._expanded[vid]))
+        decision = _residual_trivial(cover.presentation, combined, cover.ident_budget)
         if decision.is_yes:
             return vid
         if decision.is_unknown:
@@ -197,13 +236,12 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
         candidate = cover.reps[u] + (y,)
         # no reduction: a reduced chain never backtracks, and the walk up the
         # tree has already removed the one step that could cancel
-        word = cover.words[u] + _chain_letters(cover.presentation, candidate[-2:])
-        bucket = cover._bucket(y, word)
-        target = _identify(cover, candidate, word, bucket)
+        word, key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u], y])
+        target = _identify(cover, candidate, key, expanded)
         if target is None:
             if not allow_create:
                 return
-            target = cover._add_vertex(u, candidate, word, bucket)
+            target = cover._add_vertex(u, candidate, word, key, expanded)
     cover.edges[vid][y] = target
 
 

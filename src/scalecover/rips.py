@@ -10,10 +10,11 @@ from the abelianized relators as sparse rows: unit pivots eliminate
 generators, only the core they leave goes through a Smith form, and a word's
 H1 coordinates are the sums of its letters' coordinates.  A Tietze reduction
 of the relator words, whose substitution is expanded once at the end, serves
-only the word problem, which is decided in a fixed order: free reduction, the
-relator-free free group, H1 separation, Tietze reduction with bounded
-rewriting, and the projection onto the free factor F of the surviving
-generators that no residual relator holds.  The group is then F * G, G
+the word problem and the buckets of covers, which read H1 classes off its
+residual group (``_residual``).  The word problem is decided in a fixed
+order: free reduction, the relator-free free group, H1 separation, Tietze
+reduction with bounded rewriting, and the projection onto the free factor F
+of the surviving generators that no residual relator holds.  The group is then F * G, G
 presented by the residual relators, and what is left is one free-product
 normal form whose G syllables are multiplied in G's coset table (Lyndon and
 Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a certified
@@ -283,27 +284,27 @@ def _unit_pivot(row):
     return min((g for g, a in row.items() if a == 1 or a == -1), default=None)
 
 
-@_owned
-def _pres_abelian(pres: GroupPresentation):
+def _abelianize(generators, relators):
     """Abelianized relators eliminated by unit pivots, then a Smith form of
     what is left.
 
-    Each relator is a sparse row ``{generator: exponent sum}``, and an index
-    maps each generator to the rows that hold it.  While some row has a unit
-    entry, the shortest such row by ``(len, row index)`` is solved for its
-    smallest unit generator g, and the solution is substituted into the
-    rows that hold g.  Survivors that occur in no residual row are free
-    summands; only the others, the core, go through ``smith_normal_form``.
+    Each relator, a word over the given generators, is a sparse row
+    ``{generator: exponent sum}``, and an index maps each generator to the
+    rows that hold it.  While some row has a unit entry, the shortest such
+    row by ``(len, row index)`` is solved for its smallest unit generator g,
+    and the solution is substituted into the rows that hold g.  Survivors
+    that occur in no residual row are free summands; only the others, the
+    core, go through ``smith_normal_form``.
 
     Returns (steps, core, u, kept, moduli, free): the eliminations
     ``(g, {h: coefficient})`` in order, the core generators by column, the
     core's row transform, the diagonal positions that are not 1 (torsion
     first, then free) and their diagonal entries, 0 when free, and the free
-    survivors.
+    survivors in the order of generators.
     """
     rows = []
-    rows_with = {g: set() for g in range(1, len(pres.generators) + 1)}
-    for rel in pres.relators:
+    rows_with = {g: set() for g in generators}
+    for rel in relators:
         row = {}
         for letter in rel:
             g = abs(letter)
@@ -358,16 +359,16 @@ def _pres_abelian(pres: GroupPresentation):
             tuple(diag[i] for i in kept), free)
 
 
-@_owned
-def _h1_basis(pres: GroupPresentation):
-    """Each generator's H1 coordinates as a sparse dict, and the moduli.
+def _coordinates(abelian):
+    """Each generator's H1 coordinates as a sparse dict, and the moduli, from
+    an ``_abelianize`` result.
 
     A core generator's coordinates are its column of the row transform at
     the kept positions, a free survivor's a unit vector after those, and an
     eliminated generator's the sum of its solution's, taken in reverse
     elimination order so that the solution's generators are known.
     """
-    steps, core, u, kept, moduli, free = _pres_abelian(pres)
+    steps, core, u, kept, moduli, free = abelian
     moduli += (0,) * len(free)
     coords = {g: {len(kept) + q: 1} for q, g in enumerate(free)}
     for c, g in enumerate(core):
@@ -379,6 +380,19 @@ def _h1_basis(pres: GroupPresentation):
                 total[p] = total.get(p, 0) + b * v
         coords[g] = {p: r for p, v in total.items() if (r := _reduce(v, moduli[p]))}
     return coords, moduli
+
+
+@_owned
+def _pres_abelian(pres: GroupPresentation):
+    """``_abelianize`` of the whole presentation: all its generators and
+    relators."""
+    return _abelianize(range(1, len(pres.generators) + 1), pres.relators)
+
+
+@_owned
+def _h1_basis(pres: GroupPresentation):
+    """``_coordinates`` of the whole presentation's generators."""
+    return _coordinates(_pres_abelian(pres))
 
 
 def _h1_coords(pres, word) -> tuple:
@@ -463,8 +477,9 @@ def _simplified(pres: GroupPresentation):
 
     The substitution rewrites original letters into words over the surviving
     generators, those g with ``subst[g] == (g,)``; the residual relators are
-    words over the survivors and present the same group.  Rewriting and
-    coset enumeration read them; H1 is read off ``_pres_abelian`` instead.
+    words over the survivors and present the same group.  Rewriting, coset
+    enumeration and the buckets of covers (``_residual``) read them; the H1
+    of ``analyze`` and of bonding maps is read off ``_pres_abelian`` instead.
 
     The relators form a set of non-empty cyclically reduced words.  Each step
     takes the smallest relator by ``(len, r)`` that has a letter occurring
@@ -559,6 +574,77 @@ def _expand(pres, word) -> tuple:
     return free_reduce(out)
 
 
+def _join(word, tail) -> tuple:
+    """The reduced product of two reduced words: cancellation happens only
+    where they meet."""
+    n = 0
+    while n < len(word) and n < len(tail) and word[-1 - n] == -tail[n]:
+        n += 1
+    return word[:len(word) - n] + tail[n:]
+
+
+def _commute_pairwise(survivors, relators) -> bool:
+    """Whether every two survivors have a relator among the given ones that
+    is a cyclically reduced word of length 4 holding a, a^-1, b and b^-1 once
+    each: a commutator up to rotation and inversion, so a and b commute."""
+    pairs = set()
+    for rel in relators:
+        if (len(rel) == 4 and len(set(rel)) == 4 and len(set(map(abs, rel))) == 2
+                and all(rel[i] != -rel[i - 1] for i in range(4))):
+            pairs.add(frozenset(map(abs, rel)))
+    n = len(survivors)
+    return len(pairs) == n * (n - 1) // 2
+
+
+@dataclass(frozen=True)
+class _Residual:
+    """The group G that word Tietze leaves, as covers and the word problem
+    read it.
+
+    ``relator_gens`` are the survivors that some residual relator holds.
+    ``abelian`` certifies that G is abelian: it has at most one survivor,
+    or every two survivors commute by a residual relator (see
+    ``_commute_pairwise``).  Then G is its own H1, so two words with equal
+    H1 coordinates are equal in G.  ``words`` maps each signed letter of the
+    presentation to its substitution, and ``coords`` to the H1 coordinates
+    of that substitution in G as sparse (position, value) pairs, read off
+    the unit-pivot elimination of the residual relators over the survivors;
+    ``moduli`` reduce each coordinate as in ``_h1_basis``.  Tietze moves
+    keep the group (Lyndon and Schupp, ch. II.2), so these coordinates
+    separate exactly the words the whole presentation's ``_h1_coords``
+    separate.
+    """
+
+    relator_gens: frozenset
+    abelian: bool
+    words: dict
+    coords: dict
+    moduli: tuple
+
+
+@_owned
+def _residual(pres: GroupPresentation) -> _Residual:
+    subst, relators = _simplified(pres)
+    survivors = tuple(g for g, w in subst.items() if w == (g,))
+    basis, moduli = _coordinates(_abelianize(survivors, relators))
+    words, coords = {}, {}
+    for g, w in subst.items():
+        words[g], words[-g] = w, invert_word(w)
+        # summed sparsely: the survivors may be many, and each letter's
+        # substitution reaches few of them
+        total = {}
+        for letter in w:
+            sign = 1 if letter > 0 else -1
+            for p, v in basis[abs(letter)].items():
+                total[p] = total.get(p, 0) + sign * v
+        coords[g] = tuple((p, r) for p, v in sorted(total.items())
+                          if (r := _reduce(v, moduli[p])))
+        coords[-g] = tuple((p, _reduce(-v, moduli[p])) for p, v in coords[g])
+    return _Residual(frozenset(abs(l) for r in relators for l in r),
+                     len(survivors) <= 1 or _commute_pairwise(survivors, relators),
+                     words, coords, moduli)
+
+
 @_owned
 def _rewriting_rules(pres: GroupPresentation) -> tuple:
     """Length-decreasing replacements harvested from the residual relators."""
@@ -605,7 +691,7 @@ def _coset_table(pres: GroupPresentation, budget: int):
     generators, their letters, numbered from 1, and its coset table, or None
     when the enumeration runs out of the budget."""
     _, rels = _simplified(pres)
-    live = sorted({abs(l) for r in rels for l in r})
+    live = sorted(_residual(pres).relator_gens)
     renumber = {g: i + 1 for i, g in enumerate(live)}
     packed = tuple(
         tuple((renumber[abs(l)]) * (1 if l > 0 else -1) for l in r) for r in rels
@@ -642,10 +728,16 @@ def _word_trivial(pres, word, ident_budget) -> HomotopyDecision:
         return HomotopyDecision(
             "no", "h1_separation", {"h1_class_difference": list(coords)}
         )
-    rewritten = _rewrite(_expand(pres, word), _rewriting_rules(pres))
+    return _residual_trivial(pres, _expand(pres, word), ident_budget)
+
+
+def _residual_trivial(pres, word, ident_budget) -> HomotopyDecision:
+    """``_word_trivial`` past H1 separation, for a reduced word over the
+    survivors of ``_simplified`` (an ``_expand``-ed word)."""
+    rewritten = _rewrite(word, _rewriting_rules(pres))
     if not rewritten:
         return HomotopyDecision("yes", "relator_rewriting")
-    relator_gens = {abs(l) for r in _simplified(pres)[1] for l in r}
+    relator_gens = _residual(pres).relator_gens
     free_part = free_reduce([l for l in rewritten if abs(l) not in relator_gens])
     if free_part:
         # the projection onto the free factor, which kills the relator letters

@@ -27,7 +27,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import oracle_h1, rp2_subdivision_space, telescoping_backward_group
 from reference_writer import reference_dumps
-from test_golden_reports import scales_spec
+from test_golden_reports import rp2_wedge_circle, scales_spec
 from test_acceptance import cyclic_cover_map, double_cover_map, raw_random_map, relabel_map
 from scalecover import cli, covers, formats, rips, spaces
 from scalecover import intlinalg as ila
@@ -709,7 +709,8 @@ def _loop_words(pres, rng, count=12):
 def test_sparse_abelianization_matches_tietze_then_smith(sp, rng):
     """The unit-pivot elimination gives the groups of the Tietze residual's
     Smith form, its coordinates vanish on the same words, and every cover
-    has the same buckets under both."""
+    has the same buckets under both and under its own keys, the H1 classes
+    in the residual group."""
     for k in range(1, sp.depth + 1):
         pres = rips.presentation_at_scale(sp, k, None)
         old = _tietze_smith_abelian(pres)
@@ -726,13 +727,15 @@ def test_sparse_abelianization_matches_tietze_then_smith(sp, rng):
             continue  # buckets are then the reduced words, not H1 classes
         based_old = _tietze_smith_abelian(based)
         partitions = []
-        for key in (lambda w: rips._h1_coords(based, w),
-                    lambda w: _tietze_smith_coords(based, based_old, w)):
+        # the cover's own keys, read off the residual group of word Tietze
+        for key in (lambda vid: rips._h1_coords(based, cover.words[vid]),
+                    lambda vid: _tietze_smith_coords(based, based_old, cover.words[vid]),
+                    lambda vid: cover._keys[vid]):
             blocks = collections.defaultdict(set)
-            for vid, (end, word) in enumerate(zip(cover.endpoints, cover.words)):
-                blocks[end, key(word)].add(vid)
+            for vid, end in enumerate(cover.endpoints):
+                blocks[end, key(vid)].add(vid)
             partitions.append(sorted(map(sorted, blocks.values())))
-        assert partitions[0] == partitions[1]
+        assert partitions[0] == partitions[1] == partitions[2]
 
 
 @settings(max_examples=80, deadline=None)
@@ -892,25 +895,46 @@ def test_rp2_torsion_class_addition(rp2_space):
     assert decide_e_homotopic(rp2_space, 1, essential, (("v", 1),)).verdict == "no"
 
 
-def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
-    # deterministically exercise the identification-incomplete plumbing
-    from scalecover import covers
-    from scalecover.rips import HomotopyDecision
+# RP^2 wedged with a 4-cycle: pi_1 = Z * Z/2 is not abelian, so its covers ask
+# the word problem of bucket mates
+RP2_WEDGE_CIRCLE = formats.space_from_spec(rp2_wedge_circle())
 
-    real = covers._word_trivial
-    state = {"hits": 0}
 
-    def flaky(pres, word, budget):
+@contextlib.contextmanager
+def _forced_unknowns(modulus):
+    """Run with each Yes of the word problem past H1 separation, on a
+    non-empty word whose length is a multiple of modulus, turned into
+    Unknown; modulus 0 changes nothing.  The entry is patched in rips,
+    where ``_word_trivial`` calls it, and in covers, so a reference that
+    calls ``rips._word_trivial`` sees the same answers as build_cover.
+    Yields the mock of the covers entry, which counts build_cover's calls."""
+    real = rips._residual_trivial
+
+    def residual_trivial(pres, word, budget):
         decision = real(pres, word, budget)
-        if decision.is_yes and word:
-            state["hits"] += 1
-            return HomotopyDecision("unknown", "budget",
-                                    {"exhausted": "ident_budget", "budget": budget})
+        if modulus and decision.is_yes and word and len(word) % modulus == 0:
+            return rips.HomotopyDecision("unknown", "budget",
+                                         {"exhausted": "ident_budget", "budget": budget})
         return decision
 
-    monkeypatch.setattr(covers, "_word_trivial", flaky)
-    cover = build_cover(fix_c6, 1, 0, 4)
-    assert state["hits"] > 0
+    with mock.patch.object(rips, "_residual_trivial", residual_trivial), \
+            mock.patch.object(covers, "_residual_trivial", wraps=residual_trivial) as calls:
+        yield calls
+
+
+def _certified_abelian(sp, k, base):
+    """Whether the basepoint's scale-k presentation has relators and a
+    residual group certified abelian: its covers ask no word problem."""
+    pres = rips.presentation_at_scale(sp, k, base)
+    return bool(pres.relators) and rips._residual(pres).abelian
+
+
+def test_forced_unknown_marks_cover_incomplete():
+    # deterministically exercise the identification-incomplete plumbing on a
+    # group that is not abelian, where bucket mates reach the word problem
+    with _forced_unknowns(1) as calls:
+        cover = build_cover(RP2_WEDGE_CIRCLE, 1, 0, 4)
+    assert calls.call_count > 0
     assert cover.identification_incomplete
     assert cover.unknown_pairs
     report = verify_endpoint_ucm(cover)
@@ -918,17 +942,15 @@ def test_forced_unknown_marks_cover_incomplete(fix_c6, monkeypatch):
     assert report.reason == "ident_budget exhausted; classes undetermined"
 
 
-def _flaky_word_trivial(modulus):
-    """The word problem with each Yes on a non-empty word whose length is a
-    multiple of modulus turned into Unknown; modulus 0 changes nothing."""
-    def word_trivial(pres, word, budget):
-        decision = rips._word_trivial(pres, word, budget)
-        if modulus and decision.is_yes and word and len(word) % modulus == 0:
-            return rips.HomotopyDecision("unknown", "budget",
-                                         {"exhausted": "ident_budget", "budget": budget})
-        return decision
-
-    return word_trivial
+def test_abelian_cover_asks_no_word_problem(fix_c6):
+    """A cover whose residual group is certified abelian reads each class
+    off its bucket: forcing every Yes to Unknown changes nothing."""
+    assert _certified_abelian(fix_c6, 1, 0)
+    with _forced_unknowns(1) as calls:
+        cover = build_cover(fix_c6, 1, 0, 4)
+    assert calls.call_count == 0
+    assert not cover.identification_incomplete
+    assert verify_endpoint_ucm(cover).verdict == "UCM"
 
 
 def _reference_resolve_slot(ref, vid, y, word_trivial, allow_create=True):
@@ -1062,6 +1084,70 @@ def cover_case(draw):
             draw(st.sampled_from((0, 0, 1, 2, 3))), tuple(walk))
 
 
+def _eight_with_triangle():
+    """Two 4-cycles wedged at 0, with a triangle 0, 1, 7 filled: pi_1 is
+    free of rank 2, and the presentation has a relator."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6), (0, 7), (1, 7)]
+    return FilteredSpace(tuple(range(8)), (frozenset(edges),))
+
+
+def test_abelian_certificate_on_known_groups(rp2_space):
+    """The residual group is certified abelian on thickened cycles (Z and
+    the trivial group), the king torus (Z^2, commutator residual) and RP^2
+    (Z/2), and not on RP^2 v S^1 (Z * Z/2) or on a free group of rank 2
+    whose presentation has relators."""
+    def cycle(n, radius):
+        return from_metric([[min(abs(i - j), n - abs(i - j)) for j in range(n)]
+                            for i in range(n)], (radius,))
+
+    holds = [(cycle(7, 2), 0), (cycle(6, 2), 0), (cycle(12, 4), 0), (KING_TORUS, 0),
+             (rp2_space, rp2_space.points[0])]
+    fails = [(RP2_WEDGE_CIRCLE, 0), (_eight_with_triangle(), 0)]
+    for sp, base in holds + fails:
+        pres = rips.presentation_at_scale(sp, 1, base)
+        assert pres.relators
+        assert rips._residual(pres).abelian == ((sp, base) in holds)
+    king = rips._simplified(rips.presentation_at_scale(KING_TORUS, 1, 0))
+    assert len([g for g, w in king[0].items() if w == (g,)]) == 2 and king[1]
+
+
+def _random_word(rng, n):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_case(), st.randoms(use_true_random=False))
+@example((KING_TORUS, 1, 0, 3, 0, (0,)), random.Random(0))
+@example((RP2, 1, RP2.points[0], 16, 0, (RP2.points[0],)), random.Random(0))
+@example((RP2_WEDGE_CIRCLE, 1, 0, 2, 0, (0,)), random.Random(0))
+@example((_eight_with_triangle(), 1, 0, 2, 0, (0,)), random.Random(0))
+def test_abelian_certificate_is_sound(case, rng):
+    """Where the residual group is certified abelian, words with equal H1
+    classes are equal: the word problem answers every pair of bucket mates
+    (each resolved slot's reduced extension and the vertex it was identified
+    with), and every commutator of random words, Yes and never No.  An
+    Unknown may only name the small ident_budget given here."""
+    sp, k, base, radius, _, _ = case
+    pres = rips.presentation_at_scale(sp, k, base)
+    if not (pres.relators and rips._residual(pres).abelian):
+        return
+    cover = build_cover(sp, k, base, radius)
+    words = []
+    for v, rep in enumerate(cover.reps):
+        for y, t in cover.edges[v].items():
+            if t is not None:
+                word = rips.chain_word(pres, reduce_chain(sp, k, rep + (y,)))
+                assert rips._h1_coords(pres, word) == rips._h1_coords(pres, cover.words[t])
+                words.append(word + rips.invert_word(cover.words[t]))
+    for _ in range(10):
+        x, y = (_random_word(rng, len(pres.generators)) for _ in range(2))
+        words.append(x + y + rips.invert_word(x) + rips.invert_word(y))
+    for word in words:
+        decision = rips._word_trivial(pres, word, 200)
+        assert decision.verdict != "no", (word, decision)
+        assert decision.is_yes or decision.witness["exhausted"] == "ident_budget"
+
+
 @settings(max_examples=300, deadline=None)
 @given(cover_case())
 @example((KING_TORUS, 1, 0, 3, 0, (0, 1, 2, 3, 0, 4, 8, 12, 0)))
@@ -1071,17 +1157,28 @@ def cover_case(draw):
 @example((RP2, 1, RP2.points[0], 3, 3, RP2_LOOP))
 @example((SWAP_WORD, 1, 3, 0, 2, (3, 2, 0, 0, 1, 0, 2)))
 @example((SWAP_BETWEEN, 1, 5, 1, 3, (5, 4, 3, 0, 3, 2, 3, 3, 4, 5, 2, 6, 2)))
+@example((RP2_WEDGE_CIRCLE, 1, 0, 8, 0, (0, 31, 32, 33, 0, 6, 1, 11, 2, 7, 0)))
+@example((RP2_WEDGE_CIRCLE, 1, 0, 3, 1, (0, 6, 1, 11, 2, 7, 0, 31, 32, 33, 0)))
+@example((RP2_WEDGE_CIRCLE, 1, 0, 3, 2, (0, 33, 32, 31, 0)))
 def test_bucketed_cover_matches_linear_scan(case):
     """build_cover gives the same cover as the linear scan over every
     same-endpoint vertex with full reduce_chain, also when some Yes answers
     are forced to Unknown.  The build equals the scan that swaps in smaller
     representatives, so build_cover never needs a swap.  A walk lifts through
-    the built cover as through the scan's, or stops at the frontier in both."""
+    the built cover as through the scan's, or stops at the frontier in both.
+    A cover whose residual group is certified abelian asks no word problem,
+    so forced Unknowns reach only the others, such as RP^2 v S^1's."""
     sp, k, base, radius, modulus, walk = case
-    word_trivial = _flaky_word_trivial(modulus)
-    ref = _reference_build_cover(sp, k, base, radius, word_trivial)
-    with mock.patch.object(covers, "_word_trivial", word_trivial):
+    abelian = _certified_abelian(sp, k, base)
+    with _forced_unknowns(modulus) as calls:
         cover = build_cover(sp, k, base, radius)
+    if abelian:
+        # the cover asks no word problem, so no Yes of it is forced; the
+        # scan it matches is the one without forced Unknowns
+        assert calls.call_count == 0
+        modulus = 0
+    with _forced_unknowns(modulus):
+        ref = _reference_build_cover(sp, k, base, radius, rips._word_trivial)
     for name in COVER_FIELDS:
         assert getattr(cover, name) == getattr(ref, name), name
     expected = _reference_lift(ref, walk)
@@ -1482,9 +1579,9 @@ def assert_endpoint_ucm_matches_all_pairs_loops(space, k, base, radius=None, mod
     sweep's verdicts against the loops before it: every pair of points of
     the basepoint's component for generation, every vertex pair for equal
     endpoints and words, fhat rebuilt per use.  A nonzero modulus turns some
-    word-problem Yes answers into Unknown (see _flaky_word_trivial)."""
+    word-problem Yes answers into Unknown (see _forced_unknowns)."""
     radius = len(space.points) + 2 if radius is None else radius
-    with mock.patch.object(covers, "_word_trivial", _flaky_word_trivial(modulus)):
+    with _forced_unknowns(modulus):
         cover = build_cover(space, k, base, radius)
     report = verify_endpoint_ucm(cover)
     assert report == old_verify_endpoint_ucm(cover)
