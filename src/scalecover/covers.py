@@ -11,11 +11,13 @@ step to y (none on a tree edge).  A new chain is compared only with the
 vertices in its bucket: those with the same endpoint and the same key, which
 a dict indexes.  Over a free group (no relators) the key is the reduced word,
 so a bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs
-once per cover, and the key is the word's H1 class in the group G presented
-by the residual relators over the surviving generators: v's key is its
-parent's plus the coordinates of one letter's substitution.  Any vertex in
-another bucket differs in H1, so it is certified distinct without a word
-problem.
+once per cover.  When it leaves no residual relator, the group is free on the
+surviving generators, and the key is the reduced word through the
+substitution: again a bucket is one class.  Else the key is the word's H1
+class in the group G presented by the residual relators over the surviving
+generators: v's key is its parent's plus the coordinates of one letter's
+substitution.  Any vertex in another bucket differs in H1, so it is
+certified distinct without a word problem.
 
 When G is certified abelian (at most one survivor, or a residual commutator
 for every two survivors: ``rips._commute_pairwise``), a bucket is one class
@@ -102,13 +104,15 @@ class PartialCover:
     representative is reduced: no interior point is spanned by its
     neighbours at scale k, and no point repeats its predecessor.  Besides the
     fields, the cover keeps each vertex's bucket key (its reduced word over a
-    free group, else its H1 class in the residual group of word Tietze) and,
-    unless a bucket is one class, its word through the Tietze substitution;
-    it lists the vertex ids of each (endpoint, key) bucket in id order.  A
-    bucket is one class over a free group and when the residual group is
-    certified abelian; the module docstring proves the second.  A vertex
-    keeps the representative it was created with; the module docstring shows
-    why no later chain of its class is smaller.
+    free group, its reduced word through the Tietze substitution when no
+    residual relator is left, else its H1 class in the residual group of
+    word Tietze) and, unless a bucket is one class, its word through the
+    Tietze substitution; it lists the vertex ids of each (endpoint, key)
+    bucket in id order.  A bucket is one class in the first two cases and
+    when the residual group is certified abelian; the module docstring
+    proves the last.  A vertex keeps the representative it was created
+    with; the module docstring shows why no later chain of its class is
+    smaller.
     """
 
     space: FilteredSpace
@@ -129,13 +133,15 @@ class PartialCover:
     def __post_init__(self):
         self.presentation = pres = presentation_at_scale(self.space, self.scale, self.basepoint)
         # without relators the group is free: reduced words are the classes,
-        # and they key the buckets
-        self._residual = _residual(pres) if pres.relators else None
-        self._exact = self._residual is None or self._residual.abelian
+        # and they key the buckets; so are the reduced words through the
+        # substitution when word Tietze leaves no residual relator
+        self._residual = res = _residual(pres) if pres.relators else None
+        self._free = res is None or not res.relator_gens
+        self._exact = self._free or res.abelian
         self._keys = []
         self._expanded = []
         self._buckets = {}
-        key = () if self._residual is None else (0,) * len(self._residual.moduli)
+        key = () if self._free else (0,) * len(res.moduli)
         self._add_vertex(None, (self.basepoint,), (), key, ())
 
     @property
@@ -144,14 +150,16 @@ class PartialCover:
 
     def _extend(self, u: int, letter):
         """(word, key, expanded) of vertex u's representative extended by a
-        step whose letter is given (None on a tree edge): u's plus one letter,
+        step whose letter is given (0 on a tree edge): u's plus one letter,
         its H1 coordinates and its substitution."""
-        if letter is None:
+        if not letter:
             return self.words[u], self._keys[u], self._expanded[u]
         word = self.words[u] + (letter,)
         res = self._residual
         if res is None:
             return word, word, None
+        if self._free:
+            return word, _join(self._keys[u], res.words[letter]), None
         key = list(self._keys[u])
         for p, v in res.coords[letter]:
             d = res.moduli[p]
@@ -236,7 +244,7 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
         candidate = cover.reps[u] + (y,)
         # no reduction: a reduced chain never backtracks, and the walk up the
         # tree has already removed the one step that could cancel
-        word, key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u], y])
+        word, key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u]][y])
         target = _identify(cover, candidate, key, expanded)
         if target is None:
             if not allow_create:

@@ -6,20 +6,29 @@ order: homotopy of edge paths in a simplicial complex is decided by its
 spanning forest, read off one letter index that maps each directed edge to
 its signed generator; two chains with common endpoints are homotopic at the
 scale exactly when the combined word dies in the edge-path group.  H1 comes
-from the abelianized relators as sparse rows: unit pivots eliminate
-generators, only the core they leave goes through a Smith form, and a word's
-H1 coordinates are the sums of its letters' coordinates.  A Tietze reduction
-of the relator words, whose substitution is expanded once at the end, serves
-the word problem and the buckets of covers, which read H1 classes off its
-residual group (``_residual``).  The word problem is decided in a fixed
-order: free reduction, the relator-free free group, H1 separation, Tietze
-reduction with bounded rewriting, and the projection onto the free factor F
-of the surviving generators that no residual relator holds.  The group is then F * G, G
-presented by the residual relators, and what is left is one free-product
-normal form whose G syllables are multiplied in G's coset table (Lyndon and
-Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a certified
-Yes/No, or an Unknown when the enumeration runs out of its ident_budget;
-nothing is ever guessed.
+from the abelianized relators as sparse rows, reduced in two phases.  First
+a signed union-find contracts the rows of one or two unit entries: such a
+row kills its generator or merges one generator into another, up to sign,
+and passes repeat until one changes nothing (the reduction step of
+computational homology: Kaczynski, Mischaikow and Mrozek, Computational
+Homology, ch. 4).  Then unit pivots eliminate generators from the rows left,
+and only the core they leave goes through a Smith form.  Each kill, merge
+and pivot is a step ``(g, solution)``: g equals the sum of its solution in
+H1, so a word's H1 coordinates are the sums of its letters' coordinates,
+read back through the steps.
+
+A Tietze reduction of the relator words, whose substitution is expanded once
+at the end, serves the word problem and the buckets of covers, which read H1
+classes off its residual group (``_residual``).  The word problem is decided
+in a fixed order: free reduction, the relator-free free group, H1
+separation, Tietze reduction with bounded rewriting by rules harvested from
+the short residual relators, and the projection onto the free factor F of
+the surviving generators that no residual relator holds.  The group is then
+F * G, G presented by the residual relators, and what is left is one
+free-product normal form whose G syllables are multiplied in G's coset table
+(Lyndon and Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a
+certified Yes/No, or an Unknown when the enumeration runs out of its
+ident_budget; nothing is ever guessed.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ from .spaces import (
 # by this many letters; H1 does not depend on it
 TIETZE_LETTER_CAP = 10_000
 _REWRITE_STEPS = 10_000  # the most rule applications _rewrite makes to one word
+# _rewriting_rules harvests only residual relators of at most this many
+# letters: each yields O(1) rules of O(1) letters, so the rules stay linear in
+# the residual's letters, where all relators would give cubically many
+_RULE_RELATOR_LETTERS = 16
 
 
 class OutsideComponent(SpaceError):
@@ -73,21 +86,21 @@ def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
 
     One walk of the scale index in point order: an edge (a, b) takes b from
     a's later neighbours, and a triangle (a, b, c) of it takes c from b's
-    later neighbours, kept when they lie in a's closed neighbourhood
-    ``space.closed(k, a)``.  Neighbours come in point order, so edges and
-    triangles do too.
+    later neighbours, kept when they lie in a's closed neighbourhood E_k[a].
+    Neighbours come in point order, so edges and triangles do too.
     """
-    space.check_scale(k)
+    closed, adjacency = space._scale_index(k)
+    index = space._index.__getitem__
     later = {}
     for i, a in enumerate(space.points):
-        near = space.neighbors(k, a)
-        later[a] = near[bisect_right(near, i, key=space.index):]
+        near = adjacency[a]
+        later[a] = near[bisect_right(near, i, key=index):]
     edges, triangles = [], []
     for a, after_a in later.items():
-        near_a = space.closed(k, a)
+        near_a = closed[a]
         for b in after_a:
             edges.append((a, b))
-            triangles.extend((a, b, c) for c in later[b] if c in near_a)
+            triangles += [(a, b, c) for c in later[b] if c in near_a]
     return Rips2Skeleton(k, space.points, tuple(edges), tuple(triangles))
 
 
@@ -131,8 +144,9 @@ class GroupPresentation:
     per component, rooted at the component's first point.  Generators are the
     non-tree edges, oriented from the smaller point; relators read each
     triangle boundary through the tree collapse.  ``parent`` maps each point
-    to its tree parent (None at a root), and ``letters`` each directed
-    skeleton edge of the component to its letter (see ``_letter_index``).
+    to its tree parent (None at a root), and ``letters[a][b]`` is the letter
+    of the step from a to b along a skeleton edge of the component: 0 along a
+    tree edge, and g from a to b and -g back for generator g = (a, b).
     Words are relative to this specific forest and are not canonical across
     different forests.  The reductions of the relators are memoized on the
     instance (see ``spaces._owned``), so they live as long as it does.
@@ -164,25 +178,16 @@ class GroupPresentation:
         return tuple(reversed(to_root(a))) + tuple(to_root(b))
 
 
-def _letter_index(tree_edges, generators) -> dict:
-    """Each directed edge's letter: None both ways along a tree edge, and
-    g from a to b and -g back for generator g = (a, b)."""
-    letters = dict.fromkeys(tree_edges)
-    letters.update(dict.fromkeys((b, a) for a, b in tree_edges))
-    for g, (a, b) in enumerate(generators, start=1):
-        letters[a, b], letters[b, a] = g, -g
-    return letters
-
-
 @lru_cache(maxsize=None)
 def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPresentation:
     """Presentation of the basepoint's component at scale k.
 
     With basepoint None it presents the whole space over a spanning forest
     with one breadth-first tree per component.  The tree edges and the
-    generators are the skeleton's edges in the component, in its order, and
-    each triangle's relator reads its three sides off one letter index,
-    which the presentation keeps for ``chain_word``.
+    generators are the skeleton's edges in the component, in its order; an
+    edge is a tree edge when one end is the other's parent.  Each triangle's
+    relator reads its three sides off one letter index, which the
+    presentation keeps for ``chain_word``.
     """
     space.check_scale(k)
     if basepoint is None:
@@ -190,22 +195,33 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     else:
         space.index(basepoint)
         roots = (basepoint,)
+    successors = space._scale_index(k)[1].__getitem__
     parent = {}
-    reached = [q for root in roots if root not in parent
-               for q in breadth_first((root,), lambda p: space.neighbors(k, p), parent)]
-    tree = {(parent[q], q) for q in reached if parent[q] is not None}
-    tree |= {(b, a) for a, b in tree}
+    for root in roots:
+        if root not in parent:
+            for _ in breadth_first((root,), successors, parent):
+                pass
     skeleton = rips_2_skeleton(space, k)
+    letters = {p: {} for p in parent}
     tree_edges, generators = [], []
-    for e in skeleton.edges:
-        if e[0] in parent:
-            (tree_edges if e in tree else generators).append(e)
-    letters = _letter_index(tree_edges, generators)
-    # the three sides are distinct edges, so the word is already reduced
-    relators = tuple(tuple(filter(None, (letters[a, b], letters[b, c], letters[c, a])))
-                     for a, b, c in skeleton.triangles if a in parent)
-    return GroupPresentation(space, k, basepoint, space.sort_points(parent),
-                             tuple(tree_edges), tuple(generators), relators, parent,
+    for a, b in skeleton.edges:
+        if a in letters:
+            if parent[b] == a or parent[a] == b:
+                tree_edges.append((a, b))
+                letters[a][b] = letters[b][a] = 0
+            else:
+                generators.append((a, b))
+                g = len(generators)
+                letters[a][b], letters[b][a] = g, -g
+    relators = []
+    for a, b, c in skeleton.triangles:
+        if a in letters:
+            # the three sides are distinct edges, so the word is already reduced
+            x, y, z = letters[a][b], letters[b][c], letters[c][a]
+            relators.append((x, y, z) if x and y and z else tuple(filter(None, (x, y, z))))
+    component = space.points if basepoint is None else space.sort_points(parent)
+    return GroupPresentation(space, k, basepoint, component,
+                             tuple(tree_edges), tuple(generators), tuple(relators), parent,
                              letters)
 
 
@@ -227,7 +243,7 @@ def _chain_letters(pres: GroupPresentation, seq: tuple) -> tuple:
     """``chain_word`` for a point sequence already known to be a chain at the
     presentation's scale inside the basepoint's component."""
     letters = pres.letters
-    return free_reduce(filter(None, [letters[a, b] for a, b in zip(seq, seq[1:]) if a != b]))
+    return free_reduce(filter(None, [letters[a][b] for a, b in zip(seq, seq[1:]) if a != b]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +275,10 @@ def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
 
     Coordinates list the torsion positions of the Smith form first (reduced
     into [0, d)), then its free positions, then one per free survivor of
-    the elimination (see ``_pres_abelian``).
+    the elimination (see ``_pres_abelian``).  They are read in the
+    elimination's basis: which generators survive as free, and so the
+    coordinates themselves, are not canonical; whether a class is zero, and
+    whether two classes agree, are.
     """
     pres = presentation_at_scale(space, k, None)
     loop = seq if isinstance(seq, Chain) else Chain(k, seq)
@@ -272,8 +291,10 @@ def h1_class(space: FilteredSpace, k: int, seq) -> tuple:
 def presentation_h1(pres: GroupPresentation) -> AbelianGroupInv:
     """Abelianization of the presented group: H1 of the presented components.
 
-    Unit pivots keep the abelianized group, so this is the Smith form of the
-    core left by ``_pres_abelian`` plus one free summand per free survivor.
+    Contraction and unit pivots keep the abelianized group, so this is the
+    Smith form of the core left by ``_pres_abelian`` plus one free summand
+    per free survivor.  Which generators survive as free depends on the
+    elimination's order and is not canonical; the invariants do not.
     """
     _, _, _, _, moduli, free = _pres_abelian(pres)
     return AbelianGroupInv(moduli.count(0) + len(free), tuple(d for d in moduli if d))
@@ -284,38 +305,110 @@ def _unit_pivot(row):
     return min((g for g, a in row.items() if a == 1 or a == -1), default=None)
 
 
+def _contract(relators):
+    """Phase one of ``_abelianize``: relators contracted through a signed
+    union-find over the generators.
+
+    ``link`` maps a signed letter that is no longer a root to a letter equal
+    to it in H1, or to 0 when it is zero; ``link[-l]`` is always
+    ``-link[l]``.  Each pass resolves every relator word onto the roots.  A
+    row left with one unit entry kills its root, the step ``(g, {})``; a row
+    left with two unit entries merges the smaller root g into the larger h
+    with the sign s the row forces, the step ``(g, {h: s})``.  Passes repeat
+    until one changes nothing, so the rows returned, sparse ``{generator:
+    exponent sum}`` dicts, are resolved onto the final roots, and each has
+    three or more roots or a non-unit entry.  Returns (rows, link, steps).
+    """
+    link, steps = {}, []
+
+    def find(letter):
+        """The root letter equal to letter, or 0; the path is compressed."""
+        path = []
+        while letter in link:
+            path.append(letter)
+            letter = link[letter]
+        for p in path:
+            link[p], link[-p] = letter, -letter
+        return letter
+
+    words, changed = relators, True
+    while changed:
+        changed, rows = False, []
+        for word in words:
+            row = {}
+            for letter in word:
+                if letter in link:
+                    letter = link[letter]
+                    if letter in link:
+                        letter = find(letter)
+                    if not letter:
+                        continue
+                if letter > 0:
+                    v = row.get(letter, 0) + 1
+                else:
+                    letter, v = -letter, row.get(-letter, 0) - 1
+                if v:
+                    row[letter] = v
+                else:
+                    del row[letter]
+            if len(row) == 1:
+                (g, a), = row.items()
+                if a == 1 or a == -1:
+                    link[g] = link[-g] = 0
+                    steps.append((g, {}))
+                    changed = True
+                    continue
+            elif len(row) == 2:
+                (g, a), (h, b) = row.items()
+                if (a == 1 or a == -1) and (b == 1 or b == -1):
+                    if g > h:
+                        g, h = h, g
+                    # a g + b h = 0 with units a and b: g = -ab h
+                    link[g], link[-g] = -a * b * h, a * b * h
+                    steps.append((g, {h: -a * b}))
+                    changed = True
+                    continue
+            if row:
+                rows.append(row)
+        if changed:  # the rows left, as words for the next pass
+            words = [[g if a > 0 else -g for g, a in row.items() for _ in range(abs(a))]
+                     for row in rows]
+    return rows, link, steps
+
+
 def _abelianize(generators, relators):
-    """Abelianized relators eliminated by unit pivots, then a Smith form of
-    what is left.
+    """Abelianized relators reduced in two phases, then a Smith form of what
+    is left.
 
     Each relator, a word over the given generators, is a sparse row
-    ``{generator: exponent sum}``, and an index maps each generator to the
-    rows that hold it.  While some row has a unit entry, the shortest such
-    row by ``(len, row index)`` is solved for its smallest unit generator g,
-    and the solution is substituted into the rows that hold g.  Survivors
-    that occur in no residual row are free summands; only the others, the
-    core, go through ``smith_normal_form``.
+    ``{generator: exponent sum}``.  Phase one (``_contract``) resolves the
+    rows through a signed union-find over the generators: a row with one
+    unit entry kills its generator, and a row with two unit entries merges
+    the smaller into the larger, until a pass changes nothing.  Phase two
+    pivots on the rows left, over the roots: an index maps each root to the
+    rows that hold it, and while some row has a unit entry, the shortest
+    such row by ``(len, row index)`` is solved for its smallest unit
+    generator g, and the solution is substituted into the rows that hold g.
+    Survivors that occur in no residual row are free summands; only the
+    others, the core, go through ``smith_normal_form``.
 
-    Returns (steps, core, u, kept, moduli, free): the eliminations
-    ``(g, {h: coefficient})`` in order, the core generators by column, the
-    core's row transform, the diagonal positions that are not 1 (torsion
-    first, then free) and their diagonal entries, 0 when free, and the free
-    survivors in the order of generators.
+    A step ``(g, {h: coefficient})`` says that g equals the sum of its
+    solution in H1: ``(g, {})`` that g is zero, ``(g, {h: 1 or -1})`` that
+    phase one merged g into h, and any other solution is a phase-two pivot.
+    A solution's generators are survivors or eliminated by later steps.
+
+    Returns (steps, core, u, kept, moduli, free): the steps in order, the
+    core generators by column, the core's row transform, the diagonal
+    positions that are not 1 (torsion first, then free) and their diagonal
+    entries, 0 when free, and the free survivors in the order of generators.
     """
-    rows = []
-    rows_with = {g: set() for g in generators}
-    for rel in relators:
-        row = {}
-        for letter in rel:
-            g = abs(letter)
-            row[g] = row.get(g, 0) + (1 if letter > 0 else -1)
-        row = {g: a for g, a in row.items() if a}
+    rows, link, steps = _contract(relators)
+    rows_with = {g: set() for g in generators if g not in link}
+    for i, row in enumerate(rows):
         for g in row:
-            rows_with[g].add(len(rows))
-        rows.append(row)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+            rows_with[g].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
-    steps = []
     while heap:
         n, i = heapq.heappop(heap)
         row = rows[i]
@@ -366,7 +459,9 @@ def _coordinates(abelian):
     A core generator's coordinates are its column of the row transform at
     the kept positions, a free survivor's a unit vector after those, and an
     eliminated generator's the sum of its solution's, taken in reverse
-    elimination order so that the solution's generators are known.
+    elimination order so that the solution's generators are known.  A
+    generator merged into h with sign 1 shares h's dict; the dicts are never
+    mutated.
     """
     steps, core, u, kept, moduli, free = abelian
     moduli += (0,) * len(free)
@@ -374,6 +469,18 @@ def _coordinates(abelian):
     for c, g in enumerate(core):
         coords[g] = {p: r for p, i in enumerate(kept) if (r := _reduce(u[i][c], moduli[p]))}
     for g, solution in reversed(steps):
+        if not solution:
+            coords[g] = {}
+            continue
+        if len(solution) == 1:
+            (h, b), = solution.items()
+            if b == 1:
+                coords[g] = coords[h]
+                continue
+            if b == -1:
+                # an entry is reduced and not 0, so neither is its negative
+                coords[g] = {p: _reduce(-v, moduli[p]) for p, v in coords[h].items()}
+                continue
         total = {}
         for h, b in solution.items():
             for p, v in coords[h].items():
@@ -601,14 +708,15 @@ class _Residual:
     """The group G that word Tietze leaves, as covers and the word problem
     read it.
 
-    ``relator_gens`` are the survivors that some residual relator holds.
-    ``abelian`` certifies that G is abelian: it has at most one survivor,
+    ``relator_gens`` are the survivors that some residual relator holds;
+    when there are none, G is free on the survivors and a reduced word over
+    them is its own normal form.  ``abelian`` certifies that G is abelian: it has at most one survivor,
     or every two survivors commute by a residual relator (see
     ``_commute_pairwise``).  Then G is its own H1, so two words with equal
     H1 coordinates are equal in G.  ``words`` maps each signed letter of the
     presentation to its substitution, and ``coords`` to the H1 coordinates
     of that substitution in G as sparse (position, value) pairs, read off
-    the unit-pivot elimination of the residual relators over the survivors;
+    ``_abelianize`` of the residual relators over the survivors;
     ``moduli`` reduce each coordinate as in ``_h1_basis``.  Tietze moves
     keep the group (Lyndon and Schupp, ch. II.2), so these coordinates
     separate exactly the words the whole presentation's ``_h1_coords``
@@ -647,9 +755,16 @@ def _residual(pres: GroupPresentation) -> _Residual:
 
 @_owned
 def _rewriting_rules(pres: GroupPresentation) -> tuple:
-    """Length-decreasing replacements harvested from the residual relators."""
+    """Length-decreasing replacements harvested from the residual relators
+    of at most ``_RULE_RELATOR_LETTERS`` letters.
+
+    Every rule replaces a word by one equal to it in G, so rewriting with any
+    subset of the rules keeps its Yes answers sound.
+    """
     rules = {}
     for rel in _simplified(pres)[1]:
+        if len(rel) > _RULE_RELATOR_LETTERS:
+            continue
         for base in (rel, invert_word(rel)):
             for rot in _rotations(base):
                 half = len(rot) // 2 + 1

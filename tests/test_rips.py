@@ -249,3 +249,38 @@ def test_unknown_is_honest_on_hard_words(fix_l4):
     assert decision.witness == {"exhausted": "ident_budget", "budget": 500}
     # the relator itself is certified trivial by rewriting alone
     assert _word_trivial(pres, (1, 1, 2, 2), ident_budget=500).is_yes
+
+
+def _long_relator(length, seed=0):
+    """A cyclically reduced word over generators 1 to 3 in which every
+    generator occurs many times, so word Tietze keeps it."""
+    import random
+
+    rng = random.Random(seed)
+    word = [1]
+    while len(word) < length or word[-1] == -word[0]:
+        word.append(rng.choice([x for x in (1, -1, 2, -2, 3, -3) if x != -word[-1]]))
+    return tuple(word)
+
+
+def test_rewriting_rules_stay_linear_in_the_residual():
+    """Rules come only from residual relators of at most
+    _RULE_RELATOR_LETTERS letters, so their letters are linear in the
+    residual's; every rotation and cut of a 200-letter relator would be
+    cubically many.  The rotations of the long relator are trivial, and
+    with fewer rules the word problem still answers Yes or Unknown, never
+    No."""
+    from scalecover import rips
+
+    long = _long_relator(200)
+    pres = rips.GroupPresentation(None, 1, None, (), (), (0, 1, 2), (long, (1, 2, -1, -2)))
+    subst, residual = rips._simplified(pres)
+    assert long in residual and all(w == (g,) for g, w in subst.items())
+    rules = rips._rewriting_rules(pres)
+    assert rules
+    assert max(len(head) for head, _ in rules) <= rips._RULE_RELATOR_LETTERS
+    assert sum(len(head) + len(rep) for head, rep in rules) <= \
+        rips._RULE_RELATOR_LETTERS ** 2 * sum(map(len, residual))
+    for i in range(len(long)):
+        for word in (long[i:] + long[:i], invert_word(long[i:] + long[:i])):
+            assert rips._residual_trivial(pres, word, 200).verdict in ("yes", "unknown")
