@@ -327,7 +327,13 @@ def verify_endpoint_ucm(cover: PartialCover) -> UcmReport:
 
 @dataclass(frozen=True)
 class BondingH1:
-    """Matrix of the inclusion-induced map H1(scale j) -> H1(scale k)."""
+    """Matrix of the inclusion-induced map H1(scale j) -> H1(scale k).
+
+    The matrix is written in the bases that the H1 elimination leaves at
+    each scale, and which generators survive as free there is not
+    canonical: only basis-invariant readings of it, such as
+    ``is_isomorphism``, are stable.
+    """
 
     finer: int
     coarser: int
@@ -341,7 +347,9 @@ def bonding_h1_map(space: FilteredSpace, j: int, k: int) -> BondingH1:
 
     Each H1(j) basis element is an integer combination of fundamental loops
     of the scale-j presentation; each loop is a scale-k loop as well, and
-    its class in H1(k) is read off the scale-k presentation.
+    its class in H1(k) is read off the scale-k presentation.  Both bases are
+    the elimination's, so the matrix is determined only up to a change of
+    basis on each side (see ``BondingH1``).
     """
     space.check_scale(j)
     space.check_scale(k)

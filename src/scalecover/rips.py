@@ -9,7 +9,7 @@ scale exactly when the combined word dies in the edge-path group.  H1 comes
 from the abelianized relators as sparse rows, reduced in two phases.  First
 a signed union-find contracts the rows of one or two unit entries: such a
 row kills its generator or merges one generator into another, up to sign,
-and passes repeat until one changes nothing (the reduction step of
+and only the rows that held it are resolved again (the reduction step of
 computational homology: Kaczynski, Mischaikow and Mrozek, Computational
 Homology, ch. 4).  Then unit pivots eliminate generators from the rows left,
 and only the core they leave goes through a Smith form.  Each kill, merge
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,17 +84,18 @@ class Rips2Skeleton:
 def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
     """Edges are scale-k pairs, triangles the pairwise scale-k triples.
 
-    One walk of the scale index in point order: an edge (a, b) takes b from
-    a's later neighbours, and a triangle (a, b, c) of it takes c from b's
-    later neighbours, kept when they lie in a's closed neighbourhood E_k[a].
-    Neighbours come in point order, so edges and triangles do too.
+    One walk of the scale index (``space.scale_index(k)``) in point order:
+    an edge (a, b) takes b from a's later neighbours, and a triangle
+    (a, b, c) of it takes c from b's later neighbours, kept when they lie in
+    a's closed neighbourhood ``space.closed(k, a)``.  Neighbours come in
+    point order, so edges and triangles do too.
     """
-    closed, adjacency = space._scale_index(k)
-    index = space._index.__getitem__
+    closed, adjacency = space.scale_index(k)
+    position = {p: i for i, p in enumerate(space.points)}.__getitem__
     later = {}
     for i, a in enumerate(space.points):
         near = adjacency[a]
-        later[a] = near[bisect_right(near, i, key=index):]
+        later[a] = near[bisect_right(near, i, key=position):]
     edges, triangles = [], []
     for a, after_a in later.items():
         near_a = closed[a]
@@ -195,7 +196,7 @@ def presentation_at_scale(space: FilteredSpace, k: int, basepoint) -> GroupPrese
     else:
         space.index(basepoint)
         roots = (basepoint,)
-    successors = space._scale_index(k)[1].__getitem__
+    successors = space.scale_index(k)[1].__getitem__
     parent = {}
     for root in roots:
         if root not in parent:
@@ -311,13 +312,18 @@ def _contract(relators):
 
     ``link`` maps a signed letter that is no longer a root to a letter equal
     to it in H1, or to 0 when it is zero; ``link[-l]`` is always
-    ``-link[l]``.  Each pass resolves every relator word onto the roots.  A
-    row left with one unit entry kills its root, the step ``(g, {})``; a row
-    left with two unit entries merges the smaller root g into the larger h
-    with the sign s the row forces, the step ``(g, {h: s})``.  Passes repeat
-    until one changes nothing, so the rows returned, sparse ``{generator:
-    exponent sum}`` dicts, are resolved onto the final roots, and each has
-    three or more roots or a non-unit entry.  Returns (rows, link, steps).
+    ``-link[l]``.  A pass resolves words onto the roots as sparse
+    ``{generator: exponent sum}`` rows.  A row with one unit entry kills its
+    root, the step ``(g, {})``; a row with two unit entries merges the
+    smaller root g into the larger h with the sign s the row forces, the
+    step ``(g, {h: s})``; either way the row is used up.  The first pass
+    reads every relator, and the second every row it kept.  From then on
+    ``holders`` lists the rows that held each root, and a pass reads again
+    only the rows that held a root that died in the pass before, so a row is
+    read once per root of it that dies: a chain of kills against the row
+    order costs one row per kill, not one pass over all rows.  The rows
+    returned are resolved onto the final roots, and each has three or more
+    roots or a non-unit entry.  Returns (rows, link, steps).
     """
     link, steps = {}, []
 
@@ -331,10 +337,12 @@ def _contract(relators):
             link[p], link[-p] = letter, -letter
         return letter
 
-    words, changed = relators, True
-    while changed:
-        changed, rows = False, []
-        for word in words:
+    # a pass after the first reads its rows as words again
+    rows, holders = [None] * len(relators), defaultdict(list)
+    batch, first = enumerate(relators), True
+    while True:
+        died = []
+        for i, word in batch:
             row = {}
             for letter in word:
                 if letter in link:
@@ -356,7 +364,8 @@ def _contract(relators):
                 if a == 1 or a == -1:
                     link[g] = link[-g] = 0
                     steps.append((g, {}))
-                    changed = True
+                    died.append(g)
+                    rows[i] = None
                     continue
             elif len(row) == 2:
                 (g, a), (h, b) = row.items()
@@ -366,14 +375,23 @@ def _contract(relators):
                     # a g + b h = 0 with units a and b: g = -ab h
                     link[g], link[-g] = -a * b * h, a * b * h
                     steps.append((g, {h: -a * b}))
-                    changed = True
+                    died.append(g)
+                    rows[i] = None
                     continue
-            if row:
-                rows.append(row)
-        if changed:  # the rows left, as words for the next pass
-            words = [[g if a > 0 else -g for g, a in row.items() for _ in range(abs(a))]
-                     for row in rows]
-    return rows, link, steps
+            rows[i] = row
+            if not first:
+                for g in row:
+                    holders[g].append(i)
+        if first:
+            again = [i for i, row in enumerate(rows) if row] if died else ()
+            first = False
+        else:
+            again = sorted({i for g in died for i in holders.pop(g, ()) if rows[i]})
+        if not again:
+            break
+        batch = [(i, [g if a > 0 else -g for g, a in rows[i].items() for _ in range(abs(a))])
+                 for i in again]
+    return [row for row in rows if row], link, steps
 
 
 def _abelianize(generators, relators):
@@ -384,18 +402,19 @@ def _abelianize(generators, relators):
     ``{generator: exponent sum}``.  Phase one (``_contract``) resolves the
     rows through a signed union-find over the generators: a row with one
     unit entry kills its generator, and a row with two unit entries merges
-    the smaller into the larger, until a pass changes nothing.  Phase two
-    pivots on the rows left, over the roots: an index maps each root to the
-    rows that hold it, and while some row has a unit entry, the shortest
+    the smaller into the larger; then the next pass reads again the rows
+    that held it, until no row has one or two unit entries.  Phase
+    two pivots on the rows left, over the roots: an index maps each root to
+    the rows that hold it, and while some row has a unit entry, the shortest
     such row by ``(len, row index)`` is solved for its smallest unit
     generator g, and the solution is substituted into the rows that hold g.
     Survivors that occur in no residual row are free summands; only the
     others, the core, go through ``smith_normal_form``.
 
     A step ``(g, {h: coefficient})`` says that g equals the sum of its
-    solution in H1: ``(g, {})`` that g is zero, ``(g, {h: 1 or -1})`` that
-    phase one merged g into h, and any other solution is a phase-two pivot.
-    A solution's generators are survivors or eliminated by later steps.
+    solution in H1.  A kill of phase one is ``(g, {})`` and a merge into h
+    is ``(g, {h: 1 or -1})``; a pivot of phase two solves its row.  A
+    solution's generators are survivors or eliminated by later steps.
 
     Returns (steps, core, u, kept, moduli, free): the steps in order, the
     core generators by column, the core's row transform, the diagonal
@@ -459,9 +478,7 @@ def _coordinates(abelian):
     A core generator's coordinates are its column of the row transform at
     the kept positions, a free survivor's a unit vector after those, and an
     eliminated generator's the sum of its solution's, taken in reverse
-    elimination order so that the solution's generators are known.  A
-    generator merged into h with sign 1 shares h's dict; the dicts are never
-    mutated.
+    elimination order so that the solution's generators are known.
     """
     steps, core, u, kept, moduli, free = abelian
     moduli += (0,) * len(free)
@@ -469,23 +486,18 @@ def _coordinates(abelian):
     for c, g in enumerate(core):
         coords[g] = {p: r for p, i in enumerate(kept) if (r := _reduce(u[i][c], moduli[p]))}
     for g, solution in reversed(steps):
-        if not solution:
-            coords[g] = {}
-            continue
-        if len(solution) == 1:
-            (h, b), = solution.items()
-            if b == 1:
-                coords[g] = coords[h]
-                continue
-            if b == -1:
-                # an entry is reduced and not 0, so neither is its negative
-                coords[g] = {p: _reduce(-v, moduli[p]) for p, v in coords[h].items()}
-                continue
-        total = {}
+        # each partial sum is reduced, and an entry that reaches 0 is dropped
+        coords[g] = total = {}
         for h, b in solution.items():
             for p, v in coords[h].items():
-                total[p] = total.get(p, 0) + b * v
-        coords[g] = {p: r for p, v in total.items() if (r := _reduce(v, moduli[p]))}
+                d = moduli[p]
+                v = total.get(p, 0) + b * v
+                if d:
+                    v %= d
+                if v:
+                    total[p] = v
+                else:
+                    total.pop(p, None)
     return coords, moduli
 
 

@@ -114,7 +114,8 @@ class FilteredSpace:
     A scale is indexed by point the first time it is read: ``closed(k, x)``
     is the closed neighbourhood E_k[x] as a frozenset, for membership tests,
     and ``neighbors(k, x)`` the points other than x in it, in point order,
-    for iteration whose order can reach a report.  ``related`` is one lookup
+    for iteration whose order can reach a report; ``scale_index(k)`` hands
+    out both maps, for loops over every point.  ``related`` is one lookup
     in the first.  The index lives on the space, so a scale that is never
     read, such as every scale of a tower's limit space, is never indexed.
     """
@@ -133,9 +134,10 @@ class FilteredSpace:
         object.__setattr__(self, "_closed", {})
         object.__setattr__(self, "_adjacency", {})
 
-    def _scale_index(self, k):
-        """Scale k's closed neighbourhoods and ordered neighbours by point,
-        built on first use; BadScale for a scale out of range."""
+    def scale_index(self, k):
+        """(closed, adjacency): dicts mapping each point to ``closed(k, x)``
+        and to ``neighbors(k, x)``, for loops over the whole scale; built on
+        first use, BadScale for a scale out of range.  Treat as read-only."""
         try:
             return self._closed[k], self._adjacency[k]
         except KeyError:
@@ -153,7 +155,7 @@ class FilteredSpace:
     def _missed(self, k, x):
         """(E_k[x], the neighbours of x) after a lookup missed: scale k is
         indexed unless it already is, and BadScale comes before UnknownPoint."""
-        closed, adjacency = self._scale_index(k)
+        closed, adjacency = self.scale_index(k)
         try:
             return closed[x], adjacency[x]
         except KeyError:
@@ -507,5 +509,5 @@ def chain_components(space: FilteredSpace, k: int) -> Partition:
 
     The space is chain connected at scale k exactly when there is one block.
     """
-    return Partition(components(space.points, space._scale_index(k)[1].__getitem__,
+    return Partition(components(space.points, space.scale_index(k)[1].__getitem__,
                                 space._index.__getitem__))

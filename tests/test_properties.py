@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+import sys
 import tempfile
 import types
 from unittest import mock
@@ -657,8 +658,10 @@ def _abelian_coords(abelian, word):
 @example(_bare_presentation(4, [(1, -2), (2, -3), (3, -4), (4,)]), random.Random(0))
 # a merge, then a +-2 row left for the core: Z/2
 @example(_bare_presentation(2, [(1, -2), (1, 1)]), random.Random(0))
-# a row of three roots that contracts on the second pass, once 2 is killed
+# a row of three roots that contracts in the second pass, once 2 is killed
 @example(_bare_presentation(3, [(1, 2, 3), (2,)]), random.Random(0))
+# a kill chain against the row order: each kill leaves the row before it a unit
+@example(_bare_presentation(3, [(1, 2, 2), (2, 3, 3), (3,)]), random.Random(0))
 def test_unit_pivots_match_substituting_loop(pres, rng):
     """The contraction and pivoting against the loop that only pivots,
     substituting into a set difference: the same moduli and the same number
@@ -677,6 +680,33 @@ def test_unit_pivots_match_substituting_loop(pres, rng):
         assert (not any(a)) == (not any(b))
     for (a, b), (c, d) in itertools.combinations(zip(ours, theirs), 2):
         assert (a == c) == (b == d)
+
+
+def test_contraction_work_is_linear_on_a_chain_against_the_row_order():
+    """A kill chain against the row order, g_i + 2 g_(i+1) = 0 for i < n and
+    then g_n = 0: each kill leaves the row before it with one unit entry.
+    Passes that read every row until one changes nothing take one pass per
+    kill, quadratic work (about n * n / 2 row reads); reading again only the
+    rows that held a root that died keeps the lines ``_contract`` executes
+    linear in n."""
+    n = 500
+    relators = [(i, i + 1, i + 1) for i in range(1, n)] + [(n,)]
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not rips._contract.__code__:
+            return None
+        lines += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        rows, link, steps = rips._contract(relators)
+    finally:
+        sys.settrace(None)
+    assert rows == [] and steps == [(g, {}) for g in range(n, 0, -1)]
+    assert lines <= 200 * n
 
 
 def test_letter_cap_bounds_growth_not_size():
