@@ -11,9 +11,11 @@ step to y (none on a tree edge).  A new chain is compared only with the
 vertices in its bucket: those with the same endpoint and the same key, which
 a dict indexes.  Over a free group (no relators) the key is the reduced word,
 so a bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs
-once per cover.  When it leaves no residual relator, the group is free on the
-surviving generators, and the key is the reduced word through the
-substitution: again a bucket is one class.  Else the key is the word's H1
+once per cover: a signed union-find first contracts the relators of one
+letter and of two letters of distinct generators, and a heap eliminates
+from the relators left.  When it leaves no residual relator, the group is
+free on the surviving generators, and the key is the reduced word through
+the substitution: again a bucket is one class.  Else the key is the word's H1
 class in the group G presented by the residual relators over the surviving
 generators: v's key is its parent's plus the coordinates of one letter's
 substitution.  Any vertex in another bucket differs in H1, so it is

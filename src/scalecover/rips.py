@@ -17,12 +17,17 @@ and pivot is a step ``(g, solution)``: g equals the sum of its solution in
 H1, so a word's H1 coordinates are the sums of its letters' coordinates,
 read back through the steps.
 
-A Tietze reduction of the relator words, whose substitution is expanded once
-at the end, serves the word problem and the buckets of covers, which read H1
-classes off its residual group (``_residual``).  The word problem is decided
-in a fixed order: free reduction, the relator-free free group, H1
-separation, Tietze reduction with bounded rewriting by rules harvested from
-the short residual relators, and the projection onto the free factor F of
+A Tietze reduction of the relator words serves the word problem and the
+buckets of covers, which read H1 classes off its residual group
+(``_residual``).  It starts from the same union-find, now on the words
+themselves: a relator of one letter kills its generator and one of two
+letters merges two generators up to sign, Tietze moves in the group and not
+only in H1.  A heap of the relators left then eliminates generators that
+occur once, and its substitution is expanded once at the end.  The word
+problem is decided in a fixed order: free reduction, the relator-free free
+group, H1 separation, Tietze reduction with bounded rewriting by rules
+harvested from the short residual relators and indexed by head length, and
+the projection onto the free factor F of
 the surviving generators that no residual relator holds.  The group is then
 F * G, G presented by the residual relators, and what is left is one
 free-product normal form whose G syllables are multiplied in G's coset table
@@ -51,8 +56,9 @@ from .spaces import (
     chain,
 )
 
-# the word problem's _simplified stops eliminating once the relators have grown
-# by this many letters; H1 does not depend on it
+# the heap phase of the word problem's _simplified stops eliminating once the
+# relators have grown by this many letters over the total that the literal
+# phase leaves; H1 does not depend on it
 TIETZE_LETTER_CAP = 10_000
 _REWRITE_STEPS = 10_000  # the most rule applications _rewrite makes to one word
 # _rewriting_rules harvests only residual relators of at most this many
@@ -306,82 +312,128 @@ def _unit_pivot(row):
     return min((g for g, a in row.items() if a == 1 or a == -1), default=None)
 
 
-def _contract(relators):
-    """Phase one of ``_abelianize``: relators contracted through a signed
-    union-find over the generators.
+def _find(link, letter):
+    """The root letter equal to letter under a ``_contract`` link, or 0; the
+    path is compressed."""
+    path = []
+    while letter in link:
+        path.append(letter)
+        letter = link[letter]
+    for p in path:
+        link[p], link[-p] = letter, -letter
+    return letter
 
-    ``link`` maps a signed letter that is no longer a root to a letter equal
-    to it in H1, or to 0 when it is zero; ``link[-l]`` is always
-    ``-link[l]``.  A pass resolves words onto the roots as sparse
-    ``{generator: exponent sum}`` rows.  A row with one unit entry kills its
-    root, the step ``(g, {})``; a row with two unit entries merges the
-    smaller root g into the larger h with the sign s the row forces, the
-    step ``(g, {h: s})``; either way the row is used up.  The first pass
-    reads every relator, and the second every row it kept.  From then on
-    ``holders`` lists the rows that held each root, and a pass reads again
-    only the rows that held a root that died in the pass before, so a row is
-    read once per root of it that dies: a chain of kills against the row
-    order costs one row per kill, not one pass over all rows.  The rows
-    returned are resolved onto the final roots, and each has three or more
-    roots or a non-unit entry.  Returns (rows, link, steps).
+
+def _exponent_row(word, link):
+    """The H1 test of ``_contract``: a word's row is its sparse
+    ``{generator: exponent sum}`` over the roots, and it contracts when it
+    has one or two entries, each 1 or -1.  Returns (row, the signed letters
+    of those entries, or None)."""
+    row = {}
+    for letter in word:
+        if letter in link:
+            letter = link[letter]
+            if letter in link:
+                letter = _find(link, letter)
+            if not letter:
+                continue
+        if letter > 0:
+            v = row.get(letter, 0) + 1
+        else:
+            letter, v = -letter, row.get(-letter, 0) - 1
+        if v:
+            row[letter] = v
+        else:
+            del row[letter]
+    if len(row) == 1:
+        (g, a), = row.items()
+        if a == 1 or a == -1:
+            return row, (a * g,)
+    elif len(row) == 2:
+        (g, a), (h, b) = row.items()
+        if (a == 1 or a == -1) and (b == 1 or b == -1):
+            return row, (a * g, b * h)
+    return row, None
+
+
+def _literal_row(word, link):
+    """The literal test of ``_contract``: a word's row is the word over the
+    roots, free- and cyclically reduced, and it contracts when it has one
+    letter, or two of distinct generators; ``a a`` and longer words stay.
+    Returns (row, row or None)."""
+    resolved = []
+    for letter in word:
+        if letter in link:
+            letter = link[letter]
+            if letter in link:
+                letter = _find(link, letter)
+            if not letter:
+                continue
+        resolved.append(letter)
+    row = _cyclic_reduce(resolved)
+    if len(row) == 1 or len(row) == 2 and row[0] != row[1]:
+        return row, row
+    return row, None
+
+
+def _spell(row):
+    """A row of ``_contract`` as a word: a literal row is one, and an H1 row
+    spells each generator its exponent many times."""
+    if type(row) is tuple:
+        return row
+    return [g if a > 0 else -g for g, a in row.items() for _ in range(abs(a))]
+
+
+def _contract(relators, reduce):
+    """Relators contracted through a signed union-find over the generators.
+
+    Phase one of ``_abelianize`` runs it with ``reduce = _exponent_row``,
+    and the literal phase of word Tietze (``_literal``) with
+    ``_literal_row``: the two differ only in that test.  ``link`` maps a
+    signed letter that is no longer a root to a letter equal to it, or to 0
+    when it is trivial; ``link[-l]`` is always ``-link[l]``.  A pass hands
+    each word to ``reduce``, which resolves it onto the roots (``_find``),
+    turns it into its row and says whether the row contracts.  A row of one
+    letter kills its root g, the step ``(g, {})``; a row of two letters x y
+    of distinct roots says x = -y (their sum is zero in H1, their product
+    trivial in the group), and the smaller root g merges into the larger h
+    with the sign s this forces, the step ``(g, {h: s})``.  Either way the
+    row is used up.  The first pass reads every relator, and the second
+    every row it kept.  From then on ``holders`` lists the rows that held
+    each root, and a pass reads again only the rows that held a root that
+    died in the pass before, so a row is read once per root of it that
+    dies: a chain of kills against the row order costs one row per kill,
+    not one pass over all rows.  The rows returned are resolved onto the
+    final roots, and none of them contracts.  Returns (rows, link, steps).
     """
     link, steps = {}, []
-
-    def find(letter):
-        """The root letter equal to letter, or 0; the path is compressed."""
-        path = []
-        while letter in link:
-            path.append(letter)
-            letter = link[letter]
-        for p in path:
-            link[p], link[-p] = letter, -letter
-        return letter
-
     # a pass after the first reads its rows as words again
     rows, holders = [None] * len(relators), defaultdict(list)
     batch, first = enumerate(relators), True
     while True:
         died = []
         for i, word in batch:
-            row = {}
-            for letter in word:
-                if letter in link:
-                    letter = link[letter]
-                    if letter in link:
-                        letter = find(letter)
-                    if not letter:
-                        continue
-                if letter > 0:
-                    v = row.get(letter, 0) + 1
-                else:
-                    letter, v = -letter, row.get(-letter, 0) - 1
-                if v:
-                    row[letter] = v
-                else:
-                    del row[letter]
-            if len(row) == 1:
-                (g, a), = row.items()
-                if a == 1 or a == -1:
+            row, units = reduce(word, link)
+            if units:
+                x = units[0]
+                if len(units) == 1:
+                    g = abs(x)
                     link[g] = link[-g] = 0
                     steps.append((g, {}))
-                    died.append(g)
-                    rows[i] = None
-                    continue
-            elif len(row) == 2:
-                (g, a), (h, b) = row.items()
-                if (a == 1 or a == -1) and (b == 1 or b == -1):
-                    if g > h:
-                        g, h = h, g
-                    # a g + b h = 0 with units a and b: g = -ab h
-                    link[g], link[-g] = -a * b * h, a * b * h
-                    steps.append((g, {h: -a * b}))
-                    died.append(g)
-                    rows[i] = None
-                    continue
+                else:
+                    y = units[1]
+                    if abs(x) > abs(y):
+                        x, y = y, x
+                    g = abs(x)
+                    link[x], link[-x] = -y, y
+                    steps.append((g, {abs(y): -1 if (x > 0) == (y > 0) else 1}))
+                died.append(g)
+                rows[i] = None
+                continue
             rows[i] = row
             if not first:
                 for g in row:
-                    holders[g].append(i)
+                    holders[abs(g)].append(i)
         if first:
             again = [i for i, row in enumerate(rows) if row] if died else ()
             first = False
@@ -389,8 +441,7 @@ def _contract(relators):
             again = sorted({i for g in died for i in holders.pop(g, ()) if rows[i]})
         if not again:
             break
-        batch = [(i, [g if a > 0 else -g for g, a in rows[i].items() for _ in range(abs(a))])
-                 for i in again]
+        batch = [(i, _spell(rows[i])) for i in again]
     return [row for row in rows if row], link, steps
 
 
@@ -399,15 +450,16 @@ def _abelianize(generators, relators):
     is left.
 
     Each relator, a word over the given generators, is a sparse row
-    ``{generator: exponent sum}``.  Phase one (``_contract``) resolves the
-    rows through a signed union-find over the generators: a row with one
-    unit entry kills its generator, and a row with two unit entries merges
-    the smaller into the larger; then the next pass reads again the rows
-    that held it, until no row has one or two unit entries.  Phase
-    two pivots on the rows left, over the roots: an index maps each root to
-    the rows that hold it, and while some row has a unit entry, the shortest
-    such row by ``(len, row index)`` is solved for its smallest unit
-    generator g, and the solution is substituted into the rows that hold g.
+    ``{generator: exponent sum}``.  Phase one (``_contract`` with the test
+    ``_exponent_row``) resolves the rows through a signed union-find over
+    the generators: a row with one unit entry kills its generator, and a
+    row with two unit entries merges the smaller into the larger; then the
+    next pass reads again the rows that held it, until no row has one or
+    two unit entries.  Phase two pivots on the rows left, over the roots:
+    an index maps each root to the rows that hold it, and while some row
+    has a unit entry, the shortest such row by ``(len, row index)`` is
+    solved for its smallest unit generator g, and the solution is
+    substituted into the rows that hold g.
     Survivors that occur in no residual row are free summands; only the
     others, the core, go through ``smith_normal_form``.
 
@@ -421,7 +473,7 @@ def _abelianize(generators, relators):
     positions that are not 1 (torsion first, then free) and their diagonal
     entries, 0 when free, and the free survivors in the order of generators.
     """
-    rows, link, steps = _contract(relators)
+    rows, link, steps = _contract(relators, _exponent_row)
     rows_with = {g: set() for g in generators if g not in link}
     for i, row in enumerate(rows):
         for g in row:
@@ -590,6 +642,17 @@ def _rotations(word):
 
 
 @_owned
+def _literal(pres: GroupPresentation):
+    """The literal phase of word Tietze: ``_contract`` of the relator words
+    with ``_literal_row``.  Returns (rows, link): the relators left, free-
+    and cyclically reduced words of two or more letters over the roots that
+    do not contract, and the union-find that maps every other signed letter
+    to an equal root letter, or to 0."""
+    rows, link, _ = _contract(pres.relators, _literal_row)
+    return rows, link
+
+
+@_owned
 def _simplified(pres: GroupPresentation):
     """Tietze elimination for the word problem: returns (substitution,
     residual relators).
@@ -600,22 +663,29 @@ def _simplified(pres: GroupPresentation):
     enumeration and the buckets of covers (``_residual``) read them; the H1
     of ``analyze`` and of bonding maps is read off ``_pres_abelian`` instead.
 
-    The relators form a set of non-empty cyclically reduced words.  Each step
-    takes the smallest relator by ``(len, r)`` that has a letter occurring
-    once, solves it for the first such letter's generator g, and substitutes
-    the solution for g in the relators.  The step is incremental: an
-    occurrence index maps each generator to the live relators whose words
-    hold it, so only those are rewritten; a heap of ``(len, r)`` holds the
-    relators with a once-occurring letter, and entries no longer live are
-    skipped when popped.  Elimination stops when no relator has such a letter,
-    or when a running count of the relators' letters exceeds its initial
-    value by ``TIETZE_LETTER_CAP``.  Each step records ``(g, solution)``, and
-    the substitution is expanded once at the end, in reverse elimination
-    order: a solution's letters are survivors or generators eliminated later,
-    whose words are known by then.
+    Elimination runs in two phases.  The literal phase (``_literal``)
+    contracts every relator of one letter, which kills its generator, and
+    of two letters of distinct generators, which merges one into the other
+    up to sign; both are Tietze moves in the group (Lyndon and Schupp, ch.
+    II.2).  A generator it links reads its word off its root.  The heap
+    phase then runs on the rows left, over the surviving roots, as a set of
+    non-empty cyclically reduced words.  Each step takes the smallest
+    relator by ``(len, r)`` that has a letter occurring once, solves it for
+    the first such letter's generator g, and substitutes the solution for g
+    in the relators.  The step is incremental: an occurrence index maps each
+    generator to the live relators whose words hold it, so only those are
+    rewritten; a heap of ``(len, r)`` holds the relators with a
+    once-occurring letter, and entries no longer live are skipped when
+    popped.  Elimination stops when no relator has such a letter, or when a
+    running count of the relators' letters exceeds its value after the
+    literal phase by ``TIETZE_LETTER_CAP``.  Each step records ``(g,
+    solution)``, and the substitution is expanded once at the end, in
+    reverse elimination order: a solution's letters are survivors or
+    generators eliminated later, whose words are known by then.
     """
-    subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
-    rels_with = {g: set() for g in subst}
+    rows, link = _literal(pres)
+    rels_with = {g: set() for g in range(1, len(pres.generators) + 1) if g not in link}
+    subst = {g: (g,) for g in rels_with}
     live = set()
     heap = []
     steps = []
@@ -635,8 +705,8 @@ def _simplified(pres: GroupPresentation):
         if len(letters) == len(rel) or 1 in Counter(map(abs, rel)).values():
             heapq.heappush(heap, (len(rel), rel))
 
-    for rel in pres.relators:
-        add(_cyclic_reduce(rel))
+    for rel in rows:
+        add(rel)
 
     limit = total + TIETZE_LETTER_CAP
     while total < limit:
@@ -681,7 +751,15 @@ def _simplified(pres: GroupPresentation):
         for lt in replacement:
             word.extend(subst[lt] if lt > 0 else invert_word(subst[-lt]))
         subst[g] = free_reduce(word)
-    return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
+    # each generator's word is its signed root's, read once however many
+    # generators link to that root
+    words, out = {0: ()}, {}
+    for g in range(1, len(pres.generators) + 1):
+        r = _find(link, g)
+        if r not in words:
+            words[r] = subst[r] if r > 0 else invert_word(subst[-r])
+        out[g] = words[r]
+    return out, tuple(sorted(live, key=lambda r: (len(r), r)))
 
 
 def _expand(pres, word) -> tuple:
@@ -722,17 +800,19 @@ class _Residual:
 
     ``relator_gens`` are the survivors that some residual relator holds;
     when there are none, G is free on the survivors and a reduced word over
-    them is its own normal form.  ``abelian`` certifies that G is abelian: it has at most one survivor,
-    or every two survivors commute by a residual relator (see
-    ``_commute_pairwise``).  Then G is its own H1, so two words with equal
-    H1 coordinates are equal in G.  ``words`` maps each signed letter of the
-    presentation to its substitution, and ``coords`` to the H1 coordinates
-    of that substitution in G as sparse (position, value) pairs, read off
-    ``_abelianize`` of the residual relators over the survivors;
-    ``moduli`` reduce each coordinate as in ``_h1_basis``.  Tietze moves
-    keep the group (Lyndon and Schupp, ch. II.2), so these coordinates
-    separate exactly the words the whole presentation's ``_h1_coords``
-    separate.
+    them is its own normal form.  ``abelian`` certifies that G is abelian:
+    it has at most one survivor, or every two survivors commute by a
+    residual relator (see ``_commute_pairwise``).  Then G is its own H1, so
+    two words with equal H1 coordinates are equal in G.  ``words`` maps each
+    signed letter of the presentation to its substitution, and ``coords`` to
+    the H1 coordinates of that substitution in G as sparse (position, value)
+    pairs, read off ``_abelianize`` of the residual relators over the
+    survivors; ``moduli`` reduce each coordinate as in ``_h1_basis``.  A
+    root of the literal phase sums its coordinates over its substitution,
+    and a letter that phase linked reads both off its root letter.  Tietze
+    moves keep the group (Lyndon and Schupp, ch. II.2), so these
+    coordinates separate exactly the words the whole presentation's
+    ``_h1_coords`` separate.
     """
 
     relator_gens: frozenset
@@ -745,10 +825,13 @@ class _Residual:
 @_owned
 def _residual(pres: GroupPresentation) -> _Residual:
     subst, relators = _simplified(pres)
+    link = _literal(pres)[1]
     survivors = tuple(g for g, w in subst.items() if w == (g,))
     basis, moduli = _coordinates(_abelianize(survivors, relators))
     words, coords = {}, {}
     for g, w in subst.items():
+        if g in link:
+            continue
         words[g], words[-g] = w, invert_word(w)
         # summed sparsely: the survivors may be many, and each letter's
         # substitution reaches few of them
@@ -760,6 +843,10 @@ def _residual(pres: GroupPresentation) -> _Residual:
         coords[g] = tuple((p, r) for p, v in sorted(total.items())
                           if (r := _reduce(v, moduli[p])))
         coords[-g] = tuple((p, _reduce(-v, moduli[p])) for p, v in coords[g])
+    # a linked letter is its root letter, or trivial
+    for g in link:
+        r = _find(link, g)
+        words[g], coords[g] = (words[r], coords[r]) if r else ((), ())
     return _Residual(frozenset(abs(l) for r in relators for l in r),
                      len(survivors) <= 1 or _commute_pairwise(survivors, relators),
                      words, coords, moduli)
@@ -768,7 +855,8 @@ def _residual(pres: GroupPresentation) -> _Residual:
 @_owned
 def _rewriting_rules(pres: GroupPresentation) -> tuple:
     """Length-decreasing replacements harvested from the residual relators
-    of at most ``_RULE_RELATOR_LETTERS`` letters.
+    of at most ``_RULE_RELATOR_LETTERS`` letters, indexed for ``_rewrite``:
+    ``(length, {head: replacement})`` pairs, longest heads first.
 
     Every rule replaces a word by one equal to it in G, so rewriting with any
     subset of the rules keeps its Yes answers sound.
@@ -788,27 +876,34 @@ def _rewriting_rules(pres: GroupPresentation) -> tuple:
                     old = rules.get(head)
                     if old is None or (len(rep), rep) < (len(old), old):
                         rules[head] = rep
-    return tuple(sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0])))
+    by_length = defaultdict(dict)
+    for head, rep in rules.items():
+        by_length[len(head)][head] = rep
+    return tuple(sorted(by_length.items(), key=lambda item: -item[0]))
 
 
 def _rewrite(word, rules):
+    """The word rewritten by ``_rewriting_rules`` until no head occurs, or
+    for at most ``_REWRITE_STEPS`` steps, and freely reduced after each.
+
+    A step applies the longest head that occurs, the least one of that
+    length, at its first position: the first match in ``(-len(head), head)``
+    order.  The index has one dict per head length, so a step reads each
+    position once per length, not once per rule.
+    """
     word = free_reduce(word)
-    steps = 0
-    changed = True
-    while changed and steps < _REWRITE_STEPS:
-        changed = False
-        for head, rep in rules:
-            n = len(head)
-            if n > len(word):
-                continue
+    for _ in range(_REWRITE_STEPS):
+        for n, heads in rules:
+            best = None
             for i in range(len(word) - n + 1):
-                if word[i : i + n] == head:
-                    word = free_reduce(word[:i] + rep + word[i + n :])
-                    changed = True
-                    steps += 1
-                    break
-            if changed:
+                piece = word[i:i + n]
+                if piece in heads and (best is None or piece < best):
+                    best, at = piece, i
+            if best is not None:
                 break
+        else:
+            break
+        word = free_reduce(word[:at] + heads[best] + word[at + n:])
     return word
 
 

@@ -32,6 +32,7 @@ from test_golden_reports import rp2_wedge_circle, scales_spec
 from test_acceptance import cyclic_cover_map, double_cover_map, raw_random_map, relabel_map
 from scalecover import cli, covers, formats, rips, spaces
 from scalecover import intlinalg as ila
+from scalecover.coset import coset_enumeration
 from scalecover.covers import (
     BadScalePair,
     UcmReport,
@@ -413,6 +414,27 @@ RP2_LOOP = (("v", 1), ("e", 1, 2), ("v", 2), ("e", 2, 3), ("v", 3), ("e", 1, 3),
 KING_TORUS = king_torus(4)
 
 
+# RP^2 wedged with a 4-cycle: pi_1 = Z * Z/2 is not abelian, so its covers ask
+# the word problem of bucket mates
+RP2_WEDGE_CIRCLE = formats.space_from_spec(rp2_wedge_circle())
+
+
+def _rp2_wedge_king_torus():
+    """RP^2 v T5: the RP^2 subdivision numbered as in ``rp2_wedge_circle``,
+    0 being ("v", 1), with the 5 x 5 king torus wedged there, its point 0 at
+    0 and its points 1..24 at 31..54.  pi_1 is Z/2 * Z^2."""
+    spec = rp2_wedge_circle()
+    pairs = {(a, b) for a, b, _ in spec["pairs"] if b < 31}
+    torus = king_torus(5)
+    pairs |= {tuple(sorted(a + 30 if a else 0 for a in pair))
+              for pair in torus.sorted_pairs(1) if pair[0] != pair[1]}
+    return {"points": list(range(55)), "depth": 1,
+            "pairs": [[a, b, 1] for a, b in sorted(pairs)]}
+
+
+RP2_WEDGE_KING_TORUS = formats.space_from_spec(_rp2_wedge_king_torus())
+
+
 # RP2 beside a 4-cycle: the 4-cycle's generator survives in no relator
 RP2_AND_SQUARE = FilteredSpace(
     RP2.points + ("a", "b", "c", "d"),
@@ -551,17 +573,220 @@ GROWING = _bare_presentation(5, [(1, 2, 2), (1, 1, 1, 1, 3, 3, 3, 3), (4,) + (5,
 @example(rips.presentation_at_scale(KING_TORUS, 1, None))
 @example(rips.presentation_at_scale(noisy_circle(24, 0), 1, None))
 @example(GROWING)
+# 2 killed, then 1 merged into 3^-1; 4 4 stays, and so does -3 4 1 4, now (3^-1 4)^2
+@example(_bare_presentation(4, [(2,), (1, 2, 3), (4, 4), (-3, 4, 1, 4)]))
 def test_elimination_matches_rescanning_loop(pres):
-    """Same pivots, same substitution and same residual as the rescanning
-    loop, at the default cap and at caps 0, 1 and one above the initial
-    letter count."""
-    initial = sum(len(r) for r in {_reference_cyclic_reduce(r) for r in pres.relators})
+    """The heap phase of word Tietze against the rescanning loop fed the
+    rows the literal phase leaves, over the roots: the same pivots, so the
+    same substitution of the roots and the same residual, at the default cap
+    and at caps 0, 1 and one above the rows' letter count.  A linked
+    generator's word is its root's, inverted when the link is, or empty."""
+    rows, link = rips._literal(dataclasses.replace(pres))
+    assert all(r and r == _reference_cyclic_reduce(r) for r in rows)
+    assert all(len(r) > 2 or len(r) == 2 and r[0] == r[1] for r in rows)
+    initial = sum(map(len, set(rows)))
     for cap in (rips.TIETZE_LETTER_CAP, 0, 1, initial + 1):
         with _tietze_cap(cap):
             subst, residual = rips._simplified(dataclasses.replace(pres))
-            expected_subst, expected_residual = _reference_simplified(pres)
-        assert list(subst.items()) == list(expected_subst.items())
+            expected_subst, expected_residual = _reference_simplified(
+                _bare_presentation(len(pres.generators), rows))
+        roots = [g for g in subst if g not in link]
+        assert [(g, subst[g]) for g in roots] == [(g, expected_subst[g]) for g in roots]
         assert residual == expected_residual
+        for g in link:
+            r = rips._find(link, g)
+            word = () if not r else subst[r] if r > 0 else rips.invert_word(subst[-r])
+            assert (subst[g] if g > 0 else rips.invert_word(subst[-g])) == word
+
+
+def _old_simplified(pres):
+    """``rips._simplified`` as it was before the literal phase: the heap
+    phase alone, on every relator over every generator."""
+    subst = {g: (g,) for g in range(1, len(pres.generators) + 1)}
+    rels_with = {g: set() for g in subst}
+    live = set()
+    heap = []
+    steps = []
+    total = 0
+
+    def add(rel):
+        nonlocal total
+        if not rel or rel in live:
+            return
+        live.add(rel)
+        total += len(rel)
+        letters = set(map(abs, rel))
+        for h in letters:
+            rels_with[h].add(rel)
+        if len(letters) == len(rel) or 1 in collections.Counter(map(abs, rel)).values():
+            heapq.heappush(heap, (len(rel), rel))
+
+    for rel in pres.relators:
+        add(rips._cyclic_reduce(rel))
+
+    limit = total + rips.TIETZE_LETTER_CAP
+    while total < limit:
+        while heap and heap[0][1] not in live:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        _, rel = heapq.heappop(heap)
+        counts = collections.Counter(map(abs, rel))
+        pos = next(i for i, x in enumerate(rel) if counts[abs(x)] == 1)
+        rotated = rel[pos:] + rel[:pos]
+        letter, rest = rotated[0], rotated[1:]
+        g = abs(letter)
+        replacement = rips.invert_word(rest) if letter > 0 else rest
+        inverse = rips.invert_word(replacement)
+        steps.append((g, replacement))
+
+        def substitute(word):
+            out = []
+            for lt in word:
+                if lt == g:
+                    out.extend(replacement)
+                elif lt == -g:
+                    out.extend(inverse)
+                else:
+                    out.append(lt)
+            return out
+
+        stale = rels_with.pop(g)
+        for r in stale:
+            live.remove(r)
+            total -= len(r)
+            for h in set(map(abs, r)) - {g}:
+                rels_with[h].discard(r)
+        for r in stale:
+            add(rips._cyclic_reduce(substitute(r)))
+    for g, replacement in reversed(steps):
+        word = []
+        for lt in replacement:
+            word.extend(subst[lt] if lt > 0 else rips.invert_word(subst[-lt]))
+        subst[g] = rips.free_reduce(word)
+    return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
+
+
+def _residual_group(pres):
+    """(H1 as (rank, torsion), coset-table order or None at 500 rows, and
+    at 20,000) of the group that word Tietze leaves: its survivors, free or
+    in a residual relator, and its residual relators."""
+    subst, residual = rips._simplified(pres)
+    survivors = [g for g, w in subst.items() if w == (g,)]
+    _, _, _, _, moduli, free = rips._abelianize(survivors, residual)
+    renumber = {g: i + 1 for i, g in enumerate(survivors)}
+    packed = [tuple(renumber[abs(l)] * (1 if l > 0 else -1) for l in r) for r in residual]
+    orders = [getattr(coset_enumeration(len(survivors), packed, rows), "order", None)
+              for rows in (500, 20_000)]
+    return (moduli.count(0) + len(free), tuple(d for d in moduli if d)), orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_presentation(), st.randoms(use_true_random=False))
+@example(rips.presentation_at_scale(RP2, 1, None), random.Random(0))
+@example(rips.presentation_at_scale(KING_TORUS, 1, None), random.Random(0))
+@example(rips.presentation_at_scale(RP2_WEDGE_CIRCLE, 1, 0), random.Random(0))
+@example(rips.presentation_at_scale(RP2_WEDGE_KING_TORUS, 1, 0), random.Random(0))
+@example(GROWING, random.Random(0))
+# S3 = <1, 2 | 1 1, 2 2 2, 1 2 1 2>, with a generator 3 merged into 2
+@example(_bare_presentation(3, [(1, 1), (2, 2, 2), (1, 2, 1, 2), (3, -2)]), random.Random(0))
+def test_elimination_keeps_the_group(pres, rng):
+    """The literal phase and the heap phase against the heap phase alone
+    (``_old_simplified``, the elimination before the literal phase): both
+    residual groups have the same H1, their coset tables close on the same
+    order whenever either closes within 500 rows, and on random words that
+    products of relators make trivial, mixed with letters, the word problem
+    past H1 separation answers the same wherever both answer."""
+    ours = dataclasses.replace(pres)
+    with mock.patch.object(rips, "_simplified", spaces._owned(_old_simplified)), \
+            mock.patch.object(rips, "_literal", lambda pres: ((), {})):
+        theirs = dataclasses.replace(pres)
+        (old_h1, old_orders) = _residual_group(theirs)
+        words = list(_loop_words(pres, rng))
+        old_decisions = [rips._residual_trivial(theirs, rips._expand(theirs, w), 300)
+                         for w in words]
+    (h1, orders) = _residual_group(ours)
+    assert h1 == old_h1
+    if orders[0] is not None or old_orders[0] is not None:
+        assert orders[1] == old_orders[1] is not None
+    for word, old in zip(words, old_decisions):
+        new = rips._residual_trivial(ours, rips._expand(ours, word), 300)
+        if not (new.is_unknown or old.is_unknown):
+            assert new.verdict == old.verdict, (word, new, old)
+
+
+def _old_rewrite(word, rules):
+    """``rips._rewrite`` as it was before the index: every rule, in
+    ``(-len(head), head)`` order, is looked for at every position after
+    each rewrite, and the first that occurs is applied at its first
+    position."""
+    word = rips.free_reduce(word)
+    steps = 0
+    changed = True
+    while changed and steps < rips._REWRITE_STEPS:
+        changed = False
+        for head, rep in rules:
+            n = len(head)
+            if n > len(word):
+                continue
+            for i in range(len(word) - n + 1):
+                if word[i : i + n] == head:
+                    word = rips.free_reduce(word[:i] + rep + word[i + n :])
+                    changed = True
+                    steps += 1
+                    break
+            if changed:
+                break
+    return word
+
+
+def _rule_index(rules):
+    """A dict of rules in the index ``rips._rewriting_rules`` returns."""
+    by_length = collections.defaultdict(dict)
+    for head, rep in rules.items():
+        by_length[len(head)][head] = rep
+    return tuple(sorted(by_length.items(), key=lambda item: -item[0]))
+
+
+_LETTERS = st.sampled_from((1, -1, 2, -2, 3, -3))
+
+
+@st.composite
+def rewriting_case(draw):
+    """Length-decreasing rules over three generators, several heads sharing
+    a length, and a word."""
+    rules = {}
+    for head in draw(st.lists(st.lists(_LETTERS, min_size=1, max_size=6), max_size=12)):
+        rules[tuple(head)] = tuple(draw(st.lists(_LETTERS, max_size=len(head) - 1)))
+    return rules, tuple(draw(st.lists(_LETTERS, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewriting_case())
+@example(({(1, 2): (), (2, 1): (3,), (1, 1): ()}, (2, 1, 2, 1, 1, 2)))
+def test_indexed_rewriting_matches_scanning_every_rule(case):
+    """The index gives the rewrite of scanning every rule in order: the
+    longest head that occurs, the least of that length, first position."""
+    rules, word = case
+    ordered = sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+    assert rips._rewrite(word, _rule_index(rules)) == _old_rewrite(word, ordered)
+
+
+@pytest.mark.parametrize("space", [RP2_WEDGE_CIRCLE, RP2_WEDGE_KING_TORUS, KING_TORUS])
+def test_indexed_rewriting_matches_on_residual_rules(space):
+    """The same on the rules harvested from residual relators, for words
+    over the survivors."""
+    pres = rips.presentation_at_scale(space, 1, 0)
+    index = rips._rewriting_rules(pres)
+    rules = {head: rep for _, heads in index for head, rep in heads.items()}
+    assert index == _rule_index(rules)
+    ordered = sorted(rules.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+    survivors = [g for g, w in rips._simplified(pres)[0].items() if w == (g,)]
+    rng = random.Random(0)
+    for _ in range(200):
+        word = tuple(rng.choice(survivors) * rng.choice((1, -1))
+                     for _ in range(rng.randint(0, 30)))
+        assert rips._rewrite(word, index) == _old_rewrite(word, ordered)
 
 
 def test_letter_cap_stops_elimination_partway():
@@ -683,30 +908,39 @@ def test_unit_pivots_match_substituting_loop(pres, rng):
 
 
 def test_contraction_work_is_linear_on_a_chain_against_the_row_order():
-    """A kill chain against the row order, g_i + 2 g_(i+1) = 0 for i < n and
-    then g_n = 0: each kill leaves the row before it with one unit entry.
-    Passes that read every row until one changes nothing take one pass per
-    kill, quadratic work (about n * n / 2 row reads); reading again only the
-    rows that held a root that died keeps the lines ``_contract`` executes
-    linear in n."""
+    """A kill chain against the row order, g_i g_(i+1) g_(i+1) for i < n and
+    then g_n: each kill leaves the row before it with one unit entry in H1,
+    and with one letter in the literal phase.  Passes that read every row
+    until one changes nothing take one pass per kill, quadratic work (about
+    n * n / 2 row reads); reading again only the rows that held a root that
+    died reads each row once per kill after the first two passes, and keeps
+    the lines ``_contract`` executes linear in n, in either phase."""
     n = 500
     relators = [(i, i + 1, i + 1) for i in range(1, n)] + [(n,)]
-    lines = 0
+    for reduce in (rips._exponent_row, rips._literal_row):
+        lines = reads = 0
 
-    def trace(frame, event, arg):
-        nonlocal lines
-        if frame.f_code is not rips._contract.__code__:
-            return None
-        lines += event == "line"
-        return trace
+        def counted(word, link):
+            nonlocal reads
+            reads += 1
+            return reduce(word, link)
 
-    sys.settrace(trace)
-    try:
-        rows, link, steps = rips._contract(relators)
-    finally:
-        sys.settrace(None)
-    assert rows == [] and steps == [(g, {}) for g in range(n, 0, -1)]
-    assert lines <= 200 * n
+        def trace(frame, event, arg):
+            nonlocal lines
+            if frame.f_code is not rips._contract.__code__:
+                return None
+            lines += event == "line"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            rows, link, steps = rips._contract(relators, counted)
+        finally:
+            sys.settrace(None)
+        assert rows == [] and steps == [(g, {}) for g in range(n, 0, -1)]
+        # n rows in the first pass, n - 1 in the second, then one per kill
+        assert reads == n + (n - 1) + (n - 2)
+        assert lines <= 200 * n
 
 
 def test_letter_cap_bounds_growth_not_size():
@@ -975,11 +1209,6 @@ def test_rp2_torsion_class_addition(rp2_space):
     assert decide_e_homotopic(rp2_space, 1, essential, (("v", 1),)).verdict == "no"
 
 
-# RP^2 wedged with a 4-cycle: pi_1 = Z * Z/2 is not abelian, so its covers ask
-# the word problem of bucket mates
-RP2_WEDGE_CIRCLE = formats.space_from_spec(rp2_wedge_circle())
-
-
 @contextlib.contextmanager
 def _forced_unknowns(modulus):
     """Run with each Yes of the word problem past H1 separation, on a
@@ -1190,22 +1419,43 @@ def _eight_with_triangle():
     return FilteredSpace(tuple(range(8)), (frozenset(edges),))
 
 
+def _smallest_bench_covers():
+    """(space, scale, basepoint) of the smallest rung of each ``covers``
+    family of the benchmark, as ``bench/workloads.py`` builds it."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    with mock.patch.object(sys, "path", [bench, *sys.path]):
+        import workloads
+    for job in workloads.build_pass("covers", random.Random(0), smallest=True):
+        flags = dict(zip(job.flags[::2], job.flags[1::2]))
+        yield (formats.space_from_spec(json.loads(job.text)), int(flags["--scale"]),
+               int(flags["--basepoint"]))
+
+
 def test_abelian_certificate_on_known_groups(rp2_space):
     """The residual group is certified abelian on thickened cycles (Z and
-    the trivial group), the king torus (Z^2, commutator residual) and RP^2
-    (Z/2), and not on RP^2 v S^1 (Z * Z/2) or on a free group of rank 2
-    whose presentation has relators."""
+    the trivial group), the king torus (Z^2, commutator residual), RP^2
+    (Z/2) and the smallest rung of each bench ``covers`` family, and not on
+    RP^2 v S^1 (Z * Z/2, the ``rp2s1.json`` golden), RP^2 v T5 (Z/2 * Z^2)
+    or a free group of rank 2 whose presentation has relators.  The
+    residual is free, with no relator left, exactly on the cycles and the
+    figure eight."""
     def cycle(n, radius):
         return from_metric([[min(abs(i - j), n - abs(i - j)) for j in range(n)]
                             for i in range(n)], (radius,))
 
-    holds = [(cycle(7, 2), 0), (cycle(6, 2), 0), (cycle(12, 4), 0), (KING_TORUS, 0),
-             (rp2_space, rp2_space.points[0])]
-    fails = [(RP2_WEDGE_CIRCLE, 0), (_eight_with_triangle(), 0)]
-    for sp, base in holds + fails:
-        pres = rips.presentation_at_scale(sp, 1, base)
+    king, line_cycle, rp2, thick = _smallest_bench_covers()
+    holds = [(cycle(7, 2), 1, 0), (cycle(6, 2), 1, 0), (cycle(12, 4), 1, 0),
+             (KING_TORUS, 1, 0), (rp2_space, 1, rp2_space.points[0]),
+             king, line_cycle, rp2, thick]
+    fails = [(RP2_WEDGE_CIRCLE, 1, 0), (RP2_WEDGE_KING_TORUS, 1, 0),
+             (_eight_with_triangle(), 1, 0)]
+    free = [holds[0], holds[1], holds[2], line_cycle, thick, fails[2]]
+    for case in holds + fails:
+        pres = rips.presentation_at_scale(*case)
         assert pres.relators
-        assert rips._residual(pres).abelian == ((sp, base) in holds)
+        residual = rips._residual(pres)
+        assert residual.abelian == (case in holds)
+        assert (not residual.relator_gens) == (case in free)
     king = rips._simplified(rips.presentation_at_scale(KING_TORUS, 1, 0))
     assert len([g for g, w in king[0].items() if w == (g,)]) == 2 and king[1]
 

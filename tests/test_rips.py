@@ -276,7 +276,7 @@ def test_rewriting_rules_stay_linear_in_the_residual():
     pres = rips.GroupPresentation(None, 1, None, (), (), (0, 1, 2), (long, (1, 2, -1, -2)))
     subst, residual = rips._simplified(pres)
     assert long in residual and all(w == (g,) for g, w in subst.items())
-    rules = rips._rewriting_rules(pres)
+    rules = [(head, rep) for _, heads in rips._rewriting_rules(pres) for head, rep in heads.items()]
     assert rules
     assert max(len(head) for head, _ in rules) <= rips._RULE_RELATOR_LETTERS
     assert sum(len(head) + len(rep) for head, rep in rules) <= \
