@@ -5,17 +5,17 @@ the next id range, and the next round resolves the slots of that range only.
 
 A vertex of the cover is a homotopy class of scale-k chains from the
 basepoint, held as a reduced representative.  The representatives form a
-tree: vertex v was created by the slot of its parent u for the point y, its
-representative is u's plus y, and its word is u's plus the letter of the
-step to y (none on a tree edge).  A new chain is compared only with the
+tree: vertex v was created by the slot of its parent u for the point y, and
+its representative is u's plus y.  A new chain is compared only with the
 vertices in its bucket: those with the same endpoint and the same key, which
-a dict indexes.  Over a free group (no relators) the key is the reduced word,
-so a bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs
-once per cover: a signed union-find first contracts the relators of one
-letter and of two letters of distinct generators, and a heap eliminates
-from the relators left.  When it leaves no residual relator, the group is
-free on the surviving generators, and the key is the reduced word through
-the substitution: again a bucket is one class.  Else the key is the word's H1
+a dict indexes.  Over a free group (no relators) the key is the reduced
+word, u's plus the letter of the step to y (none on a tree edge), so a
+bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs once
+per cover: a signed union-find first contracts the relators of one letter
+and of two letters of distinct generators, and a heap eliminates from the
+relators left.  When it leaves no residual relator, the group is free on the
+surviving generators, and the key is the reduced word through the
+substitution: again a bucket is one class.  Else the key is the word's H1
 class in the group G presented by the residual relators over the surviving
 generators: v's key is its parent's plus the coordinates of one letter's
 substitution.  Any vertex in another bucket differs in H1, so it is
@@ -123,7 +123,6 @@ class PartialCover:
     ident_budget: int
     # a cover starts at the basepoint's constant chain and grows from there
     reps: list = field(default_factory=list, init=False)
-    words: list = field(default_factory=list, init=False)
     endpoints: list = field(default_factory=list, init=False)
     parents: list = field(default_factory=list, init=False)
     edges: list = field(default_factory=list, init=False)
@@ -144,35 +143,34 @@ class PartialCover:
         self._expanded = []
         self._buckets = {}
         key = () if self._free else (0,) * len(res.moduli)
-        self._add_vertex(None, (self.basepoint,), (), key, ())
+        self._add_vertex(None, (self.basepoint,), key, ())
 
     @property
     def num_vertices(self) -> int:
         return len(self.reps)
 
     def _extend(self, u: int, letter):
-        """(word, key, expanded) of vertex u's representative extended by a
-        step whose letter is given (0 on a tree edge): u's plus one letter,
-        its H1 coordinates and its substitution."""
+        """(key, expanded) of vertex u's representative extended by a step
+        whose letter is given (0 on a tree edge): u's key plus the letter,
+        its substitution or its H1 coordinates, and u's substitution plus
+        the letter's."""
         if not letter:
-            return self.words[u], self._keys[u], self._expanded[u]
-        word = self.words[u] + (letter,)
+            return self._keys[u], self._expanded[u]
         res = self._residual
         if res is None:
-            return word, word, None
+            return self._keys[u] + (letter,), None
         if self._free:
-            return word, _join(self._keys[u], res.words[letter]), None
+            return _join(self._keys[u], res.words[letter]), None
         key = list(self._keys[u])
         for p, v in res.coords[letter]:
             d = res.moduli[p]
             key[p] = (key[p] + v) % d if d else key[p] + v
         expanded = None if self._exact else _join(self._expanded[u], res.words[letter])
-        return word, tuple(key), expanded
+        return tuple(key), expanded
 
-    def _add_vertex(self, parent, seq, word, key, expanded) -> int:
+    def _add_vertex(self, parent, seq, key, expanded) -> int:
         vid = len(self.reps)
         self.reps.append(seq)
-        self.words.append(word)
         self.endpoints.append(seq[-1])
         self.parents.append(parent)
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
@@ -246,12 +244,12 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
         candidate = cover.reps[u] + (y,)
         # no reduction: a reduced chain never backtracks, and the walk up the
         # tree has already removed the one step that could cancel
-        word, key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u]][y])
+        key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u]][y])
         target = _identify(cover, candidate, key, expanded)
         if target is None:
             if not allow_create:
                 return
-            target = cover._add_vertex(u, candidate, word, key, expanded)
+            target = cover._add_vertex(u, candidate, key, expanded)
     cover.edges[vid][y] = target
 
 

@@ -5,35 +5,36 @@ order: homotopy of edge paths in a simplicial complex is decided by its
 2-skeleton.  Chains map to words over the non-tree edges of a breadth-first
 spanning forest, read off one letter index that maps each directed edge to
 its signed generator; two chains with common endpoints are homotopic at the
-scale exactly when the combined word dies in the edge-path group.  H1 comes
-from the abelianized relators as sparse rows, reduced in two phases.  First
-a signed union-find contracts the rows of one or two unit entries: such a
-row kills its generator or merges one generator into another, up to sign,
-and only the rows that held it are resolved again (the reduction step of
-computational homology: Kaczynski, Mischaikow and Mrozek, Computational
-Homology, ch. 4).  Then unit pivots eliminate generators from the rows left,
-and only the core they leave goes through a Smith form.  Each kill, merge
-and pivot is a step ``(g, solution)``: g equals the sum of its solution in
-H1, so a word's H1 coordinates are the sums of its letters' coordinates,
-read back through the steps.
+scale exactly when the combined word dies in the edge-path group.
+
+One contraction of the relator words serves both H1 and the word problem,
+and is memoized per presentation (``_literal``): a signed union-find kills
+the generator of a relator of one letter and merges the two generators of a
+relator of two letters up to sign, and only the rows that held a generator
+that died are read again.  These are Tietze moves in the group (Lyndon and
+Schupp, Combinatorial Group Theory, ch. II.2), and so also the reduction
+step of computational homology (Kaczynski, Mischaikow and Mrozek,
+Computational Homology, ch. 4).  H1 goes on from the rows left as sparse
+exponent rows: unit pivots eliminate generators, and only the core they
+leave goes through a Smith form.  Each kill, merge and pivot is a step
+``(g, solution)``: g equals the sum of its solution in H1, so a word's H1
+coordinates are the sums of its letters' coordinates, read back through the
+steps.
 
 A Tietze reduction of the relator words serves the word problem and the
 buckets of covers, which read H1 classes off its residual group
-(``_residual``).  It starts from the same union-find, now on the words
-themselves: a relator of one letter kills its generator and one of two
-letters merges two generators up to sign, Tietze moves in the group and not
-only in H1.  A heap of the relators left then eliminates generators that
-occur once, and its substitution is expanded once at the end.  The word
-problem is decided in a fixed order: free reduction, the relator-free free
-group, H1 separation, Tietze reduction with bounded rewriting by rules
-harvested from the short residual relators and indexed by head length, and
-the projection onto the free factor F of
-the surviving generators that no residual relator holds.  The group is then
-F * G, G presented by the residual relators, and what is left is one
-free-product normal form whose G syllables are multiplied in G's coset table
-(Lyndon and Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a
-certified Yes/No, or an Unknown when the enumeration runs out of its
-ident_budget; nothing is ever guessed.
+(``_residual``).  A heap of the rows the contraction leaves eliminates
+generators that occur once, and its substitution is expanded once at the
+end.  The word problem is decided in a fixed order: free reduction, the
+relator-free free group, H1 separation, Tietze reduction with bounded
+rewriting by rules harvested from the short residual relators and indexed by
+head length, and the projection onto the free factor F of the surviving
+generators that no residual relator holds.  The group is then F * G, G
+presented by the residual relators, and what is left is one free-product
+normal form whose G syllables are multiplied in G's coset table (Lyndon and
+Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a certified
+Yes/No, or an Unknown when the enumeration runs out of its ident_budget;
+nothing is ever guessed.
 """
 
 from __future__ import annotations
@@ -324,44 +325,10 @@ def _find(link, letter):
     return letter
 
 
-def _exponent_row(word, link):
-    """The H1 test of ``_contract``: a word's row is its sparse
-    ``{generator: exponent sum}`` over the roots, and it contracts when it
-    has one or two entries, each 1 or -1.  Returns (row, the signed letters
-    of those entries, or None)."""
-    row = {}
-    for letter in word:
-        if letter in link:
-            letter = link[letter]
-            if letter in link:
-                letter = _find(link, letter)
-            if not letter:
-                continue
-        if letter > 0:
-            v = row.get(letter, 0) + 1
-        else:
-            letter, v = -letter, row.get(-letter, 0) - 1
-        if v:
-            row[letter] = v
-        else:
-            del row[letter]
-    if len(row) == 1:
-        (g, a), = row.items()
-        if a == 1 or a == -1:
-            return row, (a * g,)
-    elif len(row) == 2:
-        (g, a), (h, b) = row.items()
-        if (a == 1 or a == -1) and (b == 1 or b == -1):
-            return row, (a * g, b * h)
-    return row, None
-
-
 def _literal_row(word, link):
-    """The literal test of ``_contract``: a word's row is the word over the
-    roots, free- and cyclically reduced, and it contracts when it has one
-    letter, or two of distinct generators; ``a a`` and longer words stay.
-    Returns (row, row or None)."""
-    resolved = []
+    """The row of a word in ``_contract``: the word resolved onto the roots
+    (``_find``), then free- and cyclically reduced."""
+    row = []
     for letter in word:
         if letter in link:
             letter = link[letter]
@@ -369,59 +336,53 @@ def _literal_row(word, link):
                 letter = _find(link, letter)
             if not letter:
                 continue
-        resolved.append(letter)
-    row = _cyclic_reduce(resolved)
-    if len(row) == 1 or len(row) == 2 and row[0] != row[1]:
-        return row, row
-    return row, None
+        if row and row[-1] == -letter:
+            row.pop()
+        else:
+            row.append(letter)
+    i, j = 0, len(row)
+    while j - i >= 2 and row[i] == -row[j - 1]:
+        i += 1
+        j -= 1
+    return tuple(row[i:j])
 
 
-def _spell(row):
-    """A row of ``_contract`` as a word: a literal row is one, and an H1 row
-    spells each generator its exponent many times."""
-    if type(row) is tuple:
-        return row
-    return [g if a > 0 else -g for g, a in row.items() for _ in range(abs(a))]
-
-
-def _contract(relators, reduce):
+def _contract(relators):
     """Relators contracted through a signed union-find over the generators.
 
-    Phase one of ``_abelianize`` runs it with ``reduce = _exponent_row``,
-    and the literal phase of word Tietze (``_literal``) with
-    ``_literal_row``: the two differ only in that test.  ``link`` maps a
-    signed letter that is no longer a root to a letter equal to it, or to 0
-    when it is trivial; ``link[-l]`` is always ``-link[l]``.  A pass hands
-    each word to ``reduce``, which resolves it onto the roots (``_find``),
-    turns it into its row and says whether the row contracts.  A row of one
-    letter kills its root g, the step ``(g, {})``; a row of two letters x y
-    of distinct roots says x = -y (their sum is zero in H1, their product
-    trivial in the group), and the smaller root g merges into the larger h
-    with the sign s this forces, the step ``(g, {h: s})``.  Either way the
-    row is used up.  The first pass reads every relator, and the second
-    every row it kept.  From then on ``holders`` lists the rows that held
-    each root, and a pass reads again only the rows that held a root that
-    died in the pass before, so a row is read once per root of it that
-    dies: a chain of kills against the row order costs one row per kill,
-    not one pass over all rows.  The rows returned are resolved onto the
-    final roots, and none of them contracts.  Returns (rows, link, steps).
+    ``link`` maps a signed letter that is no longer a root to a letter
+    equal to it, or to 0 when it is trivial; ``link[-l]`` is always
+    ``-link[l]``.  A pass turns each word into its row (``_literal_row``),
+    and a row contracts when it has one letter, or two letters of distinct
+    generators; ``a a`` and longer rows stay.  A row of one letter kills its
+    root g, the step ``(g, {})``; a row of two letters x y says x = -y, a
+    Tietze move in the group and so also in H1, and the smaller root g
+    merges into the larger h with the sign s this forces, the step ``(g,
+    {h: s})``.  Either way the row is used up.  The first pass reads every
+    relator, and the second every row it kept.  From then on ``holders``
+    lists the rows that held each root, and a pass reads again only the rows
+    that held a root that died in the pass before, so a row is read once per
+    root of it that dies: a chain of kills against the row order costs one
+    row per kill, not one pass over all rows.  The rows returned are
+    resolved onto the final roots, and none of them contracts.  Returns
+    (rows, link, steps).
     """
     link, steps = {}, []
-    # a pass after the first reads its rows as words again
     rows, holders = [None] * len(relators), defaultdict(list)
     batch, first = enumerate(relators), True
     while True:
         died = []
         for i, word in batch:
-            row, units = reduce(word, link)
-            if units:
-                x = units[0]
-                if len(units) == 1:
+            row = _literal_row(word, link)
+            n = len(row)
+            if n == 1 or n == 2 and row[0] != row[1]:
+                x = row[0]
+                if n == 1:
                     g = abs(x)
                     link[g] = link[-g] = 0
                     steps.append((g, {}))
                 else:
-                    y = units[1]
+                    y = row[1]
                     if abs(x) > abs(y):
                         x, y = y, x
                     g = abs(x)
@@ -441,39 +402,60 @@ def _contract(relators, reduce):
             again = sorted({i for g in died for i in holders.pop(g, ()) if rows[i]})
         if not again:
             break
-        batch = [(i, _spell(rows[i])) for i in again]
+        batch = [(i, rows[i]) for i in again]
     return [row for row in rows if row], link, steps
 
 
-def _abelianize(generators, relators):
-    """Abelianized relators reduced in two phases, then a Smith form of what
+@_owned
+def _literal(pres: GroupPresentation):
+    """``_contract`` of the presentation's relators, read by both H1
+    (``_pres_abelian``) and word Tietze (``_simplified``, ``_residual``).
+    Returns (rows, link, steps): the relators left, free- and cyclically
+    reduced words over the roots of two or more letters that do not
+    contract, the union-find that maps every other signed letter to an equal
+    root letter, or to 0, and the kills and merges in order."""
+    return _contract(pres.relators)
+
+
+def _abelianize(generators, relators, link=(), steps=()):
+    """Abelianized relators reduced by unit pivots, then a Smith form of what
     is left.
 
-    Each relator, a word over the given generators, is a sparse row
-    ``{generator: exponent sum}``.  Phase one (``_contract`` with the test
-    ``_exponent_row``) resolves the rows through a signed union-find over
-    the generators: a row with one unit entry kills its generator, and a
-    row with two unit entries merges the smaller into the larger; then the
-    next pass reads again the rows that held it, until no row has one or
-    two unit entries.  Phase two pivots on the rows left, over the roots:
-    an index maps each root to the rows that hold it, and while some row
-    has a unit entry, the shortest such row by ``(len, row index)`` is
-    solved for its smallest unit generator g, and the solution is
-    substituted into the rows that hold g.
-    Survivors that occur in no residual row are free summands; only the
-    others, the core, go through ``smith_normal_form``.
+    The relators are words over the given generators that no generator
+    ``link`` holds (a ``_contract`` link; ``steps`` are its kills and
+    merges, which come first).  Each relator becomes a sparse row
+    ``{generator: exponent sum}``, and unit pivots eliminate generators from
+    the rows: an index maps each generator to the rows that hold it, and
+    while some row has a unit entry, the shortest such row by ``(len, row
+    index)`` is solved for its smallest unit generator g, and the solution
+    is substituted into the rows that hold g.  Survivors that occur in no
+    residual row are free summands; only the others, the core, go through
+    ``smith_normal_form``.
 
     A step ``(g, {h: coefficient})`` says that g equals the sum of its
-    solution in H1.  A kill of phase one is ``(g, {})`` and a merge into h
-    is ``(g, {h: 1 or -1})``; a pivot of phase two solves its row.  A
-    solution's generators are survivors or eliminated by later steps.
+    solution in H1.  A kill is ``(g, {})``, a merge into h is ``(g, {h: 1 or
+    -1})``, and a pivot solves its row.  A solution's generators are
+    survivors or eliminated by later steps.
 
     Returns (steps, core, u, kept, moduli, free): the steps in order, the
     core generators by column, the core's row transform, the diagonal
     positions that are not 1 (torsion first, then free) and their diagonal
     entries, 0 when free, and the free survivors in the order of generators.
     """
-    rows, link, steps = _contract(relators, _exponent_row)
+    rows, steps = [], list(steps)
+    for word in relators:
+        row = {}
+        for letter in word:
+            if letter > 0:
+                v = row.get(letter, 0) + 1
+            else:
+                letter, v = -letter, row.get(-letter, 0) - 1
+            if v:
+                row[letter] = v
+            else:
+                del row[letter]
+        if row:
+            rows.append(row)
     rows_with = {g: set() for g in generators if g not in link}
     for i, row in enumerate(rows):
         for g in row:
@@ -555,9 +537,10 @@ def _coordinates(abelian):
 
 @_owned
 def _pres_abelian(pres: GroupPresentation):
-    """``_abelianize`` of the whole presentation: all its generators and
-    relators."""
-    return _abelianize(range(1, len(pres.generators) + 1), pres.relators)
+    """``_abelianize`` of the whole presentation, over all its generators:
+    the rows, link and steps of its ``_literal`` contraction, which word
+    Tietze shares."""
+    return _abelianize(range(1, len(pres.generators) + 1), *_literal(pres))
 
 
 @_owned
@@ -642,17 +625,6 @@ def _rotations(word):
 
 
 @_owned
-def _literal(pres: GroupPresentation):
-    """The literal phase of word Tietze: ``_contract`` of the relator words
-    with ``_literal_row``.  Returns (rows, link): the relators left, free-
-    and cyclically reduced words of two or more letters over the roots that
-    do not contract, and the union-find that maps every other signed letter
-    to an equal root letter, or to 0."""
-    rows, link, _ = _contract(pres.relators, _literal_row)
-    return rows, link
-
-
-@_owned
 def _simplified(pres: GroupPresentation):
     """Tietze elimination for the word problem: returns (substitution,
     residual relators).
@@ -661,13 +633,15 @@ def _simplified(pres: GroupPresentation):
     generators, those g with ``subst[g] == (g,)``; the residual relators are
     words over the survivors and present the same group.  Rewriting, coset
     enumeration and the buckets of covers (``_residual``) read them; the H1
-    of ``analyze`` and of bonding maps is read off ``_pres_abelian`` instead.
+    of ``analyze`` and of bonding maps is read off ``_pres_abelian``
+    instead, which shares the first phase and never runs the heap.
 
-    Elimination runs in two phases.  The literal phase (``_literal``)
-    contracts every relator of one letter, which kills its generator, and
-    of two letters of distinct generators, which merges one into the other
-    up to sign; both are Tietze moves in the group (Lyndon and Schupp, ch.
-    II.2).  A generator it links reads its word off its root.  The heap
+    Elimination runs in two phases.  The literal phase, the memoized
+    ``_literal`` contraction, kills the generator of every relator of one
+    letter and merges the generators of every relator of two letters of
+    distinct generators up to sign; both are Tietze moves in the group
+    (Lyndon and Schupp, ch. II.2).  A generator it links reads its word off
+    its root.  The heap
     phase then runs on the rows left, over the surviving roots, as a set of
     non-empty cyclically reduced words.  Each step takes the smallest
     relator by ``(len, r)`` that has a letter occurring once, solves it for
@@ -683,7 +657,7 @@ def _simplified(pres: GroupPresentation):
     reverse elimination order: a solution's letters are survivors or
     generators eliminated later, whose words are known by then.
     """
-    rows, link = _literal(pres)
+    rows, link, _ = _literal(pres)
     rels_with = {g: set() for g in range(1, len(pres.generators) + 1) if g not in link}
     subst = {g: (g,) for g in rels_with}
     live = set()

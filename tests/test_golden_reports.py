@@ -583,8 +583,10 @@ def test_wrap_map_facts_computed_once(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv", sorted(a for a in GOLDEN if a[0] == "analyze"), ids=" ".join)
 def test_analyze_runs_no_word_elimination(capsys, monkeypatch, tmp_path, argv):
-    """H1 comes from the sparse abelian elimination: an analyze report runs
-    no word-level Tietze reduction, which serves only the word problem."""
+    """H1 comes from the sparse abelian elimination: an analyze report shares
+    the literal union-find contraction (``rips._literal``) with word Tietze,
+    but never calls its heap phase ``rips._simplified``, which serves only
+    the word problem."""
     write_inputs(monkeypatch, tmp_path)
     with mock.patch.object(rips, "_simplified", wraps=rips._simplified) as simplified:
         main(list(argv))

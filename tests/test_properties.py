@@ -581,7 +581,7 @@ def test_elimination_matches_rescanning_loop(pres):
     same substitution of the roots and the same residual, at the default cap
     and at caps 0, 1 and one above the rows' letter count.  A linked
     generator's word is its root's, inverted when the link is, or empty."""
-    rows, link = rips._literal(dataclasses.replace(pres))
+    rows, link, _ = rips._literal(dataclasses.replace(pres))
     assert all(r and r == _reference_cyclic_reduce(r) for r in rows)
     assert all(len(r) > 2 or len(r) == 2 and r[0] == r[1] for r in rows)
     initial = sum(map(len, set(rows)))
@@ -699,7 +699,7 @@ def test_elimination_keeps_the_group(pres, rng):
     past H1 separation answers the same wherever both answer."""
     ours = dataclasses.replace(pres)
     with mock.patch.object(rips, "_simplified", spaces._owned(_old_simplified)), \
-            mock.patch.object(rips, "_literal", lambda pres: ((), {})):
+            mock.patch.object(rips, "_literal", lambda pres: ((), {}, ())):
         theirs = dataclasses.replace(pres)
         (old_h1, old_orders) = _residual_group(theirs)
         words = list(_loop_words(pres, rng))
@@ -909,38 +909,38 @@ def test_unit_pivots_match_substituting_loop(pres, rng):
 
 def test_contraction_work_is_linear_on_a_chain_against_the_row_order():
     """A kill chain against the row order, g_i g_(i+1) g_(i+1) for i < n and
-    then g_n: each kill leaves the row before it with one unit entry in H1,
-    and with one letter in the literal phase.  Passes that read every row
-    until one changes nothing take one pass per kill, quadratic work (about
-    n * n / 2 row reads); reading again only the rows that held a root that
-    died reads each row once per kill after the first two passes, and keeps
-    the lines ``_contract`` executes linear in n, in either phase."""
+    then g_n: each kill leaves the row before it with one letter.  Passes
+    that read every row until one changes nothing take one pass per kill,
+    quadratic work (about n * n / 2 row reads); reading again only the rows
+    that held a root that died reads each row once per kill after the first
+    two passes, and keeps the lines ``_contract`` executes linear in n."""
     n = 500
     relators = [(i, i + 1, i + 1) for i in range(1, n)] + [(n,)]
-    for reduce in (rips._exponent_row, rips._literal_row):
-        lines = reads = 0
+    lines = reads = 0
+    literal_row = rips._literal_row
 
-        def counted(word, link):
-            nonlocal reads
-            reads += 1
-            return reduce(word, link)
+    def counted(word, link):
+        nonlocal reads
+        reads += 1
+        return literal_row(word, link)
 
-        def trace(frame, event, arg):
-            nonlocal lines
-            if frame.f_code is not rips._contract.__code__:
-                return None
-            lines += event == "line"
-            return trace
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not rips._contract.__code__:
+            return None
+        lines += event == "line"
+        return trace
 
+    with mock.patch.object(rips, "_literal_row", counted):
         sys.settrace(trace)
         try:
-            rows, link, steps = rips._contract(relators, counted)
+            rows, link, steps = rips._contract(relators)
         finally:
             sys.settrace(None)
-        assert rows == [] and steps == [(g, {}) for g in range(n, 0, -1)]
-        # n rows in the first pass, n - 1 in the second, then one per kill
-        assert reads == n + (n - 1) + (n - 2)
-        assert lines <= 200 * n
+    assert rows == [] and steps == [(g, {}) for g in range(n, 0, -1)]
+    # n rows in the first pass, n - 1 in the second, then one per kill
+    assert reads == n + (n - 1) + (n - 2)
+    assert lines <= 200 * n
 
 
 def test_letter_cap_bounds_growth_not_size():
@@ -999,6 +999,109 @@ def small_gnp(draw):
                      draw(st.integers(min_value=0, max_value=2 ** 16)))
 
 
+def _old_exponent_row(word, link):
+    """The exponent-sum test of ``rips._contract`` before the literal test
+    replaced it: a word's row is its sparse ``{generator: exponent sum}``
+    over the roots, and it contracts when it has one or two entries, each 1
+    or -1.  Returns (row, the signed letters of those entries, or None)."""
+    row = {}
+    for letter in word:
+        if letter in link:
+            letter = link[letter]
+            if letter in link:
+                letter = rips._find(link, letter)
+            if not letter:
+                continue
+        if letter > 0:
+            v = row.get(letter, 0) + 1
+        else:
+            letter, v = -letter, row.get(-letter, 0) - 1
+        if v:
+            row[letter] = v
+        else:
+            del row[letter]
+    if len(row) == 1:
+        (g, a), = row.items()
+        if a == 1 or a == -1:
+            return row, (a * g,)
+    elif len(row) == 2:
+        (g, a), (h, b) = row.items()
+        if (a == 1 or a == -1) and (b == 1 or b == -1):
+            return row, (a * g, b * h)
+    return row, None
+
+
+def _old_spell(row):
+    """An exponent row as a word: each generator its exponent many times."""
+    return [g if a > 0 else -g for g, a in row.items() for _ in range(abs(a))]
+
+
+def _old_contract(relators):
+    """``rips._contract`` as H1 once ran it, with the exponent-sum test:
+    the same union-find, kills, merges and ``holders`` worklist.  Returns
+    (exponent rows, link, steps)."""
+    link, steps = {}, []
+    rows, holders = [None] * len(relators), collections.defaultdict(list)
+    batch, first = enumerate(relators), True
+    while True:
+        died = []
+        for i, word in batch:
+            row, units = _old_exponent_row(word, link)
+            if units:
+                x = units[0]
+                if len(units) == 1:
+                    g = abs(x)
+                    link[g] = link[-g] = 0
+                    steps.append((g, {}))
+                else:
+                    y = units[1]
+                    if abs(x) > abs(y):
+                        x, y = y, x
+                    g = abs(x)
+                    link[x], link[-x] = -y, y
+                    steps.append((g, {abs(y): -1 if (x > 0) == (y > 0) else 1}))
+                died.append(g)
+                rows[i] = None
+                continue
+            rows[i] = row
+            if not first:
+                for g in row:
+                    holders[abs(g)].append(i)
+        if first:
+            again = [i for i, row in enumerate(rows) if row] if died else ()
+            first = False
+        else:
+            again = sorted({i for g in died for i in holders.pop(g, ()) if rows[i]})
+        if not again:
+            break
+        batch = [(i, _old_spell(rows[i])) for i in again]
+    return [row for row in rows if row], link, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(filtered_space(), small_gnp()))
+# the benchmark's homology and cover shapes, with long merge chains
+@example(noisy_circle(48, 0))
+@example(king_torus(6))
+@example(thickened_cycle(18))
+@example(RP2)
+def test_literal_contraction_matches_exponent_contraction(sp):
+    """A Rips relator has at most three letters, and a generator repeated in
+    it sits in cyclically adjacent positions, so the literal test contracts
+    the same rows, with the same kills and merges, as the exponent-sum test
+    that H1 ran before (``_old_contract``).  ``_pres_abelian``, with and
+    without a basepoint, equals ``_abelianize`` fed that contraction's rows,
+    link and steps in all six fields: steps, core, transform, kept, moduli
+    and free."""
+    for k in range(1, sp.depth + 1):
+        for base in (None, sp.points[0]):
+            pres = rips.presentation_at_scale(sp, k, base)
+            rows, link, steps = _old_contract(pres.relators)
+            expected = rips._abelianize(range(1, len(pres.generators) + 1),
+                                        map(_old_spell, rows), link, steps)
+            assert rips._pres_abelian(dataclasses.replace(pres)) == expected
+
+
 def _loop_words(pres, rng, count=12):
     """Words over the generators: products of relators, which are zero in H1,
     mixed with single and doubled letters, which are zero only by torsion or
@@ -1040,10 +1143,11 @@ def test_sparse_abelianization_matches_tietze_then_smith(sp, rng):
         if not based.relators:
             continue  # buckets are then the reduced words, not H1 classes
         based_old = _tietze_smith_abelian(based)
+        words = _cover_words(cover)
         partitions = []
         # the cover's own keys, read off the residual group of word Tietze
-        for key in (lambda vid: rips._h1_coords(based, cover.words[vid]),
-                    lambda vid: _tietze_smith_coords(based, based_old, cover.words[vid]),
+        for key in (lambda vid: rips._h1_coords(based, words[vid]),
+                    lambda vid: _tietze_smith_coords(based, based_old, words[vid]),
                     lambda vid: cover._keys[vid]):
             blocks = collections.defaultdict(set)
             for vid, end in enumerate(cover.endpoints):
@@ -1281,6 +1385,11 @@ def test_free_residual_cover_asks_no_word_problem():
         assert getattr(cover, name) == getattr(ref, name), name
 
 
+def _cover_words(cover):
+    """Each vertex's word: ``rips.chain_word`` of its representative."""
+    return [rips.chain_word(cover.presentation, rep) for rep in cover.reps]
+
+
 def _reference_resolve_slot(ref, vid, y, word_trivial, allow_create=True):
     """_resolve_slot and _identify before buckets and trees: the extension is
     reduced by reduce_chain, and every vertex with its endpoint is compared.
@@ -1382,7 +1491,7 @@ def _reference_lift(ref, seq):
     return lift
 
 
-COVER_FIELDS = ("reps", "words", "endpoints", "edges", "complete", "frontier_radius",
+COVER_FIELDS = ("reps", "endpoints", "edges", "complete", "frontier_radius",
                 "identification_incomplete", "unknown_pairs")
 
 
@@ -1481,13 +1590,14 @@ def test_abelian_certificate_is_sound(case, rng):
     if not (pres.relators and rips._residual(pres).abelian):
         return
     cover = build_cover(sp, k, base, radius)
+    vertex_words = _cover_words(cover)
     words = []
     for v, rep in enumerate(cover.reps):
         for y, t in cover.edges[v].items():
             if t is not None:
                 word = rips.chain_word(pres, reduce_chain(sp, k, rep + (y,)))
-                assert rips._h1_coords(pres, word) == rips._h1_coords(pres, cover.words[t])
-                words.append(word + rips.invert_word(cover.words[t]))
+                assert rips._h1_coords(pres, word) == rips._h1_coords(pres, vertex_words[t])
+                words.append(word + rips.invert_word(vertex_words[t]))
     for _ in range(10):
         x, y = (_random_word(rng, len(pres.generators)) for _ in range(2))
         words.append(x + y + rips.invert_word(x) + rips.invert_word(y))
@@ -1545,21 +1655,22 @@ def test_bucketed_cover_matches_linear_scan(case):
 @example((SWAP_BETWEEN, 1, 5, 1, 0, (5, 4, 3, 0, 3, 2, 3, 3, 4, 5, 2, 6, 2)))
 def test_representatives_form_a_tree(case):
     """Each vertex's representative is its parent's plus its endpoint, and
-    reduced, and its word is its parent's plus the letter of the last step
-    (nothing on a tree edge), which is the representative's word; each
-    resolved slot holds the class of the reduced extension; extending by a
-    point outside the endpoint's closed neighbourhood is refused."""
+    reduced, and its word (``rips.chain_word`` of the representative) is its
+    parent's plus the letter of the last step (nothing on a tree edge), with
+    no cancellation; each resolved slot holds the class of the reduced
+    extension; extending by a point outside the endpoint's closed
+    neighbourhood is refused."""
     sp, k, base, radius, _, _ = case
     cover = build_cover(sp, k, base, radius)
     pres = cover.presentation
+    words = _cover_words(cover)
     assert cover.parents[0] is None
     for v, rep in enumerate(cover.reps):
         if v:
             u = cover.parents[v]
             assert rep == cover.reps[u] + (cover.endpoints[v],)
             letter = pres.letters[cover.endpoints[u]][cover.endpoints[v]]
-            assert cover.words[v] == cover.words[u] + ((letter,) if letter else ())
-        assert cover.words[v] == rips.chain_word(pres, Chain(k, rep))
+            assert words[v] == words[u] + ((letter,) if letter else ())
         assert reduce_chain(sp, k, rep).seq == rep
         for y, t in cover.edges[v].items():
             if t is None:
@@ -1567,7 +1678,7 @@ def test_representatives_form_a_tree(case):
             seq = reduce_chain(sp, k, rep + (y,)).seq
             if seq != cover.reps[t]:
                 word = rips.chain_word(pres, Chain(k, seq))
-                combined = rips.free_reduce(word + rips.invert_word(cover.words[t]))
+                combined = rips.free_reduce(word + rips.invert_word(words[t]))
                 assert rips._word_trivial(pres, combined, cover.ident_budget).is_yes
         for y in sp.points:
             if y not in sp.closed(k, cover.endpoints[v]):
@@ -1915,7 +2026,7 @@ def old_verify_endpoint_ucm(cover):
                    for u, v in steps)
         witnesses.append(j if good else None)
     lifting_ok = None not in witnesses
-    repeated = len(set(zip(cover.endpoints, cover.words))) < cover.num_vertices
+    repeated = len(set(zip(cover.endpoints, _cover_words(cover)))) < cover.num_vertices
     transverse = None if repeated else k
     generates = not failures
     verdict = "UCM" if generates and lifting_ok and transverse is not None else "NotUCM"
@@ -1960,9 +2071,10 @@ def assert_endpoint_ucm_matches_all_pairs_loops(space, k, base, radius=None, mod
     for u, v in fhat(cover, k):
         if cover.endpoints[u] == cover.endpoints[v] and u != v:
             transverse = None
+    words = _cover_words(cover)
     for u in range(cover.num_vertices):
         for v in range(u + 1, cover.num_vertices):
-            if (cover.endpoints[u], cover.words[u]) == (cover.endpoints[v], cover.words[v]):
+            if (cover.endpoints[u], words[u]) == (cover.endpoints[v], words[v]):
                 transverse = None
     assert report.generates == generates
     assert report.lifting_witnesses == tuple(witnesses)
