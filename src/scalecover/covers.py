@@ -6,20 +6,18 @@ the next id range, and the next round resolves the slots of that range only.
 A vertex of the cover is a homotopy class of scale-k chains from the
 basepoint, held as a reduced representative.  The representatives form a
 tree: vertex v was created by the slot of its parent u for the point y, and
-its representative is u's plus y.  A new chain is compared only with the
-vertices in its bucket: those with the same endpoint and the same key, which
-a dict indexes.  Over a free group (no relators) the key is the reduced
-word, u's plus the letter of the step to y (none on a tree edge), so a
-bucket is one class.  Otherwise word Tietze (``rips._simplified``) runs once
-per cover: a signed union-find first contracts the relators of one letter
-and of two letters of distinct generators, and a heap eliminates from the
-relators left.  When it leaves no residual relator, the group is free on the
-surviving generators, and the key is the reduced word through the
-substitution: again a bucket is one class.  Else the key is the word's H1
-class in the group G presented by the residual relators over the surviving
-generators: v's key is its parent's plus the coordinates of one letter's
-substitution.  Any vertex in another bucket differs in H1, so it is
-certified distinct without a word problem.
+its representative is u's plus y.  Identification is read off the
+presentation's one identification record (``rips._residual``), which
+``decide_e_homotopic`` reads too: v's state is its parent's, stepped by the
+letter of the step to y (none on a tree edge), and a state is a key and,
+when the key alone does not decide, the word through the Tietze
+substitution.  A new chain is compared only with the vertices in its
+bucket: those with the same endpoint and the same key, which a dict
+indexes.  Over a free group (no relators, or no relator left by word
+Tietze) the key is the reduced word, through the substitution when word
+Tietze ran, so a bucket is one class.  Otherwise the key is the word's H1
+class in the group G that word Tietze leaves, and any vertex in another
+bucket differs in H1, so it is certified distinct without a word problem.
 
 When G is certified abelian (at most one survivor, or a residual commutator
 for every two survivors: ``rips._commute_pairwise``), a bucket is one class
@@ -27,15 +25,13 @@ and its first vertex is the answer.  Proof: two chains from the basepoint to
 y are homotopic exactly when their combined word is trivial in G, Tietze
 moves keep the group, and an abelian G is its own H1, so the word is trivial
 exactly when its H1 class, the difference of the two keys, is zero.
-Otherwise each vertex also holds its word through the substitution, its
-parent's with one substitution joined on, and chains in a bucket are
-identified by equality of those words, then by the word problem of G
-(rewriting, then a free-product normal form over a coset table); an Unknown
-outcome, which names the exhausted ident_budget, marks the cover
-identification-incomplete and downstream verifiers refuse to conclude rather
-than guess.  A complete, fully identified cover is a uniform covering map by
-construction, so its verdict is read off the cover, not re-derived from its
-edges.
+Otherwise the record's ``same`` decides each bucket mate, by equality of
+the words, then by the word problem of G (rewriting, then a free-product
+normal form over a coset table); an Unknown outcome, which names the
+exhausted ident_budget, marks the cover identification-incomplete and
+downstream verifiers refuse to conclude rather than guess.  A complete,
+fully identified cover is a uniform covering map by construction, so its
+verdict is read off the cover, not re-derived from its edges.
 
 Why a slot may read its ancestor's slot, and why a vertex never needs a
 smaller representative than the first one found:
@@ -65,11 +61,8 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .rips import (
     AbelianGroupInv,
-    _join,
     _residual,
-    _residual_trivial,
     h1_pushforward,
-    invert_word,
     presentation_at_scale,
     presentation_h1,
     DEFAULT_COSET_ROWS,
@@ -105,16 +98,14 @@ class PartialCover:
     found by walking up the tree (see ``_resolve_slot``).  Every
     representative is reduced: no interior point is spanned by its
     neighbours at scale k, and no point repeats its predecessor.  Besides the
-    fields, the cover keeps each vertex's bucket key (its reduced word over a
-    free group, its reduced word through the Tietze substitution when no
-    residual relator is left, else its H1 class in the residual group of
-    word Tietze) and, unless a bucket is one class, its word through the
-    Tietze substitution; it lists the vertex ids of each (endpoint, key)
-    bucket in id order.  A bucket is one class in the first two cases and
-    when the residual group is certified abelian; the module docstring
-    proves the last.  A vertex keeps the representative it was created
-    with; the module docstring shows why no later chain of its class is
-    smaller.
+    fields, the cover keeps each vertex's state in the presentation's
+    identification record (``rips._residual``): its bucket key, and its
+    word through the Tietze substitution unless a bucket is one class.  It
+    lists the vertex ids of each (endpoint, key) bucket in id order.  A
+    bucket is one class over a free group and when the residual group is
+    certified abelian; the module docstring proves the last.  A vertex
+    keeps the representative it was created with; the module docstring
+    shows why no later chain of its class is smaller.
     """
 
     space: FilteredSpace
@@ -132,76 +123,48 @@ class PartialCover:
     unknown_pairs: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.presentation = pres = presentation_at_scale(self.space, self.scale, self.basepoint)
-        # without relators the group is free: reduced words are the classes,
-        # and they key the buckets; so are the reduced words through the
-        # substitution when word Tietze leaves no residual relator
-        self._residual = res = _residual(pres) if pres.relators else None
-        self._free = res is None or not res.relator_gens
-        self._exact = self._free or res.abelian
-        self._keys = []
-        self._expanded = []
+        self.presentation = presentation_at_scale(self.space, self.scale, self.basepoint)
+        self._ident = _residual(self.presentation)
+        self._states = []
         self._buckets = {}
-        key = () if self._free else (0,) * len(res.moduli)
-        self._add_vertex(None, (self.basepoint,), key, ())
+        self._add_vertex(None, (self.basepoint,), self._ident.start)
 
     @property
     def num_vertices(self) -> int:
         return len(self.reps)
 
-    def _extend(self, u: int, letter):
-        """(key, expanded) of vertex u's representative extended by a step
-        whose letter is given (0 on a tree edge): u's key plus the letter,
-        its substitution or its H1 coordinates, and u's substitution plus
-        the letter's."""
-        if not letter:
-            return self._keys[u], self._expanded[u]
-        res = self._residual
-        if res is None:
-            return self._keys[u] + (letter,), None
-        if self._free:
-            return _join(self._keys[u], res.words[letter]), None
-        key = list(self._keys[u])
-        for p, v in res.coords[letter]:
-            d = res.moduli[p]
-            key[p] = (key[p] + v) % d if d else key[p] + v
-        expanded = None if self._exact else _join(self._expanded[u], res.words[letter])
-        return tuple(key), expanded
-
-    def _add_vertex(self, parent, seq, key, expanded) -> int:
+    def _add_vertex(self, parent, seq, state) -> int:
         vid = len(self.reps)
         self.reps.append(seq)
         self.endpoints.append(seq[-1])
         self.parents.append(parent)
         self.edges.append({y: None for y in self.space.neighbors(self.scale, seq[-1])})
-        self._keys.append(key)
-        self._expanded.append(expanded)
-        self._buckets.setdefault((seq[-1], key), []).append(vid)
+        self._states.append(state)
+        self._buckets.setdefault((seq[-1], state[0]), []).append(vid)
         return vid
 
 
-def _identify(cover: PartialCover, seq, key, expanded):
+def _identify(cover: PartialCover, seq, state):
     """Vertex id of an existing class equal to the given chain, or None.
 
     Only the chain's bucket is scanned, in vertex-id order.  H1 coordinates
     are additive, so a vertex in another bucket is one where the word problem
     answers No by H1 separation; never Yes, never Unknown, so skipping it
     changes neither the first Yes nor the unknown pairs.  When the bucket is
-    one class (``PartialCover``), its first vertex is the answer.
+    one class (``PartialCover``), its first vertex is the answer; else the
+    record decides each bucket mate (``rips._residual``).
 
     An Unknown comparison only taints the cover when the candidate is never
     certified equal to another vertex: a later certified match settles the
     earlier undecided pair through the existing vertex separations.
     """
-    mates = cover._buckets.get((seq[-1], key), ())
-    if cover._exact:
+    ident = cover._ident
+    mates = cover._buckets.get((seq[-1], state[0]), ())
+    if ident.exact:
         return mates[0] if mates else None
     pending = []
     for vid in mates:
-        if cover._expanded[vid] == expanded:
-            return vid
-        combined = _join(expanded, invert_word(cover._expanded[vid]))
-        decision = _residual_trivial(cover.presentation, combined, cover.ident_budget)
+        decision = ident.same(state, cover._states[vid], cover.ident_budget)
         if decision.is_yes:
             return vid
         if decision.is_unknown:
@@ -244,12 +207,13 @@ def _resolve_slot(cover: PartialCover, vid: int, y, allow_create: bool = True) -
         candidate = cover.reps[u] + (y,)
         # no reduction: a reduced chain never backtracks, and the walk up the
         # tree has already removed the one step that could cancel
-        key, expanded = cover._extend(u, cover.presentation.letters[cover.endpoints[u]][y])
-        target = _identify(cover, candidate, key, expanded)
+        state = cover._ident.step(cover._states[u],
+                                  cover.presentation.letters[cover.endpoints[u]][y])
+        target = _identify(cover, candidate, state)
         if target is None:
             if not allow_create:
                 return
-            target = cover._add_vertex(u, candidate, key, expanded)
+            target = cover._add_vertex(u, candidate, state)
     cover.edges[vid][y] = target
 
 

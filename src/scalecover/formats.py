@@ -382,16 +382,15 @@ def parse_number(text: str, position=None):
     return value
 
 
-# int() reads lines of these characters as parse_number does, or refuses them
-_INTEGER_LINE_CHARS = _NUMBER_CHARS - frozenset(".eE") | frozenset(",")
-
-
 def parse_distance_csv(text: str):
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        if _INTEGER_LINE_CHARS.issuperset(line):
+        # inside a line, int() reads only ASCII digits, signs, spaces, tabs and
+        # underscores, so on an ASCII line without underscores it reads each
+        # cell as parse_number does, or refuses it
+        if line.isascii() and "_" not in line:
             try:
                 rows.append(list(map(int, line.split(","))))
                 continue

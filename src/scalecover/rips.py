@@ -21,20 +21,25 @@ leave goes through a Smith form.  Each kill, merge and pivot is a step
 coordinates are the sums of its letters' coordinates, read back through the
 steps.
 
-A Tietze reduction of the relator words serves the word problem and the
-buckets of covers, which read H1 classes off its residual group
-(``_residual``).  A heap of the rows the contraction leaves eliminates
-generators that occur once, and its substitution is expanded once at the
-end.  The word problem is decided in a fixed order: free reduction, the
-relator-free free group, H1 separation, Tietze reduction with bounded
-rewriting by rules harvested from the short residual relators and indexed by
-head length, and the projection onto the free factor F of the surviving
-generators that no residual relator holds.  The group is then F * G, G
-presented by the residual relators, and what is left is one free-product
-normal form whose G syllables are multiplied in G's coset table (Lyndon and
-Schupp, Combinatorial Group Theory, ch. IV.1).  The answer is a certified
-Yes/No, or an Unknown when the enumeration runs out of its ident_budget;
-nothing is ever guessed.
+A Tietze reduction of the relator words serves the word problem: a heap of
+the rows the contraction leaves eliminates generators that occur once, and
+its substitution is expanded once at the end.  Covers and
+``decide_e_homotopic`` decide homotopy through one identification record
+per presentation (``_residual``): a chain is read letter by letter into a
+state, its key and its word through the substitution, and two states are
+compared in a fixed order.  Over a free group (no relators, when no
+reduction runs, or no residual relator) the key is the reduced word, its
+own class.  Else the key is the H1 class in the residual group G, and
+unequal keys are separated by H1; equal keys are one class when G is
+certified abelian, and otherwise the words go on to bounded rewriting by
+rules harvested from the short residual relators and indexed by head
+length, and the projection onto the free factor F of the surviving
+generators that no residual relator holds.  G is then F * H, H presented
+by the residual relators, and what is left is one free-product normal form
+whose H syllables are multiplied in H's coset table (Lyndon and Schupp,
+Combinatorial Group Theory, ch. IV.1).  The answer is a certified Yes/No,
+or an Unknown when the enumeration runs out of its ident_budget; nothing is
+ever guessed.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import intlinalg as ila
 from .coset import DEFAULT_COSET_ROWS, coset_enumeration
@@ -98,7 +103,7 @@ def rips_2_skeleton(space: FilteredSpace, k: int) -> Rips2Skeleton:
     point order, so edges and triangles do too.
     """
     closed, adjacency = space.scale_index(k)
-    position = {p: i for i, p in enumerate(space.points)}.__getitem__
+    position = space._index.__getitem__
     later = {}
     for i, a in enumerate(space.points):
         near = adjacency[a]
@@ -629,10 +634,12 @@ def _simplified(pres: GroupPresentation):
     """Tietze elimination for the word problem: returns (substitution,
     residual relators).
 
-    The substitution rewrites original letters into words over the surviving
-    generators, those g with ``subst[g] == (g,)``; the residual relators are
-    words over the survivors and present the same group.  Rewriting, coset
-    enumeration and the buckets of covers (``_residual``) read them; the H1
+    The substitution rewrites each root generator of the literal phase into
+    a word over the surviving generators, those g with ``subst[g] ==
+    (g,)``; a generator that phase linked is not in it, and the
+    identification record (``_residual``) reads its word off its root.  The
+    residual relators are words over the survivors and present the same
+    group.  Rewriting, coset enumeration and the record read them; the H1
     of ``analyze`` and of bonding maps is read off ``_pres_abelian``
     instead, which shares the first phase and never runs the heap.
 
@@ -640,13 +647,11 @@ def _simplified(pres: GroupPresentation):
     ``_literal`` contraction, kills the generator of every relator of one
     letter and merges the generators of every relator of two letters of
     distinct generators up to sign; both are Tietze moves in the group
-    (Lyndon and Schupp, ch. II.2).  A generator it links reads its word off
-    its root.  The heap
-    phase then runs on the rows left, over the surviving roots, as a set of
-    non-empty cyclically reduced words.  Each step takes the smallest
-    relator by ``(len, r)`` that has a letter occurring once, solves it for
-    the first such letter's generator g, and substitutes the solution for g
-    in the relators.  The step is incremental: an occurrence index maps each
+    (Lyndon and Schupp, ch. II.2).  The heap phase then runs on the rows
+    left, over the surviving roots, as a set of non-empty cyclically reduced
+    words.  Each step takes the smallest relator by ``(len, r)`` that has a
+    letter occurring once, solves it for the first such letter's generator
+    g, and substitutes the solution for g in the relators.  The step is incremental: an occurrence index maps each
     generator to the live relators whose words hold it, so only those are
     rewritten; a heap of ``(len, r)`` holds the relators with a
     once-occurring letter, and entries no longer live are skipped when
@@ -725,24 +730,7 @@ def _simplified(pres: GroupPresentation):
         for lt in replacement:
             word.extend(subst[lt] if lt > 0 else invert_word(subst[-lt]))
         subst[g] = free_reduce(word)
-    # each generator's word is its signed root's, read once however many
-    # generators link to that root
-    words, out = {0: ()}, {}
-    for g in range(1, len(pres.generators) + 1):
-        r = _find(link, g)
-        if r not in words:
-            words[r] = subst[r] if r > 0 else invert_word(subst[-r])
-        out[g] = words[r]
-    return out, tuple(sorted(live, key=lambda r: (len(r), r)))
-
-
-def _expand(pres, word) -> tuple:
-    """The word over the surviving generators, through the substitution."""
-    subst = _simplified(pres)[0]
-    out = []
-    for letter in word:
-        out.extend(subst[letter] if letter > 0 else invert_word(subst[-letter]))
-    return free_reduce(out)
+    return subst, tuple(sorted(live, key=lambda r: (len(r), r)))
 
 
 def _join(word, tail) -> tuple:
@@ -769,8 +757,9 @@ def _commute_pairwise(survivors, relators) -> bool:
 
 @dataclass(frozen=True)
 class _Residual:
-    """The group G that word Tietze leaves, as covers and the word problem
-    read it.
+    """The identification record of a presentation: the group G that word
+    Tietze leaves, and the one place where covers and ``decide_e_homotopic``
+    decide whether two chains with common endpoints are homotopic.
 
     ``relator_gens`` are the survivors that some residual relator holds;
     when there are none, G is free on the survivors and a reduced word over
@@ -786,26 +775,74 @@ class _Residual:
     and a letter that phase linked reads both off its root letter.  Tietze
     moves keep the group (Lyndon and Schupp, ch. II.2), so these
     coordinates separate exactly the words the whole presentation's
-    ``_h1_coords`` separate.
+    ``_h1_coords`` separate.  A presentation with no relators runs no
+    Tietze reduction: each letter is its own word, and ``coords`` and
+    ``moduli`` are empty.
+
+    A chain from the basepoint is read as a state ``(key, word)``: ``start``
+    is the constant chain's, and ``step(state, letter)`` appends one step of
+    the given letter, 0 along a tree edge.  When G is free the key is the
+    reduced word through the substitution, a class of its own, and word is
+    None.  Else the key is the H1 class in G, and word is the reduced word
+    through the substitution, or None when G is certified abelian and the
+    key is the class.  ``exact`` says that equal keys are equal classes.
+    ``same`` decides two states of chains with common endpoints: by their
+    keys, then by their words and the word problem of G
+    (``_residual_trivial``).
     """
 
+    pres: GroupPresentation = field(compare=False, repr=False)
     relator_gens: frozenset
     abelian: bool
     words: dict
     coords: dict
     moduli: tuple
 
+    def __post_init__(self):
+        free = not self.relator_gens
+        object.__setattr__(self, "exact", free or self.abelian)
+        object.__setattr__(self, "start", ((), None) if free else (
+            (0,) * len(self.moduli), None if self.abelian else ()))
+
+    def step(self, state, letter):
+        if not letter:
+            return state
+        key, word = state
+        if not self.relator_gens:
+            return _join(key, self.words[letter]), None
+        key = list(key)
+        for p, v in self.coords[letter]:
+            d = self.moduli[p]
+            key[p] = (key[p] + v) % d if d else key[p] + v
+        return tuple(key), None if word is None else _join(word, self.words[letter])
+
+    def same(self, a, b, ident_budget) -> HomotopyDecision:
+        if a[0] != b[0]:
+            if not self.relator_gens:
+                return HomotopyDecision(
+                    "no", "free_group", {"reduced_word": list(_join(a[0], invert_word(b[0])))})
+            return HomotopyDecision("no", "h1_separation", {"h1_class_difference": [
+                _reduce(x - y, d) for x, y, d in zip(a[0], b[0], self.moduli)]})
+        if self.exact:
+            return HomotopyDecision(
+                "yes", "abelian_certificate" if self.relator_gens else "free_reduction")
+        if a[1] == b[1]:
+            return HomotopyDecision("yes", "free_reduction")
+        return _residual_trivial(self.pres, _join(a[1], invert_word(b[1])), ident_budget)
+
 
 @_owned
 def _residual(pres: GroupPresentation) -> _Residual:
+    if not pres.relators:
+        words = {}
+        for g in range(1, len(pres.generators) + 1):
+            words[g], words[-g] = (g,), (-g,)
+        return _Residual(pres, frozenset(), len(pres.generators) <= 1, words, {}, ())
     subst, relators = _simplified(pres)
-    link = _literal(pres)[1]
     survivors = tuple(g for g, w in subst.items() if w == (g,))
     basis, moduli = _coordinates(_abelianize(survivors, relators))
     words, coords = {}, {}
     for g, w in subst.items():
-        if g in link:
-            continue
         words[g], words[-g] = w, invert_word(w)
         # summed sparsely: the survivors may be many, and each letter's
         # substitution reaches few of them
@@ -817,11 +854,12 @@ def _residual(pres: GroupPresentation) -> _Residual:
         coords[g] = tuple((p, r) for p, v in sorted(total.items())
                           if (r := _reduce(v, moduli[p])))
         coords[-g] = tuple((p, _reduce(-v, moduli[p])) for p, v in coords[g])
-    # a linked letter is its root letter, or trivial
+    # a letter the literal phase linked is its root letter, or trivial
+    link = _literal(pres)[1]
     for g in link:
         r = _find(link, g)
         words[g], coords[g] = (words[r], coords[r]) if r else ((), ())
-    return _Residual(frozenset(abs(l) for r in relators for l in r),
+    return _Residual(pres, frozenset(abs(l) for r in relators for l in r),
                      len(survivors) <= 1 or _commute_pairwise(survivors, relators),
                      words, coords, moduli)
 
@@ -911,25 +949,10 @@ class HomotopyDecision:
         return self.verdict == "unknown"
 
 
-def _word_trivial(pres, word, ident_budget) -> HomotopyDecision:
-    word = free_reduce(word)
-    if not word:
-        return HomotopyDecision("yes", "free_reduction")
-    if not pres.relators:
-        return HomotopyDecision(
-            "no", "free_group", {"reduced_word": list(word)}
-        )
-    coords = _h1_coords(pres, word)
-    if any(coords):
-        return HomotopyDecision(
-            "no", "h1_separation", {"h1_class_difference": list(coords)}
-        )
-    return _residual_trivial(pres, _expand(pres, word), ident_budget)
-
-
 def _residual_trivial(pres, word, ident_budget) -> HomotopyDecision:
-    """``_word_trivial`` past H1 separation, for a reduced word over the
-    survivors of ``_simplified`` (an ``_expand``-ed word)."""
+    """The word problem of G past H1 separation, for a reduced word over the
+    survivors of ``_simplified``: rewriting, the free-factor projection,
+    then the free-product normal form over the coset table."""
     rewritten = _rewrite(word, _rewriting_rules(pres))
     if not rewritten:
         return HomotopyDecision("yes", "relator_rewriting")
@@ -972,7 +995,9 @@ def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
                        ident_budget: int = DEFAULT_COSET_ROWS) -> HomotopyDecision:
     """Certified three-valued test for scale-k homotopy relative endpoints.
 
-    The chains must share both endpoints.  Yes and No answers are exact; an
+    The chains must share both endpoints.  Each is read into a state of the
+    presentation's identification record, as a cover reads its vertices,
+    and the record decides the two.  Yes and No answers are exact; an
     Unknown names the exhausted budget.
     """
     c, d = chain(space, k, c), chain(space, k, d)
@@ -980,5 +1005,6 @@ def decide_e_homotopic(space: FilteredSpace, k: int, c, d,
         raise EndpointMismatch(f"chains run {c.start!r}->{c.end!r} and {d.start!r}->{d.end!r}")
     # both chains start at the basepoint, so both lie in its component
     pres = presentation_at_scale(space, k, c.start)
-    word = free_reduce(_chain_letters(pres, c.seq) + invert_word(_chain_letters(pres, d.seq)))
-    return _word_trivial(pres, word, ident_budget)
+    ident = _residual(pres)
+    return ident.same(*(reduce(ident.step, _chain_letters(pres, x.seq), ident.start)
+                        for x in (c, d)), ident_budget)

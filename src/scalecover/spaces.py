@@ -176,13 +176,6 @@ class FilteredSpace:
             raise BadScale(k, self.depth)
         return k
 
-    def pair(self, x, y):
-        """Normalized non-diagonal pair, or None for a diagonal pair."""
-        i, j = self.index(x), self.index(y)
-        if i == j:
-            return None
-        return (x, y) if i < j else (y, x)
-
     def closed(self, k: int, x) -> frozenset:
         """The closed scale-k neighbourhood of x, x included."""
         try:

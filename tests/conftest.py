@@ -12,6 +12,15 @@ def identity_map(space):
     return FilteredMap(space, space, tuple(space.points))
 
 
+def ordered_pair(space, x, y):
+    """The pair of two distinct points in point order, as a space stores it,
+    or None for a diagonal pair."""
+    i, j = space.index(x), space.index(y)
+    if i == j:
+        return None
+    return (x, y) if i < j else (y, x)
+
+
 def telescoping_backward_group(psis, gs, identities, mul) -> list:
     """Set-level backward solve of g_i = psi(h_{i+1})^{-1} h_i in any groups.
 

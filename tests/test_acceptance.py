@@ -35,7 +35,7 @@ from scalecover.rips import AbelianGroupInv, h1_at_scale
 from scalecover.spaces import FilteredSpace, from_metric
 from scalecover.towers import TowerAb, lim1_verdict, quotient_tower_reconstruct, telescoping_solve
 from scalecover import intlinalg as ila
-from conftest import oracle_h1
+from conftest import oracle_h1, ordered_pair
 
 Z = AbelianGroupInv(1, ())
 
@@ -155,7 +155,7 @@ def relabel_map(rng, hausdorff=False):
     rng.shuffle(perm)
     relabeled = {p: q for p, q in zip(sp.points, perm)}
     scales = tuple(
-        frozenset(sp.pair(relabeled[a], relabeled[b]) for a, b in pairs)
+        frozenset(ordered_pair(sp, relabeled[a], relabeled[b]) for a, b in pairs)
         for pairs in sp.scales
     )
     target = FilteredSpace(sp.points, scales, hausdorff=sp.hausdorff)

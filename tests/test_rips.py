@@ -238,17 +238,25 @@ def test_unknown_is_honest_on_hard_words(fix_l4):
     # Klein-bottle-style presentation: the commutator is abelianization-trivial
     # and beyond the rewriting rules, and the group is infinite, so the coset
     # budget runs out; the decision must be Unknown, never a guess.
-    from scalecover.rips import GroupPresentation, _word_trivial
+    from functools import reduce
+
+    from scalecover.rips import GroupPresentation, HomotopyDecision, _residual
 
     pres = GroupPresentation(
         space=fix_l4, scale=1, basepoint=0, component=(0, 1, 2, 3),
         tree_edges=(), generators=((0, 1), (1, 2)), relators=((1, 1, 2, 2),),
     )
-    decision = _word_trivial(pres, (1, 2, -1, -2), ident_budget=500)
+    ident = _residual(pres)
+    assert not ident.abelian
+
+    def trivial(word):
+        return ident.same(reduce(ident.step, word, ident.start), ident.start, 500)
+
+    decision = trivial((1, 2, -1, -2))
     assert decision.is_unknown
     assert decision.witness == {"exhausted": "ident_budget", "budget": 500}
     # the relator itself is certified trivial by rewriting alone
-    assert _word_trivial(pres, (1, 1, 2, 2), ident_budget=500).is_yes
+    assert trivial((1, 1, 2, 2)) == HomotopyDecision("yes", "relator_rewriting")
 
 
 def _long_relator(length, seed=0):
